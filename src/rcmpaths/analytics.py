@@ -28,7 +28,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import QuadratureConfigError, UnsupportedClosedFormError, ValidationError
 from .model import HARD_DISK, RAYLEIGH, ConnectionSpec, ModelParams
@@ -196,6 +195,9 @@ def _read_at(grid: np.ndarray, m: int, s: float, r: float) -> float:
 
 
 def _chain_grid(spec: ConnectionSpec, k: int, r: float, quad: QuadratureSpec):
+    # scipy.signal takes over a second to import; only quadrature needs it
+    from scipy.signal import fftconvolve
+
     s = _effective_step(r, quad.grid_step)
     m = int(math.ceil(quad.grid_extent / s - 1e-9))
     h = _kernel_grid(spec, m, s)
@@ -250,6 +252,7 @@ def variance_terms_numeric(
     if quad.method == MONTE_CARLO:
         return _mc_variance_terms(params, quad)
     _check_grid(spec, quad, r, strict)
+    from scipy.signal import fftconvolve
 
     s = _effective_step(r, quad.grid_step)
     m = int(math.ceil(quad.grid_extent / s - 1e-9))

@@ -6,11 +6,19 @@ of (grid seed, replication index).  Replications are embarrassingly parallel;
 results are always assembled in replication order, so output files are
 byte-identical regardless of worker count.
 
-The per-replication path counter evaluates only the pair draws a k-hop path
-can actually use (anchor rows plus the candidate intermediate pairs for
-k <= 3), which keeps sweeps at desk scale fast; because edge draws are keyed
-by the vertex pair, the lazy route agrees bit-for-bit with realizing the full
-adjacency matrix.
+For k <= 3 the counter works on blocks of replications of one grid point.
+It draws each replication's points from its own Philox stream, concatenates
+them, and makes one vectorised pass per block.  That pass hashes only the pair
+draws a path can use (both anchor rows, plus the candidate intermediate pairs
+for k = 3).  It reduces counts per replication, and pair classes by counting
+identities.  A block grows until it holds ``_BLOCK_POINTS`` points, which
+bounds memory.  For k >= 4 each replication's full graph is realized and
+walked.  Margin validation uses the same counter, with a mask of the points
+inside the base rectangle.  Edge draws are keyed by the vertex pair, so the
+lazy route agrees bit-for-bit with realizing the full adjacency matrix.  How
+replications fall into blocks or workers never changes a result: the reports
+are byte-identical to one replication at a time.  With ``threads`` > 1 a
+call starts one worker pool for all of its grid points.
 """
 from __future__ import annotations
 
@@ -18,10 +26,9 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import poisson as poisson_dist
 
 from .analytics import (
     QuadratureSpec,
@@ -39,7 +46,7 @@ from .moments import (
     quadratic_existence_bound,
     truncated_zero_probability,
 )
-from .paths import classify_path_pairs, count_khop_paths
+from .paths import classify_path_pair_segments, count_khop_paths
 from .rng import derive_subseed, pair_uniforms
 from .sampler import (
     connection_probabilities,
@@ -85,7 +92,11 @@ class ExperimentConfig:
             problems.append("name: must be nonempty")
         if not self.params_grid:
             problems.append("params_grid: must contain at least one grid point")
-        if not isinstance(self.replications, (int, np.integer)) or self.replications < 1:
+        if (
+            not isinstance(self.replications, (int, np.integer))
+            or isinstance(self.replications, bool)
+            or self.replications < 1
+        ):
             problems.append(f"replications: must be an integer >= 1, got {self.replications!r}")
         if any(m < 0 for m in self.bracket_orders):
             problems.append("bracket_orders: orders must be >= 0")
@@ -132,7 +143,7 @@ def params_from_dict(d: dict) -> ModelParams:
         rho=d["rho"],
         connection=connection_from_dict(d["connection"]),
         anchor_distance=d["anchor_distance"],
-        k=int(d["k"]),
+        k=d["k"],
         margin=d.get("margin"),
     )
 
@@ -153,24 +164,68 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     }
 
 
+# every config-file field and its JSON type
+_CONFIG_FIELDS = {
+    "name": str,
+    "params_grid": list,
+    "replications": int,
+    "seed": int,
+    "outputs": str,
+    "strict_numerics": bool,
+    "collect_pair_structures": bool,
+    "bracket_orders": list,
+    "emit_histograms": bool,
+    "dump_raw_counts": bool,
+    "attach_numeric": bool,
+}
+_REQUIRED_FIELDS = ("name", "params_grid", "replications", "seed", "outputs")
+
+
+def _has_type(value, kind) -> bool:
+    # JSON true/false are Python bools, which are ints too
+    if kind is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, kind)
+
+
 def config_from_dict(d: dict) -> ExperimentConfig:
-    try:
-        grid = tuple(params_from_dict(p) for p in d["params_grid"])
-        return ExperimentConfig(
-            name=d["name"],
-            params_grid=grid,
-            replications=int(d["replications"]),
-            seed=int(d["seed"]),
-            outputs=d["outputs"],
-            strict_numerics=bool(d.get("strict_numerics", False)),
-            collect_pair_structures=bool(d.get("collect_pair_structures", True)),
-            bracket_orders=tuple(d.get("bracket_orders", DEFAULT_BRACKET_ORDERS)),
-            emit_histograms=bool(d.get("emit_histograms", False)),
-            dump_raw_counts=bool(d.get("dump_raw_counts", False)),
-            attach_numeric=bool(d.get("attach_numeric", False)),
-        )
-    except KeyError as exc:
-        raise ValidationError(f"config file missing required field: {exc}") from exc
+    """Build a config from its JSON form, rejecting unknown fields and values
+    of the wrong type instead of coercing them; every problem found is listed
+    in one :class:`ValidationError`."""
+    if not isinstance(d, dict):
+        raise ValidationError(f"invalid experiment config: expected a JSON object, got {type(d).__name__}")
+    problems = [f"unknown field {key!r}" for key in d if key not in _CONFIG_FIELDS]
+    problems += [f"missing required field {key!r}" for key in _REQUIRED_FIELDS if key not in d]
+    for key, kind in _CONFIG_FIELDS.items():
+        if key in d and not _has_type(d[key], kind):
+            problems.append(f"{key}: expected {kind.__name__}, got {d[key]!r}")
+    orders = d.get("bracket_orders", DEFAULT_BRACKET_ORDERS)
+    if isinstance(orders, list) and not all(_has_type(m, int) for m in orders):
+        problems.append(f"bracket_orders: expected integers, got {orders!r}")
+    grid = []
+    if isinstance(d.get("params_grid"), list):
+        for i, p in enumerate(d["params_grid"]):
+            try:
+                grid.append(params_from_dict(p))
+            except KeyError as exc:
+                problems.append(f"params_grid[{i}]: missing required field {exc}")
+            except (ValidationError, TypeError, AttributeError) as exc:
+                problems.append(f"params_grid[{i}]: {exc}")
+    if problems:
+        raise ValidationError("invalid experiment config: " + "; ".join(problems))
+    return ExperimentConfig(
+        name=d["name"],
+        params_grid=tuple(grid),
+        replications=d["replications"],
+        seed=d["seed"],
+        outputs=d["outputs"],
+        strict_numerics=d.get("strict_numerics", False),
+        collect_pair_structures=d.get("collect_pair_structures", True),
+        bracket_orders=tuple(orders),
+        emit_histograms=d.get("emit_histograms", False),
+        dump_raw_counts=d.get("dump_raw_counts", False),
+        attach_numeric=d.get("attach_numeric", False),
+    )
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -183,80 +238,111 @@ def load_config(path: str) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-def _anchor_neighbor_mask(pts, spec, seed, replication, anchor, idx):
-    dx = pts[2:, 0] - pts[anchor, 0]
-    dy = pts[2:, 1] - pts[anchor, 1]
-    probs = connection_probabilities(spec, dx * dx + dy * dy)
-    u = pair_uniforms(seed, replication, anchor, idx)
-    return u < probs
+# A block of replications is drawn until it holds this many points; the
+# block's arrays, and so the counter's working memory, grow with it.
+_BLOCK_POINTS = 1 << 16
 
 
-def _threehop_pairs_lazy(pts, spec, seed, replication) -> np.ndarray:
-    """Intermediate pairs (z1, z2) of all 3-hop paths, without building the
-    full adjacency matrix; bit-identical to the full realization."""
-    n = len(pts)
-    if n <= 3:
-        return np.empty((0, 2), dtype=np.int64)
-    idx = np.arange(2, n)
-    a = idx[_anchor_neighbor_mask(pts, spec, seed, replication, 0, idx)]
-    b = idx[_anchor_neighbor_mask(pts, spec, seed, replication, 1, idx)]
-    if len(a) == 0 or len(b) == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    aa = np.repeat(a, len(b))
-    bb = np.tile(b, len(a))
+def _block_paths(params: ModelParams, seed: int, first: int, pts: list[np.ndarray]):
+    """Every k-hop path (k <= 3) of a block of replications of one grid point.
+
+    ``pts[b]`` is the point set of replication ``first + b``.  Returns
+    ``(xy, seg, inter)``: the concatenated non-anchor points, the block
+    position of each path's replication (non-decreasing), and k - 1 arrays
+    holding the paths' intermediate vertices as rows of ``xy``.  Only the pair
+    draws a path can use are made: the two anchor rows and, for k = 3, each
+    pair of an anchor-0 neighbour with an anchor-1 neighbour of the same
+    replication.  Edge draws are keyed by the vertex pair, so the paths are
+    exactly those of each replication's full realization.
+    """
+    spec, k = params.connection, int(params.k)
+    reps = np.arange(first, first + len(pts))
+    # every replication has its anchors where the first one has them, and
+    # both on the x axis (y0 == y1)
+    (x0, y0), (x1, y1) = pts[0][0], pts[0][1]
+    if k == 1:
+        dx, dy = x0 - x1, y0 - y1
+        prob = connection_probabilities(spec, np.float64(dx * dx + dy * dy))
+        return np.empty((0, 2)), np.flatnonzero(pair_uniforms(seed, reps, 0, 1) < prob), ()
+    # a k-hop path needs k - 1 points besides the anchors
+    others = [p[2:] if len(p) > k else p[:0] for p in pts]
+    sizes = np.array([len(o) for o in others])
+    xy = np.concatenate(others)
+    seg_of = np.repeat(np.arange(len(pts)), sizes)
+    rep_of = reps[seg_of]
+    # vertex index within its replication: anchors are 0 and 1
+    local = np.arange(2, len(xy) + 2) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    x, y = xy[:, 0], xy[:, 1]
+    yy = (y - y0) * (y - y0)
+    near = []
+    for anchor, ax in ((0, x0), (1, x1)):
+        probs = connection_probabilities(spec, (x - ax) * (x - ax) + yy)
+        near.append(pair_uniforms(seed, rep_of, anchor, local) < probs)
+    if k == 2:
+        z = np.flatnonzero(near[0] & near[1])
+        return xy, seg_of[z], (z,)
+    a, b = np.flatnonzero(near[0]), np.flatnonzero(near[1])
+    # pair each a with its own replication's slice of b
+    nb = np.bincount(seg_of[b], minlength=len(pts))
+    width = nb[seg_of[a]]
+    aa = np.repeat(a, width)
+    offset = np.arange(len(aa)) - np.repeat(np.cumsum(width) - width, width)
+    bb = b[np.repeat((np.cumsum(nb) - nb)[seg_of[a]], width) + offset]
     keep = aa != bb
     aa, bb = aa[keep], bb[keep]
-    dx = pts[aa, 0] - pts[bb, 0]
-    dy = pts[aa, 1] - pts[bb, 1]
-    probs = connection_probabilities(spec, dx * dx + dy * dy)
-    hit = pair_uniforms(seed, replication, aa, bb) < probs
-    return np.column_stack([aa[hit], bb[hit]]).astype(np.int64)
+    d = xy[aa] - xy[bb]
+    probs = connection_probabilities(spec, d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
+    hit = pair_uniforms(seed, rep_of[aa], local[aa], local[bb]) < probs
+    z1, z2 = aa[hit], bb[hit]
+    return xy, seg_of[z1], (z1, z2)
 
 
-def _edge_01(pts, spec, seed, replication) -> bool:
-    dx = pts[0, 0] - pts[1, 0]
-    dy = pts[0, 1] - pts[1, 1]
-    p = connection_probabilities(spec, np.float64(dx * dx + dy * dy))
-    return bool(pair_uniforms(seed, replication, 0, 1) < p)
-
-
-def _replicate(params: ModelParams, seed: int, replication: int, collect_pairs: bool):
-    """One replication: the path count and optionally the pair-class counts."""
-    pts = sample_conditioned_ppp(params, seed, replication)
-    spec = params.connection
+def _count_block(params, seed, first, pts, collect_pairs, inside):
+    """Path counts of a block of replications, plus the pair classes when
+    ``collect_pairs`` (k = 3) and, when ``inside`` is a Region, the counts of
+    the paths whose intermediates all lie in it (else None)."""
     k = int(params.k)
-    if k == 1:
-        return int(_edge_01(pts, spec, seed, replication)), None
-    if k == 2:
-        n = len(pts)
-        if n <= 2:
-            return 0, None
-        idx = np.arange(2, n)
-        both = _anchor_neighbor_mask(pts, spec, seed, replication, 0, idx) & _anchor_neighbor_mask(
-            pts, spec, seed, replication, 1, idx
-        )
-        return int(both.sum()), None
-    if k == 3:
-        pairs = _threehop_pairs_lazy(pts, spec, seed, replication)
-        classes = None
-        if collect_pairs:
-            c = classify_path_pairs(pairs)
-            classes = (c.sigma0, c.sigma11, c.sigma12, c.sigma21, c.sigma22)
-        return len(pairs), classes
-    g = realize_graph(pts, spec, seed, replication)
-    return count_khop_paths(g, k).count, None
+    if k >= 4:
+        counts, kept = [], []
+        for b, p in enumerate(pts):
+            g = realize_graph(p, params.connection, seed, first + b)
+            counts.append(count_khop_paths(g, k).count)
+            if inside is not None:
+                allowed = np.ones(len(p), dtype=bool)
+                allowed[2:] = inside.contains(p[2:, 0], p[2:, 1])
+                kept.append(count_khop_paths(g, k, allowed=allowed).count)
+        kept_counts = np.array(kept, dtype=np.int64) if inside is not None else None
+        return np.array(counts, dtype=np.int64), None, kept_counts
+    xy, seg, inter = _block_paths(params, seed, first, pts)
+    counts = np.bincount(seg, minlength=len(pts))
+    classes = classify_path_pair_segments(*inter, seg, len(pts)) if collect_pairs else None
+    kept_counts = None
+    if inside is not None:
+        keep = np.ones(len(seg), dtype=bool)
+        for z in inter:
+            keep &= inside.contains(xy[z, 0], xy[z, 1])
+        kept_counts = np.bincount(seg[keep], minlength=len(pts))
+    return counts, classes, kept_counts
 
 
-def _run_chunk(args):
-    params, seed, lo, hi, collect_pairs = args
-    counts = np.empty(hi - lo, dtype=np.int64)
-    classes = np.zeros((hi - lo, 5), dtype=np.int64) if collect_pairs else None
-    for t, rep in enumerate(range(lo, hi)):
-        sigma, cls = _replicate(params, seed, rep, collect_pairs)
-        counts[t] = sigma
-        if collect_pairs:
-            classes[t] = cls
-    return counts, classes
+def _count_range(job):
+    """:func:`_count_block` over replications ``lo`` .. ``hi - 1`` of one grid
+    point, drawn in blocks of about ``_BLOCK_POINTS`` points."""
+    params, seed, lo, hi, collect_pairs, inside = job
+    parts = []
+    rep = lo
+    while rep < hi:
+        first, pts, drawn = rep, [], 0
+        while rep < hi and drawn < _BLOCK_POINTS:
+            pts.append(sample_conditioned_ppp(params, seed, rep))
+            drawn += len(pts[-1])
+            rep += 1
+        parts.append(_count_block(params, seed, first, pts, collect_pairs, inside))
+    return _concat(parts)
+
+
+def _concat(parts):
+    return tuple(None if col[0] is None else np.concatenate(col) for col in zip(*parts))
 
 
 def _chunk_ranges(total: int, parts: int) -> list[tuple[int, int]]:
@@ -269,6 +355,30 @@ def _chunk_ranges(total: int, parts: int) -> list[tuple[int, int]]:
         ranges.append((lo, hi))
         lo = hi
     return ranges
+
+
+def _sweep(tasks, replications: int, threads: int):
+    """Run ``replications`` replications of every task ``(params, seed,
+    collect_pairs, inside)``; returns one ``(counts, classes, kept_counts)``
+    per task, in task order.
+
+    With ``threads`` > 1, every task's replication ranges go through one
+    worker pool.  Each replication is a pure function of (params, seed,
+    replication index), so the split never changes a result.
+    """
+    ranges = _chunk_ranges(replications, 1 if threads <= 1 else -(-threads * 4 // len(tasks)))
+    jobs = [
+        (params, seed, lo, hi, collect, inside)
+        for params, seed, collect, inside in tasks
+        for lo, hi in ranges
+    ]
+    if threads <= 1:
+        results = [_count_range(job) for job in jobs]
+    else:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(_count_range, jobs))
+    n = len(ranges)
+    return [_concat(results[t * n : (t + 1) * n]) for t in range(len(tasks))]
 
 
 def run_replications(
@@ -286,14 +396,7 @@ def run_replications(
     depends only on (params, seed, replications), never on ``threads``.
     """
     collect = collect_pairs and int(params.k) == 3
-    if threads <= 1:
-        return _run_chunk((params, seed, 0, replications, collect))
-    ranges = _chunk_ranges(replications, threads * 4)
-    jobs = [(params, seed, lo, hi, collect) for lo, hi in ranges]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(_run_chunk, jobs))
-    counts = np.concatenate([r[0] for r in results])
-    classes = np.concatenate([r[1] for r in results]) if collect else None
+    ((counts, classes, _),) = _sweep([(params, seed, collect, None)], replications, threads)
     return counts, classes
 
 
@@ -594,6 +697,9 @@ def write_reports_json(path: str, config: ExperimentConfig, reports: list[Moment
 def write_histogram_csv(path: str, config: ExperimentConfig, reports: list[MomentReport]) -> None:
     """Integer-valued histogram per grid point: (value, frequency) pairs plus
     the reference probability of a Poisson law with the analytic mean."""
+    # scipy.stats takes over a second to import; only this writer needs it
+    from scipy.stats import poisson as poisson_dist
+
     lines = [
         f"# experiment: {config.name} (path-count histogram)",
         "# poisson_probability: Poisson pmf with the analytic (else empirical) mean",
@@ -631,19 +737,18 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[MomentRep
     histogram CSV when enabled) into the output directory, and return the
     reports."""
     os.makedirs(config.outputs, exist_ok=True)
-    reports = []
-    for grid_index, params in enumerate(config.params_grid):
-        grid_seed = derive_subseed(config.seed, grid_index)
-        counts, pair_classes = run_replications(
-            params,
-            grid_seed,
-            config.replications,
-            collect_pairs=config.collect_pair_structures,
-            threads=threads,
+    seeds = [derive_subseed(config.seed, i) for i in range(len(config.params_grid))]
+    tasks = [
+        (params, seed, config.collect_pair_structures and int(params.k) == 3, None)
+        for params, seed in zip(config.params_grid, seeds)
+    ]
+    results = _sweep(tasks, config.replications, threads)
+    reports = [
+        summarize_grid_point(grid_index, seed, params, config, counts, pair_classes)
+        for grid_index, (params, seed, (counts, pair_classes, _)) in enumerate(
+            zip(config.params_grid, seeds, results)
         )
-        reports.append(
-            summarize_grid_point(grid_index, grid_seed, params, config, counts, pair_classes)
-        )
+    ]
     base = os.path.join(config.outputs, config.name)
     write_reports_csv(base + ".csv", config, reports)
     write_reports_json(base + ".json", config, reports)
@@ -679,55 +784,6 @@ class MarginCheck:
     flagged: bool
 
 
-def _replicate_margin(params: ModelParams, seed: int, replication: int) -> tuple[int, int]:
-    """(base-margin count, doubled-margin count) from one coupled draw."""
-    doubled = ModelParams(
-        rho=params.rho,
-        connection=params.connection,
-        anchor_distance=params.anchor_distance,
-        k=params.k,
-        margin=2.0 * params.margin,
-    )
-    pts = sample_conditioned_ppp(doubled, seed, replication)
-    spec = params.connection
-    base_region = region_for(params)
-    inside = np.empty(len(pts), dtype=bool)
-    inside[:2] = True
-    inside[2:] = base_region.contains(pts[2:, 0], pts[2:, 1])
-    k = int(params.k)
-    if k == 1:
-        e = int(_edge_01(pts, spec, seed, replication))
-        return e, e
-    if k == 2:
-        n = len(pts)
-        if n <= 2:
-            return 0, 0
-        idx = np.arange(2, n)
-        both = _anchor_neighbor_mask(pts, spec, seed, replication, 0, idx) & _anchor_neighbor_mask(
-            pts, spec, seed, replication, 1, idx
-        )
-        return int((both & inside[2:]).sum()), int(both.sum())
-    if k == 3:
-        pairs = _threehop_pairs_lazy(pts, spec, seed, replication)
-        if len(pairs) == 0:
-            return 0, 0
-        small = int((inside[pairs[:, 0]] & inside[pairs[:, 1]]).sum())
-        return small, len(pairs)
-    g = realize_graph(pts, spec, seed, replication)
-    big = count_khop_paths(g, k).count
-    small = count_khop_paths(g, k, allowed=inside).count
-    return small, big
-
-
-def _margin_chunk(args):
-    params, seed, lo, hi = args
-    small = np.empty(hi - lo, dtype=np.int64)
-    big = np.empty(hi - lo, dtype=np.int64)
-    for t, rep in enumerate(range(lo, hi)):
-        small[t], big[t] = _replicate_margin(params, seed, rep)
-    return small, big
-
-
 def validate_margin(
     config: ExperimentConfig, replications: int | None = None, threads: int = 1
 ) -> list[MarginCheck]:
@@ -739,18 +795,15 @@ def validate_margin(
     """
     if replications is None:
         replications = max(1000, config.replications // 10)
+    seeds = [derive_subseed(config.seed, i) for i in range(len(config.params_grid))]
+    tasks = [
+        (replace(params, margin=2.0 * params.margin), seed, False, region_for(params))
+        for params, seed in zip(config.params_grid, seeds)
+    ]
     checks = []
-    for grid_index, params in enumerate(config.params_grid):
-        grid_seed = derive_subseed(config.seed, grid_index)
-        if threads <= 1:
-            small, big = _margin_chunk((params, grid_seed, 0, replications))
-        else:
-            ranges = _chunk_ranges(replications, threads * 4)
-            jobs = [(params, grid_seed, lo, hi) for lo, hi in ranges]
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(_margin_chunk, jobs))
-            small = np.concatenate([r[0] for r in results])
-            big = np.concatenate([r[1] for r in results])
+    for grid_index, (params, seed, (big, _, small)) in enumerate(
+        zip(config.params_grid, seeds, _sweep(tasks, replications, threads))
+    ):
         delta = (big - small).astype(float)
         shift = float(delta.mean())
         shift_se = _mean_se(delta)
@@ -761,7 +814,7 @@ def validate_margin(
         checks.append(
             MarginCheck(
                 grid_index=grid_index,
-                grid_seed=grid_seed,
+                grid_seed=seed,
                 params=params,
                 replications=replications,
                 base_mean=float(small.mean()),

@@ -15,7 +15,6 @@ from .errors import OracleSizeError, ValidationError
 from .sampler import GraphRealization
 
 _ORACLE_MAX_POINTS = 12
-_PAIR_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -159,44 +158,62 @@ def threehop_path_pairs(g: GraphRealization) -> np.ndarray:
     return np.column_stack([aa[keep], bb[keep]]).astype(np.int64)
 
 
+def classify_path_pair_segments(
+    z1: np.ndarray, z2: np.ndarray, seg: np.ndarray, segments: int
+) -> np.ndarray:
+    """Pair-class counts of many sets of 3-hop paths at once.
+
+    Path ``p`` is the row (z1[p], z2[p]) of set ``seg[p]``; ``seg`` is
+    non-decreasing, the rows of a set are distinct, and vertex ids are unique
+    across sets.  Returns a (segments, 5) int64 array with the columns
+    (sigma0, sigma11, sigma12, sigma21, sigma22).  With ``c1``/``c2`` the
+    number of paths whose first/second intermediate is a vertex and ``m`` the
+    set's path count, the classes follow from counting identities rather than
+    from the m**2 ordered pairs:
+
+        sigma11 = sum c1**2 + sum c2**2 - 2m   (share the vertex at one position)
+        sigma22 = #paths whose reverse is also a path
+        sigma12 = 2 sum c1*c2 - 2 sigma22       (share a vertex across positions)
+        sigma21 = m                             (self-pairs)
+        sigma0  = m**2 - the other four
+    """
+    z1 = np.asarray(z1, dtype=np.int64)
+    z2 = np.asarray(z2, dtype=np.int64)
+    bounds = np.searchsorted(seg, np.arange(segments + 1))
+    m = np.diff(bounds)
+    out = np.zeros((segments, 5), dtype=np.int64)
+    if len(z1) == 0:
+        return out
+
+    def per_set(values):
+        total = np.concatenate(([0], np.cumsum(values, dtype=np.int64)))
+        return total[bounds[1:]] - total[bounds[:-1]]
+
+    n = int(max(z1.max(), z2.max())) + 1
+    c1 = np.bincount(z1, minlength=n)
+    c2 = np.bincount(z2, minlength=n)
+    same = per_set(c1[z1] + c2[z2])
+    cross = per_set(c2[z1])
+    reversed_too = per_set(np.isin(z2 * n + z1, z1 * n + z2))
+    out[:, 1] = same - 2 * m
+    out[:, 2] = 2 * cross - 2 * reversed_too
+    out[:, 3] = m
+    out[:, 4] = reversed_too
+    out[:, 0] = m * m - out[:, 1:].sum(axis=1)
+    return out
+
+
 def classify_path_pairs(pairs: np.ndarray) -> PairStructureCounts:
     """Classify every ordered pair of 3-hop paths by intersection structure.
 
-    ``pairs`` holds one (z1, z2) row per path.  Ordered pairs (P, Q) are
-    binned by how many intermediate vertices they share and, when sharing
+    ``pairs`` holds one distinct (z1, z2) row per path.  Ordered pairs (P, Q)
+    are binned by how many intermediate vertices they share and, when sharing
     exactly one, whether it sits at the same sequence position in both.
     """
-    m = len(pairs)
-    if m == 0:
-        return PairStructureCounts(0, 0, 0, 0, 0)
-    first = np.ascontiguousarray(pairs[:, 0])
-    second = np.ascontiguousarray(pairs[:, 1])
-    sigma0 = sigma11 = sigma12 = sigma22 = 0
-    for lo in range(0, m, _PAIR_BLOCK):
-        hi = min(lo + _PAIR_BLOCK, m)
-        f_blk = first[lo:hi, None]
-        s_blk = second[lo:hi, None]
-        same_first = f_blk == first[None, :]
-        same_second = s_blk == second[None, :]
-        cross_fs = f_blk == second[None, :]
-        cross_sf = s_blk == first[None, :]
-        shared = (
-            same_first.astype(np.int8)
-            + same_second.astype(np.int8)
-            + cross_fs.astype(np.int8)
-            + cross_sf.astype(np.int8)
-        )
-        sigma0 += int((shared == 0).sum())
-        one = shared == 1
-        sigma11 += int((one & (same_first | same_second)).sum())
-        sigma12 += int((one & (cross_fs | cross_sf)).sum())
-        sigma22 += int(((shared == 2) & cross_fs & cross_sf).sum())
-    # paths are distinct rows, so "both positions equal" happens only on the
-    # diagonal: those are the self-pairs
-    sigma21 = m
-    return PairStructureCounts(
-        sigma0=sigma0, sigma11=sigma11, sigma12=sigma12, sigma21=sigma21, sigma22=sigma22
-    )
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    one_set = np.zeros(len(pairs), dtype=np.int64)
+    counts = classify_path_pair_segments(pairs[:, 0], pairs[:, 1], one_set, 1)
+    return PairStructureCounts(*(int(c) for c in counts[0]))
 
 
 def classify_pair_structures(g: GraphRealization) -> PairStructureCounts:

@@ -42,9 +42,13 @@ STREAM_SUBSEED = 3
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> _U64(30))) * _C1
-    z = (z ^ (z >> _U64(27))) * _C2
-    return z ^ (z >> _U64(31))
+    # in place: every caller passes a temporary it owns
+    z ^= z >> _U64(30)
+    z *= _C1
+    z ^= z >> _U64(27)
+    z *= _C2
+    z ^= z >> _U64(31)
+    return z
 
 
 def _mix64_int(z: int) -> int:
@@ -93,11 +97,14 @@ def _to_unit(h):
     return (h >> _U64(11)).astype(np.float64) * 2.0**-53
 
 
-def pair_uniforms(seed: int, replication: int, i, j):
+def pair_uniforms(seed: int, replication, i, j):
     """Uniform(0, 1) variates keyed by the sorted vertex pair ``{i, j}``.
 
     ``replication``, ``i`` and ``j`` may be scalars or broadcastable integer
-    arrays; the result is symmetric in (i, j).
+    arrays; the result is symmetric in (i, j).  The (seed, replication,
+    stream) prefix of the fold is computed once per run of equal consecutive
+    replications, so a batch of many replications, each contiguous, costs
+    little more than one replication of the same size.
     """
     if not any(isinstance(v, np.ndarray) for v in (replication, i, j)):
         ii, jj = int(i), int(j)
@@ -106,7 +113,21 @@ def pair_uniforms(seed: int, replication: int, i, j):
     jj = np.asarray(j, dtype=np.uint64)
     lo = np.minimum(ii, jj)
     hi = np.maximum(ii, jj)
-    return _to_unit(fold(seed, replication, STREAM_EDGES, lo, hi))
+    if np.ndim(replication) == 0:
+        h = _U64(_fold_int(seed, replication, STREAM_EDGES))
+    else:
+        rep, lo, hi = np.broadcast_arrays(np.asarray(replication), lo, hi)
+        flat = rep.ravel()
+        if flat.size == 0:
+            return np.empty(rep.shape)
+        starts = np.flatnonzero(np.concatenate(([True], flat[1:] != flat[:-1])))
+        prefix = [_fold_int(seed, r, STREAM_EDGES) for r in flat[starts].tolist()]
+        runs = np.diff(np.append(starts, flat.size))
+        h = np.repeat(np.array(prefix, dtype=np.uint64), runs).reshape(rep.shape)
+    with np.errstate(over="ignore"):
+        h = _mix64((h + _GAMMA) ^ lo)
+        h = _mix64((h + _GAMMA) ^ hi)
+    return _to_unit(h)
 
 
 def points_key(seed: int, replication: int) -> tuple[int, int]:

@@ -1,6 +1,7 @@
 import numpy as np
 
 from rcmpaths.model import ConnectionSpec, ModelParams
+from rcmpaths.paths import PairStructureCounts
 from rcmpaths.sampler import GraphRealization, realize_graph, sample_conditioned_ppp
 
 
@@ -32,3 +33,41 @@ def small_random_realization(seed: int, replication: int, max_extra: int = 8):
     if len(pts) - 2 > max_extra:
         return None
     return realize_graph(pts, params.connection, seed, replication)
+
+
+def classify_path_pairs_oracle(pairs: np.ndarray, block: int = 2048) -> PairStructureCounts:
+    """Reference pair classifier: compares every ordered pair of paths.
+
+    O(m**2) work in row blocks of ``block`` paths; kept as the oracle for the
+    counting-identity classifier in :mod:`rcmpaths.paths`.
+    """
+    m = len(pairs)
+    if m == 0:
+        return PairStructureCounts(0, 0, 0, 0, 0)
+    first = np.ascontiguousarray(pairs[:, 0])
+    second = np.ascontiguousarray(pairs[:, 1])
+    sigma0 = sigma11 = sigma12 = sigma22 = 0
+    for lo in range(0, m, block):
+        hi = min(lo + block, m)
+        f_blk = first[lo:hi, None]
+        s_blk = second[lo:hi, None]
+        same_first = f_blk == first[None, :]
+        same_second = s_blk == second[None, :]
+        cross_fs = f_blk == second[None, :]
+        cross_sf = s_blk == first[None, :]
+        shared = (
+            same_first.astype(np.int8)
+            + same_second.astype(np.int8)
+            + cross_fs.astype(np.int8)
+            + cross_sf.astype(np.int8)
+        )
+        sigma0 += int((shared == 0).sum())
+        one = shared == 1
+        sigma11 += int((one & (same_first | same_second)).sum())
+        sigma12 += int((one & (cross_fs | cross_sf)).sum())
+        sigma22 += int(((shared == 2) & cross_fs & cross_sf).sum())
+    # paths are distinct rows, so "both positions equal" happens only on the
+    # diagonal: those are the self-pairs
+    return PairStructureCounts(
+        sigma0=sigma0, sigma11=sigma11, sigma12=sigma12, sigma21=m, sigma22=sigma22
+    )

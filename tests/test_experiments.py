@@ -1,13 +1,20 @@
 import json
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import classify_path_pairs_oracle
 from rcmpaths.cli import main as cli_main
 from rcmpaths.errors import ValidationError
 from rcmpaths.experiments import (
     ExperimentConfig,
-    _replicate,
+    _count_block,
+    _count_range,
     config_from_dict,
     config_to_dict,
     load_config,
@@ -17,8 +24,8 @@ from rcmpaths.experiments import (
     validate_margin,
 )
 from rcmpaths.model import ConnectionSpec, ModelParams
-from rcmpaths.paths import classify_pair_structures, count_khop_paths
-from rcmpaths.sampler import realize_graph, sample_conditioned_ppp
+from rcmpaths.paths import count_khop_paths, threehop_path_pairs
+from rcmpaths.sampler import realize_graph, region_for, sample_conditioned_ppp
 
 RAY1 = ConnectionSpec.rayleigh(beta=1.0)
 
@@ -72,25 +79,128 @@ class TestConfig:
         with pytest.raises(ValidationError, match="missing"):
             config_from_dict({"name": "x"})
 
+    @pytest.mark.parametrize(
+        "key, value, problem",
+        [
+            ("strict_numerics", "false", "strict_numerics: expected bool"),
+            ("collect_pair_structures", "no", "collect_pair_structures: expected bool"),
+            ("replications", 1.9, "replications: expected int"),
+            ("replications", True, "replications: expected int"),
+            ("replication", 200, "unknown field 'replication'"),
+            ("bracket_orders", [3, 4.5], "bracket_orders: expected integers"),
+        ],
+    )
+    def test_rejects_coercible_values(self, tmp_path, key, value, problem):
+        d = config_to_dict(tiny_config(tmp_path))
+        d[key] = value
+        with pytest.raises(ValidationError) as err:
+            config_from_dict(d)
+        assert problem in str(err.value)
+
+    def test_rejects_non_object(self):
+        with pytest.raises(ValidationError, match="JSON object"):
+            config_from_dict([{"name": "x"}])
+
+    def test_lists_every_problem_and_exits_2(self, tmp_path, capsys):
+        d = config_to_dict(tiny_config(tmp_path))
+        d.update(strict_numerics="false", replications=1.9, replication=5)
+        d["params_grid"][0]["k"] = 2.5
+        with pytest.raises(ValidationError) as err:
+            config_from_dict(d)
+        for problem in ("strict_numerics", "replications", "'replication'", "params_grid[0]"):
+            assert problem in str(err.value)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(d))
+        assert cli_main(["run", str(path)]) == 2
+        assert "unknown field 'replication'" in capsys.readouterr().err
+
+
+CONNECTIONS = (
+    RAY1,
+    ConnectionSpec.rayleigh(beta=0.7, eta=3.0),
+    ConnectionSpec.hard_disk(0.8),
+    ConnectionSpec.tabulated([(0.0, 0.9), (0.5, 0.7), (1.0, 0.35), (1.5, 0.0)]),
+)
+
+
+def _full_realization_counts(params, seed, rep, inside=None):
+    """Count, pair classes and inside-count of one replication from its full
+    graph, the DFS and the O(m**2) pair classifier."""
+    pts = sample_conditioned_ppp(params, seed, rep)
+    g = realize_graph(pts, params.connection, seed, rep)
+    k = int(params.k)
+    c = classify_path_pairs_oracle(threehop_path_pairs(g)) if k == 3 else None
+    classes = None if c is None else (c.sigma0, c.sigma11, c.sigma12, c.sigma21, c.sigma22)
+    kept = None
+    if inside is not None:
+        allowed = np.ones(g.n, dtype=bool)
+        allowed[2:] = inside.contains(pts[2:, 0], pts[2:, 1])
+        kept = count_khop_paths(g, k, allowed=allowed).count
+    return count_khop_paths(g, k).count, classes, kept
+
 
 class TestEngineEquivalence:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_lazy_counts_match_full_realization(self, k):
         params = ModelParams(rho=0.8, connection=RAY1, anchor_distance=1.0, k=k, margin=2.5)
+        counts, _, _ = _count_range((params, 99, 0, 60, False, None))
         for rep in range(60):
-            sigma, _ = _replicate(params, 99, rep, collect_pairs=False)
-            pts = sample_conditioned_ppp(params, 99, rep)
-            g = realize_graph(pts, params.connection, 99, rep)
-            assert sigma == count_khop_paths(g, k).count
+            assert counts[rep] == _full_realization_counts(params, 99, rep)[0]
 
     def test_pair_classes_match_graph_classifier(self):
         params = ModelParams(rho=0.8, connection=RAY1, anchor_distance=1.0, k=3, margin=2.5)
+        counts, classes, _ = _count_range((params, 31, 0, 40, True, None))
         for rep in range(40):
-            _, classes = _replicate(params, 31, rep, collect_pairs=True)
-            pts = sample_conditioned_ppp(params, 31, rep)
-            g = realize_graph(pts, params.connection, 31, rep)
-            c = classify_pair_structures(g)
-            assert classes == (c.sigma0, c.sigma11, c.sigma12, c.sigma21, c.sigma22)
+            count, expected, _ = _full_realization_counts(params, 31, rep)
+            assert counts[rep] == count
+            assert tuple(classes[rep]) == expected
+
+    @given(
+        spec=st.sampled_from(CONNECTIONS),
+        k=st.integers(1, 3),
+        rho=st.floats(0.02, 2.5),
+        anchor_distance=st.floats(0.0, 2.5),
+        margin=st.floats(0.2, 2.0),
+        seed=st.integers(0, 2**64 - 1),
+        first=st.integers(0, 10_000),
+        size=st.integers(1, 6),
+        masked=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_block_counter_matches_full_realization(
+        self, spec, k, rho, anchor_distance, margin, seed, first, size, masked
+    ):
+        # low densities and narrow boxes give replications without points or
+        # without anchor neighbours; every block is ragged in its point counts
+        params = ModelParams(rho=rho, connection=spec, anchor_distance=anchor_distance, k=k, margin=margin)
+        inside = None
+        if masked:
+            inside = region_for(
+                ModelParams(rho=rho, connection=spec, anchor_distance=anchor_distance, k=k, margin=margin / 2)
+            )
+        reps = range(first, first + size)
+        pts = [sample_conditioned_ppp(params, seed, rep) for rep in reps]
+        counts, classes, kept = _count_block(params, seed, first, pts, k == 3, inside)
+        for b, rep in enumerate(reps):
+            count, expected_classes, expected_kept = _full_realization_counts(params, seed, rep, inside)
+            assert counts[b] == count
+            if k == 3:
+                assert tuple(classes[b]) == expected_classes
+            if masked:
+                assert kept[b] == expected_kept
+
+    def test_block_memory_is_bounded(self):
+        # about 2060 points per replication: 2000 replications hold about 66 MB
+        # of coordinates alone, so only drawing in blocks stays under the limit
+        params = ModelParams(rho=2.0, connection=ConnectionSpec.rayleigh(beta=0.3), anchor_distance=1.0, k=3)
+        tracemalloc.start()
+        try:
+            counts, _ = run_replications(params, 3, 2000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(counts) == 2000
+        assert peak < 64 * 2**20
 
     def test_threads_do_not_change_results(self):
         params = ModelParams(rho=1.0, connection=RAY1, anchor_distance=1.0, k=3)
@@ -293,3 +403,14 @@ class TestCli:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config_to_dict(cfg)))
         assert cli_main(["run", str(path)]) == 1
+
+
+def test_import_loads_no_scipy():
+    # scipy.signal and scipy.stats take over a second to import; the package
+    # defers them to the quadrature and the histogram writer
+    code = (
+        "import sys, rcmpaths; "
+        "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_graph, small_random_realization
+from conftest import build_graph, classify_path_pairs_oracle, small_random_realization
 from rcmpaths.errors import OracleSizeError
 from rcmpaths.paths import (
     classify_pair_structures,
+    classify_path_pair_segments,
     classify_path_pairs,
     count_khop_paths,
     count_khop_paths_oracle,
@@ -168,20 +169,46 @@ class TestPairClassification:
         c = classify_path_pairs(np.empty((0, 2), dtype=np.int64))
         assert c.total == 0
 
-    def test_chunked_classification_matches(self):
-        # force multiple blocks through a tiny block size
-        import rcmpaths.paths as paths_mod
+    @given(
+        rows=st.sets(
+            st.tuples(st.integers(2, 9), st.integers(2, 9)).filter(lambda t: t[0] != t[1]), max_size=40
+        ),
+        reverse=st.lists(st.booleans(), max_size=40),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_identities_match_oracle(self, rows, reverse):
+        # few vertices, so shared intermediates are common; ``reverse`` adds
+        # the swapped twin of some rows, the sigma22 case
+        rows = set(rows) | {(b, a) for (a, b), flip in zip(sorted(rows), reverse) if flip}
+        pairs = np.array(sorted(rows), dtype=np.int64).reshape(-1, 2)
+        assert classify_path_pairs(pairs) == classify_path_pairs_oracle(pairs)
 
-        g = build_graph(5, COMPLETE_5)
-        pairs = threehop_path_pairs(g)
-        full = classify_path_pairs(pairs)
-        original = paths_mod._PAIR_BLOCK
-        try:
-            paths_mod._PAIR_BLOCK = 2
-            chunked = classify_path_pairs(pairs)
-        finally:
-            paths_mod._PAIR_BLOCK = original
-        assert full == chunked
+    @given(
+        sets=st.lists(
+            st.sets(
+                st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(lambda t: t[0] != t[1]),
+                max_size=20,
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_segmented_identities_match_oracle(self, sets):
+        # each set gets its own vertex ids, as the block counter's sets do
+        z1, z2, seg = [], [], []
+        for s, rows in enumerate(sets):
+            for a, b in sorted(rows):
+                z1.append(6 * s + a)
+                z2.append(6 * s + b)
+                seg.append(s)
+        z1, z2, seg = (np.array(v, dtype=np.int64) for v in (z1, z2, seg))
+        counts = classify_path_pair_segments(z1, z2, seg, len(sets))
+        for s, rows in enumerate(sets):
+            expected = classify_path_pairs_oracle(np.array(sorted(rows), dtype=np.int64).reshape(-1, 2))
+            assert tuple(counts[s]) == (
+                expected.sigma0, expected.sigma11, expected.sigma12, expected.sigma21, expected.sigma22
+            )
 
 
 def test_threehop_pairs_match_iterated_paths():

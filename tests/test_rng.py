@@ -74,3 +74,16 @@ def test_uniformity_gross():
 def test_negative_and_large_seeds_accepted():
     assert isinstance(fold(-5, 1), int)
     assert isinstance(fold(1 << 100, 1), int)
+
+
+def test_pair_uniforms_replication_array_matches_scalars():
+    # runs of equal replications, a repeated replication after another, and
+    # an unsorted order all give the scalar route's values element by element
+    reps = np.array([3, 3, 3, 7, 7, 3, 0, 12])
+    i = np.array([2, 5, 0, 9, 1, 4, 6, 3])
+    j = np.array([4, 2, 1, 3, 8, 4, 0, 30])
+    u = pair_uniforms(11, reps, i, j)
+    for t in range(len(reps)):
+        assert u[t] == pair_uniforms(11, int(reps[t]), int(i[t]), int(j[t]))
+    empty = np.array([], dtype=np.int64)
+    assert pair_uniforms(11, empty, empty, empty).shape == (0,)
