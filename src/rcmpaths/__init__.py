@@ -35,7 +35,6 @@ from .model import (
     Point,
     Region,
     default_margin,
-    evaluate_connection,
 )
 from .moments import (
     ExistenceBracket,
@@ -91,7 +90,6 @@ __all__ = [
     "count_khop_paths_oracle",
     "default_margin",
     "empirical_factorial_moment",
-    "evaluate_connection",
     "iter_khop_paths",
     "mean_khop_numeric",
     "mean_khop_rayleigh",

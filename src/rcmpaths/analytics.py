@@ -47,6 +47,19 @@ class AnalyticMoments:
     sigma21_term: float | None = None
     sigma22_term: float | None = None
 
+    @classmethod
+    def from_terms(cls, mean: float, s11: float, s12: float, s22: float) -> "AnalyticMoments":
+        """Three-hop moments from the mean and the sigma11, sigma12 and sigma22
+        pair-class terms; the self-pairs (sigma21) contribute the mean."""
+        return cls(
+            mean=mean,
+            variance=mean + s11 + s12 + s22,
+            sigma11_term=s11,
+            sigma12_term=s12,
+            sigma21_term=mean,
+            sigma22_term=s22,
+        )
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -125,14 +138,7 @@ def variance_threehop_rayleigh(params: ModelParams) -> AnalyticMoments:
     s11 = cube / 4.0 * math.exp(-beta * rsq / 2.0)
     s12 = cube / 6.0 * math.exp(-3.0 * beta * rsq / 4.0)
     s22 = (math.pi * rho / beta) ** 2 / 8.0 * math.exp(-beta * rsq)
-    return AnalyticMoments(
-        mean=mean,
-        variance=mean + s11 + s12 + s22,
-        sigma11_term=s11,
-        sigma12_term=s12,
-        sigma21_term=mean,
-        sigma22_term=s22,
-    )
+    return AnalyticMoments.from_terms(mean, s11, s12, s22)
 
 
 # ---------------------------------------------------------------------------
@@ -283,14 +289,7 @@ def variance_terms_numeric(
     s22 = rho**2 * cell * float((q * conv_q).sum())
 
     mean = mean_khop_numeric(params, quad, strict)
-    return AnalyticMoments(
-        mean=mean,
-        variance=mean + s11 + s12 + s22,
-        sigma11_term=s11,
-        sigma12_term=s12,
-        sigma21_term=mean,
-        sigma22_term=s22,
-    )
+    return AnalyticMoments.from_terms(mean, s11, s12, s22)
 
 
 # ---------------------------------------------------------------------------
@@ -402,11 +401,4 @@ def _mc_variance_terms(params: ModelParams, quad: QuadratureSpec) -> AnalyticMom
         s22 = rho**2 * area**2 * float(prod.mean())
 
     mean = _mc_mean(params, quad)
-    return AnalyticMoments(
-        mean=mean,
-        variance=mean + s11 + s12 + s22,
-        sigma11_term=s11,
-        sigma12_term=s12,
-        sigma21_term=mean,
-        sigma22_term=s22,
-    )
+    return AnalyticMoments.from_terms(mean, s11, s12, s22)

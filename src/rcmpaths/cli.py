@@ -16,6 +16,7 @@ import sys
 from .errors import ValidationError
 from .experiments import (
     PRESET_NAMES,
+    _write_json,
     config_from_dict,
     config_to_dict,
     load_config,
@@ -68,13 +69,11 @@ def _cmd_sample(args) -> int:
         "path_count": count_khop_paths(g, args.k).count,
         "paths": paths,
     }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        _write_json(args.out, payload)
         print(f"wrote {args.out}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0
 
 

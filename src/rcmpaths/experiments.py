@@ -19,6 +19,15 @@ lazy route agrees bit-for-bit with realizing the full adjacency matrix.  How
 replications fall into blocks or workers never changes a result: the reports
 are byte-identical to one replication at a time.  With ``threads`` > 1 a
 call starts one worker pool for all of its grid points.
+
+Every file format follows a dataclass.  The fields of :class:`MomentReport`
+and :class:`MarginCheck`, in order, are the CSV columns and the JSON keys of
+their reports; ``params``, ``pair_means`` and ``existence_brackets`` span
+several CSV columns.  The config JSON has one key per field of
+:class:`ExperimentConfig`, and a field without a default is required.  Each
+file is written to a temporary file in its directory and then moved over the
+target, so an interrupted run leaves the previous file or the complete new
+one, never a partial one.
 """
 from __future__ import annotations
 
@@ -26,7 +35,9 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from contextlib import contextmanager
+from dataclasses import MISSING, dataclass, fields, replace
+from typing import get_origin, get_type_hints
 
 import numpy as np
 
@@ -46,7 +57,7 @@ from .moments import (
     quadratic_existence_bound,
     truncated_zero_probability,
 )
-from .paths import classify_path_pair_segments, count_khop_paths
+from .paths import PairStructureCounts, classify_path_pair_segments, count_khop_paths
 from .rng import derive_subseed, pair_uniforms
 from .sampler import (
     connection_probabilities,
@@ -55,7 +66,7 @@ from .sampler import (
     sample_conditioned_ppp,
 )
 
-PAIR_CLASSES = ("sigma0", "sigma11", "sigma12", "sigma21", "sigma22")
+PAIR_CLASSES = tuple(f.name for f in fields(PairStructureCounts))
 DEFAULT_BRACKET_ORDERS = (3, 4, 5, 80)
 PRESET_NAMES = ("fig-mean-var", "fig-distribution", "fig-existence")
 
@@ -149,36 +160,15 @@ def params_from_dict(d: dict) -> ModelParams:
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    return {
-        "name": config.name,
-        "params_grid": [params_to_dict(p) for p in config.params_grid],
-        "replications": int(config.replications),
-        "seed": int(config.seed),
-        "outputs": config.outputs,
-        "strict_numerics": config.strict_numerics,
-        "collect_pair_structures": config.collect_pair_structures,
-        "bracket_orders": list(config.bracket_orders),
-        "emit_histograms": config.emit_histograms,
-        "dump_raw_counts": config.dump_raw_counts,
-        "attach_numeric": config.attach_numeric,
-    }
-
-
-# every config-file field and its JSON type
-_CONFIG_FIELDS = {
-    "name": str,
-    "params_grid": list,
-    "replications": int,
-    "seed": int,
-    "outputs": str,
-    "strict_numerics": bool,
-    "collect_pair_structures": bool,
-    "bracket_orders": list,
-    "emit_histograms": bool,
-    "dump_raw_counts": bool,
-    "attach_numeric": bool,
-}
-_REQUIRED_FIELDS = ("name", "params_grid", "replications", "seed", "outputs")
+    """JSON form of a config: one key per :class:`ExperimentConfig` field."""
+    out = {f.name: getattr(config, f.name) for f in fields(ExperimentConfig)}
+    out.update(
+        params_grid=[params_to_dict(p) for p in config.params_grid],
+        replications=int(config.replications),
+        seed=int(config.seed),
+        bracket_orders=list(config.bracket_orders),
+    )
+    return out
 
 
 def _has_type(value, kind) -> bool:
@@ -191,15 +181,25 @@ def _has_type(value, kind) -> bool:
 def config_from_dict(d: dict) -> ExperimentConfig:
     """Build a config from its JSON form, rejecting unknown fields and values
     of the wrong type instead of coercing them; every problem found is listed
-    in one :class:`ValidationError`."""
+    in one :class:`ValidationError`.
+
+    The fields, their JSON types and which are required all come from
+    :class:`ExperimentConfig`: a field without a default is required, and a
+    tuple field arrives as a JSON list.
+    """
     if not isinstance(d, dict):
         raise ValidationError(f"invalid experiment config: expected a JSON object, got {type(d).__name__}")
-    problems = [f"unknown field {key!r}" for key in d if key not in _CONFIG_FIELDS]
-    problems += [f"missing required field {key!r}" for key in _REQUIRED_FIELDS if key not in d]
-    for key, kind in _CONFIG_FIELDS.items():
-        if key in d and not _has_type(d[key], kind):
-            problems.append(f"{key}: expected {kind.__name__}, got {d[key]!r}")
-    orders = d.get("bracket_orders", DEFAULT_BRACKET_ORDERS)
+    config_fields = fields(ExperimentConfig)
+    hints = get_type_hints(ExperimentConfig)
+    problems = [f"unknown field {key!r}" for key in d if key not in hints]
+    problems += [
+        f"missing required field {f.name!r}" for f in config_fields if f.default is MISSING and f.name not in d
+    ]
+    for f in config_fields:
+        kind = list if get_origin(hints[f.name]) is tuple else hints[f.name]
+        if f.name in d and not _has_type(d[f.name], kind):
+            problems.append(f"{f.name}: expected {kind.__name__}, got {d[f.name]!r}")
+    orders = d.get("bracket_orders")
     if isinstance(orders, list) and not all(_has_type(m, int) for m in orders):
         problems.append(f"bracket_orders: expected integers, got {orders!r}")
     grid = []
@@ -213,19 +213,9 @@ def config_from_dict(d: dict) -> ExperimentConfig:
                 problems.append(f"params_grid[{i}]: {exc}")
     if problems:
         raise ValidationError("invalid experiment config: " + "; ".join(problems))
-    return ExperimentConfig(
-        name=d["name"],
-        params_grid=tuple(grid),
-        replications=d["replications"],
-        seed=d["seed"],
-        outputs=d["outputs"],
-        strict_numerics=d.get("strict_numerics", False),
-        collect_pair_structures=d.get("collect_pair_structures", True),
-        bracket_orders=tuple(orders),
-        emit_histograms=d.get("emit_histograms", False),
-        dump_raw_counts=d.get("dump_raw_counts", False),
-        attach_numeric=d.get("attach_numeric", False),
-    )
+    # fields left out take the dataclass defaults; the config makes tuples
+    # of the JSON lists
+    return ExperimentConfig(**{**d, "params_grid": grid})
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -407,7 +397,11 @@ def run_replications(
 
 @dataclass(frozen=True, eq=False)
 class MomentReport:
-    """Aggregated statistics for one sweep grid point."""
+    """Aggregated statistics for one sweep grid point.
+
+    The fields are in report column order; ``counts`` and
+    ``pair_class_counts`` are written only with ``dump_raw_counts``.
+    """
 
     grid_index: int
     grid_seed: int
@@ -424,10 +418,10 @@ class MomentReport:
     numeric_mean: float | None
     numeric_variance: float | None
     pair_means: dict | None
-    existence_brackets: tuple[ExistenceBracket, ...]
     moment_source: str
     quadratic_bound: float
     bonferroni2_bound: float
+    existence_brackets: tuple[ExistenceBracket, ...]
     counts: np.ndarray
     pair_class_counts: np.ndarray | None
 
@@ -568,130 +562,117 @@ _COLUMN_DOC = """\
 """
 
 
-def _csv_columns(config: ExperimentConfig) -> list[str]:
-    cols = [
-        "grid_index",
-        "grid_seed",
-        "k",
-        "rho",
-        "kind",
-        "beta",
-        "eta",
-        "r0",
-        "anchor_distance",
-        "margin",
-        "replications",
-        "empirical_mean",
-        "empirical_mean_se",
-        "empirical_variance",
-        "empirical_variance_se",
-        "empirical_zero_frequency",
-        "empirical_zero_frequency_se",
-        "analytic_mean",
-        "analytic_variance",
-        "numeric_mean",
-        "numeric_variance",
-    ]
-    for name in PAIR_CLASSES:
-        cols += [f"pair_{name}_mean", f"pair_{name}_se"]
-    cols += ["moment_source", "quadratic_bound", "bonferroni2_bound"]
-    for m in config.bracket_orders:
-        cols += [f"zero_partial_sum_m{m}", f"existence_estimate_m{m}"]
-    return cols
+# every MomentReport field but the raw per-replication arrays
+_REPORT_FIELDS = tuple(f.name for f in fields(MomentReport) if f.name not in ("counts", "pair_class_counts"))
+_REPORT_PARAMS = ("k", "rho", "kind", "beta", "eta", "r0", "anchor_distance", "margin")
+_PAIR_STATS = ("mean", "se")
+# the ExistenceBracket fields in the CSV, with their column prefixes
+_BRACKET_COLUMNS = {"partial_sum": "zero_partial_sum", "existence_estimate": "existence_estimate"}
 
 
-def _report_row(report: MomentReport, config: ExperimentConfig) -> list[str]:
-    p = report.params
-    spec = p.connection
+def _param_cells(params: ModelParams, columns) -> list[str]:
+    spec = params.connection
     is_ray = spec.kind == RAYLEIGH
-    row = [
-        _fmt(report.grid_index),
-        _fmt(report.grid_seed),
-        _fmt(int(p.k)),
-        _fmt(p.rho),
-        spec.kind,
-        _fmt(spec.beta if is_ray else None),
-        _fmt(spec.eta if is_ray else None),
-        _fmt(spec.r0 if spec.kind == HARD_DISK else None),
-        _fmt(p.anchor_distance),
-        _fmt(p.margin),
-        _fmt(report.replications),
-        _fmt(report.empirical_mean),
-        _fmt(report.empirical_mean_se),
-        _fmt(report.empirical_variance),
-        _fmt(report.empirical_variance_se),
-        _fmt(report.empirical_zero_frequency),
-        _fmt(report.empirical_zero_frequency_se),
-        _fmt(report.analytic_mean),
-        _fmt(report.analytic_variance),
-        _fmt(report.numeric_mean),
-        _fmt(report.numeric_variance),
-    ]
-    for name in PAIR_CLASSES:
-        if report.pair_means is None:
-            row += ["", ""]
+    values = {
+        "k": int(params.k),
+        "rho": params.rho,
+        "kind": spec.kind,
+        "beta": spec.beta if is_ray else None,
+        "eta": spec.eta if is_ray else None,
+        "r0": spec.r0 if spec.kind == HARD_DISK else None,
+        "anchor_distance": params.anchor_distance,
+        "margin": params.margin,
+    }
+    return [_fmt(values[c]) for c in columns]
+
+
+def _csv_header(names, param_columns, bracket_orders=()) -> list[str]:
+    """Column names of a record whose fields, in column order, are ``names``:
+    ``params``, ``pair_means`` and ``existence_brackets`` span several
+    columns, every other field is one column under its own name."""
+    columns = []
+    for name in names:
+        if name == "params":
+            columns += param_columns
+        elif name == "pair_means":
+            columns += [f"pair_{c}_{stat}" for c in PAIR_CLASSES for stat in _PAIR_STATS]
+        elif name == "existence_brackets":
+            columns += [f"{prefix}_m{m}" for m in bracket_orders for prefix in _BRACKET_COLUMNS.values()]
         else:
-            row += [_fmt(report.pair_means[name]["mean"]), _fmt(report.pair_means[name]["se"])]
-    row += [report.moment_source, _fmt(report.quadratic_bound), _fmt(report.bonferroni2_bound)]
-    for bracket in report.existence_brackets:
-        row += [_fmt(bracket.partial_sum), _fmt(bracket.existence_estimate)]
-    return row
+            columns.append(name)
+    return columns
+
+
+def _csv_cells(record, names, param_columns) -> list[str]:
+    """The CSV row of ``record``, in the columns of :func:`_csv_header`."""
+    cells = []
+    for name in names:
+        value = getattr(record, name)
+        if name == "params":
+            cells += _param_cells(value, param_columns)
+        elif name == "pair_means":
+            cells += [
+                _fmt(None if value is None else value[c][stat]) for c in PAIR_CLASSES for stat in _PAIR_STATS
+            ]
+        elif name == "existence_brackets":
+            cells += [_fmt(getattr(b, attr)) for b in value for attr in _BRACKET_COLUMNS]
+        else:
+            cells.append(_fmt(value))
+    return cells
+
+
+def _json_record(record, names) -> dict:
+    """JSON form of ``record``: one key per field in ``names``."""
+    out = {name: getattr(record, name) for name in names}
+    out["params"] = params_to_dict(record.params)
+    if "existence_brackets" in out:
+        out["existence_brackets"] = [vars(b) for b in record.existence_brackets]
+    return out
+
+
+@contextmanager
+def _replacing(path: str):
+    """Open a temporary file next to ``path`` for writing; when the block
+    completes it replaces ``path``, and when the block raises it is removed
+    and ``path`` keeps its old content.  An interrupted run therefore never
+    leaves a half-written report."""
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def _write_lines(path: str, lines: list[str]) -> None:
+    with _replacing(path) as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _write_json(path: str, payload: dict) -> None:
+    with _replacing(path) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def write_reports_csv(path: str, config: ExperimentConfig, reports: list[MomentReport]) -> None:
     lines = [f"# experiment: {config.name}", f"# master seed: {config.seed}", _COLUMN_DOC.rstrip()]
-    lines.append(",".join(_csv_columns(config)))
-    for report in reports:
-        lines.append(",".join(_report_row(report, config)))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _report_json_dict(report: MomentReport, config: ExperimentConfig) -> dict:
-    out = {
-        "grid_index": report.grid_index,
-        "grid_seed": report.grid_seed,
-        "params": params_to_dict(report.params),
-        "replications": report.replications,
-        "empirical_mean": report.empirical_mean,
-        "empirical_mean_se": report.empirical_mean_se,
-        "empirical_variance": report.empirical_variance,
-        "empirical_variance_se": report.empirical_variance_se,
-        "empirical_zero_frequency": report.empirical_zero_frequency,
-        "empirical_zero_frequency_se": report.empirical_zero_frequency_se,
-        "analytic_mean": report.analytic_mean,
-        "analytic_variance": report.analytic_variance,
-        "numeric_mean": report.numeric_mean,
-        "numeric_variance": report.numeric_variance,
-        "pair_means": report.pair_means,
-        "existence_brackets": [
-            {
-                "order": b.order,
-                "partial_sum": b.partial_sum,
-                "side": b.side,
-                "existence_estimate": b.existence_estimate,
-            }
-            for b in report.existence_brackets
-        ],
-        "moment_source": report.moment_source,
-        "quadratic_bound": report.quadratic_bound,
-        "bonferroni2_bound": report.bonferroni2_bound,
-    }
-    if config.dump_raw_counts:
-        out["counts"] = report.counts.tolist()
-        if report.pair_class_counts is not None:
-            out["pair_class_counts"] = report.pair_class_counts.tolist()
-    return out
+    lines.append(",".join(_csv_header(_REPORT_FIELDS, _REPORT_PARAMS, config.bracket_orders)))
+    lines += [",".join(_csv_cells(r, _REPORT_FIELDS, _REPORT_PARAMS)) for r in reports]
+    _write_lines(path, lines)
 
 
 def write_reports_json(path: str, config: ExperimentConfig, reports: list[MomentReport]) -> None:
-    payload = {
-        "config": config_to_dict(config),
-        "reports": [_report_json_dict(r, config) for r in reports],
-    }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    records = []
+    for report in reports:
+        records.append(_json_record(report, _REPORT_FIELDS))
+        if config.dump_raw_counts:
+            records[-1]["counts"] = report.counts.tolist()
+            if report.pair_class_counts is not None:
+                records[-1]["pair_class_counts"] = report.pair_class_counts.tolist()
+    _write_json(path, {"config": config_to_dict(config), "reports": records})
 
 
 def write_histogram_csv(path: str, config: ExperimentConfig, reports: list[MomentReport]) -> None:
@@ -712,19 +693,9 @@ def write_histogram_csv(path: str, config: ExperimentConfig, reports: list[Momen
         r = len(counts)
         for value, n in enumerate(freq):
             pois = float(poisson_dist.pmf(value, mu))
-            lines.append(
-                ",".join(
-                    [
-                        _fmt(report.grid_index),
-                        _fmt(value),
-                        _fmt(int(n)),
-                        _fmt(n / r),
-                        _fmt(pois),
-                    ]
-                )
-            )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+            cells = (report.grid_index, value, int(n), n / r, pois)
+            lines.append(",".join(_fmt(c) for c in cells))
+    _write_lines(path, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -827,58 +798,24 @@ def validate_margin(
     return checks
 
 
+# every MarginCheck field, in column order
+_MARGIN_FIELDS = tuple(f.name for f in fields(MarginCheck))
+_MARGIN_PARAMS = ("k", "rho", "kind", "anchor_distance", "margin")
+
+
 def write_margin_csv(path: str, config: ExperimentConfig, checks: list[MarginCheck]) -> None:
     lines = [
         f"# experiment: {config.name} (margin validation)",
         "# shift = doubled-margin mean - base-margin mean from coupled draws; flagged when |shift| > 2 se",
-        "grid_index,grid_seed,k,rho,kind,anchor_distance,margin,replications,"
-        "base_mean,doubled_mean,shift,shift_se,flagged",
+        ",".join(_csv_header(_MARGIN_FIELDS, _MARGIN_PARAMS)),
     ]
-    for c in checks:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(c.grid_index),
-                    _fmt(c.grid_seed),
-                    _fmt(int(c.params.k)),
-                    _fmt(c.params.rho),
-                    c.params.connection.kind,
-                    _fmt(c.params.anchor_distance),
-                    _fmt(c.params.margin),
-                    _fmt(c.replications),
-                    _fmt(c.base_mean),
-                    _fmt(c.doubled_mean),
-                    _fmt(c.shift),
-                    _fmt(c.shift_se),
-                    _fmt(c.flagged),
-                ]
-            )
-        )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    lines += [",".join(_csv_cells(c, _MARGIN_FIELDS, _MARGIN_PARAMS)) for c in checks]
+    _write_lines(path, lines)
 
 
 def write_margin_json(path: str, config: ExperimentConfig, checks: list[MarginCheck]) -> None:
-    payload = {
-        "config": config_to_dict(config),
-        "checks": [
-            {
-                "grid_index": c.grid_index,
-                "grid_seed": c.grid_seed,
-                "params": params_to_dict(c.params),
-                "replications": c.replications,
-                "base_mean": c.base_mean,
-                "doubled_mean": c.doubled_mean,
-                "shift": c.shift,
-                "shift_se": c.shift_se,
-                "flagged": c.flagged,
-            }
-            for c in checks
-        ],
-    }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    records = [_json_record(c, _MARGIN_FIELDS) for c in checks]
+    _write_json(path, {"config": config_to_dict(config), "checks": records})
 
 
 # ---------------------------------------------------------------------------
@@ -902,52 +839,35 @@ def preset_config(
     fig-existence     existence probability and factorial-moment brackets
                       over a density sweep for k = 2, 3 and beta = 1, 1.5.
     """
+    r = 1.0 if anchor_distance is None else anchor_distance
     if name == "fig-mean-var":
-        r_values = [i / 4 for i in range(0, 21)]
-        grid = tuple(
-            ModelParams(rho=rho, connection=ConnectionSpec.rayleigh(beta=1.0), anchor_distance=r, k=3)
+        grid = [
+            ModelParams(rho=rho, connection=ConnectionSpec.rayleigh(beta=1.0), anchor_distance=i / 4, k=3)
             for rho in (0.5, 2.0, 5.0)
-            for r in r_values
-        )
-        return ExperimentConfig(
-            name=name,
-            params_grid=grid,
-            replications=replications or 10_000,
-            seed=seed,
-            outputs=outputs,
-            collect_pair_structures=True,
-        )
-    if name == "fig-distribution":
-        r = 1.0 if anchor_distance is None else anchor_distance
-        grid = tuple(
+            for i in range(0, 21)
+        ]
+        default_replications, options = 10_000, {}
+    elif name == "fig-distribution":
+        grid = [
             ModelParams(rho=2.0, connection=ConnectionSpec.rayleigh(beta=beta), anchor_distance=r, k=3)
             for beta in (0.7, 0.5, 0.3)
-        )
-        return ExperimentConfig(
-            name=name,
-            params_grid=grid,
-            replications=replications or 100_000,
-            seed=seed,
-            outputs=outputs,
-            collect_pair_structures=False,
-            emit_histograms=True,
-        )
-    if name == "fig-existence":
-        r = 1.0 if anchor_distance is None else anchor_distance
-        rho_values = [i / 10 for i in range(1, 21)]
-        grid = tuple(
-            ModelParams(rho=rho, connection=ConnectionSpec.rayleigh(beta=beta), anchor_distance=r, k=k)
+        ]
+        default_replications, options = 100_000, {"collect_pair_structures": False, "emit_histograms": True}
+    elif name == "fig-existence":
+        grid = [
+            ModelParams(rho=i / 10, connection=ConnectionSpec.rayleigh(beta=beta), anchor_distance=r, k=k)
             for k in (2, 3)
             for beta in (1.0, 1.5)
-            for rho in rho_values
-        )
-        return ExperimentConfig(
-            name=name,
-            params_grid=grid,
-            replications=replications or 10_000,
-            seed=seed,
-            outputs=outputs,
-            collect_pair_structures=False,
-            bracket_orders=(3, 4, 5, 80),
-        )
-    raise ValidationError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
+            for i in range(1, 21)
+        ]
+        default_replications, options = 10_000, {"collect_pair_structures": False}
+    else:
+        raise ValidationError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
+    return ExperimentConfig(
+        name=name,
+        params_grid=grid,
+        replications=replications or default_replications,
+        seed=seed,
+        outputs=outputs,
+        **options,
+    )

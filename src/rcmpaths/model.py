@@ -175,11 +175,6 @@ class ConnectionSpec:
         return self.table[-1][0]
 
 
-def evaluate_connection(spec: ConnectionSpec, r):
-    """Connection probability at distance ``r`` for ``spec``."""
-    return spec.evaluate(r)
-
-
 def default_margin(connection: ConnectionSpec, k: int) -> float:
     """Default box margin so truncating the plane to a rectangle is harmless.
 

@@ -68,12 +68,11 @@ def falling_factorial(sigma: int, i: int) -> int:
 
 
 def alternating_binomial_partial_sum(sigma: int, m: int) -> int:
-    """Exact integer value of sum_{i=0}^{m} (-1)**i * C(sigma, i)."""
-    total = 0
-    for i in range(min(m, sigma) + 1):
-        term = math.comb(sigma, i)
-        total += term if i % 2 == 0 else -term
-    return total
+    """Exact integer value of sum_{i=0}^{m} (-1)**i * C(sigma, i), which
+    telescopes to (-1)**m * C(sigma - 1, m), and is 1 when sigma = 0."""
+    if sigma == 0:
+        return 1
+    return (-1) ** m * math.comb(sigma - 1, m)
 
 
 def empirical_factorial_moment(samples: PathCountSamples, i: int) -> float:
@@ -95,9 +94,10 @@ def truncated_zero_probability(samples: PathCountSamples, m: int) -> ExistenceBr
     """
     if m < 0:
         raise ValidationError(f"truncation order must be >= 0, got {m}")
-    total = 0
-    for sigma in samples.counts.tolist():
-        total += alternating_binomial_partial_sum(sigma, m)
+    values, freq = np.unique(samples.counts, return_counts=True)
+    total = sum(
+        alternating_binomial_partial_sum(sigma, m) * n for sigma, n in zip(values.tolist(), freq.tolist())
+    )
     partial = total / len(samples)
     side = UPPER_BOUND if m % 2 == 0 else LOWER_BOUND
     return ExistenceBracket(

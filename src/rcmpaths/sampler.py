@@ -74,10 +74,6 @@ class GraphRealization:
     def n(self) -> int:
         return len(self.points)
 
-    @property
-    def seed_info(self) -> tuple[int, int]:
-        return (self.seed, self.replication)
-
     def edges(self) -> np.ndarray:
         """Edge list as an (m, 2) array of sorted index pairs."""
         iu, ju = np.triu_indices(self.n, k=1)
@@ -126,14 +122,11 @@ def realize_graph(
     spec: ConnectionSpec,
     seed: int,
     replication: int,
-    min_prob: float = 0.0,
 ) -> GraphRealization:
     """Draw every pairwise edge of the realization.
 
     Each unordered pair {i, j} gets an edge independently with probability
-    H(distance), decided by the pair-keyed uniform stream.  ``min_prob``
-    optionally zeroes probabilities below a floor to skip hopeless pairs; it
-    changes which edges *can* appear, so keep it 0 in any exactness test.
+    H(distance), decided by the pair-keyed uniform stream.
     """
     points = np.asarray(points, dtype=float)
     if len(points) < 2:
@@ -143,10 +136,7 @@ def realize_graph(
     dx = points[iu, 0] - points[ju, 0]
     dy = points[iu, 1] - points[ju, 1]
     probs = connection_probabilities(spec, dx * dx + dy * dy)
-    if min_prob > 0.0:
-        probs = np.where(probs < min_prob, 0.0, probs)
-    u = pair_uniforms(seed, replication, iu, ju)
-    hit = u < probs
+    hit = pair_uniforms(seed, replication, iu, ju) < probs
     adjacency = np.zeros((n, n), dtype=bool)
     adjacency[iu[hit], ju[hit]] = True
     adjacency |= adjacency.T

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 
 from rcmpaths.model import ConnectionSpec, ModelParams
@@ -71,3 +73,13 @@ def classify_path_pairs_oracle(pairs: np.ndarray, block: int = 2048) -> PairStru
     return PairStructureCounts(
         sigma0=sigma0, sigma11=sigma11, sigma12=sigma12, sigma21=m, sigma22=sigma22
     )
+
+
+def alternating_binomial_partial_sum_oracle(sigma: int, m: int) -> int:
+    """Reference for the closed-form bracket sum: adds the terms
+    (-1)**i * C(sigma, i), i = 0..m, one at a time, in exact integers."""
+    total = 0
+    for i in range(min(m, sigma) + 1):
+        term = math.comb(sigma, i)
+        total += term if i % 2 == 0 else -term
+    return total

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -22,6 +24,7 @@ from rcmpaths.experiments import (
     run_experiment,
     run_replications,
     validate_margin,
+    write_reports_json,
 )
 from rcmpaths.model import ConnectionSpec, ModelParams
 from rcmpaths.paths import count_khop_paths, threehop_path_pairs
@@ -78,6 +81,32 @@ class TestConfig:
     def test_missing_field(self):
         with pytest.raises(ValidationError, match="missing"):
             config_from_dict({"name": "x"})
+
+    def test_dict_keys_are_the_config_fields(self, tmp_path):
+        names = [f.name for f in dataclasses.fields(ExperimentConfig)]
+        assert list(config_to_dict(tiny_config(tmp_path))) == names
+
+    def test_every_field_set_round_trips(self, tmp_path):
+        # no field may fall back to its default on the way back
+        cfg = ExperimentConfig(
+            name="all-set",
+            params_grid=(
+                ModelParams(rho=0.5, connection=ConnectionSpec.hard_disk(2.0), anchor_distance=1.0, k=2),
+            ),
+            replications=7,
+            seed=99,
+            outputs=str(tmp_path / "elsewhere"),
+            strict_numerics=True,
+            collect_pair_structures=False,
+            bracket_orders=(0, 9),
+            emit_histograms=True,
+            dump_raw_counts=True,
+            attach_numeric=True,
+        )
+        for f in dataclasses.fields(ExperimentConfig):
+            if f.default is not dataclasses.MISSING:
+                assert getattr(cfg, f.name) != f.default, f.name
+        assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
 
     @pytest.mark.parametrize(
         "key, value, problem",
@@ -291,6 +320,19 @@ class TestRunExperiment:
             direct = truncated_zero_probability(s, m)
             assert bracket.partial_sum == direct.partial_sum
             assert bracket.side == direct.side
+
+
+class TestAtomicWrites:
+    def test_failed_dump_keeps_previous_report(self, tmp_path):
+        cfg = tiny_config(tmp_path, replications=20)
+        reports = run_experiment(cfg)
+        before = (tmp_path / "tiny.json").read_bytes()
+        # the second record cannot be serialized, so the dump raises partway
+        broken = [reports[0], dataclasses.replace(reports[0], moment_source=object())]
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            write_reports_json(str(tmp_path / "tiny.json"), cfg, broken)
+        assert (tmp_path / "tiny.json").read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["tiny.csv", "tiny.json"]
 
 
 class TestValidateMargin:

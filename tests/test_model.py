@@ -12,7 +12,6 @@ from rcmpaths.model import (
     Point,
     Region,
     default_margin,
-    evaluate_connection,
 )
 
 betas = st.floats(min_value=0.05, max_value=5.0, allow_nan=False)
@@ -22,24 +21,24 @@ radii = st.floats(min_value=0.0, max_value=20.0, allow_nan=False)
 
 def test_rayleigh_zero_distance_is_zero():
     spec = ConnectionSpec.rayleigh(beta=1.0, eta=2.0)
-    assert evaluate_connection(spec, 0.0) == 0.0
+    assert spec.evaluate(0.0) == 0.0
 
 
 def test_rayleigh_unit_distance():
     spec = ConnectionSpec.rayleigh(beta=1.0, eta=2.0)
-    assert evaluate_connection(spec, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-12)
+    assert spec.evaluate(1.0) == pytest.approx(math.exp(-1.0), rel=1e-12)
 
 
 def test_hard_disk_cutoff():
     spec = ConnectionSpec.hard_disk(1.0)
-    assert evaluate_connection(spec, 1.0001) == 0.0
-    assert evaluate_connection(spec, 1.0) == 1.0
-    assert evaluate_connection(spec, 0.0) == 0.0
+    assert spec.evaluate(1.0001) == 0.0
+    assert spec.evaluate(1.0) == 1.0
+    assert spec.evaluate(0.0) == 0.0
 
 
 def test_rayleigh_general_eta():
     spec = ConnectionSpec.rayleigh(beta=2.0, eta=3.0)
-    assert evaluate_connection(spec, 1.5) == pytest.approx(math.exp(-2.0 * 1.5**3), rel=1e-12)
+    assert spec.evaluate(1.5) == pytest.approx(math.exp(-2.0 * 1.5**3), rel=1e-12)
 
 
 def test_vectorized_evaluate_matches_scalar():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import alternating_binomial_partial_sum_oracle
 from rcmpaths.errors import ValidationError
 from rcmpaths.moments import (
     LOWER_BOUND,
@@ -97,6 +98,7 @@ class TestTruncatedZeroProbability:
     @settings(max_examples=300)
     def test_alternating_partial_sum_identity(self, sigma, m):
         got = alternating_binomial_partial_sum(sigma, m)
+        assert got == alternating_binomial_partial_sum_oracle(sigma, m)
         if sigma == 0:
             assert got == 1
         else:
@@ -106,6 +108,17 @@ class TestTruncatedZeroProbability:
                 assert got >= 0
             else:
                 assert got <= 0
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=150), min_size=1, max_size=60),
+        st.integers(min_value=0, max_value=90),
+    )
+    @settings(max_examples=200)
+    def test_grouped_sum_matches_per_sample_oracle(self, cts, m):
+        # grouping equal counts must keep the sum exact: same float as
+        # averaging the per-sample integer sums
+        want = sum(alternating_binomial_partial_sum_oracle(c, m) for c in cts) / len(cts)
+        assert truncated_zero_probability(samples(cts), m).partial_sum == want
 
     def test_negative_order_rejected(self):
         with pytest.raises(ValidationError):
