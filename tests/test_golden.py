@@ -38,6 +38,8 @@ DIGESTS = {
     "fig-distribution": "384a122198edd425495faba7cfcead49299abc84d5ad0200fe5deb18079d795b",
     "sample-rayleigh": "5a8a2bedac0402d69c6e621478008c364dcddec9217e3ed61ee645903e8a631b",
     "sample-tabulated": "616f19c3b46423643c00c71409d05e0ff79a557b1facd890d6779ae0edc0d6d4",
+    "khop": "e1bad453c14ce868cc54d93c2abb95bbe327d08bd4ecfb9357bd436304a6baa0",
+    "khop-margin": "96595b49b53dafc16ba141fc60f7387e447aa199717cfde32742b10ed5d11dd0",
 }
 
 # one point per connection kind and per counter route, every report flag on
@@ -49,6 +51,16 @@ MIXED_GRID = (
         rho=1.0, connection=ConnectionSpec.tabulated([(0.25, 0.9), (1.5, 0.2)]), anchor_distance=1.0, k=2
     ),
     ModelParams(rho=0.8, connection=RAY1, anchor_distance=1.0, k=4, margin=3.0),
+)
+
+# k >= 4 on every connection kind, with a five-hop point on each side of the
+# half-path split (two hops from each anchor)
+KHOP_GRID = (
+    ModelParams(rho=1.0, connection=RAY1, anchor_distance=1.0, k=5),
+    ModelParams(rho=1.5, connection=ConnectionSpec.hard_disk(1.0), anchor_distance=1.5, k=5),
+    ModelParams(
+        rho=1.0, connection=ConnectionSpec.tabulated([(0.25, 0.9), (1.5, 0.2)]), anchor_distance=1.0, k=4
+    ),
 )
 
 SAMPLE_ARGS = {
@@ -102,6 +114,12 @@ def _mixed_config(outputs) -> ExperimentConfig:
     )
 
 
+def _khop_config(outputs) -> ExperimentConfig:
+    return ExperimentConfig(
+        name="khop", params_grid=KHOP_GRID, replications=20, seed=18, outputs=outputs, dump_raw_counts=True
+    )
+
+
 def _run(name, outputs) -> None:
     if name in ("fig-mean-var", "fig-existence"):
         run_experiment(preset_config(name, outputs=outputs, seed=11, replications=30))
@@ -111,12 +129,16 @@ def _run(name, outputs) -> None:
         run_experiment(_small_k_config(outputs))
     elif name == "mixed":
         run_experiment(_mixed_config(outputs))
+    elif name == "khop":
+        run_experiment(_khop_config(outputs))
     elif name in SAMPLE_ARGS:
         argv = ["sample", *SAMPLE_ARGS[name], "--seed", "17", "--replication", "3"]
         assert cli_main(argv + ["--out", os.path.join(outputs, "sample.json")]) == 0
     else:
         if name == "mixed-margin":
             config = _mixed_config(outputs)
+        elif name == "khop-margin":
+            config = _khop_config(outputs)
         else:
             config = _margin_config(outputs)
         checks = validate_margin(config, replications=30)
