@@ -28,7 +28,7 @@ from .experiments import (
     write_margin_json,
 )
 from .model import ConnectionSpec, ModelParams
-from .paths import count_khop_paths, iter_khop_paths
+from .paths import iter_khop_paths
 from .sampler import realize_graph, region_for, sample_conditioned_ppp
 
 
@@ -66,7 +66,7 @@ def _cmd_sample(args) -> int:
         "points": g.points.tolist(),
         "edges": g.edges().tolist(),
         "k": args.k,
-        "path_count": count_khop_paths(g, args.k).count,
+        "path_count": len(paths),
         "paths": paths,
     }
     if args.out:

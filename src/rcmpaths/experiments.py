@@ -6,19 +6,19 @@ of (grid seed, replication index).  Replications are embarrassingly parallel;
 results are always assembled in replication order, so output files are
 byte-identical regardless of worker count.
 
-For k <= 3 the counter works on blocks of replications of one grid point.
-It draws each replication's points from its own Philox stream, concatenates
-them, and makes one vectorised pass per block.  That pass hashes only the pair
-draws a path can use (both anchor rows, plus the candidate intermediate pairs
-for k = 3).  It reduces counts per replication, and pair classes by counting
-identities.  A block grows until it holds ``_BLOCK_POINTS`` points, which
-bounds memory.  For k >= 4 each replication's full graph is realized and
-walked.  Margin validation uses the same counter, with a mask of the points
-inside the base rectangle.  Edge draws are keyed by the vertex pair, so the
-lazy route agrees bit-for-bit with realizing the full adjacency matrix.  How
-replications fall into blocks or workers never changes a result: the reports
-are byte-identical to one replication at a time.  With ``threads`` > 1 a
-call starts one worker pool for all of its grid points.
+The counter works on blocks of replications of one grid point.  It draws
+each replication's points from its own Philox stream, concatenates them, and
+makes one vectorised pass per block that hashes only the pair draws a path
+can use (see :func:`_block_paths`).  It reduces counts per replication, and
+pair classes by counting identities.  A block grows until it holds
+``_BLOCK_POINTS`` points, and a join draws at most about ``_JOIN_PAIRS``
+pairs at once, which bounds memory.  Margin validation uses the same counter,
+with a mask of the points inside the base rectangle.  Edge draws are keyed by
+the vertex pair, so the lazy counter agrees bit-for-bit with realizing the
+full adjacency matrix.  How replications fall into blocks or workers never
+changes a result: the reports are byte-identical to one replication at a
+time.  With ``threads`` > 1 a call starts one worker pool for all of its grid
+points.
 
 Every file format follows a dataclass.  The fields of :class:`MomentReport`
 and :class:`MarginCheck`, in order, are the CSV columns and the JSON keys of
@@ -37,6 +37,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields, replace
+from functools import reduce
 from typing import get_origin, get_type_hints
 
 import numpy as np
@@ -57,14 +58,9 @@ from .moments import (
     quadratic_existence_bound,
     truncated_zero_probability,
 )
-from .paths import PairStructureCounts, classify_path_pair_segments, count_khop_paths
+from .paths import PairStructureCounts, classify_path_pair_segments
 from .rng import derive_subseed, pair_uniforms
-from .sampler import (
-    connection_probabilities,
-    realize_graph,
-    region_for,
-    sample_conditioned_ppp,
-)
+from .sampler import connection_probabilities, region_for, sample_conditioned_ppp
 
 PAIR_CLASSES = tuple(f.name for f in fields(PairStructureCounts))
 DEFAULT_BRACKET_ORDERS = (3, 4, 5, 80)
@@ -128,15 +124,26 @@ def connection_to_dict(spec: ConnectionSpec) -> dict:
     return out
 
 
+# the keys of each connection kind's JSON form besides "kind"
+_CONNECTION_KEYS = {RAYLEIGH: ("beta", "eta"), HARD_DISK: ("r0",), TABULATED: ("table",)}
+
+
+def _reject_unknown_keys(d: dict, known, what: str) -> None:
+    unknown = [key for key in d if key not in known]
+    if unknown:
+        raise ValidationError(f"unknown {what} field(s) {', '.join(map(repr, unknown))}")
+
+
 def connection_from_dict(d: dict) -> ConnectionSpec:
     kind = d.get("kind")
+    if kind not in _CONNECTION_KEYS:
+        raise ValidationError(f"unknown connection kind {kind!r}")
+    _reject_unknown_keys(d, ("kind", *_CONNECTION_KEYS[kind]), f"{kind} connection")
     if kind == RAYLEIGH:
         return ConnectionSpec.rayleigh(beta=d.get("beta", 1.0), eta=d.get("eta", 2.0))
     if kind == HARD_DISK:
         return ConnectionSpec.hard_disk(d["r0"])
-    if kind == TABULATED:
-        return ConnectionSpec.tabulated(d["table"])
-    raise ValidationError(f"unknown connection kind {kind!r}")
+    return ConnectionSpec.tabulated(d["table"])
 
 
 def params_to_dict(params: ModelParams) -> dict:
@@ -150,6 +157,7 @@ def params_to_dict(params: ModelParams) -> dict:
 
 
 def params_from_dict(d: dict) -> ModelParams:
+    _reject_unknown_keys(d, [f.name for f in fields(ModelParams)], "grid point")
     return ModelParams(
         rho=d["rho"],
         connection=connection_from_dict(d["connection"]),
@@ -233,17 +241,55 @@ def load_config(path: str) -> ExperimentConfig:
 _BLOCK_POINTS = 1 << 16
 
 
+# The most pairs one join draws at once: half-paths multiply with every hop,
+# so for k >= 4 this, not the block's point count, bounds the memory.
+_JOIN_PAIRS = 1 << 19
+
+
+def _pairs_within(seg_a, seg_b, segments: int):
+    """Every index pair ``(i, j)`` with ``seg_a[i] == seg_b[j]``, ordered by
+    ``i`` and then ``j``; both segment arrays are non-decreasing."""
+    nb = np.bincount(seg_b, minlength=segments)
+    width = nb[seg_a]
+    starts = np.cumsum(width) - width
+    i = np.repeat(np.arange(len(seg_a)), width)
+    j = np.arange(len(i)) + np.repeat((np.cumsum(nb) - nb)[seg_a] - starts, width)
+    return i, j
+
+
+def _join(a, b, seg_of, segments: int, linked):
+    """Join half-paths ``a`` to half-paths ``b`` of the same replication.
+
+    A half-path is a row across the vertex columns ``a`` (or ``b``).  Returns
+    the columns of ``a`` and then of ``b`` for every pair of rows whose
+    vertices are disjoint and whose last vertices ``linked`` draws as an edge.
+    """
+    seg_a, seg_b = seg_of[a[0]], seg_of[b[0]]
+    ends = np.cumsum(np.bincount(seg_b, minlength=segments)[seg_a])
+    cuts = np.searchsorted(ends, np.arange(_JOIN_PAIRS, ends[-1] if len(ends) else 0, _JOIN_PAIRS)).tolist()
+    parts = []
+    for lo, hi in zip([0, *cuts], [*cuts, len(seg_a)]):
+        i, j = _pairs_within(seg_a[lo:hi], seg_b, segments)
+        pa, pb = [z[lo:hi][i] for z in a], [z[j] for z in b]
+        hit = reduce(np.logical_and, (p != q for p in pa for q in pb), linked(pa[-1], pb[-1]))
+        parts.append([z[hit] for z in pa + pb])
+    return parts[0] if len(parts) == 1 else [np.concatenate(col) for col in zip(*parts)]
+
+
 def _block_paths(params: ModelParams, seed: int, first: int, pts: list[np.ndarray]):
-    """Every k-hop path (k <= 3) of a block of replications of one grid point.
+    """Every k-hop path of a block of replications of one grid point.
 
     ``pts[b]`` is the point set of replication ``first + b``.  Returns
     ``(xy, seg, inter)``: the concatenated non-anchor points, the block
     position of each path's replication (non-decreasing), and k - 1 arrays
-    holding the paths' intermediate vertices as rows of ``xy``.  Only the pair
-    draws a path can use are made: the two anchor rows and, for k = 3, each
-    pair of an anchor-0 neighbour with an anchor-1 neighbour of the same
-    replication.  Edge draws are keyed by the vertex pair, so the paths are
-    exactly those of each replication's full realization.
+    holding the paths' intermediate vertices as rows of ``xy``, in order from
+    anchor 0.  For k >= 3 a path is a half-path of k // 2 hops from anchor 0,
+    joined by one edge to a vertex-disjoint half-path of (k - 1) // 2 hops
+    from anchor 1.  Only the pair draws a path can use are made: the two
+    anchor rows, each half-path's last vertex with the other points of its
+    replication (k >= 4), and the joining pairs.  Edge draws are keyed by the
+    vertex pair, so the paths are exactly those of each replication's full
+    realization.
     """
     spec, k = params.connection, int(params.k)
     reps = np.arange(first, first + len(pts))
@@ -271,38 +317,29 @@ def _block_paths(params: ModelParams, seed: int, first: int, pts: list[np.ndarra
     if k == 2:
         z = np.flatnonzero(near[0] & near[1])
         return xy, seg_of[z], (z,)
-    a, b = np.flatnonzero(near[0]), np.flatnonzero(near[1])
-    # pair each a with its own replication's slice of b
-    nb = np.bincount(seg_of[b], minlength=len(pts))
-    width = nb[seg_of[a]]
-    aa = np.repeat(a, width)
-    offset = np.arange(len(aa)) - np.repeat(np.cumsum(width) - width, width)
-    bb = b[np.repeat((np.cumsum(nb) - nb)[seg_of[a]], width) + offset]
-    keep = aa != bb
-    aa, bb = aa[keep], bb[keep]
-    d = xy[aa] - xy[bb]
-    probs = connection_probabilities(spec, d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
-    hit = pair_uniforms(seed, rep_of[aa], local[aa], local[bb]) < probs
-    z1, z2 = aa[hit], bb[hit]
-    return xy, seg_of[z1], (z1, z2)
+
+    def linked(u, v):
+        d = xy[u] - xy[v]
+        probs = connection_probabilities(spec, d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
+        return pair_uniforms(seed, rep_of[u], local[u], local[v]) < probs
+
+    # a half-path is a row across vertex columns in order from its anchor;
+    # one hop more is a join with the one-vertex half-paths of every point
+    every = [np.arange(len(xy))]
+    a, b = [np.flatnonzero(near[0])], [np.flatnonzero(near[1])]
+    for _ in range(k // 2 - 1):
+        a = _join(a, every, seg_of, len(pts), linked)
+    for _ in range((k - 1) // 2 - 1):
+        b = _join(b, every, seg_of, len(pts), linked)
+    inter = _join(a, b, seg_of, len(pts), linked)
+    inter = tuple(inter[: len(a)] + inter[len(a) :][::-1])
+    return xy, seg_of[inter[0]], inter
 
 
 def _count_block(params, seed, first, pts, collect_pairs, inside):
     """Path counts of a block of replications, plus the pair classes when
     ``collect_pairs`` (k = 3) and, when ``inside`` is a Region, the counts of
     the paths whose intermediates all lie in it (else None)."""
-    k = int(params.k)
-    if k >= 4:
-        counts, kept = [], []
-        for b, p in enumerate(pts):
-            g = realize_graph(p, params.connection, seed, first + b)
-            counts.append(count_khop_paths(g, k).count)
-            if inside is not None:
-                allowed = np.ones(len(p), dtype=bool)
-                allowed[2:] = inside.contains(p[2:, 0], p[2:, 1])
-                kept.append(count_khop_paths(g, k, allowed=allowed).count)
-        kept_counts = np.array(kept, dtype=np.int64) if inside is not None else None
-        return np.array(counts, dtype=np.int64), None, kept_counts
     xy, seg, inter = _block_paths(params, seed, first, pts)
     counts = np.bincount(seg, minlength=len(pts))
     classes = classify_path_pair_segments(*inter, seg, len(pts)) if collect_pairs else None

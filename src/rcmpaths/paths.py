@@ -52,10 +52,6 @@ class PairStructureCounts:
         return self.sigma0 + self.sigma11 + self.sigma12 + self.sigma21 + self.sigma22
 
 
-def _neighbor_lists(g: GraphRealization) -> list[np.ndarray]:
-    return [np.flatnonzero(g.adjacency[v]) for v in range(g.n)]
-
-
 def iter_khop_paths(g: GraphRealization, k: int, allowed: np.ndarray | None = None):
     """Yield every k-hop path as a vertex tuple (0, z1, ..., z_{k-1}, 1).
 
@@ -65,7 +61,7 @@ def iter_khop_paths(g: GraphRealization, k: int, allowed: np.ndarray | None = No
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     adj = g.adjacency
-    neighbors = _neighbor_lists(g)
+    neighbors = [np.flatnonzero(adj[v]) for v in range(g.n)]
     visited = np.zeros(g.n, dtype=bool)
     visited[0] = True
     path = [0]
@@ -94,31 +90,8 @@ def iter_khop_paths(g: GraphRealization, k: int, allowed: np.ndarray | None = No
 
 
 def count_khop_paths(g: GraphRealization, k: int, allowed: np.ndarray | None = None) -> PathCount:
-    """Count k-hop paths by depth-bounded DFS from anchor 0."""
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
-    adj = g.adjacency
-    if k == 1:
-        return PathCount(k=1, count=int(adj[0, 1]))
-    neighbors = _neighbor_lists(g)
-    visited = np.zeros(g.n, dtype=bool)
-    visited[0] = True
-
-    def walk(v: int, depth: int) -> int:
-        if depth == k - 1:
-            return int(adj[v, 1])
-        total = 0
-        for w in neighbors[v]:
-            if w == 1 or visited[w]:
-                continue
-            if allowed is not None and not allowed[w]:
-                continue
-            visited[w] = True
-            total += walk(int(w), depth + 1)
-            visited[w] = False
-        return total
-
-    return PathCount(k=k, count=walk(0, 0))
+    """Count the paths :func:`iter_khop_paths` yields."""
+    return PathCount(k=k, count=sum(1 for _ in iter_khop_paths(g, k, allowed)))
 
 
 def count_khop_paths_oracle(g: GraphRealization, k: int) -> PathCount:

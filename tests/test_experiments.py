@@ -7,10 +7,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import classify_path_pairs_oracle
+from rcmpaths import experiments
 from rcmpaths.cli import main as cli_main
 from rcmpaths.errors import ValidationError
 from rcmpaths.experiments import (
@@ -27,7 +28,7 @@ from rcmpaths.experiments import (
     write_reports_json,
 )
 from rcmpaths.model import ConnectionSpec, ModelParams
-from rcmpaths.paths import count_khop_paths, threehop_path_pairs
+from rcmpaths.paths import count_khop_paths, count_khop_paths_oracle, threehop_path_pairs
 from rcmpaths.sampler import realize_graph, region_for, sample_conditioned_ppp
 
 RAY1 = ConnectionSpec.rayleigh(beta=1.0)
@@ -126,6 +127,27 @@ class TestConfig:
             config_from_dict(d)
         assert problem in str(err.value)
 
+    @pytest.mark.parametrize(
+        "point, problem",
+        [
+            ({"margn": 9.0}, "params_grid[0]: unknown grid point field(s) 'margn'"),
+            (
+                {"connection": {"kind": "hard_disk", "r0": 1.0, "beta": 5}},
+                "params_grid[0]: unknown hard_disk connection field(s) 'beta'",
+            ),
+        ],
+    )
+    def test_rejects_unknown_grid_point_keys(self, tmp_path, capsys, point, problem):
+        d = config_to_dict(tiny_config(tmp_path))
+        d["params_grid"][0].update(point)
+        with pytest.raises(ValidationError) as err:
+            config_from_dict(d)
+        assert problem in str(err.value)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(d))
+        assert cli_main(["run", str(path)]) == 2
+        assert problem in capsys.readouterr().err
+
     def test_rejects_non_object(self):
         with pytest.raises(ValidationError, match="JSON object"):
             config_from_dict([{"name": "x"}])
@@ -169,7 +191,7 @@ def _full_realization_counts(params, seed, rep, inside=None):
 
 
 class TestEngineEquivalence:
-    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_lazy_counts_match_full_realization(self, k):
         params = ModelParams(rho=0.8, connection=RAY1, anchor_distance=1.0, k=k, margin=2.5)
         counts, _, _ = _count_range((params, 99, 0, 60, False, None))
@@ -186,7 +208,7 @@ class TestEngineEquivalence:
 
     @given(
         spec=st.sampled_from(CONNECTIONS),
-        k=st.integers(1, 3),
+        k=st.integers(1, 6),
         rho=st.floats(0.02, 2.5),
         anchor_distance=st.floats(0.0, 2.5),
         margin=st.floats(0.2, 2.0),
@@ -217,6 +239,52 @@ class TestEngineEquivalence:
                 assert tuple(classes[b]) == expected_classes
             if masked:
                 assert kept[b] == expected_kept
+
+    @given(
+        spec=st.sampled_from(CONNECTIONS),
+        k=st.integers(1, 6),
+        rho=st.floats(0.05, 1.5),
+        anchor_distance=st.floats(0.0, 1.5),
+        margin=st.floats(0.2, 1.0),
+        seed=st.integers(0, 2**64 - 1),
+        rep=st.integers(0, 10_000),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_block_counter_dfs_and_oracle_agree(self, spec, k, rho, anchor_distance, margin, seed, rep):
+        # at most 12 points besides the anchors, the limit of the permutation oracle
+        params = ModelParams(rho=rho, connection=spec, anchor_distance=anchor_distance, k=k, margin=margin)
+        pts = sample_conditioned_ppp(params, seed, rep)
+        assume(len(pts) - 2 <= 12)
+        g = realize_graph(pts, spec, seed, rep)
+        (count,), _, _ = _count_block(params, seed, rep, [pts], False, None)
+        assert count == count_khop_paths(g, k).count == count_khop_paths_oracle(g, k).count
+
+    @pytest.mark.parametrize("k", [3, 5, 6])
+    def test_join_runs_do_not_change_counts(self, k, monkeypatch):
+        # joins split into runs of a few pairs, most runs cutting through
+        # one half-path's pairs, must find the same paths
+        params = ModelParams(rho=1.2, connection=RAY1, anchor_distance=1.0, k=k, margin=2.0)
+        pts = [sample_conditioned_ppp(params, 8, rep) for rep in range(5)]
+        inside = region_for(dataclasses.replace(params, margin=1.0))
+        whole = _count_block(params, 8, 0, pts, k == 3, inside)
+        monkeypatch.setattr(experiments, "_JOIN_PAIRS", 7)
+        runs = _count_block(params, 8, 0, pts, k == 3, inside)
+        for expected, got in zip(whole, runs):
+            assert (expected is None and got is None) or np.array_equal(expected, got)
+        assert whole[0].sum() > 0
+
+    def test_long_path_memory_is_bounded(self):
+        # about 2600 points per replication: one full realization takes
+        # about 340 MiB, the half-path joins a fraction of that
+        params = ModelParams(rho=5.0, connection=RAY1, anchor_distance=1.0, k=5)
+        tracemalloc.start()
+        try:
+            counts, _ = run_replications(params, 3, 30)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(counts) == 30
+        assert peak < 256 * 2**20
 
     def test_block_memory_is_bounded(self):
         # about 2060 points per replication: 2000 replications hold about 66 MB

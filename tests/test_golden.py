@@ -4,11 +4,11 @@ Byte-identity across worker counts is checked elsewhere; these digests also
 catch a change to what a seed draws, or to how reports are written, between
 versions of the engine.  Between them the cases cover every report file
 (sweep CSV/JSON, histogram CSV, margin CSV/JSON and the ``sample`` JSON),
-every connection kind, both counter routes (k <= 3 and k >= 4), raw counts
-with pair-class counts, quadrature columns and non-default bracket orders.
-A change that alters the draws on purpose must update the digests and say
-so.  The digests were computed with numpy 2.4
-and scipy 1.17 on x86-64.
+every connection kind, k = 1 to 5 (k >= 4 on every connection kind), raw
+counts with pair-class counts, quadrature columns and non-default bracket
+orders.  A change that alters the draws on purpose must update the digests
+and say so.  The digests were computed with numpy 2.4 and scipy 1.17 on
+x86-64.
 """
 import hashlib
 import os
@@ -42,7 +42,7 @@ DIGESTS = {
     "khop-margin": "96595b49b53dafc16ba141fc60f7387e447aa199717cfde32742b10ed5d11dd0",
 }
 
-# one point per connection kind and per counter route, every report flag on
+# one point per connection kind, k = 1 to 4, every report flag on
 MIXED_GRID = (
     ModelParams(rho=0.5, connection=RAY1, anchor_distance=0.5, k=1),
     ModelParams(rho=1.0, connection=ConnectionSpec.rayleigh(beta=1.5, eta=3.0), anchor_distance=1.0, k=3),
