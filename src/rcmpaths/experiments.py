@@ -113,19 +113,15 @@ class ExperimentConfig:
         object.__setattr__(self, "bracket_orders", tuple(int(m) for m in self.bracket_orders))
 
 
-def connection_to_dict(spec: ConnectionSpec) -> dict:
-    out = {"kind": spec.kind}
-    if spec.kind == RAYLEIGH:
-        out.update(beta=spec.beta, eta=spec.eta)
-    elif spec.kind == HARD_DISK:
-        out.update(r0=spec.r0)
-    else:
-        out.update(table=[list(knot) for knot in spec.table])
-    return out
-
-
 # the keys of each connection kind's JSON form besides "kind"
 _CONNECTION_KEYS = {RAYLEIGH: ("beta", "eta"), HARD_DISK: ("r0",), TABULATED: ("table",)}
+
+
+def connection_to_dict(spec: ConnectionSpec) -> dict:
+    out = {"kind": spec.kind, **{key: getattr(spec, key) for key in _CONNECTION_KEYS[spec.kind]}}
+    if spec.kind == TABULATED:
+        out["table"] = [list(knot) for knot in spec.table]
+    return out
 
 
 def _reject_unknown_keys(d: dict, known, what: str) -> None:
