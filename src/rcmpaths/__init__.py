@@ -17,6 +17,7 @@ from .analytics import (
 from .errors import (
     OracleSizeError,
     QuadratureConfigError,
+    ReplicationError,
     UnsupportedClosedFormError,
     ValidationError,
 )
@@ -81,6 +82,7 @@ __all__ = [
     "QuadratureConfigError",
     "QuadratureSpec",
     "Region",
+    "ReplicationError",
     "UnsupportedClosedFormError",
     "ValidationError",
     "bonferroni_bound_order2",

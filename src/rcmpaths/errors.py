@@ -15,3 +15,7 @@ class OracleSizeError(ValueError):
 
 class QuadratureConfigError(ValueError):
     """A quadrature grid is unusable (or too coarse while in strict mode)."""
+
+
+class ReplicationError(RuntimeError):
+    """Replications of a grid point could not be computed."""

@@ -17,8 +17,9 @@ with a mask of the points inside the base rectangle.  Edge draws are keyed by
 the vertex pair, so the lazy counter agrees bit-for-bit with realizing the
 full adjacency matrix.  How replications fall into blocks or workers never
 changes a result: the reports are byte-identical to one replication at a
-time.  With ``threads`` > 1 a call starts one worker pool for all of its grid
-points.
+time.  With ``threads`` > 1 the replication ranges go through one worker
+pool per process: it starts on the first such call and serves every later
+call with the same worker count, so repeated calls pay for it once.
 
 Every file format follows a dataclass.  The fields of :class:`MomentReport`
 and :class:`MarginCheck`, in order, are the CSV columns and the JSON keys of
@@ -34,7 +35,9 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields, replace
 from functools import reduce
@@ -49,7 +52,7 @@ from .analytics import (
     variance_terms_numeric,
     variance_threehop_rayleigh,
 )
-from .errors import ValidationError
+from .errors import ReplicationError, ValidationError
 from .model import HARD_DISK, RAYLEIGH, TABULATED, ConnectionSpec, ModelParams
 from .moments import (
     ExistenceBracket,
@@ -350,17 +353,26 @@ def _count_block(params, seed, first, pts, collect_pairs, inside):
 
 def _count_range(job):
     """:func:`_count_block` over replications ``lo`` .. ``hi - 1`` of one grid
-    point, drawn in blocks of about ``_BLOCK_POINTS`` points."""
+    point, drawn in blocks of about ``_BLOCK_POINTS`` points.  A failure is
+    re-raised as a :class:`ReplicationError` naming the grid point, its seed
+    and the failing block's replications."""
     params, seed, lo, hi, collect_pairs, inside = job
+    # k = 1 uses only the anchors, which every replication has at the same place
+    anchors = np.array([[0.0, 0.0], [params.anchor_distance, 0.0]]) if int(params.k) == 1 else None
     parts = []
-    rep = lo
-    while rep < hi:
-        first, pts, drawn = rep, [], 0
-        while rep < hi and drawn < _BLOCK_POINTS:
-            pts.append(sample_conditioned_ppp(params, seed, rep))
-            drawn += len(pts[-1])
-            rep += 1
-        parts.append(_count_block(params, seed, first, pts, collect_pairs, inside))
+    first = rep = lo
+    try:
+        while rep < hi:
+            first, pts, drawn = rep, [], 0
+            while rep < hi and drawn < _BLOCK_POINTS:
+                rep += 1
+                pts.append(sample_conditioned_ppp(params, seed, rep - 1) if anchors is None else anchors)
+                drawn += len(pts[-1])
+            parts.append(_count_block(params, seed, first, pts, collect_pairs, inside))
+    except Exception as exc:
+        raise ReplicationError(
+            f"{params} (grid seed {seed}) failed in replications {first}..{rep - 1}: {exc!r}"
+        ) from exc
     return _concat(parts)
 
 
@@ -380,14 +392,49 @@ def _chunk_ranges(total: int, parts: int) -> list[tuple[int, int]]:
     return ranges
 
 
+# the worker pool of this process and its worker count, kept across calls;
+# the lock makes calls from several threads take turns with it
+_pool: tuple[int, ProcessPoolExecutor] | None = None
+_pool_lock = threading.Lock()
+
+
+def _drop_pool() -> None:
+    global _pool
+    if _pool is not None:
+        _pool[1].shutdown()
+        _pool = None
+
+
+def _pool_map(jobs, threads: int) -> list:
+    """``_count_range`` of every job on the process's pool of ``threads``
+    workers, started here when there is none of that size.
+
+    A pool can break while idle (a worker killed, say); the jobs then run
+    once more on a fresh pool, which cannot change a result."""
+    global _pool
+    with _pool_lock:
+        for attempt in range(2):
+            if _pool is None or _pool[0] != threads:
+                _drop_pool()
+                _pool = (threads, ProcessPoolExecutor(max_workers=threads))
+            try:
+                return list(_pool[1].map(_count_range, jobs))
+            except BrokenProcessPool as exc:
+                _drop_pool()
+                if attempt:
+                    seeds = sorted({job[1] for job in jobs})
+                    raise ReplicationError(f"the worker pool broke twice running grid seeds {seeds}") from exc
+
+
 def _sweep(tasks, replications: int, threads: int):
     """Run ``replications`` replications of every task ``(params, seed,
     collect_pairs, inside)``; returns one ``(counts, classes, kept_counts)``
     per task, in task order.
 
-    With ``threads`` > 1, every task's replication ranges go through one
-    worker pool.  Each replication is a pure function of (params, seed,
-    replication index), so the split never changes a result.
+    With ``threads`` > 1, every task's replication ranges go through the
+    process's worker pool, which outlives the call.  Each replication is a
+    pure function of (params, seed, replication index), so the split never
+    changes a result.
     """
     ranges = _chunk_ranges(replications, 1 if threads <= 1 else -(-threads * 4 // len(tasks)))
     jobs = [
@@ -398,8 +445,7 @@ def _sweep(tasks, replications: int, threads: int):
     if threads <= 1:
         results = [_count_range(job) for job in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_count_range, jobs))
+        results = _pool_map(jobs, threads)
     n = len(ranges)
     return [_concat(results[t * n : (t + 1) * n]) for t in range(len(tasks))]
 

@@ -131,11 +131,11 @@ def pair_uniforms(seed: int, replication, i, j):
 
 
 def points_key(seed: int, replication: int) -> tuple[int, int]:
-    """128-bit Philox key for the point draws of one replication."""
-    return (
-        fold(seed, replication, STREAM_POINTS, 0),
-        fold(seed, replication, STREAM_POINTS, 1),
-    )
+    """128-bit Philox key for the point draws of one replication: the words
+    ``fold(seed, replication, STREAM_POINTS, w)`` for w = 0, 1, sharing the
+    fold of their prefix."""
+    h = (_fold_int(seed, replication, STREAM_POINTS) + _GAMMA_I) & _MASK
+    return _mix64_int(h), _mix64_int(h ^ 1)
 
 
 def points_generator(seed: int, replication: int) -> np.random.Generator:

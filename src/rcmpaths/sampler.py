@@ -16,32 +16,29 @@ from .model import ConnectionSpec, ModelParams, Point, Region
 from .rng import pair_uniforms, points_key
 
 _local = threading.local()
+# the Philox counter and buffer of a fresh stream; the state setter copies them
+_ZEROS = np.zeros(4, dtype=np.uint64)
 
 
 def _fast_points_rng(seed: int, replication: int) -> np.random.Generator:
     """Same stream as :func:`rcmpaths.rng.points_generator`, but reusing one
-    Philox instance per thread (construction dominates at high replication
-    counts).  The returned generator aliases the shared bit generator, so it
-    must be consumed before the next call on the same thread; it never
-    escapes :func:`sample_conditioned_ppp`.
+    Philox instance and its generator per thread (construction dominates at
+    high replication counts).  The generator is reset on the next call on the
+    same thread, so it must be consumed before then; it never escapes
+    :func:`sample_conditioned_ppp`.
     """
-    bg = getattr(_local, "philox", None)
-    if bg is None:
-        bg = np.random.Philox(key=[0, 0])
-        _local.philox = bg
-    k0, k1 = points_key(seed, replication)
-    bg.state = {
+    rng = getattr(_local, "rng", None)
+    if rng is None:
+        rng = _local.rng = np.random.Generator(np.random.Philox(key=[0, 0]))
+    rng.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {
-            "counter": np.zeros(4, dtype=np.uint64),
-            "key": np.array([k0, k1], dtype=np.uint64),
-        },
-        "buffer": np.zeros(4, dtype=np.uint64),
+        "state": {"counter": _ZEROS, "key": np.array(points_key(seed, replication), dtype=np.uint64)},
+        "buffer": _ZEROS,
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
-    return np.random.Generator(bg)
+    return rng
 
 
 @dataclass(frozen=True, eq=False)

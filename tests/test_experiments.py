@@ -1,9 +1,14 @@
 import dataclasses
 import json
+import multiprocessing
 import os
+import re
+import signal
 import subprocess
 import sys
+import threading
 import tracemalloc
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -13,7 +18,7 @@ from hypothesis import strategies as st
 from conftest import classify_path_pairs_oracle
 from rcmpaths import experiments
 from rcmpaths.cli import main as cli_main
-from rcmpaths.errors import ValidationError
+from rcmpaths.errors import ReplicationError, ValidationError
 from rcmpaths.experiments import (
     ExperimentConfig,
     _count_block,
@@ -401,6 +406,141 @@ class TestAtomicWrites:
             write_reports_json(str(tmp_path / "tiny.json"), cfg, broken)
         assert (tmp_path / "tiny.json").read_bytes() == before
         assert sorted(os.listdir(tmp_path)) == ["tiny.csv", "tiny.json"]
+
+
+@pytest.fixture
+def counted_pools(monkeypatch):
+    """The worker counts of the pools started, from no cached pool.
+
+    The cached pool is dropped before and after the test, so its workers are
+    forked after the test's own patches and never outlive them."""
+    started = []
+
+    class CountedPool(experiments.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    experiments._drop_pool()
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountedPool)
+    yield started
+    experiments._drop_pool()
+
+
+def _fail_on_replication_3(monkeypatch):
+    real = experiments.sample_conditioned_ppp
+
+    def draw(params, seed, rep):
+        if rep == 3:
+            raise FloatingPointError("bad draw")
+        return real(params, seed, rep)
+
+    monkeypatch.setattr(experiments, "sample_conditioned_ppp", draw)
+
+
+def _assert_names_replication_3(error):
+    message = str(error)
+    assert "grid seed 7" in message and "rho=1.0" in message
+    lo, hi = map(int, re.search(r"replications (\d+)\.\.(\d+)", message).groups())
+    assert lo <= 3 <= hi
+
+
+class TestWorkerPool:
+    def test_one_pool_serves_repeated_calls(self, tmp_path, counted_pools):
+        cfg = tiny_config(tmp_path, replications=40)
+        run_experiment(cfg, threads=3)
+        run_experiment(cfg, threads=3)
+        validate_margin(cfg, replications=40, threads=3)
+        assert counted_pools == [3]
+        run_experiment(cfg, threads=2)
+        assert counted_pools == [3, 2]
+
+    def test_reports_identical_across_pool_switches(self, tmp_path, counted_pools):
+        grid = (
+            ModelParams(rho=1.0, connection=RAY1, anchor_distance=1.0, k=3),
+            ModelParams(rho=1.5, connection=ConnectionSpec.hard_disk(1.0), anchor_distance=1.5, k=2),
+        )
+        cfg = tiny_config(tmp_path, params_grid=grid, replications=60, emit_histograms=True)
+
+        def files():
+            return {name: (tmp_path / name).read_bytes() for name in sorted(os.listdir(tmp_path))}
+
+        run_experiment(cfg, threads=1)
+        expected = files()
+        for threads in (3, 2, 3):
+            run_experiment(cfg, threads=threads)
+            assert files() == expected, threads
+        assert counted_pools == [3, 2, 3]
+
+    def test_killed_workers_are_replaced(self, counted_pools):
+        params = ModelParams(rho=1.0, connection=RAY1, anchor_distance=1.0, k=3)
+        expected, _ = run_replications(params, 7, 60)
+        run_replications(params, 7, 60, threads=2)
+        workers = multiprocessing.active_children()
+        assert workers
+        for worker in workers:
+            os.kill(worker.pid, signal.SIGKILL)
+        for worker in workers:
+            worker.join()
+        counts, _ = run_replications(params, 7, 60, threads=2)
+        assert np.array_equal(counts, expected)
+        assert counted_pools == [2, 2]
+
+    def test_calls_from_threads_take_turns(self, counted_pools):
+        # two threads switching worker counts would otherwise drop the pool
+        # under each other's calls
+        params = ModelParams(rho=1.0, connection=RAY1, anchor_distance=1.0, k=3)
+        expected, _ = run_replications(params, 7, 30)
+        results = []
+
+        def calls(threads):
+            for _ in range(3):
+                results.append(run_replications(params, 7, 30, threads=threads)[0])
+
+        workers = [threading.Thread(target=calls, args=(t,)) for t in (2, 3)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+            assert not worker.is_alive()
+        assert len(results) == 6
+        assert all(np.array_equal(counts, expected) for counts in results)
+
+    def test_second_break_names_the_grid_seeds(self, monkeypatch, counted_pools):
+        class BreakingPool(experiments.ProcessPoolExecutor):
+            def map(self, *args, **kwargs):
+                raise BrokenProcessPool("worker lost")
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", BreakingPool)
+        params = ModelParams(rho=1.0, connection=RAY1, anchor_distance=1.0, k=3)
+        with pytest.raises(ReplicationError, match=r"broke twice running grid seeds \[7\]"):
+            run_replications(params, 7, 10, threads=2)
+        assert counted_pools == [2, 2]
+
+    def test_failure_names_point_seed_and_block(self, monkeypatch):
+        _fail_on_replication_3(monkeypatch)
+        params = ModelParams(rho=1.0, connection=RAY1, anchor_distance=1.0, k=3)
+        with pytest.raises(ReplicationError) as info:
+            run_replications(params, 7, 10)
+        _assert_names_replication_3(info.value)
+        assert isinstance(info.value.__cause__, FloatingPointError)
+
+    def test_worker_failure_names_point_seed_and_block(self, monkeypatch, counted_pools):
+        # the pool starts after the patch, so its workers draw through it
+        _fail_on_replication_3(monkeypatch)
+        params = ModelParams(rho=1.0, connection=RAY1, anchor_distance=1.0, k=3)
+        with pytest.raises(ReplicationError) as info:
+            run_replications(params, 7, 10, threads=2)
+        _assert_names_replication_3(info.value)
+
+    def test_k1_draws_no_points(self, monkeypatch):
+        params = ModelParams(rho=5.0, connection=RAY1, anchor_distance=1.0, k=1)
+        pts = [sample_conditioned_ppp(params, 7, rep) for rep in range(50)]
+        expected, _, _ = _count_block(params, 7, 0, pts, False, None)
+        monkeypatch.setattr(experiments, "sample_conditioned_ppp", None)
+        counts, _ = run_replications(params, 7, 50)
+        assert np.array_equal(counts, expected)
+        assert expected.sum() > 0
 
 
 class TestValidateMargin:

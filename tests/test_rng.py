@@ -3,10 +3,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rcmpaths.rng import (
+    STREAM_POINTS,
     derive_subseed,
     fold,
     pair_uniforms,
     points_generator,
+    points_key,
 )
 from rcmpaths.sampler import _fast_points_rng
 
@@ -58,6 +60,23 @@ def test_fast_points_rng_matches_public_generator():
     for rep in range(100):
         a = _fast_points_rng(13, rep).random(5)
         b = points_generator(13, rep).random(5)
+        assert np.array_equal(a, b)
+
+
+@given(seed=u64s, rep=small_ints)
+@settings(max_examples=200)
+def test_points_key_is_two_folds(seed, rep):
+    assert points_key(seed, rep) == (fold(seed, rep, STREAM_POINTS, 0), fold(seed, rep, STREAM_POINTS, 1))
+
+
+def test_fast_points_rng_resets_a_used_stream():
+    # a seed above 2**63, and a previous stream left mid-buffer with a
+    # spare 32-bit word: the reset must clear both
+    seed = (1 << 63) + 12345
+    for rep in range(20):
+        _fast_points_rng(seed, rep + 1).integers(0, 7, size=3, dtype=np.uint32)
+        a = _fast_points_rng(seed, rep).random(9)
+        b = points_generator(seed, rep).random(9)
         assert np.array_equal(a, b)
 
 
