@@ -98,15 +98,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_preset(args) -> int:
-    config = preset_config(
-        args.name,
-        outputs=args.out or "results",
-        seed=args.seed if args.seed is not None else 0,
-        replications=args.replications,
-        anchor_distance=args.anchor_distance,
+    config = _apply_overrides(
+        preset_config(args.name, outputs="results", anchor_distance=args.anchor_distance), args
     )
-    if args.strict:
-        config = _apply_overrides(config, args)
     reports = run_experiment(config, threads=args.threads)
     print(f"wrote {len(reports)} grid point(s) to {config.outputs}/{config.name}.csv|.json")
     return 0

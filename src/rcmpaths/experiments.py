@@ -46,7 +46,6 @@ from typing import get_origin, get_type_hints
 import numpy as np
 
 from .analytics import (
-    QuadratureSpec,
     mean_khop_numeric,
     mean_khop_rayleigh,
     variance_terms_numeric,
@@ -102,18 +101,22 @@ class ExperimentConfig:
             problems.append("name: must be nonempty")
         if not self.params_grid:
             problems.append("params_grid: must contain at least one grid point")
-        if (
-            not isinstance(self.replications, (int, np.integer))
-            or isinstance(self.replications, bool)
-            or self.replications < 1
-        ):
-            problems.append(f"replications: must be an integer >= 1, got {self.replications!r}")
+        problems += _count_problems(replications=self.replications)
         if any(m < 0 for m in self.bracket_orders):
             problems.append("bracket_orders: orders must be >= 0")
         if problems:
             raise ValidationError("invalid experiment config: " + "; ".join(problems))
         object.__setattr__(self, "params_grid", tuple(self.params_grid))
         object.__setattr__(self, "bracket_orders", tuple(int(m) for m in self.bracket_orders))
+
+
+def _count_problems(**counts) -> list[str]:
+    """One problem line for each named count that is not an integer >= 1."""
+    return [
+        f"{name}: must be an integer >= 1, got {value!r}"
+        for name, value in counts.items()
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1
+    ]
 
 
 # the keys of each connection kind's JSON form besides "kind"
@@ -436,13 +439,16 @@ def _sweep(tasks, replications: int, threads: int):
     pure function of (params, seed, replication index), so the split never
     changes a result.
     """
-    ranges = _chunk_ranges(replications, 1 if threads <= 1 else -(-threads * 4 // len(tasks)))
+    problems = _count_problems(replications=replications, threads=threads)
+    if problems:
+        raise ValidationError("; ".join(problems))
+    ranges = _chunk_ranges(replications, 1 if threads == 1 else -(-threads * 4 // len(tasks)))
     jobs = [
         (params, seed, lo, hi, collect, inside)
         for params, seed, collect, inside in tasks
         for lo, hi in ranges
     ]
-    if threads <= 1:
+    if threads == 1:
         results = [_count_range(job) for job in jobs]
     else:
         results = _pool_map(jobs, threads)
@@ -534,10 +540,12 @@ def _attach_references(params: ModelParams, config: ExperimentConfig):
             analytic_variance = variance_threehop_rayleigh(params).variance
     numeric_mean = numeric_variance = None
     if config.attach_numeric or not closed_form:
-        quad = QuadratureSpec.default_for(params)
-        numeric_mean = mean_khop_numeric(params, quad, strict=config.strict_numerics)
         if params.k == 3:
-            numeric_variance = variance_terms_numeric(params, quad, strict=config.strict_numerics).variance
+            # the variance pass reads the mean off its own convolution chain
+            moments = variance_terms_numeric(params, strict=config.strict_numerics)
+            numeric_mean, numeric_variance = moments.mean, moments.variance
+        else:
+            numeric_mean = mean_khop_numeric(params, strict=config.strict_numerics)
     return analytic_mean, analytic_variance, numeric_mean, numeric_variance
 
 
@@ -945,7 +953,7 @@ def preset_config(
     return ExperimentConfig(
         name=name,
         params_grid=grid,
-        replications=replications or default_replications,
+        replications=default_replications if replications is None else replications,
         seed=seed,
         outputs=outputs,
         **options,

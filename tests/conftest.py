@@ -1,6 +1,8 @@
 import math
+from collections import Counter
 
 import numpy as np
+import pytest
 
 from rcmpaths.model import ConnectionSpec, ModelParams
 from rcmpaths.paths import PairStructureCounts
@@ -83,3 +85,28 @@ def alternating_binomial_partial_sum_oracle(sigma: int, m: int) -> int:
         term = math.comb(sigma, i)
         total += term if i % 2 == 0 else -term
     return total
+
+
+@pytest.fixture
+def quadrature_calls(monkeypatch):
+    """Counter of the quadrature's kernel-grid builds (``_kernel_grid``) and
+    its forward and inverse transforms (``rfftn``, ``irfftn``)."""
+    import scipy.fft
+
+    from rcmpaths import analytics
+
+    calls = Counter()
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(analytics, "_kernel_grid")
+    counted(scipy.fft, "rfftn")
+    counted(scipy.fft, "irfftn")
+    return calls

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from rcmpaths.analytics import (
     MONTE_CARLO,
     QuadratureSpec,
+    _convolve_same,
     mean_khop_numeric,
     mean_khop_rayleigh,
     variance_terms_numeric,
@@ -159,6 +160,43 @@ class TestGridQuadrature:
         vb = variance_terms_numeric(p, halved)
         for term in ("sigma11_term", "sigma12_term", "sigma22_term"):
             assert abs(getattr(va, term) - getattr(vb, term)) / getattr(vb, term) < 1e-3
+
+
+# the shapes the quadrature convolves: the chain's (2m+1)^2 with itself and
+# the free-vertex grid q, (2m+nr+1) x (2m+1), with the kernel grid; plus
+# arbitrary odd, even, square and rectangular pairs (every side >= 2)
+_side = st.integers(2, 40)
+_conv_shapes = st.one_of(
+    st.integers(1, 20).map(lambda m: ((2 * m + 1,) * 2, (2 * m + 1,) * 2)),
+    st.tuples(st.integers(1, 20), st.integers(0, 12)).map(
+        lambda t: ((2 * t[0] + t[1] + 1, 2 * t[0] + 1), (2 * t[0] + 1,) * 2)
+    ),
+    st.tuples(st.tuples(_side, _side), st.tuples(_side, _side)),
+)
+
+
+class TestConvolveSame:
+    @given(shapes=_conv_shapes, seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_scipy_signal_fftconvolve(self, shapes, seed):
+        from scipy.signal import fftconvolve
+
+        rng = np.random.default_rng(seed)
+        a, b = (rng.standard_normal(shape) for shape in shapes)
+        oracle = fftconvolve(a, b, mode="same")
+        out, b_spectrum = _convolve_same(a, b)
+        assert np.array_equal(out, oracle)
+        assert np.array_equal(_convolve_same(a, b, b_spectrum)[0], oracle)
+        self_oracle = fftconvolve(b, b, mode="same")
+        self_out, self_spectrum = _convolve_same(b, b)
+        assert np.array_equal(self_out, self_oracle)
+        assert np.array_equal(_convolve_same(b, b, self_spectrum)[0], self_oracle)
+
+    def test_chain_transforms_the_kernel_once(self, quadrature_calls):
+        p = ModelParams(rho=1.0, connection=ConnectionSpec.hard_disk(1.0), anchor_distance=1.0, k=5)
+        mean_khop_numeric(p)
+        # one transform of h, then one of each chain stage after the first
+        assert quadrature_calls == {"_kernel_grid": 1, "rfftn": 4, "irfftn": 4}
 
 
 class TestHardDisk:

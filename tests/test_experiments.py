@@ -17,10 +17,12 @@ from hypothesis import strategies as st
 
 from conftest import classify_path_pairs_oracle
 from rcmpaths import experiments
+from rcmpaths.analytics import mean_khop_numeric, variance_terms_numeric
 from rcmpaths.cli import main as cli_main
 from rcmpaths.errors import ReplicationError, ValidationError
 from rcmpaths.experiments import (
     ExperimentConfig,
+    _attach_references,
     _count_block,
     _count_range,
     config_from_dict,
@@ -304,6 +306,12 @@ class TestEngineEquivalence:
         assert len(counts) == 2000
         assert peak < 64 * 2**20
 
+    @pytest.mark.parametrize("replications, threads", [(0, 1), (5, 0), (5, -3), (5, True)])
+    def test_sweep_refuses_bad_counts(self, replications, threads):
+        params = ModelParams(rho=1.0, connection=RAY1, anchor_distance=1.0, k=3)
+        with pytest.raises(ValidationError, match="must be an integer >= 1"):
+            run_replications(params, 1, replications, threads=threads)
+
     def test_threads_do_not_change_results(self):
         params = ModelParams(rho=1.0, connection=RAY1, anchor_distance=1.0, k=3)
         a_counts, a_classes = run_replications(params, 7, 60, collect_pairs=True, threads=1)
@@ -351,6 +359,29 @@ class TestRunExperiment:
         # numeric reference should sit within Monte Carlo error
         se = report.empirical_mean_se
         assert abs(report.empirical_mean - report.numeric_mean) < 5 * se
+
+    @pytest.mark.parametrize(
+        "connection",
+        [
+            ConnectionSpec.hard_disk(1.0),
+            ConnectionSpec.tabulated([[0.0, 1.0], [0.5, 0.8], [1.0, 0.3], [1.5, 0.0]]),
+            ConnectionSpec.rayleigh(beta=1.0, eta=3.0),
+        ],
+        ids=["hard-disk", "tabulated", "eta3"],
+    )
+    def test_numeric_references_equal_the_quadrature(self, tmp_path, connection):
+        params = ModelParams(rho=0.7, connection=connection, anchor_distance=0.9, k=3)
+        cfg = tiny_config(tmp_path, params_grid=(params,), attach_numeric=True)
+        _, _, numeric_mean, numeric_variance = _attach_references(params, cfg)
+        assert numeric_mean == mean_khop_numeric(params)
+        assert numeric_variance == variance_terms_numeric(params).variance
+
+    def test_k3_references_run_one_chain(self, tmp_path, quadrature_calls):
+        params = ModelParams(rho=0.7, connection=ConnectionSpec.hard_disk(1.0), anchor_distance=1.0, k=3)
+        run_experiment(tiny_config(tmp_path, params_grid=(params,), replications=2, attach_numeric=True))
+        # the chain h, h*h, h*h*h transforms h and h*h; the s22 term
+        # transforms the free-vertex grid and h at that grid's size
+        assert quadrature_calls == {"_kernel_grid": 1, "rfftn": 4, "irfftn": 3}
 
     def test_byte_identical_across_thread_counts(self, tmp_path):
         cfg = tiny_config(tmp_path, emit_histograms=True)
@@ -641,6 +672,24 @@ class TestCli:
         assert (tmp_path / "tiny_margin.csv").exists()
         assert (tmp_path / "tiny_margin.json").exists()
 
+    @pytest.mark.parametrize(
+        "argv, problem",
+        [
+            (["preset", "fig-existence", "--replications", "0"], "replications: must be an integer >= 1, got 0"),
+            (
+                ["validate-margin", "--preset", "fig-existence", "--replications", "0"],
+                "replications: must be an integer >= 1, got 0",
+            ),
+            (["preset", "fig-existence", "--threads", "0"], "threads: must be an integer >= 1, got 0"),
+            (["preset", "fig-existence", "--threads", "-3"], "threads: must be an integer >= 1, got -3"),
+        ],
+        ids=["preset-replications-0", "margin-replications-0", "threads-0", "threads-negative"],
+    )
+    def test_bad_counts_exit_2(self, tmp_path, capsys, argv, problem):
+        assert cli_main(argv + ["--out", str(tmp_path)]) == 2
+        assert problem in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_invalid_config_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"name": "x"}))
@@ -657,10 +706,18 @@ class TestCli:
 
 def test_import_loads_no_scipy():
     # scipy.signal and scipy.stats take over a second to import; the package
-    # defers them to the quadrature and the histogram writer
+    # defers scipy.stats to the histogram writer, and the quadrature uses
+    # scipy.fft only
+    loaded = "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
+    code = "import sys, rcmpaths; " + loaded
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
     code = (
-        "import sys, rcmpaths; "
-        "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
+        "import sys; "
+        "from rcmpaths import ConnectionSpec, ModelParams; "
+        "from rcmpaths.analytics import mean_khop_numeric, variance_terms_numeric; "
+        "p = ModelParams(rho=1.0, connection=ConnectionSpec.hard_disk(1.0), anchor_distance=1.0, k=3); "
+        "mean_khop_numeric(p); variance_terms_numeric(p); " + loaded
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
