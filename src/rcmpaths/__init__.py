@@ -15,7 +15,6 @@ from .analytics import (
     variance_threehop_rayleigh,
 )
 from .errors import (
-    OracleSizeError,
     QuadratureConfigError,
     ReplicationError,
     UnsupportedClosedFormError,
@@ -51,9 +50,7 @@ from .paths import (
     classify_pair_structures,
     classify_path_pairs,
     count_khop_paths,
-    count_khop_paths_oracle,
     iter_khop_paths,
-    threehop_path_pairs,
 )
 from .sampler import (
     GraphRealization,
@@ -74,7 +71,6 @@ __all__ = [
     "MarginCheck",
     "ModelParams",
     "MomentReport",
-    "OracleSizeError",
     "PairStructureCounts",
     "PathCount",
     "PathCountSamples",
@@ -89,7 +85,6 @@ __all__ = [
     "classify_pair_structures",
     "classify_path_pairs",
     "count_khop_paths",
-    "count_khop_paths_oracle",
     "default_margin",
     "empirical_factorial_moment",
     "iter_khop_paths",
@@ -103,7 +98,6 @@ __all__ = [
     "run_replications",
     "sample_conditioned_ppp",
     "sample_realization",
-    "threehop_path_pairs",
     "truncated_zero_probability",
     "validate_margin",
     "variance_terms_numeric",

@@ -20,7 +20,7 @@ radial displacement kernels, so the 2(k-1)-dimensional integral collapses to
 k-1 planar convolutions evaluated on a grid.  The chain transforms the kernel
 grid once and reuses its spectrum at every step.  The pair-class integrals
 read the 2-hop kernel and the 3-hop mean off that same chain, plus one extra
-convolution.  A Monte Carlo method is provided as an independent cross-check.
+convolution.
 """
 from __future__ import annotations
 
@@ -32,10 +32,6 @@ import numpy as np
 
 from .errors import QuadratureConfigError, UnsupportedClosedFormError, ValidationError
 from .model import HARD_DISK, RAYLEIGH, ConnectionSpec, ModelParams
-
-GRID_CONVOLUTION = "grid_convolution"
-MONTE_CARLO = "monte_carlo"
-
 
 @dataclass(frozen=True)
 class AnalyticMoments:
@@ -64,27 +60,21 @@ class AnalyticMoments:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """How to evaluate the moment integrals numerically."""
+    """The square grid the moment integrals are evaluated on: it spans
+    ``grid_extent`` on each side of the origin in steps of ``grid_step``."""
 
-    method: str = GRID_CONVOLUTION
     grid_extent: float = 10.0
     grid_step: float = 0.05
-    mc_samples: int = 400_000
-    rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.method not in (GRID_CONVOLUTION, MONTE_CARLO):
-            raise ValidationError(f"unknown quadrature method {self.method!r}")
         if not (self.grid_extent > 0 and self.grid_step > 0):
             raise ValidationError("grid_extent and grid_step must be positive")
         ratio = self.grid_extent / self.grid_step
         if abs(ratio - round(ratio)) > 1e-6:
             raise ValidationError("grid_step must divide grid_extent")
-        if self.mc_samples < 1:
-            raise ValidationError("mc_samples must be >= 1")
 
     @classmethod
-    def default_for(cls, params: ModelParams, method: str = GRID_CONVOLUTION) -> "QuadratureSpec":
+    def default_for(cls, params: ModelParams) -> "QuadratureSpec":
         """Grid sized from the per-hop kernel scale and the hop count.
 
         Rayleigh defaults give >10 grid points per kernel standard deviation
@@ -105,7 +95,7 @@ class QuadratureSpec:
             step = min(min(gaps) / 2.0 if gaps else d[-1] / 40.0, d[-1] / 40.0)
             extent = k * d[-1] + 2 * step
         extent = math.ceil(extent / step) * step
-        return cls(method=method, grid_extent=extent, grid_step=step)
+        return cls(grid_extent=extent, grid_step=step)
 
 
 def mean_khop_rayleigh(params: ModelParams) -> float:
@@ -228,10 +218,8 @@ def mean_khop_numeric(
 ) -> float:
     """Expected k-hop path count for any connection function.
 
-    grid_convolution: samples the kernel on a square grid, chains k-1 FFT
-    convolutions, and reads off the displacement (r, 0).  monte_carlo:
-    importance-samples the intermediate chain (Gaussian per-hop proposals for
-    Rayleigh with eta = 2, uniform-in-box otherwise).
+    Samples the kernel on a square grid, chains k-1 FFT convolutions, and
+    reads off the displacement (r, 0).
     """
     spec = params.connection
     r = params.anchor_distance
@@ -240,8 +228,6 @@ def mean_khop_numeric(
         return spec.evaluate(r)
     if quad is None:
         quad = QuadratureSpec.default_for(params)
-    if quad.method == MONTE_CARLO:
-        return _mc_mean(params, quad)
     _check_grid(spec, quad, r, strict)
     chain, m, s = _chain_grid(spec, k, r, quad)
     return params.rho ** (k - 1) * _read_at(chain[-1], m, s, r)
@@ -265,8 +251,6 @@ def variance_terms_numeric(
     rho = params.rho
     if quad is None:
         quad = QuadratureSpec.default_for(params)
-    if quad.method == MONTE_CARLO:
-        return _mc_variance_terms(params, quad)
     _check_grid(spec, quad, r, strict)
     (hc, h2c, h3c), m, s = _chain_grid(spec, 3, r, quad)
     nr = int(round(r / s))
@@ -291,116 +275,4 @@ def variance_terms_numeric(
     s22 = rho**2 * cell * float((q * conv_q).sum())
 
     mean = rho**2 * _read_at(h3c, m, s, r)
-    return AnalyticMoments.from_terms(mean, s11, s12, s22)
-
-
-# ---------------------------------------------------------------------------
-# Monte Carlo cross-checks
-# ---------------------------------------------------------------------------
-
-
-def _is_gaussian(spec: ConnectionSpec) -> bool:
-    return spec.kind == RAYLEIGH and spec.eta == 2.0
-
-
-def _mc_rng(quad: QuadratureSpec) -> np.random.Generator:
-    return np.random.default_rng(quad.rng_seed)
-
-
-def _mc_mean(params: ModelParams, quad: QuadratureSpec) -> float:
-    spec = params.connection
-    r = params.anchor_distance
-    k = int(params.k)
-    rng = _mc_rng(quad)
-    n = quad.mc_samples
-    y = np.array([r, 0.0])
-    if _is_gaussian(spec):
-        sigma = math.sqrt(1.0 / (2.0 * spec.beta))
-        z = np.zeros((n, 2))
-        for _ in range(k - 1):
-            z = z + rng.normal(0.0, sigma, size=(n, 2))
-        w = (math.pi / spec.beta) ** (k - 1) * spec.kernel(np.hypot(z[:, 0] - y[0], z[:, 1] - y[1]))
-        return params.rho ** (k - 1) * float(w.mean())
-    c = spec.reach * k
-    area = (r + 2 * c) * (2 * c)
-    pts = np.empty((n, k - 1, 2))
-    pts[:, :, 0] = rng.uniform(-c, r + c, size=(n, k - 1))
-    pts[:, :, 1] = rng.uniform(-c, c, size=(n, k - 1))
-    w = spec.kernel(np.hypot(pts[:, 0, 0], pts[:, 0, 1]))
-    for i in range(k - 2):
-        d = pts[:, i + 1] - pts[:, i]
-        w = w * spec.kernel(np.hypot(d[:, 0], d[:, 1]))
-    w = w * spec.kernel(np.hypot(pts[:, k - 2, 0] - y[0], pts[:, k - 2, 1] - y[1]))
-    return params.rho ** (k - 1) * area ** (k - 1) * float(w.mean())
-
-
-def _mc_variance_terms(params: ModelParams, quad: QuadratureSpec) -> AnalyticMoments:
-    spec = params.connection
-    r = params.anchor_distance
-    rho = params.rho
-    rng = _mc_rng(quad)
-    n = quad.mc_samples
-    x = np.zeros(2)
-    y = np.array([r, 0.0])
-
-    def hk(a, b):
-        d = a - b
-        return spec.kernel(np.hypot(d[:, 0], d[:, 1]))
-
-    if _is_gaussian(spec):
-        sigma = math.sqrt(1.0 / (2.0 * spec.beta))
-        scale = math.pi / spec.beta
-
-        def gauss(center):
-            return center + rng.normal(0.0, sigma, size=(n, 2))
-
-        u = gauss(np.broadcast_to(x, (n, 2)))
-        z1 = gauss(u)
-        z2 = gauss(u)
-        s11 = 2.0 * rho**3 * scale**3 * float((hk(z1, y[None, :]) * hk(z2, y[None, :])).mean())
-        u = gauss(np.broadcast_to(x, (n, 2)))
-        z = gauss(u)
-        w = gauss(u)
-        s12 = 2.0 * rho**3 * scale**3 * float(
-            (hk(u, y[None, :]) * hk(z, x[None, :]) * hk(w, y[None, :])).mean()
-        )
-        zz = gauss(np.broadcast_to(x, (n, 2)))
-        ww = gauss(zz)
-        s22 = rho**2 * scale**2 * float(
-            (hk(ww, y[None, :]) * hk(ww, x[None, :]) * hk(zz, y[None, :])).mean()
-        )
-    else:
-        c = spec.reach * 2.0
-        area = (r + 2 * c) * (2 * c)
-
-        def box():
-            p = np.empty((n, 2))
-            p[:, 0] = rng.uniform(-c, r + c, size=n)
-            p[:, 1] = rng.uniform(-c, c, size=n)
-            return p
-
-        u, z1, z2 = box(), box(), box()
-        prod = hk(u, x[None, :]) * hk(z1, u) * hk(z1, y[None, :]) * hk(z2, u) * hk(z2, y[None, :])
-        s11 = 2.0 * rho**3 * area**3 * float(prod.mean())
-        u, z, w = box(), box(), box()
-        prod = (
-            hk(u, x[None, :])
-            * hk(u, y[None, :])
-            * hk(z, x[None, :])
-            * hk(z, u)
-            * hk(w, u)
-            * hk(w, y[None, :])
-        )
-        s12 = 2.0 * rho**3 * area**3 * float(prod.mean())
-        zz, ww = box(), box()
-        prod = (
-            hk(zz, x[None, :])
-            * hk(ww, zz)
-            * hk(ww, y[None, :])
-            * hk(ww, x[None, :])
-            * hk(zz, y[None, :])
-        )
-        s22 = rho**2 * area**2 * float(prod.mean())
-
-    mean = _mc_mean(params, quad)
     return AnalyticMoments.from_terms(mean, s11, s12, s22)

@@ -16,6 +16,7 @@ import sys
 from .errors import ValidationError
 from .experiments import (
     PRESET_NAMES,
+    _int_problems,
     _write_json,
     config_from_dict,
     config_to_dict,
@@ -28,7 +29,7 @@ from .experiments import (
     write_margin_json,
 )
 from .model import ConnectionSpec, ModelParams
-from .paths import iter_khop_paths
+from .paths import _path_rows
 from .sampler import realize_graph, region_for, sample_conditioned_ppp
 
 
@@ -43,6 +44,9 @@ def _connection_from_args(args) -> ConnectionSpec:
 
 
 def _cmd_sample(args) -> int:
+    problems = _int_problems(0, 64, seed=args.seed, replication=args.replication)
+    if problems:
+        raise ValidationError("; ".join(problems))
     spec = _connection_from_args(args)
     params = ModelParams(
         rho=args.rho,
@@ -53,7 +57,7 @@ def _cmd_sample(args) -> int:
     )
     pts = sample_conditioned_ppp(params, args.seed, args.replication)
     g = realize_graph(pts, spec, args.seed, args.replication)
-    paths = [list(p) for p in iter_khop_paths(g, args.k)]
+    paths = _path_rows(g, args.k).tolist()
     region = region_for(params)
     payload = {
         "params": params_to_dict(params),

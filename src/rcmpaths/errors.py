@@ -9,10 +9,6 @@ class UnsupportedClosedFormError(ValueError):
     """A closed-form routine was called outside the regime where it holds."""
 
 
-class OracleSizeError(ValueError):
-    """The brute-force oracle was asked for an instance above its size guard."""
-
-
 class QuadratureConfigError(ValueError):
     """A quadrature grid is unusable (or too coarse while in strict mode)."""
 

@@ -9,17 +9,19 @@ byte-identical regardless of worker count.
 The counter works on blocks of replications of one grid point.  It draws
 each replication's points from its own Philox stream, concatenates them, and
 makes one vectorised pass per block that hashes only the pair draws a path
-can use (see :func:`_block_paths`).  It reduces counts per replication, and
-pair classes by counting identities.  A block grows until it holds
-``_BLOCK_POINTS`` points, and a join draws at most about ``_JOIN_PAIRS``
-pairs at once, which bounds memory.  Margin validation uses the same counter,
-with a mask of the points inside the base rectangle.  Edge draws are keyed by
-the vertex pair, so the lazy counter agrees bit-for-bit with realizing the
-full adjacency matrix.  How replications fall into blocks or workers never
-changes a result: the reports are byte-identical to one replication at a
-time.  With ``threads`` > 1 the replication ranges go through one worker
-pool per process: it starts on the first such call and serves every later
-call with the same worker count, so repeated calls pay for it once.
+can use (see :func:`_block_paths`); the half-path joins that list the paths
+are those of :mod:`rcmpaths.paths`, which also count the paths of a realized
+graph.  It reduces counts per replication, and pair classes by counting
+identities.  A block grows until it holds ``_BLOCK_POINTS`` points, and a
+join draws at most about ``rcmpaths.paths._JOIN_PAIRS`` pairs at once, which
+bounds memory.  Margin validation uses the same counter, with a mask of the
+points inside the base rectangle.  Edge draws are keyed by the vertex pair,
+so the lazy counter agrees bit-for-bit with realizing the full adjacency
+matrix.  How replications fall into blocks or workers never changes a
+result: the reports are byte-identical to one replication at a time.  With
+``threads`` > 1 the replication ranges go through one worker pool per
+process: it starts on the first such call and serves every later call with
+the same worker count, so repeated calls pay for it once.
 
 Every file format follows a dataclass.  The fields of :class:`MomentReport`
 and :class:`MarginCheck`, in order, are the CSV columns and the JSON keys of
@@ -40,7 +42,6 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields, replace
-from functools import reduce
 from typing import get_origin, get_type_hints
 
 import numpy as np
@@ -60,7 +61,7 @@ from .moments import (
     quadratic_existence_bound,
     truncated_zero_probability,
 )
-from .paths import PairStructureCounts, classify_path_pair_segments
+from .paths import PairStructureCounts, classify_path_pair_segments, khop_intermediates
 from .rng import derive_subseed, pair_uniforms
 from .sampler import connection_probabilities, region_for, sample_conditioned_ppp
 
@@ -101,7 +102,8 @@ class ExperimentConfig:
             problems.append("name: must be nonempty")
         if not self.params_grid:
             problems.append("params_grid: must contain at least one grid point")
-        problems += _count_problems(replications=self.replications)
+        problems += _int_problems(1, replications=self.replications)
+        problems += _int_problems(0, 64, seed=self.seed)
         if any(m < 0 for m in self.bracket_orders):
             problems.append("bracket_orders: orders must be >= 0")
         if problems:
@@ -110,12 +112,19 @@ class ExperimentConfig:
         object.__setattr__(self, "bracket_orders", tuple(int(m) for m in self.bracket_orders))
 
 
-def _count_problems(**counts) -> list[str]:
-    """One problem line for each named count that is not an integer >= 1."""
+def _int_problems(low: int, bits: int | None = None, **values) -> list[str]:
+    """One problem line for each named value that is not an integer >= low
+    or, when ``bits`` is given, not below 2**bits.  Seeds and replication
+    indices are folded as 64-bit words, where a negative or larger value
+    would alias another, so they take ``bits = 64``."""
+    wanted = f">= {low}" if bits is None else f"in [{low}, 2**{bits})"
     return [
-        f"{name}: must be an integer >= 1, got {value!r}"
-        for name, value in counts.items()
-        if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1
+        f"{name}: must be an integer {wanted}, got {value!r}"
+        for name, value in values.items()
+        if not isinstance(value, (int, np.integer))
+        or isinstance(value, bool)
+        or value < low
+        or (bits is not None and value >= 1 << bits)
     ]
 
 
@@ -243,41 +252,6 @@ def load_config(path: str) -> ExperimentConfig:
 _BLOCK_POINTS = 1 << 16
 
 
-# The most pairs one join draws at once: half-paths multiply with every hop,
-# so for k >= 4 this, not the block's point count, bounds the memory.
-_JOIN_PAIRS = 1 << 19
-
-
-def _pairs_within(seg_a, seg_b, segments: int):
-    """Every index pair ``(i, j)`` with ``seg_a[i] == seg_b[j]``, ordered by
-    ``i`` and then ``j``; both segment arrays are non-decreasing."""
-    nb = np.bincount(seg_b, minlength=segments)
-    width = nb[seg_a]
-    starts = np.cumsum(width) - width
-    i = np.repeat(np.arange(len(seg_a)), width)
-    j = np.arange(len(i)) + np.repeat((np.cumsum(nb) - nb)[seg_a] - starts, width)
-    return i, j
-
-
-def _join(a, b, seg_of, segments: int, linked):
-    """Join half-paths ``a`` to half-paths ``b`` of the same replication.
-
-    A half-path is a row across the vertex columns ``a`` (or ``b``).  Returns
-    the columns of ``a`` and then of ``b`` for every pair of rows whose
-    vertices are disjoint and whose last vertices ``linked`` draws as an edge.
-    """
-    seg_a, seg_b = seg_of[a[0]], seg_of[b[0]]
-    ends = np.cumsum(np.bincount(seg_b, minlength=segments)[seg_a])
-    cuts = np.searchsorted(ends, np.arange(_JOIN_PAIRS, ends[-1] if len(ends) else 0, _JOIN_PAIRS)).tolist()
-    parts = []
-    for lo, hi in zip([0, *cuts], [*cuts, len(seg_a)]):
-        i, j = _pairs_within(seg_a[lo:hi], seg_b, segments)
-        pa, pb = [z[lo:hi][i] for z in a], [z[j] for z in b]
-        hit = reduce(np.logical_and, (p != q for p in pa for q in pb), linked(pa[-1], pb[-1]))
-        parts.append([z[hit] for z in pa + pb])
-    return parts[0] if len(parts) == 1 else [np.concatenate(col) for col in zip(*parts)]
-
-
 def _block_paths(params: ModelParams, seed: int, first: int, pts: list[np.ndarray]):
     """Every k-hop path of a block of replications of one grid point.
 
@@ -285,9 +259,9 @@ def _block_paths(params: ModelParams, seed: int, first: int, pts: list[np.ndarra
     ``(xy, seg, inter)``: the concatenated non-anchor points, the block
     position of each path's replication (non-decreasing), and k - 1 arrays
     holding the paths' intermediate vertices as rows of ``xy``, in order from
-    anchor 0.  For k >= 3 a path is a half-path of k // 2 hops from anchor 0,
-    joined by one edge to a vertex-disjoint half-path of (k - 1) // 2 hops
-    from anchor 1.  Only the pair draws a path can use are made: the two
+    anchor 0.  The paths are the half-path joins of
+    :func:`rcmpaths.paths.khop_intermediates`, and the edges they read are
+    drawn here.  Only the pair draws a path can use are made: the two
     anchor rows, each half-path's last vertex with the other points of its
     replication (k >= 4), and the joining pairs.  Edge draws are keyed by the
     vertex pair, so the paths are exactly those of each replication's full
@@ -316,25 +290,13 @@ def _block_paths(params: ModelParams, seed: int, first: int, pts: list[np.ndarra
     for anchor, ax in ((0, x0), (1, x1)):
         probs = connection_probabilities(spec, (x - ax) * (x - ax) + yy)
         near.append(pair_uniforms(seed, rep_of, anchor, local) < probs)
-    if k == 2:
-        z = np.flatnonzero(near[0] & near[1])
-        return xy, seg_of[z], (z,)
 
     def linked(u, v):
         d = xy[u] - xy[v]
         probs = connection_probabilities(spec, d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
         return pair_uniforms(seed, rep_of[u], local[u], local[v]) < probs
 
-    # a half-path is a row across vertex columns in order from its anchor;
-    # one hop more is a join with the one-vertex half-paths of every point
-    every = [np.arange(len(xy))]
-    a, b = [np.flatnonzero(near[0])], [np.flatnonzero(near[1])]
-    for _ in range(k // 2 - 1):
-        a = _join(a, every, seg_of, len(pts), linked)
-    for _ in range((k - 1) // 2 - 1):
-        b = _join(b, every, seg_of, len(pts), linked)
-    inter = _join(a, b, seg_of, len(pts), linked)
-    inter = tuple(inter[: len(a)] + inter[len(a) :][::-1])
+    inter = khop_intermediates(k, near, linked, seg_of, len(pts))
     return xy, seg_of[inter[0]], inter
 
 
@@ -439,7 +401,7 @@ def _sweep(tasks, replications: int, threads: int):
     pure function of (params, seed, replication index), so the split never
     changes a result.
     """
-    problems = _count_problems(replications=replications, threads=threads)
+    problems = _int_problems(1, replications=replications, threads=threads)
     if problems:
         raise ValidationError("; ".join(problems))
     ranges = _chunk_ranges(replications, 1 if threads == 1 else -(-threads * 4 // len(tasks)))
@@ -794,7 +756,6 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[MomentRep
     """Run every grid point, write ``<name>.csv`` / ``<name>.json`` (and the
     histogram CSV when enabled) into the output directory, and return the
     reports."""
-    os.makedirs(config.outputs, exist_ok=True)
     seeds = [derive_subseed(config.seed, i) for i in range(len(config.params_grid))]
     tasks = [
         (params, seed, config.collect_pair_structures and int(params.k) == 3, None)
@@ -807,6 +768,8 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[MomentRep
             zip(config.params_grid, seeds, results)
         )
     ]
+    # made only now, so a refused or failed sweep leaves no directory behind
+    os.makedirs(config.outputs, exist_ok=True)
     base = os.path.join(config.outputs, config.name)
     write_reports_csv(base + ".csv", config, reports)
     write_reports_json(base + ".json", config, reports)

@@ -1,20 +1,30 @@
 """Exact combinatorial counting of k-hop simple paths between the anchors.
 
 A k-hop path is a sequence anchor0 = z0, z1, ..., zk = anchor1 with all
-vertices distinct and consecutive vertices adjacent.  Paths are enumerated
-anchored at anchor 0, so each undirected path is counted once.
+vertices distinct and consecutive vertices adjacent.  Paths are listed from
+anchor 0, so each undirected path is counted once.
+
+One enumerator, :func:`khop_intermediates`, lists the paths for the sweeps
+and for realized graphs alike: a path is a half-path of k // 2 hops from
+anchor 0 joined by one edge to a vertex-disjoint half-path of (k - 1) // 2
+hops from anchor 1.  It reads edges through a callback, so the sweeps draw
+only the pairs a path can use and a :class:`GraphRealization` reads its
+adjacency matrix.  :func:`iter_khop_paths` is the depth-first reference it
+is tested against.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from functools import reduce
 
 import numpy as np
 
-from .errors import OracleSizeError, ValidationError
+from .errors import ValidationError
 from .sampler import GraphRealization
 
-_ORACLE_MAX_POINTS = 12
+# The most pairs one join draws at once: half-paths multiply with every hop,
+# so for k >= 4 this, not the number of points, bounds the memory.
+_JOIN_PAIRS = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -52,11 +62,91 @@ class PairStructureCounts:
         return self.sigma0 + self.sigma11 + self.sigma12 + self.sigma21 + self.sigma22
 
 
+def _pairs_within(seg_a, seg_b, segments: int):
+    """Every index pair ``(i, j)`` with ``seg_a[i] == seg_b[j]``, ordered by
+    ``i`` and then ``j``; both segment arrays are non-decreasing."""
+    nb = np.bincount(seg_b, minlength=segments)
+    width = nb[seg_a]
+    starts = np.cumsum(width) - width
+    i = np.repeat(np.arange(len(seg_a)), width)
+    j = np.arange(len(i)) + np.repeat((np.cumsum(nb) - nb)[seg_a] - starts, width)
+    return i, j
+
+
+def _join(a, b, seg_of, segments: int, linked):
+    """Join half-paths ``a`` to half-paths ``b`` of the same point set.
+
+    A half-path is a row across the vertex columns ``a`` (or ``b``).  Returns
+    the columns of ``a`` and then of ``b`` for every pair of rows whose
+    vertices are disjoint and whose last vertices ``linked`` reports as an
+    edge.
+    """
+    seg_a, seg_b = seg_of[a[0]], seg_of[b[0]]
+    ends = np.cumsum(np.bincount(seg_b, minlength=segments)[seg_a])
+    cuts = np.searchsorted(ends, np.arange(_JOIN_PAIRS, ends[-1] if len(ends) else 0, _JOIN_PAIRS)).tolist()
+    parts = []
+    for lo, hi in zip([0, *cuts], [*cuts, len(seg_a)]):
+        i, j = _pairs_within(seg_a[lo:hi], seg_b, segments)
+        pa, pb = [z[lo:hi][i] for z in a], [z[j] for z in b]
+        hit = reduce(np.logical_and, (p != q for p in pa for q in pb), linked(pa[-1], pb[-1]))
+        parts.append([z[hit] for z in pa + pb])
+    return parts[0] if len(parts) == 1 else [np.concatenate(col) for col in zip(*parts)]
+
+
+def khop_intermediates(k: int, near, linked, seg_of: np.ndarray, segments: int) -> tuple:
+    """Every k-hop path (k >= 2) of many point sets at once.
+
+    The points of all sets are indexed together; ``seg_of[p]`` is the set of
+    point ``p``, non-decreasing.  ``near`` holds two boolean arrays over the
+    points, their edges to anchor 0 and to anchor 1, and ``linked(u, v)``
+    says which of the point pairs ``(u[i], v[i])``, always of one set, are
+    edges.  Returns k - 1 arrays holding the paths' intermediate points in
+    order from anchor 0.  The first hop of each half-path is its anchor's
+    ``near`` row; one hop more is a join with the one-point half-paths of
+    every point.
+    """
+    if k == 2:
+        return (np.flatnonzero(near[0] & near[1]),)
+    every = [np.arange(len(seg_of))]
+    a, b = [np.flatnonzero(near[0])], [np.flatnonzero(near[1])]
+    for _ in range(k // 2 - 1):
+        a = _join(a, every, seg_of, segments, linked)
+    for _ in range((k - 1) // 2 - 1):
+        b = _join(b, every, seg_of, segments, linked)
+    inter = _join(a, b, seg_of, segments, linked)
+    return tuple(inter[: len(a)] + inter[len(a) :][::-1])
+
+
+def _path_rows(g: GraphRealization, k: int, allowed: np.ndarray | None = None) -> np.ndarray:
+    """Every k-hop path of ``g`` as an (m, k + 1) array of vertex rows
+    (0, z1, ..., z_{k-1}, 1), in lexicographic order, which is the order of
+    :func:`iter_khop_paths`.  ``allowed`` optionally masks which vertices may
+    serve as intermediates."""
+    if k < 1:
+        raise ValidationError(f"k must be >= 1, got {k}")
+    adj = g.adjacency
+    if k == 1:
+        return np.array([[0, 1]] if adj[0, 1] else [], dtype=np.int64).reshape(-1, 2)
+    near = (adj[0, 2:], adj[1, 2:])
+    inter = khop_intermediates(
+        k, near, lambda u, v: adj[u + 2, v + 2], np.zeros(g.n - 2, dtype=np.int64), 1
+    )
+    order = np.lexsort(inter[::-1])
+    m = len(order)
+    rows = np.column_stack([np.zeros(m, np.int64), *(z[order] + 2 for z in inter), np.ones(m, np.int64)])
+    if allowed is not None:
+        rows = rows[allowed[rows[:, 1:-1]].all(axis=1)]
+    return rows
+
+
 def iter_khop_paths(g: GraphRealization, k: int, allowed: np.ndarray | None = None):
     """Yield every k-hop path as a vertex tuple (0, z1, ..., z_{k-1}, 1).
 
-    ``allowed`` optionally masks which vertices may serve as intermediates;
-    the anchors are always allowed as endpoints.
+    A depth-first walk from anchor 0: the reference enumerator, kept for the
+    tests and the benchmark's re-enumeration check.  The package counts
+    paths through :func:`khop_intermediates`.  ``allowed`` optionally masks
+    which vertices may serve as intermediates; the anchors are always
+    allowed as endpoints.
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
@@ -90,45 +180,8 @@ def iter_khop_paths(g: GraphRealization, k: int, allowed: np.ndarray | None = No
 
 
 def count_khop_paths(g: GraphRealization, k: int, allowed: np.ndarray | None = None) -> PathCount:
-    """Count the paths :func:`iter_khop_paths` yields."""
-    return PathCount(k=k, count=sum(1 for _ in iter_khop_paths(g, k, allowed)))
-
-
-def count_khop_paths_oracle(g: GraphRealization, k: int) -> PathCount:
-    """Count k-hop paths by exhaustive ordered-tuple enumeration.
-
-    Checks every ordered (k-1)-tuple of distinct non-anchor vertices; kept
-    deliberately independent of the DFS so the two can cross-validate.
-    """
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
-    non_anchor = g.n - 2
-    if non_anchor > _ORACLE_MAX_POINTS:
-        raise OracleSizeError(
-            f"oracle limited to {_ORACLE_MAX_POINTS} non-anchor points, got {non_anchor}"
-        )
-    adj = g.adjacency
-    count = 0
-    for tup in permutations(range(2, g.n), k - 1):
-        seq = (0, *tup, 1)
-        if all(adj[seq[i], seq[i + 1]] for i in range(k)):
-            count += 1
-    return PathCount(k=k, count=count)
-
-
-def threehop_path_pairs(g: GraphRealization) -> np.ndarray:
-    """All 3-hop paths as an (m, 2) array of (z1, z2) intermediate indices."""
-    adj = g.adjacency
-    a = np.flatnonzero(adj[0])
-    b = np.flatnonzero(adj[1])
-    a = a[a >= 2]
-    b = b[b >= 2]
-    if len(a) == 0 or len(b) == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    aa = np.repeat(a, len(b))
-    bb = np.tile(b, len(a))
-    keep = (aa != bb) & adj[aa, bb]
-    return np.column_stack([aa[keep], bb[keep]]).astype(np.int64)
+    """Count the k-hop paths of ``g`` whose intermediates ``allowed`` admits."""
+    return PathCount(k=k, count=len(_path_rows(g, k, allowed)))
 
 
 def classify_path_pair_segments(
@@ -191,4 +244,4 @@ def classify_path_pairs(pairs: np.ndarray) -> PairStructureCounts:
 
 def classify_pair_structures(g: GraphRealization) -> PairStructureCounts:
     """Enumerate all 3-hop paths of ``g`` and classify their ordered pairs."""
-    return classify_path_pairs(threehop_path_pairs(g))
+    return classify_path_pairs(_path_rows(g, 3)[:, 1:3])

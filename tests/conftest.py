@@ -1,12 +1,29 @@
 import math
 from collections import Counter
+from itertools import permutations
 
 import numpy as np
 import pytest
 
-from rcmpaths.model import ConnectionSpec, ModelParams
-from rcmpaths.paths import PairStructureCounts
+from rcmpaths.analytics import AnalyticMoments
+from rcmpaths.errors import ValidationError
+from rcmpaths.model import RAYLEIGH, ConnectionSpec, ModelParams
+from rcmpaths.paths import PairStructureCounts, PathCount
 from rcmpaths.sampler import GraphRealization, realize_graph, sample_conditioned_ppp
+
+# one connection function of each kind, and Rayleigh with eta != 2
+CONNECTIONS = (
+    ConnectionSpec.rayleigh(beta=1.0),
+    ConnectionSpec.rayleigh(beta=0.7, eta=3.0),
+    ConnectionSpec.hard_disk(0.8),
+    ConnectionSpec.tabulated([(0.0, 0.9), (0.5, 0.7), (1.0, 0.35), (1.5, 0.0)]),
+)
+
+_ORACLE_MAX_POINTS = 12
+
+
+class OracleSizeError(ValueError):
+    """The brute-force oracle was asked for an instance above its size guard."""
 
 
 def build_graph(n: int, edges) -> GraphRealization:
@@ -37,6 +54,29 @@ def small_random_realization(seed: int, replication: int, max_extra: int = 8):
     if len(pts) - 2 > max_extra:
         return None
     return realize_graph(pts, params.connection, seed, replication)
+
+
+def count_khop_paths_oracle(g: GraphRealization, k: int) -> PathCount:
+    """Count k-hop paths by exhaustive ordered-tuple enumeration.
+
+    Checks every ordered (k-1)-tuple of distinct non-anchor vertices; kept
+    deliberately independent of the half-path join and of the DFS so the
+    three can cross-validate.
+    """
+    if k < 1:
+        raise ValidationError(f"k must be >= 1, got {k}")
+    non_anchor = g.n - 2
+    if non_anchor > _ORACLE_MAX_POINTS:
+        raise OracleSizeError(
+            f"oracle limited to {_ORACLE_MAX_POINTS} non-anchor points, got {non_anchor}"
+        )
+    adj = g.adjacency
+    count = 0
+    for tup in permutations(range(2, g.n), k - 1):
+        seq = (0, *tup, 1)
+        if all(adj[seq[i], seq[i + 1]] for i in range(k)):
+            count += 1
+    return PathCount(k=k, count=count)
 
 
 def classify_path_pairs_oracle(pairs: np.ndarray, block: int = 2048) -> PairStructureCounts:
@@ -85,6 +125,115 @@ def alternating_binomial_partial_sum_oracle(sigma: int, m: int) -> int:
         term = math.comb(sigma, i)
         total += term if i % 2 == 0 else -term
     return total
+
+
+def _is_gaussian(spec: ConnectionSpec) -> bool:
+    return spec.kind == RAYLEIGH and spec.eta == 2.0
+
+
+def mc_mean(params: ModelParams, samples: int, seed: int) -> float:
+    """Monte Carlo reference for the expected k-hop count (k >= 2), an
+    independent cross-check of the grid quadrature: importance-samples the
+    intermediate chain, with Gaussian per-hop proposals for Rayleigh with
+    eta = 2 and uniform-in-box ones otherwise."""
+    spec = params.connection
+    r = params.anchor_distance
+    k = int(params.k)
+    rng = np.random.default_rng(seed)
+    n = samples
+    y = np.array([r, 0.0])
+    if _is_gaussian(spec):
+        sigma = math.sqrt(1.0 / (2.0 * spec.beta))
+        z = np.zeros((n, 2))
+        for _ in range(k - 1):
+            z = z + rng.normal(0.0, sigma, size=(n, 2))
+        w = (math.pi / spec.beta) ** (k - 1) * spec.kernel(np.hypot(z[:, 0] - y[0], z[:, 1] - y[1]))
+        return params.rho ** (k - 1) * float(w.mean())
+    c = spec.reach * k
+    area = (r + 2 * c) * (2 * c)
+    pts = np.empty((n, k - 1, 2))
+    pts[:, :, 0] = rng.uniform(-c, r + c, size=(n, k - 1))
+    pts[:, :, 1] = rng.uniform(-c, c, size=(n, k - 1))
+    w = spec.kernel(np.hypot(pts[:, 0, 0], pts[:, 0, 1]))
+    for i in range(k - 2):
+        d = pts[:, i + 1] - pts[:, i]
+        w = w * spec.kernel(np.hypot(d[:, 0], d[:, 1]))
+    w = w * spec.kernel(np.hypot(pts[:, k - 2, 0] - y[0], pts[:, k - 2, 1] - y[1]))
+    return params.rho ** (k - 1) * area ** (k - 1) * float(w.mean())
+
+
+def mc_variance_terms(params: ModelParams, samples: int, seed: int) -> AnalyticMoments:
+    """Monte Carlo reference for the 3-hop variance and its pair-class terms,
+    with the same proposals as :func:`mc_mean`."""
+    spec = params.connection
+    r = params.anchor_distance
+    rho = params.rho
+    rng = np.random.default_rng(seed)
+    n = samples
+    x = np.zeros(2)
+    y = np.array([r, 0.0])
+
+    def hk(a, b):
+        d = a - b
+        return spec.kernel(np.hypot(d[:, 0], d[:, 1]))
+
+    if _is_gaussian(spec):
+        sigma = math.sqrt(1.0 / (2.0 * spec.beta))
+        scale = math.pi / spec.beta
+
+        def gauss(center):
+            return center + rng.normal(0.0, sigma, size=(n, 2))
+
+        u = gauss(np.broadcast_to(x, (n, 2)))
+        z1 = gauss(u)
+        z2 = gauss(u)
+        s11 = 2.0 * rho**3 * scale**3 * float((hk(z1, y[None, :]) * hk(z2, y[None, :])).mean())
+        u = gauss(np.broadcast_to(x, (n, 2)))
+        z = gauss(u)
+        w = gauss(u)
+        s12 = 2.0 * rho**3 * scale**3 * float(
+            (hk(u, y[None, :]) * hk(z, x[None, :]) * hk(w, y[None, :])).mean()
+        )
+        zz = gauss(np.broadcast_to(x, (n, 2)))
+        ww = gauss(zz)
+        s22 = rho**2 * scale**2 * float(
+            (hk(ww, y[None, :]) * hk(ww, x[None, :]) * hk(zz, y[None, :])).mean()
+        )
+    else:
+        c = spec.reach * 2.0
+        area = (r + 2 * c) * (2 * c)
+
+        def box():
+            p = np.empty((n, 2))
+            p[:, 0] = rng.uniform(-c, r + c, size=n)
+            p[:, 1] = rng.uniform(-c, c, size=n)
+            return p
+
+        u, z1, z2 = box(), box(), box()
+        prod = hk(u, x[None, :]) * hk(z1, u) * hk(z1, y[None, :]) * hk(z2, u) * hk(z2, y[None, :])
+        s11 = 2.0 * rho**3 * area**3 * float(prod.mean())
+        u, z, w = box(), box(), box()
+        prod = (
+            hk(u, x[None, :])
+            * hk(u, y[None, :])
+            * hk(z, x[None, :])
+            * hk(z, u)
+            * hk(w, u)
+            * hk(w, y[None, :])
+        )
+        s12 = 2.0 * rho**3 * area**3 * float(prod.mean())
+        zz, ww = box(), box()
+        prod = (
+            hk(zz, x[None, :])
+            * hk(ww, zz)
+            * hk(ww, y[None, :])
+            * hk(ww, x[None, :])
+            * hk(zz, y[None, :])
+        )
+        s22 = rho**2 * area**2 * float(prod.mean())
+
+    mean = mc_mean(params, samples, seed)
+    return AnalyticMoments.from_terms(mean, s11, s12, s22)
 
 
 @pytest.fixture

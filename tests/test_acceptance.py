@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import alternating_binomial_partial_sum_oracle
+from conftest import alternating_binomial_partial_sum_oracle, count_khop_paths_oracle
 from rcmpaths.analytics import (
     mean_khop_numeric,
     mean_khop_rayleigh,
@@ -26,7 +26,7 @@ from rcmpaths.moments import (
     alternating_binomial_partial_sum,
     truncated_zero_probability,
 )
-from rcmpaths.paths import count_khop_paths, count_khop_paths_oracle
+from rcmpaths.paths import count_khop_paths
 from rcmpaths.sampler import realize_graph, sample_conditioned_ppp
 
 SEED = 20260801

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import mc_mean, mc_variance_terms
 from rcmpaths.analytics import (
-    MONTE_CARLO,
     QuadratureSpec,
     _convolve_same,
     mean_khop_numeric,
@@ -227,10 +227,6 @@ class TestHardDisk:
 
 
 class TestQuadratureSpecValidation:
-    def test_bad_method(self):
-        with pytest.raises(ValidationError):
-            QuadratureSpec(method="simpson")
-
     def test_step_must_divide_extent(self):
         with pytest.raises(ValidationError):
             QuadratureSpec(grid_extent=1.0, grid_step=0.3)
@@ -258,23 +254,22 @@ class TestQuadratureSpecValidation:
 
 
 class TestMonteCarlo:
+    """The Monte Carlo oracles of ``conftest`` against the closed forms."""
+
     def test_rayleigh_mean(self):
         p = ray_params()
         closed = mean_khop_rayleigh(p)
-        quad = QuadratureSpec(method=MONTE_CARLO, mc_samples=400_000, rng_seed=0)
-        assert abs(mean_khop_numeric(p, quad) - closed) / closed < 0.01
+        assert abs(mc_mean(p, 400_000, 0) - closed) / closed < 0.01
 
     def test_rayleigh_mean_k4(self):
         p = ray_params(k=4, r=2.0)
         closed = mean_khop_rayleigh(p)
-        quad = QuadratureSpec(method=MONTE_CARLO, mc_samples=400_000, rng_seed=1)
-        assert abs(mean_khop_numeric(p, quad) - closed) / closed < 0.02
+        assert abs(mc_mean(p, 400_000, 1) - closed) / closed < 0.02
 
     def test_rayleigh_variance_terms(self):
         p = ray_params()
         closed = variance_threehop_rayleigh(p)
-        quad = QuadratureSpec(method=MONTE_CARLO, mc_samples=400_000, rng_seed=0)
-        mc = variance_terms_numeric(p, quad)
+        mc = mc_variance_terms(p, 400_000, 0)
         for term in ("sigma11_term", "sigma12_term", "sigma22_term"):
             c = getattr(closed, term)
             assert abs(getattr(mc, term) - c) / c < 0.02, term
@@ -283,13 +278,11 @@ class TestMonteCarlo:
         r0, r = 1.0, 1.0
         lens = 2 * r0 * r0 * math.acos(r / (2 * r0)) - (r / 2) * math.sqrt(4 * r0 * r0 - r * r)
         p = ModelParams(rho=1.0, connection=ConnectionSpec.hard_disk(r0), anchor_distance=r, k=2)
-        quad = QuadratureSpec(method=MONTE_CARLO, mc_samples=400_000, rng_seed=1)
-        assert mean_khop_numeric(p, quad) == pytest.approx(lens, rel=0.05)
+        assert mc_mean(p, 400_000, 1) == pytest.approx(lens, rel=0.05)
 
     def test_deterministic_given_seed(self):
         p = ray_params()
-        quad = QuadratureSpec(method=MONTE_CARLO, mc_samples=10_000, rng_seed=7)
-        assert mean_khop_numeric(p, quad) == mean_khop_numeric(p, quad)
+        assert mc_mean(p, 10_000, 7) == mc_mean(p, 10_000, 7)
 
 
 def test_tabulated_connection_through_quadrature():

@@ -15,8 +15,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import classify_path_pairs_oracle
-from rcmpaths import experiments
+from conftest import CONNECTIONS, classify_path_pairs_oracle, count_khop_paths_oracle
+from rcmpaths import experiments, paths
 from rcmpaths.analytics import mean_khop_numeric, variance_terms_numeric
 from rcmpaths.cli import main as cli_main
 from rcmpaths.errors import ReplicationError, ValidationError
@@ -35,7 +35,7 @@ from rcmpaths.experiments import (
     write_reports_json,
 )
 from rcmpaths.model import ConnectionSpec, ModelParams
-from rcmpaths.paths import count_khop_paths, count_khop_paths_oracle, threehop_path_pairs
+from rcmpaths.paths import count_khop_paths, iter_khop_paths
 from rcmpaths.sampler import realize_graph, region_for, sample_conditioned_ppp
 
 RAY1 = ConnectionSpec.rayleigh(beta=1.0)
@@ -173,28 +173,21 @@ class TestConfig:
         assert "unknown field 'replication'" in capsys.readouterr().err
 
 
-CONNECTIONS = (
-    RAY1,
-    ConnectionSpec.rayleigh(beta=0.7, eta=3.0),
-    ConnectionSpec.hard_disk(0.8),
-    ConnectionSpec.tabulated([(0.0, 0.9), (0.5, 0.7), (1.0, 0.35), (1.5, 0.0)]),
-)
-
-
 def _full_realization_counts(params, seed, rep, inside=None):
     """Count, pair classes and inside-count of one replication from its full
     graph, the DFS and the O(m**2) pair classifier."""
     pts = sample_conditioned_ppp(params, seed, rep)
     g = realize_graph(pts, params.connection, seed, rep)
     k = int(params.k)
-    c = classify_path_pairs_oracle(threehop_path_pairs(g)) if k == 3 else None
+    found = list(iter_khop_paths(g, k))
+    c = classify_path_pairs_oracle(np.array([p[1:3] for p in found]).reshape(-1, 2)) if k == 3 else None
     classes = None if c is None else (c.sigma0, c.sigma11, c.sigma12, c.sigma21, c.sigma22)
     kept = None
     if inside is not None:
         allowed = np.ones(g.n, dtype=bool)
         allowed[2:] = inside.contains(pts[2:, 0], pts[2:, 1])
-        kept = count_khop_paths(g, k, allowed=allowed).count
-    return count_khop_paths(g, k).count, classes, kept
+        kept = sum(1 for _ in iter_khop_paths(g, k, allowed))
+    return len(found), classes, kept
 
 
 class TestEngineEquivalence:
@@ -264,7 +257,8 @@ class TestEngineEquivalence:
         assume(len(pts) - 2 <= 12)
         g = realize_graph(pts, spec, seed, rep)
         (count,), _, _ = _count_block(params, seed, rep, [pts], False, None)
-        assert count == count_khop_paths(g, k).count == count_khop_paths_oracle(g, k).count
+        assert count == count_khop_paths(g, k).count == len(list(iter_khop_paths(g, k)))
+        assert count == count_khop_paths_oracle(g, k).count
 
     @pytest.mark.parametrize("k", [3, 5, 6])
     def test_join_runs_do_not_change_counts(self, k, monkeypatch):
@@ -274,7 +268,7 @@ class TestEngineEquivalence:
         pts = [sample_conditioned_ppp(params, 8, rep) for rep in range(5)]
         inside = region_for(dataclasses.replace(params, margin=1.0))
         whole = _count_block(params, 8, 0, pts, k == 3, inside)
-        monkeypatch.setattr(experiments, "_JOIN_PAIRS", 7)
+        monkeypatch.setattr(paths, "_JOIN_PAIRS", 7)
         runs = _count_block(params, 8, 0, pts, k == 3, inside)
         for expected, got in zip(whole, runs):
             assert (expected is None and got is None) or np.array_equal(expected, got)
@@ -686,9 +680,39 @@ class TestCli:
         ids=["preset-replications-0", "margin-replications-0", "threads-0", "threads-negative"],
     )
     def test_bad_counts_exit_2(self, tmp_path, capsys, argv, problem):
-        assert cli_main(argv + ["--out", str(tmp_path)]) == 2
+        # a refused run makes no output directory, let alone files
+        assert cli_main(argv + ["--out", str(tmp_path / "out")]) == 2
         assert problem in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv, problem",
+        [
+            (["sample", "--seed", "-1"], "seed: must be an integer in [0, 2**64), got -1"),
+            (["sample", "--replication", "-1"], "replication: must be an integer in [0, 2**64), got -1"),
+            (["sample", "--seed", str(2**64)], f"seed: must be an integer in [0, 2**64), got {2**64}"),
+            (["preset", "fig-existence", "--seed", "-1"], "seed: must be an integer in [0, 2**64), got -1"),
+            (["run", "CONFIG"], "seed: must be an integer in [0, 2**64), got -4"),
+        ],
+        ids=[
+            "sample-seed-negative",
+            "sample-replication-negative",
+            "sample-seed-2**64",
+            "preset-seed-negative",
+            "config-seed-negative",
+        ],
+    )
+    def test_out_of_range_seeds_exit_2(self, tmp_path, capsys, argv, problem):
+        # seeds and replication indices are folded as 64-bit words, so -1
+        # would silently alias 2**64 - 1
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({**config_to_dict(tiny_config(tmp_path / "out", replications=5)), "seed": -4}))
+        argv = [str(config) if a == "CONFIG" else a for a in argv]
+        if argv[0] != "sample":
+            argv += ["--out", str(tmp_path / "out")]
+        assert cli_main(argv) == 2
+        assert problem in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_invalid_config_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -3,17 +3,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_graph, classify_path_pairs_oracle, small_random_realization
-from rcmpaths.errors import OracleSizeError
+from conftest import (
+    CONNECTIONS,
+    OracleSizeError,
+    build_graph,
+    classify_path_pairs_oracle,
+    count_khop_paths_oracle,
+    small_random_realization,
+)
+from rcmpaths import cli, paths
+from rcmpaths.model import ModelParams
 from rcmpaths.paths import (
+    _path_rows,
     classify_pair_structures,
     classify_path_pair_segments,
     classify_path_pairs,
     count_khop_paths,
-    count_khop_paths_oracle,
     iter_khop_paths,
-    threehop_path_pairs,
 )
+from rcmpaths.sampler import sample_realization
 
 PATH_4 = [(0, 2), (2, 3), (3, 1)]  # x - a - b - y
 COMPLETE_4 = [(i, j) for i in range(4) for j in range(i + 1, 4)]
@@ -211,11 +219,55 @@ class TestPairClassification:
             )
 
 
-def test_threehop_pairs_match_iterated_paths():
-    for rep in range(40):
-        g = small_random_realization(13, rep)
-        if g is None:
-            continue
-        pairs = {tuple(p) for p in threehop_path_pairs(g)}
-        expected = {(p[1], p[2]) for p in iter_khop_paths(g, 3)}
-        assert pairs == expected
+def _assert_rows_are_the_dfs_paths(g, k, allowed=None):
+    rows = _path_rows(g, k, allowed)
+    assert rows.shape[1] == k + 1
+    assert [tuple(r) for r in rows.tolist()] == list(iter_khop_paths(g, k, allowed))
+
+
+class TestPathRows:
+    """The half-path join on a realized graph lists exactly the DFS's paths,
+    in the DFS's order."""
+
+    @given(
+        spec=st.sampled_from(CONNECTIONS),
+        k=st.integers(1, 6),
+        rho=st.floats(0.05, 2.0),
+        anchor_distance=st.floats(0.0, 2.0),
+        margin=st.floats(0.2, 1.5),
+        seed=st.integers(0, 2**64 - 1),
+        rep=st.integers(0, 10_000),
+        mask_seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equal_the_dfs_on_realizations(self, spec, k, rho, anchor_distance, margin, seed, rep, mask_seed):
+        params = ModelParams(rho=rho, connection=spec, anchor_distance=anchor_distance, k=k, margin=margin)
+        g = sample_realization(params, seed, rep)
+        allowed = None
+        if mask_seed is not None:
+            allowed = np.random.default_rng(mask_seed).random(g.n) < 0.7
+            allowed[:2] = True
+        _assert_rows_are_the_dfs_paths(g, k, allowed)
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_equal_the_dfs_on_complete_graphs(self, n):
+        g = build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+        for k in range(1, 7):
+            _assert_rows_are_the_dfs_paths(g, k)
+            _assert_rows_are_the_dfs_paths(g, k, np.arange(n) != n - 1)
+
+
+def test_no_product_path_reaches_the_dfs(monkeypatch, capsys):
+    # the DFS is the tests' reference: counting, pair classes and ``sample``
+    # all list paths through the half-path join
+    def refuse(*args, **kwargs):
+        raise AssertionError("the DFS was called")
+
+    monkeypatch.setattr(paths, "iter_khop_paths", refuse)
+    # a name bound in the command-line module by import would escape the patch above
+    monkeypatch.setattr(cli, "iter_khop_paths", refuse, raising=False)
+    g = build_graph(6, [(i, j) for i in range(6) for j in range(i + 1, 6)])
+    assert count_khop_paths(g, 3).count == 12
+    assert classify_pair_structures(g).total == 144
+    assert cli.main(["sample", "--k", "4", "--rho", "1", "--seed", "3"]) == 0
+    assert '"path_count"' in capsys.readouterr().out
