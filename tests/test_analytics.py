@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -197,6 +198,37 @@ class TestConvolveSame:
         mean_khop_numeric(p)
         # one transform of h, then one of each chain stage after the first
         assert quadrature_calls == {"_kernel_grid": 1, "rfftn": 4, "irfftn": 4}
+
+
+# Pinned bits of the quadrature: sha256 over the repr of every
+# variance_terms_numeric field (k = 3) and of the k = 2, 4 and 5
+# mean_khop_numeric values, on each kernel and separation below (default
+# grids; 0.013 is below half a step, so the read-off interpolates there).
+# Computed with numpy 2.4 and scipy 1.17 on x86-64.
+QUADRATURE_KERNELS = (
+    ConnectionSpec.hard_disk(1.0),
+    ConnectionSpec.hard_disk(0.7),
+    ConnectionSpec.tabulated([(0.0, 0.9), (0.5, 0.7), (1.0, 0.35), (1.5, 0.0)]),
+    ConnectionSpec.rayleigh(beta=0.7, eta=3.0),
+    RAY1,
+    ConnectionSpec.rayleigh(beta=1.0, eta=1.5),
+)
+QUADRATURE_SEPARATIONS = (0.0, 0.013, 0.5, 1.0, 1.5, 1.7)
+QUADRATURE_DIGEST = "e814c2881c07bd4b46ae8a58e5d392ca7cd17a6c782b87288f405423d10d019f"
+_TERMS = ("mean", "variance", "sigma11_term", "sigma12_term", "sigma21_term", "sigma22_term")
+
+
+def test_quadrature_digest():
+    lines = []
+    for spec in QUADRATURE_KERNELS:
+        for r in QUADRATURE_SEPARATIONS:
+            point = dict(rho=1.3, connection=spec, anchor_distance=r)
+            terms = variance_terms_numeric(ModelParams(k=3, **point))
+            values = [getattr(terms, name) for name in _TERMS]
+            values += [mean_khop_numeric(ModelParams(k=k, **point)) for k in (2, 4, 5)]
+            lines.append(" ".join(map(repr, values)))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == QUADRATURE_DIGEST
 
 
 class TestHardDisk:
