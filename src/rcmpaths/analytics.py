@@ -20,7 +20,11 @@ radial displacement kernels, so the 2(k-1)-dimensional integral collapses to
 k-1 planar convolutions evaluated on a grid.  The chain transforms the kernel
 grid once and reuses its spectrum at every step.  The pair-class integrals
 read the 2-hop kernel and the 3-hop mean off that same chain, plus one extra
-convolution.
+convolution that reuses the kernel's row spectrum.  Each 2-D transform runs
+as its two 1-D stages and skips the rows known to be zero (the padding) or
+not kept: the last convolution of the chain inverse-transforms only the one
+or two rows its read-off uses.  The results equal
+``scipy.signal.fftconvolve`` bit for bit.
 """
 from __future__ import annotations
 
@@ -168,49 +172,64 @@ def _kernel_grid(spec: ConnectionSpec, m: int, s: float) -> np.ndarray:
     return spec.kernel(np.hypot(xx, yy))
 
 
-def _read_at(grid: np.ndarray, m: int, s: float, r: float) -> float:
-    """Value at displacement (r, 0), linearly interpolated between x-nodes."""
-    t = r / s
-    i0 = int(math.floor(t))
-    frac = t - i0
-    v0 = grid[m + i0, m]
-    if frac == 0.0:
-        return float(v0)
-    v1 = grid[m + i0 + 1, m]
-    return float(v0 * (1.0 - frac) + v1 * frac)
+def _convolve_same(a: np.ndarray, b: np.ndarray, b_spectrum=None, rows=None):
+    """``scipy.signal.fftconvolve(a, b, mode="same")`` bit for bit, or only
+    its rows ``lo:hi`` when ``rows=(lo, hi)``, with ``scipy.fft`` (a third of
+    ``scipy.signal``'s import time).
 
-
-def _convolve_same(a: np.ndarray, b: np.ndarray, b_spectrum: np.ndarray | None = None):
-    """``scipy.signal.fftconvolve(a, b, mode="same")`` step for step, and so
-    bit for bit, with ``scipy.fft`` (a third of ``scipy.signal``'s import
-    time).  Returns the result and the spectrum of ``b``, which a later call
-    with an ``a`` of the same shape may pass back; ``a is b`` transforms once.
+    The 2-D transforms run as the two 1-D stages pocketfft runs inside
+    ``rfftn`` and ``irfftn``, minus the rows known to be zero or not kept:
+    the forward row stage (``rfft`` along axis 1) transforms an operand's own
+    rows, not its zero padding, before the column stage (``fft`` along axis
+    0); the inverse runs the column stage, then the row stage (``irfft``) on
+    the output rows kept only, and scales once by the factor pocketfft
+    applies at its last stage.  Returns the result and the spectrum of ``b``
+    as a pair (row spectrum, full spectrum).  A later call with the same
+    ``b`` and an ``a`` with as many columns may pass it back: that skips
+    ``b``'s row stage, and its column stage too when the padded row count is
+    the same.  ``a is b`` transforms once.
     """
     from scipy import fft
 
     full = [p + q - 1 for p, q in zip(a.shape, b.shape)]
-    fshape = [fft.next_fast_len(n, True) for n in full]
-    if b_spectrum is None:
-        b_spectrum = fft.rfftn(b, fshape)
-    a_spectrum = b_spectrum if a is b else fft.rfftn(a, fshape)
-    out = fft.irfftn(a_spectrum * b_spectrum, fshape)
-    start = [(n - p) // 2 for n, p in zip(full, a.shape)]
-    return out[tuple(slice(i, i + p) for i, p in zip(start, a.shape))], b_spectrum
+    n0, n1 = (fft.next_fast_len(n, True) for n in full)
+    b_rows, b_full = (fft.rfft(b, n1, axis=1), None) if b_spectrum is None else b_spectrum
+    if b_full is None or len(b_full) != n0:
+        b_full = fft.fft(b_rows, n0, axis=0)
+    a_full = b_full if a is b else fft.fft(fft.rfft(a, n1, axis=1), n0, axis=0)
+    lo, hi = (0, a.shape[0]) if rows is None else rows
+    start0, start1 = ((n - p) // 2 for n, p in zip(full, a.shape))
+    columns = fft.ifft(a_full * b_full, axis=0, norm="forward")[start0 + lo : start0 + hi]
+    out = fft.irfft(columns, n1, axis=1, norm="forward")[:, start1 : start1 + a.shape[1]]
+    return out * float(np.longdouble(1) / np.longdouble(n0 * n1)), (b_rows, b_full)
 
 
 def _chain_grid(spec: ConnectionSpec, k: int, r: float, quad: QuadratureSpec):
-    """The kernel grid h and its chain h, h*h, ..., h^{*k} (each convolution
-    scaled by the cell area), all from one transform of h.  The step puts the
-    anchor displacement on a grid node, unless r is below half a step (the
-    readoff then interpolates; the chain is flat at that scale)."""
+    """The kernel grid h and its powers h, h*h, ..., h^{*(k-1)} (each
+    convolution scaled by the cell area), h^{*k} at the displacement (r, 0),
+    and h's spectrum, all from one transform of h.  The last convolution
+    inverse-transforms only the one or two rows the read-off uses.
+
+    The step puts the anchor displacement on a grid node, unless r is below
+    half a step (the read-off then interpolates linearly between x-nodes;
+    the chain is flat at that scale).  Returns ``(powers, value, spectrum,
+    m, s)``: the grid has 2m + 1 nodes of step s on each axis.
+    """
     s = quad.grid_step if r < quad.grid_step / 2.0 else r / round(r / quad.grid_step)
     m = int(math.ceil(quad.grid_extent / s - 1e-9))
+    t = r / s
+    i0 = int(math.floor(t))
+    frac = t - i0
+    read = (m + i0, m + i0 + (2 if frac else 1))
     h = _kernel_grid(spec, m, s)
-    chain, h_spectrum = [h], None
-    for _ in range(k - 1):
-        acc, h_spectrum = _convolve_same(chain[-1], h, h_spectrum)
-        chain.append(acc * (s * s))
-    return chain, m, s
+    powers, spectrum = [h], None
+    for _ in range(k - 2):
+        acc, spectrum = _convolve_same(powers[-1], h, spectrum)
+        powers.append(acc * (s * s))
+    acc, spectrum = _convolve_same(powers[-1], h, spectrum, read)
+    near = acc[:, m] * (s * s)
+    value = float(near[0] * (1.0 - frac) + near[1] * frac) if frac else float(near[0])
+    return powers, value, spectrum, m, s
 
 
 def mean_khop_numeric(
@@ -229,8 +248,7 @@ def mean_khop_numeric(
     if quad is None:
         quad = QuadratureSpec.default_for(params)
     _check_grid(spec, quad, r, strict)
-    chain, m, s = _chain_grid(spec, k, r, quad)
-    return params.rho ** (k - 1) * _read_at(chain[-1], m, s, r)
+    return params.rho ** (k - 1) * _chain_grid(spec, k, r, quad)[1]
 
 
 def variance_terms_numeric(
@@ -252,15 +270,16 @@ def variance_terms_numeric(
     if quad is None:
         quad = QuadratureSpec.default_for(params)
     _check_grid(spec, quad, r, strict)
-    (hc, h2c, h3c), m, s = _chain_grid(spec, 3, r, quad)
+    (hc, h2c), h3_at_r, spectrum, m, s = _chain_grid(spec, 3, r, quad)
     nr = int(round(r / s))
     cell = s * s
 
-    # grid over the free vertex U, covering [-extent, r+extent] x [-extent, extent]
+    # grid over the free vertex U, covering [-extent, r+extent] x [-extent,
+    # extent]; its first 2m + 1 rows are the kernel grid's own nodes
     cx = np.arange(-m, m + nr + 1) * s
     cy = np.arange(-m, m + 1) * s
     ux, uy = np.meshgrid(cx, cy, indexing="ij")
-    h_at_x = spec.kernel(np.hypot(ux, uy))
+    h_at_x = np.concatenate((hc, spec.kernel(np.hypot(ux[2 * m + 1 :], uy[2 * m + 1 :]))))
     h_at_y = spec.kernel(np.hypot(ux - nr * s, uy))
 
     # the chain's 2-hop kernel at U-x and U-y, shifted by nr rows (values
@@ -271,8 +290,8 @@ def variance_terms_numeric(
     s11 = rho**3 * cell * float((h_at_x * h2_at_y**2).sum() + (h_at_y * h2_at_x**2).sum())
     s12 = 2.0 * rho**3 * cell * float((h_at_x * h_at_y * h2_at_x * h2_at_y).sum())
     q = h_at_x * h_at_y
-    conv_q = _convolve_same(q, hc)[0] * cell
+    conv_q = _convolve_same(q, hc, spectrum)[0] * cell
     s22 = rho**2 * cell * float((q * conv_q).sum())
 
-    mean = rho**2 * _read_at(h3c, m, s, r)
+    mean = rho**2 * h3_at_r
     return AnalyticMoments.from_terms(mean, s11, s12, s22)

@@ -16,7 +16,6 @@ import sys
 from .errors import ValidationError
 from .experiments import (
     PRESET_NAMES,
-    _int_problems,
     _write_json,
     config_from_dict,
     config_to_dict,
@@ -30,7 +29,7 @@ from .experiments import (
 )
 from .model import ConnectionSpec, ModelParams
 from .paths import _path_rows
-from .sampler import realize_graph, region_for, sample_conditioned_ppp
+from .sampler import region_for, sample_realization
 
 
 def _connection_from_args(args) -> ConnectionSpec:
@@ -44,9 +43,6 @@ def _connection_from_args(args) -> ConnectionSpec:
 
 
 def _cmd_sample(args) -> int:
-    problems = _int_problems(0, 64, seed=args.seed, replication=args.replication)
-    if problems:
-        raise ValidationError("; ".join(problems))
     spec = _connection_from_args(args)
     params = ModelParams(
         rho=args.rho,
@@ -55,8 +51,7 @@ def _cmd_sample(args) -> int:
         k=args.k,
         margin=args.margin,
     )
-    pts = sample_conditioned_ppp(params, args.seed, args.replication)
-    g = realize_graph(pts, spec, args.seed, args.replication)
+    g = sample_realization(params, args.seed, args.replication)
     paths = _path_rows(g, args.k).tolist()
     region = region_for(params)
     payload = {

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check behind
+the ``ValidationError`` of counts, seeds and replication indices."""
+
+import numpy as np
 
 
 class ValidationError(ValueError):
@@ -15,3 +18,19 @@ class QuadratureConfigError(ValueError):
 
 class ReplicationError(RuntimeError):
     """Replications of a grid point could not be computed."""
+
+
+def _int_problems(low: int, bits: int | None = None, **values) -> list[str]:
+    """One problem line for each named value that is not an integer >= low
+    or, when ``bits`` is given, not below 2**bits.  Seeds and replication
+    indices are folded as 64-bit words, where a negative or larger value
+    would alias another, so they take ``bits = 64``."""
+    wanted = f">= {low}" if bits is None else f"in [{low}, 2**{bits})"
+    return [
+        f"{name}: must be an integer {wanted}, got {value!r}"
+        for name, value in values.items()
+        if not isinstance(value, (int, np.integer))
+        or isinstance(value, bool)
+        or value < low
+        or (bits is not None and value >= 1 << bits)
+    ]

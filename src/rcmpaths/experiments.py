@@ -52,7 +52,7 @@ from .analytics import (
     variance_terms_numeric,
     variance_threehop_rayleigh,
 )
-from .errors import ReplicationError, ValidationError
+from .errors import ReplicationError, ValidationError, _int_problems
 from .model import HARD_DISK, RAYLEIGH, TABULATED, ConnectionSpec, ModelParams
 from .moments import (
     ExistenceBracket,
@@ -110,22 +110,6 @@ class ExperimentConfig:
             raise ValidationError("invalid experiment config: " + "; ".join(problems))
         object.__setattr__(self, "params_grid", tuple(self.params_grid))
         object.__setattr__(self, "bracket_orders", tuple(int(m) for m in self.bracket_orders))
-
-
-def _int_problems(low: int, bits: int | None = None, **values) -> list[str]:
-    """One problem line for each named value that is not an integer >= low
-    or, when ``bits`` is given, not below 2**bits.  Seeds and replication
-    indices are folded as 64-bit words, where a negative or larger value
-    would alias another, so they take ``bits = 64``."""
-    wanted = f">= {low}" if bits is None else f"in [{low}, 2**{bits})"
-    return [
-        f"{name}: must be an integer {wanted}, got {value!r}"
-        for name, value in values.items()
-        if not isinstance(value, (int, np.integer))
-        or isinstance(value, bool)
-        or value < low
-        or (bits is not None and value >= 1 << bits)
-    ]
 
 
 # the keys of each connection kind's JSON form besides "kind"
@@ -402,6 +386,8 @@ def _sweep(tasks, replications: int, threads: int):
     changes a result.
     """
     problems = _int_problems(1, replications=replications, threads=threads)
+    for task in tasks:
+        problems += _int_problems(0, 64, seed=task[1])
     if problems:
         raise ValidationError("; ".join(problems))
     ranges = _chunk_ranges(replications, 1 if threads == 1 else -(-threads * 4 // len(tasks)))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _int_problems
 from .model import ConnectionSpec, ModelParams, Point, Region
 from .rng import pair_uniforms, points_key
 
@@ -141,6 +141,10 @@ def realize_graph(
 
 
 def sample_realization(params: ModelParams, seed: int, replication: int) -> GraphRealization:
-    """Convenience: sample points and realize the graph in one call."""
+    """Convenience: sample points and realize the graph in one call.  Seeds
+    and replication indices outside [0, 2**64) raise ``ValidationError``."""
+    problems = _int_problems(0, 64, seed=seed, replication=replication)
+    if problems:
+        raise ValidationError("; ".join(problems))
     pts = sample_conditioned_ppp(params, seed, replication)
     return realize_graph(pts, params.connection, seed, replication)

@@ -238,24 +238,38 @@ def mc_variance_terms(params: ModelParams, samples: int, seed: int) -> AnalyticM
 
 @pytest.fixture
 def quadrature_calls(monkeypatch):
-    """Counter of the quadrature's kernel-grid builds (``_kernel_grid``) and
-    its forward and inverse transforms (``rfftn``, ``irfftn``)."""
+    """Log of the quadrature's kernel-grid builds (``_kernel_grid``) and of
+    its 1-D transform stages (``scipy.fft`` ``rfft`` and ``irfft`` along
+    the rows, ``fft`` and ``ifft`` along the columns), one ``(name, lines,
+    of_kernel)`` entry per call in call order.  ``lines`` is the number of
+    1-D transforms the call runs (rows for a row stage, columns for a column
+    stage; the grid's rows for a build) and ``of_kernel`` is whether its
+    input is a grid that ``_kernel_grid`` built."""
     import scipy.fft
 
     from rcmpaths import analytics
 
-    calls = Counter()
+    log, kernels = [], []
 
     def counted(module, name):
         real = getattr(module, name)
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
+        def wrapper(x, *args, **kwargs):
+            axis = kwargs.get("axis", -1)
+            log.append((name, x.size // x.shape[axis], any(x is g for g in kernels)))
+            return real(x, *args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(analytics, "_kernel_grid")
-    counted(scipy.fft, "rfftn")
-    counted(scipy.fft, "irfftn")
-    return calls
+    real_grid = analytics._kernel_grid
+
+    def kernel_grid(*args):
+        grid = real_grid(*args)
+        kernels.append(grid)
+        log.append(("_kernel_grid", len(grid), True))
+        return grid
+
+    monkeypatch.setattr(analytics, "_kernel_grid", kernel_grid)
+    for name in ("rfft", "irfft", "fft", "ifft"):
+        counted(scipy.fft, name)
+    return log

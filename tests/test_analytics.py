@@ -177,9 +177,9 @@ _conv_shapes = st.one_of(
 
 
 class TestConvolveSame:
-    @given(shapes=_conv_shapes, seed=st.integers(0, 2**32 - 1))
+    @given(shapes=_conv_shapes, seed=st.integers(0, 2**32 - 1), data=st.data())
     @settings(max_examples=150, deadline=None)
-    def test_equals_scipy_signal_fftconvolve(self, shapes, seed):
+    def test_equals_scipy_signal_fftconvolve(self, shapes, seed, data):
         from scipy.signal import fftconvolve
 
         rng = np.random.default_rng(seed)
@@ -192,12 +192,45 @@ class TestConvolveSame:
         self_out, self_spectrum = _convolve_same(b, b)
         assert np.array_equal(self_out, self_oracle)
         assert np.array_equal(_convolve_same(b, b, self_spectrum)[0], self_oracle)
+        # any window of output rows equals the same rows of the whole result
+        lo = data.draw(st.integers(0, len(a) - 1), label="lo")
+        hi = data.draw(st.integers(lo + 1, len(a)), label="hi")
+        assert np.array_equal(_convolve_same(a, b, rows=(lo, hi))[0], oracle[lo:hi])
+        assert np.array_equal(_convolve_same(a, b, b_spectrum, (lo, hi))[0], oracle[lo:hi])
+
+    @given(
+        b_shape=st.tuples(_side, _side),
+        a_rows=_side,
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_kernel_spectrum_serves_any_row_count(self, b_shape, a_rows, seed, data):
+        # the spectrum of b from its self-convolution (the chain's first
+        # step) serves an a with as many columns and any number of rows
+        # (the s22 term's free-vertex grid), at its own padded row count
+        from scipy.signal import fftconvolve
+
+        rng = np.random.default_rng(seed)
+        b = rng.standard_normal(b_shape)
+        a = rng.standard_normal((a_rows, b_shape[1]))
+        oracle = fftconvolve(a, b, mode="same")
+        kernel_spectrum = _convolve_same(b, b)[1]
+        assert np.array_equal(_convolve_same(a, b, kernel_spectrum)[0], oracle)
+        lo = data.draw(st.integers(0, a_rows - 1), label="lo")
+        assert np.array_equal(_convolve_same(a, b, kernel_spectrum, (lo, lo + 1))[0], oracle[lo : lo + 1])
 
     def test_chain_transforms_the_kernel_once(self, quadrature_calls):
         p = ModelParams(rho=1.0, connection=ConnectionSpec.hard_disk(1.0), anchor_distance=1.0, k=5)
         mean_khop_numeric(p)
-        # one transform of h, then one of each chain stage after the first
-        assert quadrature_calls == {"_kernel_grid": 1, "rfftn": 4, "irfftn": 4}
+        # one build of h and one row stage of h; then each chain stage after
+        # the first is transformed once, and each inverse keeps the grid's
+        # rows, except the last, which keeps the read-off's one or two
+        assert [name for name, _, of_kernel in quadrature_calls if of_kernel] == ["_kernel_grid", "rfft"]
+        side = quadrature_calls[0][1]
+        row_stages = [(name, lines) for name, lines, _ in quadrature_calls if name in ("rfft", "irfft")]
+        assert row_stages[:-1] == [("rfft", side)] + [("irfft", side), ("rfft", side)] * 3
+        assert row_stages[-1][0] == "irfft" and row_stages[-1][1] <= 2
 
 
 # Pinned bits of the quadrature: sha256 over the repr of every

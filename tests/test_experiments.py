@@ -36,7 +36,7 @@ from rcmpaths.experiments import (
 )
 from rcmpaths.model import ConnectionSpec, ModelParams
 from rcmpaths.paths import count_khop_paths, iter_khop_paths
-from rcmpaths.sampler import realize_graph, region_for, sample_conditioned_ppp
+from rcmpaths.sampler import realize_graph, region_for, sample_conditioned_ppp, sample_realization
 
 RAY1 = ConnectionSpec.rayleigh(beta=1.0)
 
@@ -306,6 +306,22 @@ class TestEngineEquivalence:
         with pytest.raises(ValidationError, match="must be an integer >= 1"):
             run_replications(params, 1, replications, threads=threads)
 
+    @pytest.mark.parametrize("value", [-1, 2**64], ids=["-1", "2**64"])
+    def test_library_calls_refuse_out_of_range_seeds(self, value):
+        # the 64-bit fold would alias -1 to 2**64 - 1 and 2**64 to 0
+        params = ModelParams(rho=1.0, connection=RAY1, anchor_distance=1.0, k=3)
+
+        def problem(name):
+            return re.escape(f"{name}: must be an integer in [0, 2**64), got {value}")
+
+        for threads in (1, 2):
+            with pytest.raises(ValidationError, match=problem("seed")):
+                run_replications(params, value, 50, threads=threads)
+        with pytest.raises(ValidationError, match=problem("seed")):
+            sample_realization(params, value, 4)
+        with pytest.raises(ValidationError, match=problem("replication")):
+            sample_realization(params, 4, value)
+
     def test_threads_do_not_change_results(self):
         params = ModelParams(rho=1.0, connection=RAY1, anchor_distance=1.0, k=3)
         a_counts, a_classes = run_replications(params, 7, 60, collect_pairs=True, threads=1)
@@ -374,8 +390,11 @@ class TestRunExperiment:
         params = ModelParams(rho=0.7, connection=ConnectionSpec.hard_disk(1.0), anchor_distance=1.0, k=3)
         run_experiment(tiny_config(tmp_path, params_grid=(params,), replications=2, attach_numeric=True))
         # the chain h, h*h, h*h*h transforms h and h*h; the s22 term
-        # transforms the free-vertex grid and h at that grid's size
-        assert quadrature_calls == {"_kernel_grid": 1, "rfftn": 4, "irfftn": 3}
+        # transforms the free-vertex grid, and h only along its columns, at
+        # that grid's size: h's row stage runs once
+        names = [name for name, _, _ in quadrature_calls]
+        assert [name for name, _, of_kernel in quadrature_calls if of_kernel] == ["_kernel_grid", "rfft"]
+        assert (names.count("rfft"), names.count("irfft")) == (3, 3)
 
     def test_byte_identical_across_thread_counts(self, tmp_path):
         cfg = tiny_config(tmp_path, emit_histograms=True)
