@@ -185,9 +185,10 @@ def _convolve_same(a: np.ndarray, b: np.ndarray, b_spectrum=None, rows=None):
     the output rows kept only, and scales once by the factor pocketfft
     applies at its last stage.  Returns the result and the spectrum of ``b``
     as a pair (row spectrum, full spectrum).  A later call with the same
-    ``b`` and an ``a`` with as many columns may pass it back: that skips
-    ``b``'s row stage, and its column stage too when the padded row count is
-    the same.  ``a is b`` transforms once.
+    ``b`` and an ``a`` with as many columns may pass it back, or only its row
+    spectrum as ``(row spectrum, None)``: that skips ``b``'s row stage, and
+    its column stage too when the full spectrum is given and its padded row
+    count is the same.  ``a is b`` transforms once.
     """
     from scipy import fft
 
@@ -196,10 +197,14 @@ def _convolve_same(a: np.ndarray, b: np.ndarray, b_spectrum=None, rows=None):
     b_rows, b_full = (fft.rfft(b, n1, axis=1), None) if b_spectrum is None else b_spectrum
     if b_full is None or len(b_full) != n0:
         b_full = fft.fft(b_rows, n0, axis=0)
-    a_full = b_full if a is b else fft.fft(fft.rfft(a, n1, axis=1), n0, axis=0)
+    if a is b:
+        product = b_full * b_full
+    else:
+        product = fft.fft(fft.rfft(a, n1, axis=1), n0, axis=0)
+        product *= b_full
     lo, hi = (0, a.shape[0]) if rows is None else rows
     start0, start1 = ((n - p) // 2 for n, p in zip(full, a.shape))
-    columns = fft.ifft(a_full * b_full, axis=0, norm="forward")[start0 + lo : start0 + hi]
+    columns = fft.ifft(product, axis=0, norm="forward", overwrite_x=True)[start0 + lo : start0 + hi]
     out = fft.irfft(columns, n1, axis=1, norm="forward")[:, start1 : start1 + a.shape[1]]
     return out * float(np.longdouble(1) / np.longdouble(n0 * n1)), (b_rows, b_full)
 
@@ -207,13 +212,13 @@ def _convolve_same(a: np.ndarray, b: np.ndarray, b_spectrum=None, rows=None):
 def _chain_grid(spec: ConnectionSpec, k: int, r: float, quad: QuadratureSpec):
     """The kernel grid h and its powers h, h*h, ..., h^{*(k-1)} (each
     convolution scaled by the cell area), h^{*k} at the displacement (r, 0),
-    and h's spectrum, all from one transform of h.  The last convolution
+    and h's row spectrum, all from one transform of h.  The last convolution
     inverse-transforms only the one or two rows the read-off uses.
 
     The step puts the anchor displacement on a grid node, unless r is below
     half a step (the read-off then interpolates linearly between x-nodes;
-    the chain is flat at that scale).  Returns ``(powers, value, spectrum,
-    m, s)``: the grid has 2m + 1 nodes of step s on each axis.
+    the chain is flat at that scale).  Returns ``(powers, value, h_rows, m,
+    s)``: the grid has 2m + 1 nodes of step s on each axis.
     """
     s = quad.grid_step if r < quad.grid_step / 2.0 else r / round(r / quad.grid_step)
     m = int(math.ceil(quad.grid_extent / s - 1e-9))
@@ -229,7 +234,7 @@ def _chain_grid(spec: ConnectionSpec, k: int, r: float, quad: QuadratureSpec):
     acc, spectrum = _convolve_same(powers[-1], h, spectrum, read)
     near = acc[:, m] * (s * s)
     value = float(near[0] * (1.0 - frac) + near[1] * frac) if frac else float(near[0])
-    return powers, value, spectrum, m, s
+    return powers, value, spectrum[0], m, s
 
 
 def mean_khop_numeric(
@@ -270,7 +275,7 @@ def variance_terms_numeric(
     if quad is None:
         quad = QuadratureSpec.default_for(params)
     _check_grid(spec, quad, r, strict)
-    (hc, h2c), h3_at_r, spectrum, m, s = _chain_grid(spec, 3, r, quad)
+    (hc, h2c), h3_at_r, h_rows, m, s = _chain_grid(spec, 3, r, quad)
     nr = int(round(r / s))
     cell = s * s
 
@@ -290,7 +295,7 @@ def variance_terms_numeric(
     s11 = rho**3 * cell * float((h_at_x * h2_at_y**2).sum() + (h_at_y * h2_at_x**2).sum())
     s12 = 2.0 * rho**3 * cell * float((h_at_x * h_at_y * h2_at_x * h2_at_y).sum())
     q = h_at_x * h_at_y
-    conv_q = _convolve_same(q, hc, spectrum)[0] * cell
+    conv_q = _convolve_same(q, hc, (h_rows, None))[0] * cell
     s22 = rho**2 * cell * float((q * conv_q).sum())
 
     mean = rho**2 * h3_at_r
