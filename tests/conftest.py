@@ -1,5 +1,4 @@
 import math
-from collections import Counter
 from itertools import permutations
 
 import numpy as np
