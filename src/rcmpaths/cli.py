@@ -106,16 +106,14 @@ def _cmd_preset(args) -> int:
 
 
 def _cmd_validate_margin(args) -> int:
-    if args.config:
+    if args.preset is None:
         config = _apply_overrides(load_config(args.config), args)
-    elif args.preset:
+    else:
         config = preset_config(
             args.preset,
             outputs=args.out or "results",
             seed=args.seed if args.seed is not None else 0,
         )
-    else:
-        raise ValidationError("pass --config or --preset")
     checks = validate_margin(config, replications=args.replications, threads=args.threads)
     os.makedirs(config.outputs, exist_ok=True)
     base = os.path.join(config.outputs, config.name + "_margin")
@@ -174,8 +172,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_preset.set_defaults(func=_cmd_preset)
 
     p_margin = sub.add_parser("validate-margin", help="truncation-bias check")
-    p_margin.add_argument("--config", type=str, default=None)
-    p_margin.add_argument("--preset", type=str, default=None, choices=list(PRESET_NAMES))
+    source = p_margin.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config", type=str, default=None)
+    source.add_argument("--preset", type=str, default=None, choices=list(PRESET_NAMES))
     _add_common(p_margin)
     p_margin.set_defaults(func=_cmd_validate_margin)
 

@@ -1,5 +1,9 @@
-"""Exception types shared across the package, and the integer check behind
-the ``ValidationError`` of counts, seeds and replication indices."""
+"""Exception types shared across the package, and the integer and real
+checks behind the ``ValidationError`` of counts, seeds, replication indices
+and model parameters."""
+
+import math
+from numbers import Real
 
 import numpy as np
 
@@ -33,4 +37,19 @@ def _int_problems(low: int, bits: int | None = None, **values) -> list[str]:
         or isinstance(value, bool)
         or value < low
         or (bits is not None and value >= 1 << bits)
+    ]
+
+
+def _real_problems(positive: bool = True, **values) -> list[str]:
+    """One problem line for each named value that is not a finite real number
+    > 0 or, unless ``positive``, >= 0.  A bool or a string is not a number
+    here, though Python would compare or convert it."""
+    wanted = "positive" if positive else "nonnegative"
+    return [
+        f"{name}: must be a {wanted} real, got {value!r}"
+        for name, value in values.items()
+        if isinstance(value, bool)
+        or not isinstance(value, Real)
+        or not 0 <= value < math.inf
+        or (positive and value == 0)
     ]

@@ -15,8 +15,9 @@ graph.  It reduces counts per replication, and pair classes by counting
 identities.  A block grows until it holds ``_BLOCK_POINTS`` points, and a
 join draws at most about ``rcmpaths.paths._JOIN_PAIRS`` pairs at once, which
 bounds memory.  Margin validation uses the same counter, with a mask of the
-points inside the base rectangle.  Edge draws are keyed by the vertex pair,
-so the lazy counter agrees bit-for-bit with realizing the full adjacency
+points inside the base rectangle.  Every edge is decided by
+:func:`rcmpaths.sampler.draw_edges` from a draw keyed by the vertex pair, so
+the lazy counter agrees bit-for-bit with realizing the full adjacency
 matrix.  How replications fall into blocks or workers never changes a
 result: the reports are byte-identical to one replication at a time.  With
 ``threads`` > 1 the replication ranges go through one worker pool per
@@ -62,8 +63,8 @@ from .moments import (
     truncated_zero_probability,
 )
 from .paths import PairStructureCounts, classify_path_pair_segments, khop_intermediates
-from .rng import derive_subseed, pair_uniforms
-from .sampler import connection_probabilities, region_for, sample_conditioned_ppp
+from .rng import derive_subseed
+from .sampler import draw_edges, region_for, sample_conditioned_ppp
 
 PAIR_CLASSES = tuple(f.name for f in fields(PairStructureCounts))
 DEFAULT_BRACKET_ORDERS = (3, 4, 5, 80)
@@ -130,6 +131,8 @@ def _reject_unknown_keys(d: dict, known, what: str) -> None:
 
 
 def connection_from_dict(d: dict) -> ConnectionSpec:
+    if not isinstance(d, dict):
+        raise ValidationError(f"connection: expected a JSON object, got {d!r}")
     kind = d.get("kind")
     if kind not in _CONNECTION_KEYS:
         raise ValidationError(f"unknown connection kind {kind!r}")
@@ -152,6 +155,8 @@ def params_to_dict(params: ModelParams) -> dict:
 
 
 def params_from_dict(d: dict) -> ModelParams:
+    if not isinstance(d, dict):
+        raise ValidationError(f"expected a JSON object, got {d!r}")
     _reject_unknown_keys(d, [f.name for f in fields(ModelParams)], "grid point")
     return ModelParams(
         rho=d["rho"],
@@ -212,7 +217,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
                 grid.append(params_from_dict(p))
             except KeyError as exc:
                 problems.append(f"params_grid[{i}]: missing required field {exc}")
-            except (ValidationError, TypeError, AttributeError) as exc:
+            except (ValidationError, TypeError) as exc:
                 problems.append(f"params_grid[{i}]: {exc}")
     if problems:
         raise ValidationError("invalid experiment config: " + "; ".join(problems))
@@ -247,9 +252,10 @@ def _block_paths(params: ModelParams, seed: int, first: int, pts: list[np.ndarra
     :func:`rcmpaths.paths.khop_intermediates`, and the edges they read are
     drawn here.  Only the pair draws a path can use are made: the two
     anchor rows, each half-path's last vertex with the other points of its
-    replication (k >= 4), and the joining pairs.  Edge draws are keyed by the
-    vertex pair, so the paths are exactly those of each replication's full
-    realization.
+    replication (k >= 4), and the joining pairs.  Each is decided by
+    :func:`rcmpaths.sampler.draw_edges`, as every edge of
+    :func:`rcmpaths.sampler.realize_graph` is, so the paths are exactly
+    those of each replication's full realization.
     """
     spec, k = params.connection, int(params.k)
     reps = np.arange(first, first + len(pts))
@@ -258,8 +264,8 @@ def _block_paths(params: ModelParams, seed: int, first: int, pts: list[np.ndarra
     (x0, y0), (x1, y1) = pts[0][0], pts[0][1]
     if k == 1:
         dx, dy = x0 - x1, y0 - y1
-        prob = connection_probabilities(spec, np.float64(dx * dx + dy * dy))
-        return np.empty((0, 2)), np.flatnonzero(pair_uniforms(seed, reps, 0, 1) < prob), ()
+        hit = draw_edges(spec, seed, reps, 0, 1, np.float64(dx * dx + dy * dy))
+        return np.empty((0, 2)), np.flatnonzero(hit), ()
     # a k-hop path needs k - 1 points besides the anchors
     others = [p[2:] if len(p) > k else p[:0] for p in pts]
     sizes = np.array([len(o) for o in others])
@@ -270,15 +276,14 @@ def _block_paths(params: ModelParams, seed: int, first: int, pts: list[np.ndarra
     local = np.arange(2, len(xy) + 2) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     x, y = xy[:, 0], xy[:, 1]
     yy = (y - y0) * (y - y0)
-    near = []
-    for anchor, ax in ((0, x0), (1, x1)):
-        probs = connection_probabilities(spec, (x - ax) * (x - ax) + yy)
-        near.append(pair_uniforms(seed, rep_of, anchor, local) < probs)
+    near = [
+        draw_edges(spec, seed, rep_of, anchor, local, (x - ax) * (x - ax) + yy)
+        for anchor, ax in ((0, x0), (1, x1))
+    ]
 
     def linked(u, v):
         d = xy[u] - xy[v]
-        probs = connection_probabilities(spec, d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
-        return pair_uniforms(seed, rep_of[u], local[u], local[v]) < probs
+        return draw_edges(spec, seed, rep_of[u], local[u], local[v], d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
 
     inter = khop_intermediates(k, near, linked, seg_of, len(pts))
     return xy, seg_of[inter[0]], inter
@@ -327,18 +332,6 @@ def _count_range(job):
 
 def _concat(parts):
     return tuple(None if col[0] is None else np.concatenate(col) for col in zip(*parts))
-
-
-def _chunk_ranges(total: int, parts: int) -> list[tuple[int, int]]:
-    parts = max(1, min(parts, total))
-    size = total // parts
-    extra = total % parts
-    ranges, lo = [], 0
-    for i in range(parts):
-        hi = lo + size + (1 if i < extra else 0)
-        ranges.append((lo, hi))
-        lo = hi
-    return ranges
 
 
 # the worker pool of this process and its worker count, kept across calls;
@@ -390,7 +383,8 @@ def _sweep(tasks, replications: int, threads: int):
         problems += _int_problems(0, 64, seed=task[1])
     if problems:
         raise ValidationError("; ".join(problems))
-    ranges = _chunk_ranges(replications, 1 if threads == 1 else -(-threads * 4 // len(tasks)))
+    parts = 1 if threads == 1 else min(-(-threads * 4 // len(tasks)), replications)
+    ranges = [(replications * i // parts, replications * (i + 1) // parts) for i in range(parts)]
     jobs = [
         (params, seed, lo, hi, collect, inside)
         for params, seed, collect, inside in tasks

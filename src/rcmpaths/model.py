@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _int_problems, _real_problems
 
 RAYLEIGH = "rayleigh"
 HARD_DISK = "hard_disk"
@@ -92,21 +92,21 @@ class ConnectionSpec:
         if self.kind not in _KINDS:
             raise ValidationError(f"unknown connection kind {self.kind!r}; expected one of {_KINDS}")
         if self.kind == RAYLEIGH:
-            if not (self.beta > 0 and math.isfinite(self.beta)):
-                raise ValidationError(f"beta must be a positive real, got {self.beta}")
-            if not (self.eta > 0 and math.isfinite(self.eta)):
-                raise ValidationError(f"eta must be a positive real, got {self.eta}")
+            problems = _real_problems(beta=self.beta, eta=self.eta)
         elif self.kind == HARD_DISK:
-            if not (self.r0 > 0 and math.isfinite(self.r0)):
-                raise ValidationError(f"r0 must be a positive real, got {self.r0}")
+            problems = _real_problems(r0=self.r0)
         else:
-            if not self.table:
-                raise ValidationError("tabulated connection requires at least one (distance, probability) knot")
+            knots = self.table if isinstance(self.table, (tuple, list)) else ()
+            if not knots or any(not isinstance(knot, (tuple, list)) or len(knot) != 2 for knot in knots):
+                raise ValidationError("tabulated connection requires a list of (distance, probability) knots")
+            cells = {f"table[{i}][{j}]": v for i, knot in enumerate(knots) for j, v in enumerate(knot)}
+            problems = _real_problems(False, **cells)
+        if problems:
+            raise ValidationError("; ".join(problems))
+        if self.kind == TABULATED:
             table = tuple((float(d), float(p)) for d, p in self.table)
             object.__setattr__(self, "table", table)
             dists = [d for d, _ in table]
-            if any(d < 0 for d in dists):
-                raise ValidationError("table distances must be nonnegative")
             if any(b <= a for a, b in zip(dists, dists[1:])):
                 raise ValidationError("table distances must be strictly increasing")
             if any(not (0.0 <= p <= 1.0) for _, p in table):
@@ -122,7 +122,7 @@ class ConnectionSpec:
 
     @classmethod
     def tabulated(cls, knots) -> "ConnectionSpec":
-        return cls(kind=TABULATED, table=tuple((float(d), float(p)) for d, p in knots))
+        return cls(kind=TABULATED, table=tuple(tuple(knot) for knot in knots))
 
     def _raw(self, r: np.ndarray) -> np.ndarray:
         """Connection probability ignoring the r = 0 rule."""
@@ -201,13 +201,12 @@ class ModelParams:
     margin: float | None = None
 
     def __post_init__(self) -> None:
-        if not (self.rho > 0 and math.isfinite(self.rho)):
-            raise ValidationError(f"rho must be a positive real, got {self.rho}")
-        if not isinstance(self.k, (int, np.integer)) or isinstance(self.k, bool) or self.k < 1:
-            raise ValidationError(f"k must be an integer >= 1, got {self.k!r}")
-        if not (self.anchor_distance >= 0 and math.isfinite(self.anchor_distance)):
-            raise ValidationError(f"anchor_distance must be a nonnegative real, got {self.anchor_distance}")
+        problems = _real_problems(rho=self.rho) + _int_problems(1, k=self.k)
+        problems += _real_problems(False, anchor_distance=self.anchor_distance)
+        if problems:
+            raise ValidationError("; ".join(problems))
         if self.margin is None:
             object.__setattr__(self, "margin", default_margin(self.connection, int(self.k)))
-        if not (self.margin > 0 and math.isfinite(self.margin)):
-            raise ValidationError(f"margin must be a positive real, got {self.margin}")
+        problems = _real_problems(margin=self.margin)
+        if problems:
+            raise ValidationError("; ".join(problems))

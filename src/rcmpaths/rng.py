@@ -23,14 +23,16 @@ Streams (so point draws and edge draws never collide):
   agrees bit-for-bit with a full-matrix realization.
 * subseed stream: derives independent master seeds for sweep grid points.
 
-All integer arithmetic is modulo 2**64 (numpy uint64 wraparound).
+:func:`fold` is the one fold, on Python ints masked to 64 bits.
+:func:`pair_uniforms` takes the fold of an edge-stream prefix from it and
+folds the pair's two indices in numpy uint64, whose arithmetic wraps modulo
+2**64 the same way, so one pair or a million give the same bits.
 """
 from __future__ import annotations
 
 import numpy as np
 
 _U64 = np.uint64
-_INIT = _U64(0x5851F42D4C957F2D)
 _GAMMA = _U64(0x9E3779B97F4A7C15)
 _C1 = _U64(0xBF58476D1CE4E5B9)
 _C2 = _U64(0x94D049BB133111EB)
@@ -58,43 +60,16 @@ def _mix64_int(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _as_u64(value) -> np.ndarray:
-    if isinstance(value, np.ndarray):
-        return value.astype(np.uint64)
-    return _U64(int(value) & _MASK)
-
-
-_INIT_I = int(_INIT)
+_INIT_I = 0x5851F42D4C957F2D
 _GAMMA_I = int(_GAMMA)
 
 
-def _fold_int(seed: int, *fields) -> int:
+def fold(seed: int, *fields) -> int:
+    """Fold ``seed`` and each integer field into a 64-bit hash."""
     h = _mix64_int((seed & _MASK) ^ _INIT_I)
     for f in fields:
         h = _mix64_int(((h + _GAMMA_I) & _MASK) ^ (int(f) & _MASK))
     return h
-
-
-def fold(seed: int, *fields):
-    """Fold ``seed`` and each field into a 64-bit hash.
-
-    Scalar fields give a Python int; array fields broadcast and give a
-    uint64 array.  Both routes compute the identical function.
-    """
-    if not any(isinstance(f, np.ndarray) for f in fields):
-        return _fold_int(seed, *fields)
-    # uint64 arithmetic wraps by design; silence the overflow warnings locally
-    with np.errstate(over="ignore"):
-        h = _mix64(_as_u64(seed) ^ _INIT)
-        for f in fields:
-            h = _mix64((h + _GAMMA) ^ _as_u64(f))
-    return h
-
-
-def _to_unit(h):
-    if isinstance(h, int):
-        return (h >> 11) * 2.0**-53
-    return (h >> _U64(11)).astype(np.float64) * 2.0**-53
 
 
 def pair_uniforms(seed: int, replication, i, j):
@@ -106,35 +81,32 @@ def pair_uniforms(seed: int, replication, i, j):
     replications, so a batch of many replications, each contiguous, costs
     little more than one replication of the same size.
     """
-    if not any(isinstance(v, np.ndarray) for v in (replication, i, j)):
-        ii, jj = int(i), int(j)
-        return _to_unit(fold(seed, replication, STREAM_EDGES, min(ii, jj), max(ii, jj)))
     ii = np.asarray(i, dtype=np.uint64)
     jj = np.asarray(j, dtype=np.uint64)
     lo = np.minimum(ii, jj)
     hi = np.maximum(ii, jj)
     if np.ndim(replication) == 0:
-        h = _U64(_fold_int(seed, replication, STREAM_EDGES))
+        h = _U64(fold(seed, replication, STREAM_EDGES))
     else:
         rep, lo, hi = np.broadcast_arrays(np.asarray(replication), lo, hi)
         flat = rep.ravel()
         if flat.size == 0:
             return np.empty(rep.shape)
         starts = np.flatnonzero(np.concatenate(([True], flat[1:] != flat[:-1])))
-        prefix = [_fold_int(seed, r, STREAM_EDGES) for r in flat[starts].tolist()]
+        prefix = [fold(seed, r, STREAM_EDGES) for r in flat[starts].tolist()]
         runs = np.diff(np.append(starts, flat.size))
         h = np.repeat(np.array(prefix, dtype=np.uint64), runs).reshape(rep.shape)
     with np.errstate(over="ignore"):
         h = _mix64((h + _GAMMA) ^ lo)
         h = _mix64((h + _GAMMA) ^ hi)
-    return _to_unit(h)
+    return (h >> _U64(11)).astype(np.float64) * 2.0**-53
 
 
 def points_key(seed: int, replication: int) -> tuple[int, int]:
     """128-bit Philox key for the point draws of one replication: the words
     ``fold(seed, replication, STREAM_POINTS, w)`` for w = 0, 1, sharing the
     fold of their prefix."""
-    h = (_fold_int(seed, replication, STREAM_POINTS) + _GAMMA_I) & _MASK
+    h = (fold(seed, replication, STREAM_POINTS) + _GAMMA_I) & _MASK
     return _mix64_int(h), _mix64_int(h ^ 1)
 
 
@@ -148,4 +120,4 @@ def points_generator(seed: int, replication: int) -> np.random.Generator:
 
 def derive_subseed(seed: int, index: int) -> int:
     """Independent master seed for sweep grid point ``index``."""
-    return int(fold(seed, index, STREAM_SUBSEED))
+    return fold(seed, index, STREAM_SUBSEED)

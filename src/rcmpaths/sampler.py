@@ -106,12 +106,19 @@ def sample_conditioned_ppp(params: ModelParams, seed: int, replication: int) -> 
 
 
 def connection_probabilities(spec: ConnectionSpec, sq_dists: np.ndarray) -> np.ndarray:
-    """Link probabilities from squared distances.
-
-    Shared by the full-matrix realization and the lazy per-pair path so both
-    produce bit-identical edge decisions.
-    """
+    """Link probabilities from squared distances."""
     return spec.evaluate(np.sqrt(sq_dists))
+
+
+def draw_edges(spec: ConnectionSpec, seed: int, replication, i, j, sq_dists) -> np.ndarray:
+    """Whether each vertex pair ``{i, j}`` of ``replication`` is an edge: its
+    pair-keyed uniform lies below H at the pair's squared distance.
+
+    Every edge, drawn lazily by the sweep counter or all at once by
+    :func:`realize_graph`, is decided here, so both agree bit for bit.
+    ``replication``, ``i``, ``j`` and ``sq_dists`` broadcast together.
+    """
+    return pair_uniforms(seed, replication, i, j) < connection_probabilities(spec, sq_dists)
 
 
 def realize_graph(
@@ -120,11 +127,12 @@ def realize_graph(
     seed: int,
     replication: int,
 ) -> GraphRealization:
-    """Draw every pairwise edge of the realization.
-
-    Each unordered pair {i, j} gets an edge independently with probability
-    H(distance), decided by the pair-keyed uniform stream.
-    """
+    """Draw every pairwise edge of the realization with :func:`draw_edges`.
+    Seeds and replication indices outside [0, 2**64) raise
+    ``ValidationError``."""
+    problems = _int_problems(0, 64, seed=seed, replication=replication)
+    if problems:
+        raise ValidationError("; ".join(problems))
     points = np.asarray(points, dtype=float)
     if len(points) < 2:
         raise ValidationError("need the two anchors at indices 0 and 1")
@@ -132,8 +140,7 @@ def realize_graph(
     iu, ju = np.triu_indices(n, k=1)
     dx = points[iu, 0] - points[ju, 0]
     dy = points[iu, 1] - points[ju, 1]
-    probs = connection_probabilities(spec, dx * dx + dy * dy)
-    hit = pair_uniforms(seed, replication, iu, ju) < probs
+    hit = draw_edges(spec, seed, replication, iu, ju, dx * dx + dy * dy)
     adjacency = np.zeros((n, n), dtype=bool)
     adjacency[iu[hit], ju[hit]] = True
     adjacency |= adjacency.T
@@ -141,10 +148,6 @@ def realize_graph(
 
 
 def sample_realization(params: ModelParams, seed: int, replication: int) -> GraphRealization:
-    """Convenience: sample points and realize the graph in one call.  Seeds
-    and replication indices outside [0, 2**64) raise ``ValidationError``."""
-    problems = _int_problems(0, 64, seed=seed, replication=replication)
-    if problems:
-        raise ValidationError("; ".join(problems))
+    """Convenience: sample points and realize the graph in one call."""
     pts = sample_conditioned_ppp(params, seed, replication)
     return realize_graph(pts, params.connection, seed, replication)

@@ -53,6 +53,18 @@ def tiny_config(tmp_path, **overrides):
     return ExperimentConfig(**base)
 
 
+def _assert_refused(tmp_path, capsys, d, problem):
+    """``config_from_dict`` refuses ``d`` naming ``problem``, and ``rcmpaths
+    run`` on it exits 2 saying so."""
+    with pytest.raises(ValidationError) as err:
+        config_from_dict(d)
+    assert problem in str(err.value)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d))
+    assert cli_main(["run", str(path)]) == 2
+    assert problem in capsys.readouterr().err
+
+
 class TestConfig:
     def test_validation_lists_fields(self):
         with pytest.raises(ValidationError, match="replications"):
@@ -147,13 +159,41 @@ class TestConfig:
     def test_rejects_unknown_grid_point_keys(self, tmp_path, capsys, point, problem):
         d = config_to_dict(tiny_config(tmp_path))
         d["params_grid"][0].update(point)
-        with pytest.raises(ValidationError) as err:
-            config_from_dict(d)
-        assert problem in str(err.value)
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(d))
-        assert cli_main(["run", str(path)]) == 2
-        assert problem in capsys.readouterr().err
+        _assert_refused(tmp_path, capsys, d, problem)
+
+    @pytest.mark.parametrize(
+        "point, problem",
+        [
+            ({"rho": True}, "rho: must be a positive real, got True"),
+            ({"anchor_distance": True}, "anchor_distance: must be a nonnegative real, got True"),
+            ({"margin": True}, "margin: must be a positive real, got True"),
+            ({"connection": {"kind": "rayleigh", "beta": True}}, "beta: must be a positive real, got True"),
+            (
+                {"connection": {"kind": "tabulated", "table": [["0.5", "1"], [1.0, 0.5]]}},
+                "table[0][0]: must be a nonnegative real, got '0.5'; "
+                "table[0][1]: must be a nonnegative real, got '1'",
+            ),
+            ({"connection": {"kind": "hard_disk", "r0": "1"}}, "r0: must be a positive real, got '1'"),
+            ({"connection": "x"}, "connection: expected a JSON object, got 'x'"),
+            ("abc", "expected a JSON object, got 'abc'"),
+        ],
+        ids=[
+            "rho-true",
+            "anchor-true",
+            "margin-true",
+            "beta-true",
+            "table-strings",
+            "r0-string",
+            "connection-string",
+            "point-string",
+        ],
+    )
+    def test_rejects_non_numbers_and_non_objects(self, tmp_path, capsys, point, problem):
+        # Python would compare or convert each of these; the config must not
+        d = config_to_dict(tiny_config(tmp_path))
+        grid = d["params_grid"]
+        grid[0] = point if isinstance(point, str) else {**grid[0], **point}
+        _assert_refused(tmp_path, capsys, d, "params_grid[0]: " + problem)
 
     def test_rejects_non_object(self):
         with pytest.raises(ValidationError, match="JSON object"):
@@ -321,6 +361,11 @@ class TestEngineEquivalence:
             sample_realization(params, value, 4)
         with pytest.raises(ValidationError, match=problem("replication")):
             sample_realization(params, 4, value)
+        pts = sample_conditioned_ppp(params, 4, 0)
+        with pytest.raises(ValidationError, match=problem("seed")):
+            realize_graph(pts, RAY1, value, 0)
+        with pytest.raises(ValidationError, match=problem("replication")):
+            realize_graph(pts, RAY1, 5, value)
 
     def test_threads_do_not_change_results(self):
         params = ModelParams(rho=1.0, connection=RAY1, anchor_distance=1.0, k=3)
@@ -684,6 +729,19 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "tiny_margin.csv").exists()
         assert (tmp_path / "tiny_margin.json").exists()
+
+    @pytest.mark.parametrize(
+        "sources", [["--config", "CONFIG", "--preset", "fig-existence"], []], ids=["both", "neither"]
+    )
+    def test_validate_margin_takes_one_source(self, tmp_path, capsys, sources):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(config_to_dict(tiny_config(tmp_path / "out"))))
+        sources = [str(config) if a == "CONFIG" else a for a in sources]
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["validate-margin", *sources, "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "--config" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "argv, problem",

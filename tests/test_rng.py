@@ -16,15 +16,6 @@ u64s = st.integers(min_value=0, max_value=(1 << 64) - 1)
 small_ints = st.integers(min_value=0, max_value=1 << 20)
 
 
-@given(seed=u64s, rep=small_ints, a=small_ints, b=small_ints)
-@settings(max_examples=200)
-def test_scalar_fold_matches_array_fold(seed, rep, a, b):
-    vi = fold(seed, rep, 2, a, b)
-    vn = fold(seed, rep, 2, np.array([a], dtype=np.uint64), np.array([b], dtype=np.uint64))
-    assert isinstance(vi, int)
-    assert vi == int(vn[0])
-
-
 def test_pair_uniforms_symmetric():
     assert pair_uniforms(7, 3, 4, 9) == pair_uniforms(7, 3, 9, 4)
     i = np.array([2, 5, 8])
