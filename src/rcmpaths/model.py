@@ -203,10 +203,9 @@ class ModelParams:
     def __post_init__(self) -> None:
         problems = _real_problems(rho=self.rho) + _int_problems(1, k=self.k)
         problems += _real_problems(False, anchor_distance=self.anchor_distance)
-        if problems:
-            raise ValidationError("; ".join(problems))
-        if self.margin is None:
+        if self.margin is None and not problems:
             object.__setattr__(self, "margin", default_margin(self.connection, int(self.k)))
-        problems = _real_problems(margin=self.margin)
+        if self.margin is not None:
+            problems += _real_problems(margin=self.margin)
         if problems:
             raise ValidationError("; ".join(problems))
