@@ -24,9 +24,9 @@ Streams (so point draws and edge draws never collide):
 * subseed stream: derives independent master seeds for sweep grid points.
 
 :func:`fold` is the one fold, on Python ints masked to 64 bits.
-:func:`pair_uniforms` takes the fold of an edge-stream prefix from it and
-folds the pair's two indices in numpy uint64, whose arithmetic wraps modulo
-2**64 the same way, so one pair or a million give the same bits.
+:func:`pair_uniforms` folds the edge-stream prefixes of many replications,
+and then the pairs' two indices, in numpy uint64, whose arithmetic wraps
+modulo 2**64 the same way, so one pair or a million give the same bits.
 """
 from __future__ import annotations
 
@@ -72,14 +72,24 @@ def fold(seed: int, *fields) -> int:
     return h
 
 
+def _edge_prefixes(seed: int, replications: np.ndarray) -> np.ndarray:
+    """``fold(seed, r, STREAM_EDGES)`` for every r of an integer array, in
+    one uint64 pass per field."""
+    h = _U64((fold(seed) + _GAMMA_I) & _MASK)
+    with np.errstate(over="ignore"):
+        h = _mix64(h ^ replications.astype(np.uint64))
+        return _mix64((h + _GAMMA) ^ _U64(STREAM_EDGES))
+
+
 def pair_uniforms(seed: int, replication, i, j):
     """Uniform(0, 1) variates keyed by the sorted vertex pair ``{i, j}``.
 
     ``replication``, ``i`` and ``j`` may be scalars or broadcastable integer
     arrays; the result is symmetric in (i, j).  The (seed, replication,
     stream) prefix of the fold is computed once per run of equal consecutive
-    replications, so a batch of many replications, each contiguous, costs
-    little more than one replication of the same size.
+    replications, all runs in one array pass, so a batch of many
+    replications, each contiguous, costs little more than one replication of
+    the same size.
     """
     ii = np.asarray(i, dtype=np.uint64)
     jj = np.asarray(j, dtype=np.uint64)
@@ -93,9 +103,8 @@ def pair_uniforms(seed: int, replication, i, j):
         if flat.size == 0:
             return np.empty(rep.shape)
         starts = np.flatnonzero(np.concatenate(([True], flat[1:] != flat[:-1])))
-        prefix = [fold(seed, r, STREAM_EDGES) for r in flat[starts].tolist()]
         runs = np.diff(np.append(starts, flat.size))
-        h = np.repeat(np.array(prefix, dtype=np.uint64), runs).reshape(rep.shape)
+        h = np.repeat(_edge_prefixes(seed, flat[starts]), runs).reshape(rep.shape)
     with np.errstate(over="ignore"):
         h = _mix64((h + _GAMMA) ^ lo)
         h = _mix64((h + _GAMMA) ^ hi)

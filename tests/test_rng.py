@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rcmpaths.rng import (
+    STREAM_EDGES,
     STREAM_POINTS,
     derive_subseed,
     fold,
@@ -97,3 +98,15 @@ def test_pair_uniforms_replication_array_matches_scalars():
         assert u[t] == pair_uniforms(11, int(reps[t]), int(i[t]), int(j[t]))
     empty = np.array([], dtype=np.int64)
     assert pair_uniforms(11, empty, empty, empty).shape == (0,)
+
+
+@given(seed=u64s, reps=st.lists(u64s, min_size=1, max_size=8))
+@settings(max_examples=200)
+def test_pair_uniforms_prefixes_equal_fold(seed, reps):
+    # the array pass over the replications' edge-stream prefixes must give
+    # the bits of the Python-int fold, replications above 2**63 included
+    reps = sorted(reps) + [(1 << 63) + 1, (1 << 64) - 1]
+    u = pair_uniforms(seed, np.array(reps, dtype=np.uint64), 2, 5)
+    for t, rep in enumerate(reps):
+        h = fold(seed, rep, STREAM_EDGES, 2, 5)
+        assert u[t] == (h >> 11) * 2.0**-53
