@@ -2,6 +2,7 @@
 
 Subcommands:
   sample           realize one graph and dump points, edges, and paths as JSON
+                   (for k <= 3 the points are the anchors' neighbours)
   run              run an experiment from a JSON config file
   preset           run a named built-in experiment
   validate-margin  truncation-bias check for a preset or config file
@@ -53,15 +54,16 @@ def _cmd_sample(args) -> int:
     )
     g = sample_realization(params, args.seed, args.replication)
     paths = _path_rows(g, args.k).tolist()
-    region = region_for(params)
+    # k <= 3 draws the anchors' neighbours in the whole plane, with no box
+    region = None
+    if args.k >= 4:
+        box = region_for(params)
+        region = {"min": [box.min_corner.x, box.min_corner.y], "max": [box.max_corner.x, box.max_corner.y]}
     payload = {
         "params": params_to_dict(params),
         "seed": args.seed,
         "replication": args.replication,
-        "region": {
-            "min": [region.min_corner.x, region.min_corner.y],
-            "max": [region.max_corner.x, region.max_corner.y],
-        },
+        "region": region,
         "points": g.points.tolist(),
         "edges": g.edges().tolist(),
         "k": args.k,

@@ -6,20 +6,26 @@ of (grid seed, replication index).  Replications are embarrassingly parallel;
 results are always assembled in replication order, so output files are
 byte-identical regardless of worker count.
 
-The counter works on blocks of replications of one grid point.  It draws
-each replication's points from its own Philox stream, concatenates them, and
-makes one vectorised pass per block that hashes only the pair draws a path
-can use (see :func:`_block_paths`); the half-path joins that list the paths
-are those of :mod:`rcmpaths.paths`, which also count the paths of a realized
-graph.  It reduces counts per replication, and pair classes by counting
-identities.  A block grows until it holds ``_BLOCK_POINTS`` points, and a
-join draws at most about ``rcmpaths.paths._JOIN_PAIRS`` pairs at once, which
-bounds memory.  Margin validation uses the same counter, with a mask of the
-points inside the base rectangle.  Every edge is decided by
-:func:`rcmpaths.sampler.draw_edges` from a draw keyed by the vertex pair, so
-the lazy counter agrees bit-for-bit with realizing the full adjacency
-matrix.  How replications fall into blocks or workers never changes a
-result: the reports are byte-identical to one replication at a time.  With
+The counter works on blocks of replications of one grid point.  Only the
+keyed draws run once per replication, each from the replication's own
+Philox stream: for k <= 3 the anchors' neighbourhoods
+(:func:`rcmpaths.sampler.neighbour_draws`), for k >= 4 the points of a box
+around the anchors; k = 1 draws no points.  Everything else is one
+vectorised pass per block: for k <= 3 placing and thinning the neighbours
+and reading their anchor edges off their marks, then hashing only the pair
+draws a path can use (see :func:`_block_paths`).  The half-path joins that
+list the paths are those of :mod:`rcmpaths.paths`, which also count the
+paths of a realized graph.  It reduces counts per replication, and pair
+classes by counting identities.  A block holds about ``_BLOCK_POINTS``
+points, and a join draws at most about ``rcmpaths.paths._JOIN_PAIRS`` pairs
+at once, which bounds memory.  Margin validation uses the same counter,
+with a mask of the points inside the base rectangle (k >= 4; k <= 3 has no
+box).  Every edge between non-anchor points is decided by
+:func:`rcmpaths.sampler.draw_edges` from a draw keyed by the vertex pair,
+so the lazy counter finds exactly the paths of
+:func:`rcmpaths.sampler.sample_realization`.  How replications fall into
+blocks or workers never changes a result: the reports are byte-identical to
+one replication at a time.  With
 ``threads`` > 1 the replication ranges go through one worker pool per
 process: it starts on the first such call and serves every later call with
 the same worker count, so repeated calls pay for it once.
@@ -64,7 +70,14 @@ from .moments import (
 )
 from .paths import PairStructureCounts, classify_path_pair_segments, khop_intermediates
 from .rng import derive_subseed
-from .sampler import draw_edges, region_for, sample_conditioned_ppp
+from .sampler import (
+    anchor_neighbours,
+    cloud_mass,
+    draw_edges,
+    neighbour_draws,
+    region_for,
+    sample_conditioned_ppp,
+)
 
 PAIR_CLASSES = tuple(f.name for f in fields(PairStructureCounts))
 DEFAULT_BRACKET_ORDERS = (3, 4, 5, 80)
@@ -236,96 +249,118 @@ def load_config(path: str) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-# A block of replications is drawn until it holds this many points; the
-# block's arrays, and so the counter's working memory, grow with it.
+# A block of replications holds about this many points (k >= 4) or neighbour
+# proposals (k <= 3) on average; the block's arrays, and so the counter's
+# working memory, grow with it.
 _BLOCK_POINTS = 1 << 16
 
 
-def _block_paths(params: ModelParams, seed: int, first: int, pts: list[np.ndarray]):
+def _replication_draws(params: ModelParams, seed: int, reps) -> list:
+    """The keyed draws of replications ``reps`` of one grid point: the anchor
+    neighbourhoods of :func:`rcmpaths.sampler.neighbour_draws` for k <= 3, the
+    box points of :func:`rcmpaths.sampler.sample_conditioned_ppp` for k >= 4.
+    k = 1 draws nothing: its count is the anchors' own edge."""
+    k = int(params.k)
+    if k == 1:
+        return [None] * len(reps)
+    draw = neighbour_draws if k <= 3 else sample_conditioned_ppp
+    return [draw(params, seed, rep) for rep in reps]
+
+
+def _block_paths(params: ModelParams, seed: int, first: int, draws: list):
     """Every k-hop path of a block of replications of one grid point.
 
-    ``pts[b]`` is the point set of replication ``first + b``.  Returns
-    ``(xy, seg, inter)``: the concatenated non-anchor points, the block
-    position of each path's replication (non-decreasing), and k - 1 arrays
-    holding the paths' intermediate vertices as rows of ``xy``, in order from
-    anchor 0.  The paths are the half-path joins of
+    ``draws[b]`` holds the :func:`_replication_draws` of replication
+    ``first + b``.  Returns ``(xy, seg, inter)``: the concatenated non-anchor
+    points, the block position of each path's replication (non-decreasing),
+    and k - 1 arrays holding the paths' intermediate vertices as rows of
+    ``xy``, in order from anchor 0.  The paths are the half-path joins of
     :func:`rcmpaths.paths.khop_intermediates`, and the edges they read are
-    drawn here.  Only the pair draws a path can use are made: the two
-    anchor rows, each half-path's last vertex with the other points of its
-    replication (k >= 4), and the joining pairs.  Each is decided by
-    :func:`rcmpaths.sampler.draw_edges`, as every edge of
-    :func:`rcmpaths.sampler.realize_graph` is, so the paths are exactly
-    those of each replication's full realization.
+    drawn here.  Only the pair draws a path can use are made.  For k <= 3 the
+    points are the anchors' neighbours, whose anchor edges come with them
+    from :func:`rcmpaths.sampler.anchor_neighbours`; for k >= 4 the two
+    anchor rows and each half-path's last vertex with the other points of
+    its replication are drawn.  The joining pairs are drawn for every k.
+    Each pair is decided by :func:`rcmpaths.sampler.draw_edges`, as in
+    :func:`rcmpaths.sampler.sample_realization`, so the paths are exactly
+    those of each replication's realization.
     """
-    spec, k = params.connection, int(params.k)
-    reps = np.arange(first, first + len(pts))
-    # every replication has its anchors where the first one has them, and
-    # both on the x axis (y0 == y1)
-    (x0, y0), (x1, y1) = pts[0][0], pts[0][1]
+    spec, k, r = params.connection, int(params.k), params.anchor_distance
+    reps = np.arange(first, first + len(draws))
     if k == 1:
-        dx, dy = x0 - x1, y0 - y1
-        hit = draw_edges(spec, seed, reps, 0, 1, np.float64(dx * dx + dy * dy))
+        hit = draw_edges(spec, seed, reps, 0, 1, np.float64(r * r))
         return np.empty((0, 2)), np.flatnonzero(hit), ()
-    # a k-hop path needs k - 1 points besides the anchors
-    others = [p[2:] if len(p) > k else p[:0] for p in pts]
-    sizes = np.array([len(o) for o in others])
-    xy = np.concatenate(others)
-    seg_of = np.repeat(np.arange(len(pts)), sizes)
+    if k <= 3:
+        xy, sizes, near = anchor_neighbours(params, draws)
+    else:
+        # a k-hop path needs k - 1 points besides the anchors
+        others = [p[2:] if len(p) > k else p[:0] for p in draws]
+        sizes = np.array([len(o) for o in others])
+        xy = np.concatenate(others)
+    seg_of = np.repeat(np.arange(len(draws)), sizes)
     rep_of = reps[seg_of]
     # vertex index within its replication: anchors are 0 and 1
     local = np.arange(2, len(xy) + 2) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    x, y = xy[:, 0], xy[:, 1]
-    yy = (y - y0) * (y - y0)
-    near = [
-        draw_edges(spec, seed, rep_of, anchor, local, (x - ax) * (x - ax) + yy)
-        for anchor, ax in ((0, x0), (1, x1))
-    ]
+    if k >= 4:
+        # the anchors sit at (0, 0) and (r, 0)
+        x, y = xy[:, 0], xy[:, 1]
+        yy = y * y
+        near = [
+            draw_edges(spec, seed, rep_of, anchor, local, (x - ax) * (x - ax) + yy)
+            for anchor, ax in ((0, 0.0), (1, r))
+        ]
 
     def linked(u, v):
         d = xy[u] - xy[v]
         return draw_edges(spec, seed, rep_of[u], local[u], local[v], d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
 
-    inter = khop_intermediates(k, near, linked, seg_of, len(pts))
+    inter = khop_intermediates(k, near, linked, seg_of, len(draws))
     return xy, seg_of[inter[0]], inter
 
 
-def _count_block(params, seed, first, pts, collect_pairs, inside):
+def _count_block(params, seed, first, draws, collect_pairs, inside):
     """Path counts of a block of replications, plus the pair classes when
     ``collect_pairs`` (k = 3) and, when ``inside`` is a Region, the counts of
     the paths whose intermediates all lie in it (else None)."""
-    xy, seg, inter = _block_paths(params, seed, first, pts)
-    counts = np.bincount(seg, minlength=len(pts))
-    classes = classify_path_pair_segments(*inter, seg, len(pts)) if collect_pairs else None
+    xy, seg, inter = _block_paths(params, seed, first, draws)
+    counts = np.bincount(seg, minlength=len(draws))
+    classes = classify_path_pair_segments(*inter, seg, len(draws)) if collect_pairs else None
     kept_counts = None
     if inside is not None:
         keep = np.ones(len(seg), dtype=bool)
         for z in inter:
             keep &= inside.contains(xy[z, 0], xy[z, 1])
-        kept_counts = np.bincount(seg[keep], minlength=len(pts))
+        kept_counts = np.bincount(seg[keep], minlength=len(draws))
     return counts, classes, kept_counts
+
+
+def _block_replications(params: ModelParams) -> int:
+    """Replications per block: about ``_BLOCK_POINTS`` points or proposals
+    drawn in all."""
+    k = int(params.k)
+    if k == 1:
+        return _BLOCK_POINTS
+    per_rep = 2.0 * cloud_mass(params) if k <= 3 else params.rho * region_for(params).area
+    return max(1, int(_BLOCK_POINTS // (per_rep + 2.0)))
 
 
 def _count_range(job):
     """:func:`_count_block` over replications ``lo`` .. ``hi - 1`` of one grid
-    point, drawn in blocks of about ``_BLOCK_POINTS`` points.  A failure is
+    point, drawn in blocks of :func:`_block_replications`.  A failure is
     re-raised as a :class:`ReplicationError` naming the grid point, its seed
     and the failing block's replications."""
     params, seed, lo, hi, collect_pairs, inside = job
-    # k = 1 uses only the anchors, which every replication has at the same place
-    anchors = np.array([[0.0, 0.0], [params.anchor_distance, 0.0]]) if int(params.k) == 1 else None
     parts = []
-    first = rep = lo
+    first, last = lo, hi
     try:
-        while rep < hi:
-            first, pts, drawn = rep, [], 0
-            while rep < hi and drawn < _BLOCK_POINTS:
-                rep += 1
-                pts.append(sample_conditioned_ppp(params, seed, rep - 1) if anchors is None else anchors)
-                drawn += len(pts[-1])
-            parts.append(_count_block(params, seed, first, pts, collect_pairs, inside))
+        step = _block_replications(params)
+        for first in range(lo, hi, step):
+            last = min(first + step, hi)
+            draws = _replication_draws(params, seed, range(first, last))
+            parts.append(_count_block(params, seed, first, draws, collect_pairs, inside))
     except Exception as exc:
         raise ReplicationError(
-            f"{params} (grid seed {seed}) failed in replications {first}..{rep - 1}: {exc!r}"
+            f"{params} (grid seed {seed}) failed in replications {first}..{last - 1}: {exc!r}"
         ) from exc
     return _concat(parts)
 
@@ -771,7 +806,9 @@ class MarginCheck:
     base-margin statistic is computed from its restriction to the base
     rectangle (a Poisson process restricted to a subregion is again a Poisson
     process, and edges are unchanged).  The shift is therefore a paired
-    difference: exactly zero whenever no path uses an outer point.
+    difference: exactly zero whenever no path uses an outer point.  k <= 3
+    draws the anchors' neighbours in the whole plane, with no box, so its
+    shift is exactly zero.
     """
 
     grid_index: int
@@ -798,13 +835,15 @@ def validate_margin(
         replications = max(1000, config.replications // 10)
     seeds = [derive_subseed(config.seed, i) for i in range(len(config.params_grid))]
     tasks = [
-        (replace(params, margin=2.0 * params.margin), seed, False, region_for(params))
+        (replace(params, margin=2.0 * params.margin), seed, False, region_for(params) if params.k >= 4 else None)
         for params, seed in zip(config.params_grid, seeds)
     ]
     checks = []
     for grid_index, (params, seed, (big, _, small)) in enumerate(
         zip(config.params_grid, seeds, _sweep(tasks, replications, threads))
     ):
+        # k <= 3 has no box for the margin to truncate
+        small = big if small is None else small
         delta = (big - small).astype(float)
         shift = float(delta.mean())
         shift_se = _mean_se(delta)

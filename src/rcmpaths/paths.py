@@ -23,8 +23,10 @@ from .errors import ValidationError
 from .sampler import GraphRealization
 
 # The most pairs one join draws at once: half-paths multiply with every hop,
-# so for k >= 4 this, not the number of points, bounds the memory.
-_JOIN_PAIRS = 1 << 19
+# and a k = 3 block joins every anchor-0 neighbour with every anchor-1
+# neighbour of its replication, so this, not the number of points, bounds
+# the memory (about 160 bytes a pair).
+_JOIN_PAIRS = 1 << 18
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,35 @@
-"""Conditioned Poisson sampling and graph realization.
+"""Poisson sampling and graph realization.
 
 The two anchors are always placed at (0, 0) and (anchor_distance, 0); the
-model is isotropic, so fixing the axis loses no generality.  The sampling
-rectangle is the anchors' bounding box expanded by the margin on every side.
+model is isotropic, so fixing the axis loses no generality.
+
+Two samplers draw a replication's points, each from the replication's own
+Philox stream:
+
+* k <= 3 draws only the anchors' neighbours, in the whole plane, with no
+  box.  A path of at most three hops passes only through points adjacent to
+  an anchor.  Cloud 0 is a Poisson process of intensity rho * H(|z - x|),
+  the points adjacent to anchor x, each marked with its edge to anchor y.
+  Cloud 1 is a Poisson process of intensity rho * H(|z - y|), kept where its
+  mark says the point is *not* adjacent to x.  Together they have the exact
+  law of the points adjacent to {x, y}, with their anchor edges (see
+  :func:`neighbour_draws` and :func:`anchor_neighbours`).
+* k >= 4 draws a Poisson process on the anchors' bounding box grown by the
+  margin on every side (:func:`sample_conditioned_ppp`).
+
+Every other edge, between two non-anchor points or between the anchors, is
+decided by :func:`draw_edges` from a uniform keyed by the vertex pair.
 """
 from __future__ import annotations
 
+import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ValidationError, _int_problems
-from .model import ConnectionSpec, ModelParams, Point, Region
+from .model import RAYLEIGH, ConnectionSpec, ModelParams, Point, Region
 from .rng import pair_uniforms, points_key
 
 _local = threading.local()
@@ -25,7 +42,7 @@ def _fast_points_rng(seed: int, replication: int) -> np.random.Generator:
     Philox instance and its generator per thread (construction dominates at
     high replication counts).  The generator is reset on the next call on the
     same thread, so it must be consumed before then; it never escapes
-    :func:`sample_conditioned_ppp`.
+    :func:`sample_conditioned_ppp` or :func:`neighbour_draws`.
     """
     rng = getattr(_local, "rng", None)
     if rng is None:
@@ -79,14 +96,15 @@ class GraphRealization:
 
 
 def region_for(params: ModelParams) -> Region:
-    """Sampling rectangle: anchor bounding box grown by the margin."""
+    """Sampling rectangle of k >= 4: anchor bounding box grown by the margin."""
     m = params.margin
     r = params.anchor_distance
     return Region(Point(-m, -m), Point(r + m, m))
 
 
 def sample_conditioned_ppp(params: ModelParams, seed: int, replication: int) -> np.ndarray:
-    """Sample the conditioned point set for one replication.
+    """Sample the conditioned point set for one replication (the k >= 4
+    sampler).
 
     Returns an (N + 2, 2) array: the anchors at (0, 0) and
     (anchor_distance, 0) followed by N ~ Poisson(rho * area) points placed
@@ -103,6 +121,81 @@ def sample_conditioned_ppp(params: ModelParams, seed: int, replication: int) -> 
     pts[2:, 0] = region.min_corner.x + u[:, 0] * region.width
     pts[2:, 1] = region.min_corner.y + u[:, 1] * region.height
     return pts
+
+
+def cloud_mass(params: ModelParams) -> float:
+    """Mean number of proposals of one anchor's cloud.
+
+    Rayleigh: rho times the integral of H over the plane,
+    2 pi rho Gamma(2/eta) / (eta beta**(2/eta)); every proposal is a point.
+    Hard disk and tabulated: rho pi reach**2, the mean number of points in
+    the support disk, before they are thinned by H.
+    """
+    spec = params.connection
+    if spec.kind == RAYLEIGH:
+        shape = 2.0 / spec.eta
+        return 2.0 * math.pi * params.rho * math.gamma(shape) / (spec.eta * spec.beta**shape)
+    return math.pi * params.rho * spec.reach**2
+
+
+def neighbour_draws(params: ModelParams, seed: int, replication: int):
+    """The keyed draws of one replication's anchor neighbourhoods (k <= 3).
+
+    From the replication's Philox stream, in this order: the proposal counts
+    n0 and n1 of clouds 0 and 1, both Poisson with mean :func:`cloud_mass`;
+    then one radial variate per proposal, a Gamma(2/eta) variate G for
+    Rayleigh (the distance is (G/beta)**(1/eta)) and a uniform U for the
+    other kinds (the distance is reach * sqrt(U)); then, per proposal, a
+    uniform angle, a uniform mark and, unless Rayleigh, a uniform that
+    accepts it with probability H of its distance.  Returns ``(n0, v)``,
+    ``v`` of shape (3 or 4, n0 + n1) holding those variates by row, cloud 0's
+    proposals first.  :func:`anchor_neighbours` turns a block of these into
+    points; that part needs no random draw and runs once per block.
+    """
+    spec = params.connection
+    rng = _fast_points_rng(seed, replication)
+    n0, n1 = rng.poisson(cloud_mass(params), 2).tolist()
+    if spec.kind != RAYLEIGH:
+        return n0, rng.random((4, n0 + n1))
+    v = np.empty((3, n0 + n1))
+    rng.standard_gamma(2.0 / spec.eta, out=v[0])
+    rng.random(out=v[1:])
+    return n0, v
+
+
+def anchor_neighbours(params: ModelParams, draws: list):
+    """The anchors' neighbours of a block of replications, from their
+    :func:`neighbour_draws`.
+
+    Returns ``(xy, sizes, near)``: the kept points of every replication in
+    turn, ``sizes[b]`` of them for replication b, in draw order (so they are
+    numbered 2, 3, ... within their replication), and two boolean arrays
+    over the points, their edges to anchor 0 and to anchor 1.  A cloud-0
+    point is adjacent to anchor 0 and its mark, a uniform below H of its
+    distance to anchor 1, makes the edge to anchor 1.  A cloud-1 point is
+    adjacent to anchor 1 and is kept when its mark, against H of its
+    distance to anchor 0, says it is not adjacent to anchor 0.
+    """
+    spec, r = params.connection, params.anchor_distance
+    v = np.concatenate([d[1] for d in draws], axis=1)
+    n = np.array([d[1].shape[1] for d in draws])
+    n0 = np.array([d[0] for d in draws])
+    cloud1 = np.repeat(np.tile([False, True], len(draws)), np.column_stack([n0, n - n0]).ravel())
+    if spec.kind == RAYLEIGH:
+        dist = (v[0] / spec.beta) ** (1.0 / spec.eta)
+        keep = np.ones(v.shape[1], dtype=bool)
+    else:
+        dist = spec.reach * np.sqrt(v[0])
+        keep = v[3] < spec.evaluate(dist)
+    angle = 2.0 * math.pi * v[1]
+    x = np.where(cloud1, r, 0.0) + dist * np.cos(angle)
+    y = dist * np.sin(angle)
+    dx = x - np.where(cloud1, 0.0, r)
+    marked = v[2] < connection_probabilities(spec, dx * dx + y * y)
+    keep &= ~(cloud1 & marked)
+    sizes = np.bincount(np.repeat(np.arange(len(draws)), n)[keep], minlength=len(draws))
+    near = (~cloud1[keep], (cloud1 | marked)[keep])
+    return np.column_stack([x[keep], y[keep]]), sizes, near
 
 
 def connection_probabilities(spec: ConnectionSpec, sq_dists: np.ndarray) -> np.ndarray:
@@ -148,6 +241,22 @@ def realize_graph(
 
 
 def sample_realization(params: ModelParams, seed: int, replication: int) -> GraphRealization:
-    """Convenience: sample points and realize the graph in one call."""
-    pts = sample_conditioned_ppp(params, seed, replication)
-    return realize_graph(pts, params.connection, seed, replication)
+    """Sample one replication's points and realize its graph, with the draws
+    the sweep counter makes for it, so both find the same paths.
+
+    k >= 4: the box points of :func:`sample_conditioned_ppp`, every edge
+    drawn by :func:`realize_graph`.  k <= 3: the anchors' neighbours of
+    :func:`anchor_neighbours`; their edges to the anchors are its marks, and
+    every other edge, the anchors' own included, is drawn by
+    :func:`realize_graph`.
+    """
+    if int(params.k) >= 4:
+        pts = sample_conditioned_ppp(params, seed, replication)
+        return realize_graph(pts, params.connection, seed, replication)
+    xy, _, near = anchor_neighbours(params, [neighbour_draws(params, seed, replication)])
+    anchors = [[0.0, 0.0], [params.anchor_distance, 0.0]]
+    g = realize_graph(np.vstack([anchors, xy]), params.connection, seed, replication)
+    adjacency = g.adjacency.copy()
+    for anchor, row in enumerate(near):
+        adjacency[anchor, 2:] = adjacency[2:, anchor] = row
+    return replace(g, adjacency=adjacency)

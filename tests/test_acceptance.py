@@ -253,7 +253,9 @@ def test_criterion_8_thread_count_determinism(tmp_path):
 
 def test_criterion_9_margin_validation(tmp_path):
     t0 = time.time()
-    grid = tuple(ray_params(rho=rho, r=1.0) for rho in (0.5, 2.0, 5.0))
+    # k <= 3 draws the anchors' neighbours with no box, so its shift is zero
+    # by construction; the k = 4 point checks the default margin of the box
+    grid = tuple(ray_params(rho=rho, r=1.0) for rho in (0.5, 2.0, 5.0)) + (ray_params(rho=1.0, r=1.0, k=4),)
     from rcmpaths.experiments import ExperimentConfig
 
     cfg = ExperimentConfig(
@@ -266,7 +268,7 @@ def test_criterion_9_margin_validation(tmp_path):
     checks = validate_margin(cfg, replications=1000)
     ok = all(not c.flagged for c in checks)
     detail = "; ".join(
-        f"rho={c.params.rho}: shift={c.shift:.3g} se={c.shift_se:.3g} flagged={c.flagged}"
+        f"k={c.params.k} rho={c.params.rho}: shift={c.shift:.3g} se={c.shift_se:.3g} flagged={c.flagged}"
         for c in checks
     )
     _report(9, ok, detail + f"; {time.time()-t0:.1f}s")

@@ -25,6 +25,7 @@ from rcmpaths.experiments import (
     _attach_references,
     _count_block,
     _count_range,
+    _replication_draws,
     config_from_dict,
     config_to_dict,
     load_config,
@@ -216,8 +217,8 @@ class TestConfig:
 def _full_realization_counts(params, seed, rep, inside=None):
     """Count, pair classes and inside-count of one replication from its full
     graph, the DFS and the O(m**2) pair classifier."""
-    pts = sample_conditioned_ppp(params, seed, rep)
-    g = realize_graph(pts, params.connection, seed, rep)
+    g = sample_realization(params, seed, rep)
+    pts = g.points
     k = int(params.k)
     found = list(iter_khop_paths(g, k))
     c = classify_path_pairs_oracle(np.array([p[1:3] for p in found]).reshape(-1, 2)) if k == 3 else None
@@ -270,8 +271,8 @@ class TestEngineEquivalence:
                 ModelParams(rho=rho, connection=spec, anchor_distance=anchor_distance, k=k, margin=margin / 2)
             )
         reps = range(first, first + size)
-        pts = [sample_conditioned_ppp(params, seed, rep) for rep in reps]
-        counts, classes, kept = _count_block(params, seed, first, pts, k == 3, inside)
+        draws = _replication_draws(params, seed, reps)
+        counts, classes, kept = _count_block(params, seed, first, draws, k == 3, inside)
         for b, rep in enumerate(reps):
             count, expected_classes, expected_kept = _full_realization_counts(params, seed, rep, inside)
             assert counts[b] == count
@@ -293,10 +294,9 @@ class TestEngineEquivalence:
     def test_block_counter_dfs_and_oracle_agree(self, spec, k, rho, anchor_distance, margin, seed, rep):
         # at most 12 points besides the anchors, the limit of the permutation oracle
         params = ModelParams(rho=rho, connection=spec, anchor_distance=anchor_distance, k=k, margin=margin)
-        pts = sample_conditioned_ppp(params, seed, rep)
-        assume(len(pts) - 2 <= 12)
-        g = realize_graph(pts, spec, seed, rep)
-        (count,), _, _ = _count_block(params, seed, rep, [pts], False, None)
+        g = sample_realization(params, seed, rep)
+        assume(g.n - 2 <= 12)
+        (count,), _, _ = _count_block(params, seed, rep, _replication_draws(params, seed, [rep]), False, None)
         assert count == count_khop_paths(g, k).count == len(list(iter_khop_paths(g, k)))
         assert count == count_khop_paths_oracle(g, k).count
 
@@ -305,11 +305,11 @@ class TestEngineEquivalence:
         # joins split into runs of a few pairs, most runs cutting through
         # one half-path's pairs, must find the same paths
         params = ModelParams(rho=1.2, connection=RAY1, anchor_distance=1.0, k=k, margin=2.0)
-        pts = [sample_conditioned_ppp(params, 8, rep) for rep in range(5)]
+        draws = _replication_draws(params, 8, range(5))
         inside = region_for(dataclasses.replace(params, margin=1.0))
-        whole = _count_block(params, 8, 0, pts, k == 3, inside)
+        whole = _count_block(params, 8, 0, draws, k == 3, inside)
         monkeypatch.setattr(paths, "_JOIN_PAIRS", 7)
-        runs = _count_block(params, 8, 0, pts, k == 3, inside)
+        runs = _count_block(params, 8, 0, draws, k == 3, inside)
         for expected, got in zip(whole, runs):
             assert (expected is None and got is None) or np.array_equal(expected, got)
         assert whole[0].sum() > 0
@@ -328,8 +328,9 @@ class TestEngineEquivalence:
         assert peak < 256 * 2**20
 
     def test_block_memory_is_bounded(self):
-        # about 2060 points per replication: 2000 replications hold about 66 MB
-        # of coordinates alone, so only drawing in blocks stays under the limit
+        # about 42 neighbour proposals and 440 joining pairs per replication:
+        # the 2000 replications join about 880000 pairs, so only joining in
+        # runs of pairs stays under the limit
         params = ModelParams(rho=2.0, connection=ConnectionSpec.rayleigh(beta=0.3), anchor_distance=1.0, k=3)
         tracemalloc.start()
         try:
@@ -517,14 +518,15 @@ def counted_pools(monkeypatch):
 
 
 def _fail_on_replication_3(monkeypatch):
-    real = experiments.sample_conditioned_ppp
+    # the k = 3 draw
+    real = experiments.neighbour_draws
 
     def draw(params, seed, rep):
         if rep == 3:
             raise FloatingPointError("bad draw")
         return real(params, seed, rep)
 
-    monkeypatch.setattr(experiments, "sample_conditioned_ppp", draw)
+    monkeypatch.setattr(experiments, "neighbour_draws", draw)
 
 
 def _assert_names_replication_3(error):
@@ -627,6 +629,7 @@ class TestWorkerPool:
         pts = [sample_conditioned_ppp(params, 7, rep) for rep in range(50)]
         expected, _, _ = _count_block(params, 7, 0, pts, False, None)
         monkeypatch.setattr(experiments, "sample_conditioned_ppp", None)
+        monkeypatch.setattr(experiments, "neighbour_draws", None)
         counts, _ = run_replications(params, 7, 50)
         assert np.array_equal(counts, expected)
         assert expected.sum() > 0
@@ -634,8 +637,9 @@ class TestWorkerPool:
 
 class TestValidateMargin:
     def test_compact_support_shift_exactly_zero(self, tmp_path):
+        # k >= 4 draws a box: the default margin is the support radius times k
         grid = (
-            ModelParams(rho=1.0, connection=ConnectionSpec.hard_disk(1.0), anchor_distance=1.0, k=3),
+            ModelParams(rho=1.0, connection=ConnectionSpec.hard_disk(1.0), anchor_distance=1.0, k=4),
         )
         cfg = tiny_config(tmp_path, params_grid=grid)
         check = validate_margin(cfg, replications=300)[0]
@@ -648,11 +652,18 @@ class TestValidateMargin:
         assert not check.flagged
 
     def test_broken_margin_flagged(self, tmp_path):
-        grid = (ModelParams(rho=1.0, connection=RAY1, anchor_distance=1.0, k=3, margin=0.5),)
+        # k <= 3 draws the anchors' neighbours in the whole plane: no margin
+        # can truncate it, so its shift is exactly zero
+        grid = (
+            ModelParams(rho=1.0, connection=RAY1, anchor_distance=1.0, k=4, margin=0.5),
+            ModelParams(rho=1.0, connection=RAY1, anchor_distance=1.0, k=3, margin=0.5),
+        )
         cfg = tiny_config(tmp_path, params_grid=grid, replications=500)
-        check = validate_margin(cfg, replications=500)[0]
-        assert check.flagged
-        assert check.doubled_mean > check.base_mean
+        box, plane = validate_margin(cfg, replications=500)
+        assert box.flagged
+        assert box.doubled_mean > box.base_mean
+        assert plane.shift == 0.0 and plane.base_mean == plane.doubled_mean > 0
+        assert not plane.flagged
 
     def test_default_subsample_size(self, tmp_path):
         cfg = tiny_config(tmp_path, replications=50_000)

@@ -3,9 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from conftest import CONNECTIONS
+from rcmpaths.analytics import mean_khop_numeric
+from rcmpaths.experiments import run_replications
 from rcmpaths.model import ConnectionSpec, ModelParams, Point
+from rcmpaths.paths import count_khop_paths, iter_khop_paths
 from rcmpaths.rng import pair_uniforms
 from rcmpaths.sampler import (
+    draw_edges,
     realize_graph,
     region_for,
     sample_conditioned_ppp,
@@ -13,6 +18,8 @@ from rcmpaths.sampler import (
 )
 
 RAY1 = ConnectionSpec.rayleigh(beta=1.0)
+HARD_DISK = ConnectionSpec.hard_disk(1.0)
+TABLE = ConnectionSpec.tabulated([(0.25, 0.9), (1.5, 0.2)])
 
 
 def test_region_construction():
@@ -113,3 +120,60 @@ def test_disjoint_pair_edges_uncorrelated():
     y = pair_uniforms(13, reps, 4, 5) < 0.5
     corr = np.corrcoef(x, y)[0, 1]
     assert abs(corr) < 0.02
+
+
+class TestAnchorNeighbours:
+    """k <= 3 draws only the anchors' neighbours, in the whole plane."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [HARD_DISK, TABLE, ConnectionSpec.rayleigh(beta=0.8), ConnectionSpec.rayleigh(beta=0.7, eta=3.0)],
+        ids=["hard-disk", "tabulated", "eta-2", "eta-3"],
+    )
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_counter_equals_the_dfs_on_the_realization(self, spec, k):
+        params = ModelParams(rho=1.5, connection=spec, anchor_distance=1.0, k=k)
+        counts, _ = run_replications(params, 41, 20)
+        dfs = [len(list(iter_khop_paths(sample_realization(params, 41, rep), k))) for rep in range(20)]
+        assert counts.tolist() == dfs
+        assert sum(dfs) > 0
+
+    @pytest.mark.parametrize("spec", [HARD_DISK, CONNECTIONS[3]], ids=["hard-disk", "tabulated"])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_mean_matches_quadrature_and_box(self, spec, k):
+        params = ModelParams(rho=1.5, connection=spec, anchor_distance=1.2, k=k)
+        counts, _ = run_replications(params, 43, 20_000)
+        se = counts.std(ddof=1) / math.sqrt(len(counts))
+        assert abs(counts.mean() - mean_khop_numeric(params)) < 4 * se
+        # the box sampler, realized in full and counted on the graph
+        box = np.array(
+            [
+                count_khop_paths(realize_graph(sample_conditioned_ppp(params, 44, rep), spec, 44, rep), k).count
+                for rep in range(2000)
+            ]
+        )
+        box_se = box.std(ddof=1) / math.sqrt(len(box))
+        assert abs(counts.mean() - box.mean()) < 4 * math.hypot(se, box_se)
+
+    def test_non_anchor_edges_are_pair_keyed(self):
+        # each edge between non-anchor points is drawn once for the unordered
+        # pair: realizing twice, or reading the pair either way round, gives
+        # the same edge
+        params = ModelParams(rho=2.0, connection=RAY1, anchor_distance=1.0, k=3)
+        g = sample_realization(params, 9, 4)
+        again = sample_realization(params, 9, 4)
+        assert np.array_equal(g.points, again.points)
+        assert np.array_equal(g.adjacency, again.adjacency)
+        iu, ju = np.triu_indices(g.n, k=1)
+        iu, ju = iu[iu >= 2], ju[iu >= 2]
+        d = g.points[iu] - g.points[ju]
+        sq = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+        assert np.array_equal(g.adjacency[iu, ju], g.adjacency[ju, iu])
+        assert np.array_equal(g.adjacency[iu, ju], draw_edges(RAY1, 9, 4, ju, iu, sq))
+        assert g.adjacency[iu, ju].any()
+
+    def test_every_point_neighbours_an_anchor(self):
+        params = ModelParams(rho=2.0, connection=TABLE, anchor_distance=1.0, k=2)
+        for rep in range(20):
+            g = sample_realization(params, 5, rep)
+            assert (g.adjacency[0, 2:] | g.adjacency[1, 2:]).all()
