@@ -29,15 +29,15 @@ from rcmpaths.model import ConnectionSpec, ModelParams
 RAY1 = ConnectionSpec.rayleigh(beta=1.0)
 
 DIGESTS = {
-    "fig-mean-var": "b37493850227bb4597d4b3cd866ec4a4e810499ed17a1909eeebbca08be0826c",
-    "fig-existence": "dc07da089889722ea0acf61e33d8998ffd9ea27576fee04e18c4bfcfd8b25377",
+    "fig-mean-var": "358719ca5e28574b4054f90d8e32f11e4f0ac9a251c8fb69cd340809c6301e59",
+    "fig-existence": "1f8f003b7538b7d99335253db08b4231fac4a4a6dc83bcdb70912d9e972d55a4",
     "small-k": "4f63b24f30c034185a8dc005bf79c96f7657c15f5e3e1527c6033d0b5050d6d7",
-    "margin": "d9fca14c0fdb73ebde248236b8d97644d463de8777370056a7e9dba63707620c",
-    "mixed": "1b21128b875480a51ce3fba549ba759b99f3270d15d865ee70038321d36279a6",
-    "mixed-margin": "a2d351a0310d8802bfb817b09ef98a777501ef54dd949baefc9a103d570a769d",
-    "fig-distribution": "384a122198edd425495faba7cfcead49299abc84d5ad0200fe5deb18079d795b",
-    "sample-rayleigh": "5a8a2bedac0402d69c6e621478008c364dcddec9217e3ed61ee645903e8a631b",
-    "sample-tabulated": "616f19c3b46423643c00c71409d05e0ff79a557b1facd890d6779ae0edc0d6d4",
+    "margin": "49d1a146cc7d9a21172be08184f23758018a674e880abfe36b3da1369563cbe2",
+    "mixed": "78d6545da27b7ca3069c02e510f5e1ffcae92543f1b7a556b0b65a0f4b36a7e3",
+    "mixed-margin": "d727c15f1ca51ba7c5fb4d47294fa11214116d8af93b5537d9dd83469b917b22",
+    "fig-distribution": "bcc774a7f14309c633ccf04c45dd8b30c22f56a6f712841e4c02d0945c6faef3",
+    "sample-rayleigh": "b53b478501064945baa2a7371f409db483187c851168a265fe0e79e95615ca0a",
+    "sample-tabulated": "4dab3d9b99d5cac38a9debc48dbff4a1af5e1b5f8cedd870d7b451df79cc6217",
     "khop": "e1bad453c14ce868cc54d93c2abb95bbe327d08bd4ecfb9357bd436304a6baa0",
     "khop-margin": "96595b49b53dafc16ba141fc60f7387e447aa199717cfde32742b10ed5d11dd0",
 }
