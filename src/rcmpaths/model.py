@@ -93,6 +93,11 @@ class ConnectionSpec:
             raise ValidationError(f"unknown connection kind {self.kind!r}; expected one of {_KINDS}")
         if self.kind == RAYLEIGH:
             problems = _real_problems(beta=self.beta, eta=self.eta)
+            if not problems and not math.isfinite(self._rayleigh_reach()):
+                problems.append(
+                    f"beta, eta: the reach (25/beta)**(1/eta) overflows a float, got beta={self.beta!r}, "
+                    f"eta={self.eta!r}"
+                )
         elif self.kind == HARD_DISK:
             problems = _real_problems(r0=self.r0)
         else:
@@ -161,15 +166,22 @@ class ConnectionSpec:
             return float(out)
         return out
 
+    def _rayleigh_reach(self) -> float:
+        try:
+            return (_TAIL_LOG / float(self.beta)) ** (1.0 / float(self.eta))
+        except OverflowError:
+            return math.inf
+
     @property
     def reach(self) -> float:
         """Distance beyond which the connection probability is negligible.
 
-        Rayleigh: solves exp(-beta * r**eta) = exp(-25). Hard disk and
-        tabulated kinds have compact support and return it exactly.
+        Rayleigh: solves exp(-beta * r**eta) = exp(-25); a (beta, eta) whose
+        reach overflows a float is refused when the spec is built.  Hard
+        disk and tabulated kinds have compact support and return it exactly.
         """
         if self.kind == RAYLEIGH:
-            return (_TAIL_LOG / self.beta) ** (1.0 / self.eta)
+            return self._rayleigh_reach()
         if self.kind == HARD_DISK:
             return self.r0
         return self.table[-1][0]

@@ -175,6 +175,10 @@ class TestConfig:
                 "table[0][1]: must be a nonnegative real, got '1'",
             ),
             ({"connection": {"kind": "hard_disk", "r0": "1"}}, "r0: must be a positive real, got '1'"),
+            (
+                {"connection": {"kind": "rayleigh", "beta": 1e-300, "eta": 0.01}},
+                "beta, eta: the reach (25/beta)**(1/eta) overflows a float, got beta=1e-300, eta=0.01",
+            ),
             ({"connection": "x"}, "connection: expected a JSON object, got 'x'"),
             ("abc", "expected a JSON object, got 'abc'"),
         ],
@@ -185,6 +189,7 @@ class TestConfig:
             "beta-true",
             "table-strings",
             "r0-string",
+            "reach-overflow",
             "connection-string",
             "point-string",
         ],
