@@ -203,7 +203,8 @@ def default_margin(connection: ConnectionSpec, k: int) -> float:
 class ModelParams:
     """Parameters of one simulated scenario.
 
-    ``margin`` may be left as None to use :func:`default_margin`.
+    ``margin`` may be left as None to use :func:`default_margin`; only
+    k >= 4 draws a box, so k <= 3 records the margin but never uses it.
     """
 
     rho: float

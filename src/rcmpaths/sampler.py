@@ -208,7 +208,9 @@ def draw_edges(spec: ConnectionSpec, seed: int, replication, i, j, sq_dists) -> 
     pair-keyed uniform lies below H at the pair's squared distance.
 
     Every edge, drawn lazily by the sweep counter or all at once by
-    :func:`realize_graph`, is decided here, so both agree bit for bit.
+    :func:`realize_graph`, is decided here, so both agree bit for bit; only
+    the anchor edges of a k <= 3 replication are marks of
+    :func:`anchor_neighbours` instead.
     ``replication``, ``i``, ``j`` and ``sq_dists`` broadcast together.
     """
     return pair_uniforms(seed, replication, i, j) < connection_probabilities(spec, sq_dists)
