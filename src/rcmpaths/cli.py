@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from .errors import ValidationError
+from .errors import ReplicationError, ValidationError
 from .experiments import (
     PRESET_NAMES,
     _write_json,
@@ -191,6 +191,9 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ReplicationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1

@@ -28,7 +28,9 @@ blocks or workers never changes a result: the reports are byte-identical to
 one replication at a time.  With
 ``threads`` > 1 the replication ranges go through one worker pool per
 process: it starts on the first such call and serves every later call with
-the same worker count, so repeated calls pay for it once.
+the same worker count, so repeated calls pay for it once.  A call deals its
+jobs round-robin into one batch per worker, so it sends each worker one
+message however many jobs it has.
 
 Every file format follows a dataclass.  The fields of :class:`MomentReport`
 and :class:`MarginCheck`, in order, are the CSV columns and the JSON keys of
@@ -60,7 +62,7 @@ from .analytics import (
     variance_threehop_rayleigh,
 )
 from .errors import ReplicationError, ValidationError, _int_problems
-from .model import HARD_DISK, RAYLEIGH, TABULATED, ConnectionSpec, ModelParams
+from .model import HARD_DISK, RAYLEIGH, TABULATED, ConnectionSpec, ModelParams, cloud_mass
 from .moments import (
     ExistenceBracket,
     PathCountSamples,
@@ -72,7 +74,6 @@ from .paths import PairStructureCounts, classify_path_pair_segments, khop_interm
 from .rng import derive_subseed
 from .sampler import (
     anchor_neighbours,
-    cloud_mass,
     draw_edges,
     neighbour_draws,
     region_for,
@@ -382,11 +383,16 @@ def _drop_pool() -> None:
         _pool = None
 
 
-def _pool_map(jobs, threads: int) -> list:
-    """``_count_range`` of every job on the process's pool of ``threads``
-    workers, started here when there is none of that size.
+def _count_batch(batch) -> list:
+    return [_count_range(job) for job in batch]
 
-    A pool can break while idle (a worker killed, say); the jobs then run
+
+def _pool_map(batches, threads: int) -> list:
+    """``_count_batch`` of every batch of jobs on the process's pool of
+    ``threads`` workers, started here when there is none of that size: one
+    message to a worker per batch.
+
+    A pool can break while idle (a worker killed, say); the batches then run
     once more on a fresh pool, which cannot change a result."""
     global _pool
     with _pool_lock:
@@ -395,11 +401,11 @@ def _pool_map(jobs, threads: int) -> list:
                 _drop_pool()
                 _pool = (threads, ProcessPoolExecutor(max_workers=threads))
             try:
-                return list(_pool[1].map(_count_range, jobs))
+                return list(_pool[1].map(_count_batch, batches))
             except BrokenProcessPool as exc:
                 _drop_pool()
                 if attempt:
-                    seeds = sorted({job[1] for job in jobs})
+                    seeds = sorted({job[1] for batch in batches for job in batch})
                     raise ReplicationError(f"the worker pool broke twice running grid seeds {seeds}") from exc
 
 
@@ -409,8 +415,11 @@ def _sweep(tasks, replications: int, threads: int):
     per task, in task order.
 
     With ``threads`` > 1, every task's replication ranges go through the
-    process's worker pool, which outlives the call.  Each replication is a
-    pure function of (params, seed, replication index), so the split never
+    process's worker pool, which outlives the call, as one batch of jobs per
+    worker: worker ``w`` gets jobs ``w``, ``w + threads``, ...  Cost rises
+    along a density sweep, so dealing the jobs round-robin, rather than in
+    contiguous runs, keeps the batches even.  Each replication is a pure
+    function of (params, seed, replication index), so the split never
     changes a result.
     """
     problems = _int_problems(1, replications=replications, threads=threads)
@@ -428,7 +437,10 @@ def _sweep(tasks, replications: int, threads: int):
     if threads == 1:
         results = [_count_range(job) for job in jobs]
     else:
-        results = _pool_map(jobs, threads)
+        batches = [jobs[w::threads] for w in range(min(threads, len(jobs)))]
+        results = [None] * len(jobs)
+        for w, batch in enumerate(_pool_map(batches, threads)):
+            results[w::threads] = batch
     n = len(ranges)
     return [_concat(results[t * n : (t + 1) * n]) for t in range(len(tasks))]
 

@@ -199,12 +199,37 @@ def default_margin(connection: ConnectionSpec, k: int) -> float:
     return connection.reach * k
 
 
+def cloud_mass(params: ModelParams) -> float:
+    """Mean number of proposals of one anchor's cloud.
+
+    Rayleigh: rho times the integral of H over the plane,
+    2 pi rho Gamma(2/eta) / (eta beta**(2/eta)); every proposal is a point.
+    Hard disk and tabulated: rho pi reach**2, the mean number of points in
+    the support disk, before they are thinned by H.  May raise
+    ``OverflowError`` or ``ZeroDivisionError`` for parameters that
+    :class:`ModelParams` refuses.
+    """
+    spec = params.connection
+    if spec.kind == RAYLEIGH:
+        shape = 2.0 / spec.eta
+        return 2.0 * math.pi * params.rho * math.gamma(shape) / (spec.eta * spec.beta**shape)
+    return math.pi * params.rho * spec.reach**2
+
+
+# numpy's Generator.poisson refuses a larger mean
+_POISSON_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Parameters of one simulated scenario.
 
     ``margin`` may be left as None to use :func:`default_margin`; only
     k >= 4 draws a box, so k <= 3 records the margin but never uses it.
+    Parameters are refused when the mean number of points one replication
+    draws, :func:`cloud_mass` per anchor for k <= 3 and rho times the box
+    area for k >= 4, overflows or is above the largest Poisson mean numpy
+    draws.
     """
 
     rho: float
@@ -222,3 +247,17 @@ class ModelParams:
             problems += _real_problems(margin=self.margin)
         if problems:
             raise ValidationError("; ".join(problems))
+        if self.k <= 3:
+            names, what = "rho, connection", "of each anchor's cloud"
+            try:
+                mean = cloud_mass(self)
+            except (OverflowError, ZeroDivisionError):
+                mean = math.inf
+        else:
+            names, what = "rho, anchor_distance, margin", "of the box"
+            mean = self.rho * 2.0 * self.margin * (self.anchor_distance + 2.0 * self.margin)
+        if not mean <= _POISSON_MAX:
+            raise ValidationError(
+                f"{names}: the mean number of points {what} must be at most {_POISSON_MAX:.4g} "
+                f"to be drawn, got {mean!r}"
+            )

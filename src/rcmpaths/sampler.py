@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ValidationError, _int_problems
-from .model import RAYLEIGH, ConnectionSpec, ModelParams, Point, Region
+from .model import RAYLEIGH, ConnectionSpec, ModelParams, Point, Region, cloud_mass
 from .rng import pair_uniforms, points_key
 
 _local = threading.local()
@@ -121,21 +121,6 @@ def sample_conditioned_ppp(params: ModelParams, seed: int, replication: int) -> 
     pts[2:, 0] = region.min_corner.x + u[:, 0] * region.width
     pts[2:, 1] = region.min_corner.y + u[:, 1] * region.height
     return pts
-
-
-def cloud_mass(params: ModelParams) -> float:
-    """Mean number of proposals of one anchor's cloud.
-
-    Rayleigh: rho times the integral of H over the plane,
-    2 pi rho Gamma(2/eta) / (eta beta**(2/eta)); every proposal is a point.
-    Hard disk and tabulated: rho pi reach**2, the mean number of points in
-    the support disk, before they are thinned by H.
-    """
-    spec = params.connection
-    if spec.kind == RAYLEIGH:
-        shape = 2.0 / spec.eta
-        return 2.0 * math.pi * params.rho * math.gamma(shape) / (spec.eta * spec.beta**shape)
-    return math.pi * params.rho * spec.reach**2
 
 
 def neighbour_draws(params: ModelParams, seed: int, replication: int):

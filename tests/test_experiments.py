@@ -179,6 +179,16 @@ class TestConfig:
                 {"connection": {"kind": "rayleigh", "beta": 1e-300, "eta": 0.01}},
                 "beta, eta: the reach (25/beta)**(1/eta) overflows a float, got beta=1e-300, eta=0.01",
             ),
+            (
+                {"connection": {"kind": "rayleigh", "beta": 1.0, "eta": 0.01}},
+                "rho, connection: the mean number of points of each anchor's cloud must be at most "
+                "9.223e+18 to be drawn, got inf",
+            ),
+            (
+                {"rho": 1e19, "k": 4},
+                "rho, anchor_distance, margin: the mean number of points of the box must be at most "
+                "9.223e+18 to be drawn, got 3.173205080756887e+21",
+            ),
             ({"connection": "x"}, "connection: expected a JSON object, got 'x'"),
             ("abc", "expected a JSON object, got 'abc'"),
         ],
@@ -190,6 +200,8 @@ class TestConfig:
             "table-strings",
             "r0-string",
             "reach-overflow",
+            "cloud-overflow",
+            "box-draw-too-large",
             "connection-string",
             "point-string",
         ],
@@ -534,6 +546,10 @@ def _fail_on_replication_3(monkeypatch):
     monkeypatch.setattr(experiments, "neighbour_draws", draw)
 
 
+def _report_files(directory):
+    return {name: (directory / name).read_bytes() for name in sorted(os.listdir(directory))}
+
+
 def _assert_names_replication_3(error):
     message = str(error)
     assert "grid seed 7" in message and "rho=1.0" in message
@@ -551,22 +567,54 @@ class TestWorkerPool:
         run_experiment(cfg, threads=2)
         assert counted_pools == [3, 2]
 
-    def test_reports_identical_across_pool_switches(self, tmp_path, counted_pools):
-        grid = (
-            ModelParams(rho=1.0, connection=RAY1, anchor_distance=1.0, k=3),
-            ModelParams(rho=1.5, connection=ConnectionSpec.hard_disk(1.0), anchor_distance=1.5, k=2),
-        )
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            (
+                ModelParams(rho=1.0, connection=RAY1, anchor_distance=1.0, k=3),
+                ModelParams(rho=1.5, connection=ConnectionSpec.hard_disk(1.0), anchor_distance=1.5, k=2),
+            ),
+            # 14 jobs: dealt 5, 5, 4 at 3 workers
+            tuple(
+                ModelParams(rho=0.3 * (i + 1), connection=RAY1, anchor_distance=1.0, k=2 + i % 3)
+                for i in range(7)
+            ),
+        ],
+        ids=["two-points", "seven-mixed-k"],
+    )
+    def test_reports_identical_across_pool_switches(self, tmp_path, counted_pools, grid):
         cfg = tiny_config(tmp_path, params_grid=grid, replications=60, emit_histograms=True)
-
-        def files():
-            return {name: (tmp_path / name).read_bytes() for name in sorted(os.listdir(tmp_path))}
-
         run_experiment(cfg, threads=1)
-        expected = files()
+        expected = _report_files(tmp_path)
         for threads in (3, 2, 3):
             run_experiment(cfg, threads=threads)
-            assert files() == expected, threads
+            assert _report_files(tmp_path) == expected, threads
         assert counted_pools == [3, 2, 3]
+
+    def test_one_batch_per_worker(self, tmp_path, monkeypatch, counted_pools):
+        sent = []
+
+        class BatchCountingPool(experiments.ProcessPoolExecutor):
+            def map(self, fn, *items, **kwargs):
+                items = [list(it) for it in items]
+                sent.append(len(items[0]))
+                return super().map(fn, *items, **kwargs)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", BatchCountingPool)
+        grid = tuple(
+            ModelParams(rho=0.2 * (i + 1), connection=RAY1, anchor_distance=1.0, k=2 + i % 2) for i in range(10)
+        )
+        cfg = tiny_config(tmp_path, params_grid=grid, replications=20)
+        run_experiment(cfg, threads=1)
+        expected = _report_files(tmp_path)
+        for threads in (2, 3):
+            run_experiment(cfg, threads=threads)
+            assert _report_files(tmp_path) == expected, threads
+        assert sent == [2, 3]
+        params = grid[0]
+        counts, _ = run_replications(params, 7, 60, threads=3)
+        assert np.array_equal(counts, run_replications(params, 7, 60)[0])
+        assert sent == [2, 3, 3]
 
     def test_killed_workers_are_replaced(self, counted_pools):
         params = ModelParams(rho=1.0, connection=RAY1, anchor_distance=1.0, k=3)
@@ -736,6 +784,15 @@ class TestCli:
         )
         assert code == 0
         assert (tmp_path / "fig-existence.csv").exists()
+
+    def test_failed_replications_exit_1_with_one_line(self, tmp_path, monkeypatch, capsys):
+        _fail_on_replication_3(monkeypatch)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config_to_dict(tiny_config(tmp_path / "out", replications=10))))
+        assert cli_main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "failed in replications" in err and "FloatingPointError" in err
 
     def test_validate_margin_cli(self, tmp_path):
         cfg = tiny_config(tmp_path, replications=50)
