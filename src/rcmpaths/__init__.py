@@ -35,6 +35,7 @@ from .model import (
     Point,
     Region,
     default_margin,
+    region_for,
 )
 from .moments import (
     ExistenceBracket,
@@ -55,7 +56,6 @@ from .paths import (
 from .sampler import (
     GraphRealization,
     realize_graph,
-    region_for,
     sample_conditioned_ppp,
     sample_realization,
 )

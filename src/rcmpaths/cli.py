@@ -28,9 +28,9 @@ from .experiments import (
     write_margin_csv,
     write_margin_json,
 )
-from .model import ConnectionSpec, ModelParams
+from .model import ConnectionSpec, ModelParams, region_for
 from .paths import _path_rows
-from .sampler import region_for, sample_realization
+from .sampler import sample_realization
 
 
 def _connection_from_args(args) -> ConnectionSpec:

@@ -28,9 +28,9 @@ blocks or workers never changes a result: the reports are byte-identical to
 one replication at a time.  With
 ``threads`` > 1 the replication ranges go through one worker pool per
 process: it starts on the first such call and serves every later call with
-the same worker count, so repeated calls pay for it once.  A call deals its
-jobs round-robin into one batch per worker, so it sends each worker one
-message however many jobs it has.
+the same worker count, so repeated calls pay for it once.  A call sends the
+pool its jobs in batches, one per worker when the call is cheap, so the
+messages to the workers do not outweigh the counting.
 
 Every file format follows a dataclass.  The fields of :class:`MomentReport`
 and :class:`MarginCheck`, in order, are the CSV columns and the JSON keys of
@@ -43,6 +43,7 @@ one, never a partial one.
 """
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import os
@@ -62,7 +63,7 @@ from .analytics import (
     variance_threehop_rayleigh,
 )
 from .errors import ReplicationError, ValidationError, _int_problems
-from .model import HARD_DISK, RAYLEIGH, TABULATED, ConnectionSpec, ModelParams, cloud_mass
+from .model import HARD_DISK, RAYLEIGH, TABULATED, ConnectionSpec, ModelParams, cloud_mass, region_for
 from .moments import (
     ExistenceBracket,
     PathCountSamples,
@@ -76,7 +77,6 @@ from .sampler import (
     anchor_neighbours,
     draw_edges,
     neighbour_draws,
-    region_for,
     sample_conditioned_ppp,
 )
 
@@ -255,6 +255,11 @@ def load_config(path: str) -> ExperimentConfig:
 # working memory, grow with it.
 _BLOCK_POINTS = 1 << 16
 
+# A sweep call sends the pool one batch of jobs per this many points or
+# proposals, and at least one batch per worker.  Counting that many takes
+# about 10 to 30 ms, against about 0.2 ms for a message to a worker.
+_BATCH_POINTS = 1 << 13
+
 
 def _replication_draws(params: ModelParams, seed: int, reps) -> list:
     """The keyed draws of replications ``reps`` of one grid point: the anchor
@@ -335,14 +340,21 @@ def _count_block(params, seed, first, draws, collect_pairs, inside):
     return counts, classes, kept_counts
 
 
+def _points_per_replication(params: ModelParams) -> float:
+    """Mean number of points or proposals one replication draws, with the
+    two anchors."""
+    k = int(params.k)
+    if k == 1:
+        return 2.0
+    return (2.0 * cloud_mass(params) if k <= 3 else params.rho * region_for(params).area) + 2.0
+
+
 def _block_replications(params: ModelParams) -> int:
     """Replications per block: about ``_BLOCK_POINTS`` points or proposals
     drawn in all."""
-    k = int(params.k)
-    if k == 1:
+    if int(params.k) == 1:
         return _BLOCK_POINTS
-    per_rep = 2.0 * cloud_mass(params) if k <= 3 else params.rho * region_for(params).area
-    return max(1, int(_BLOCK_POINTS // (per_rep + 2.0)))
+    return max(1, int(_BLOCK_POINTS // _points_per_replication(params)))
 
 
 def _count_range(job):
@@ -387,6 +399,27 @@ def _count_batch(batch) -> list:
     return [_count_range(job) for job in batch]
 
 
+def _deal(jobs, threads: int) -> list[list[int]]:
+    """The indices of ``jobs`` dealt into batches for a pool of ``threads``
+    workers.
+
+    There is one batch per ``_BATCH_POINTS`` points the jobs draw, at least
+    one per worker and at most one per job: a cheap call sends each worker
+    one message, and a costly one hands its jobs out one at a time as
+    workers free up.  Jobs go heaviest first to the batch with the fewest
+    points so far, so the batches stay even whatever order the grid has.
+    """
+    points = [(hi - lo) * _points_per_replication(params) for params, _, lo, hi, _, _ in jobs]
+    count = min(len(jobs), max(threads, math.ceil(sum(points) / _BATCH_POINTS)))
+    batches = [[] for _ in range(count)]
+    loads = [(0.0, b) for b in range(count)]
+    for j in sorted(range(len(jobs)), key=lambda j: -points[j]):
+        load, b = heapq.heappop(loads)
+        batches[b].append(j)
+        heapq.heappush(loads, (load + points[j], b))
+    return batches
+
+
 def _pool_map(batches, threads: int) -> list:
     """``_count_batch`` of every batch of jobs on the process's pool of
     ``threads`` workers, started here when there is none of that size: one
@@ -415,12 +448,9 @@ def _sweep(tasks, replications: int, threads: int):
     per task, in task order.
 
     With ``threads`` > 1, every task's replication ranges go through the
-    process's worker pool, which outlives the call, as one batch of jobs per
-    worker: worker ``w`` gets jobs ``w``, ``w + threads``, ...  Cost rises
-    along a density sweep, so dealing the jobs round-robin, rather than in
-    contiguous runs, keeps the batches even.  Each replication is a pure
-    function of (params, seed, replication index), so the split never
-    changes a result.
+    process's worker pool, which outlives the call, in the batches of
+    :func:`_deal`.  Each replication is a pure function of (params, seed,
+    replication index), so the split never changes a result.
     """
     problems = _int_problems(1, replications=replications, threads=threads)
     for task in tasks:
@@ -437,10 +467,12 @@ def _sweep(tasks, replications: int, threads: int):
     if threads == 1:
         results = [_count_range(job) for job in jobs]
     else:
-        batches = [jobs[w::threads] for w in range(min(threads, len(jobs)))]
+        batches = _deal(jobs, threads)
         results = [None] * len(jobs)
-        for w, batch in enumerate(_pool_map(batches, threads)):
-            results[w::threads] = batch
+        counted = _pool_map([[jobs[j] for j in batch] for batch in batches], threads)
+        for batch, batch_results in zip(batches, counted):
+            for j, result in zip(batch, batch_results):
+                results[j] = result
     n = len(ranges)
     return [_concat(results[t * n : (t + 1) * n]) for t in range(len(tasks))]
 

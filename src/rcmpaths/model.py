@@ -216,6 +216,13 @@ def cloud_mass(params: ModelParams) -> float:
     return math.pi * params.rho * spec.reach**2
 
 
+def region_for(params: ModelParams) -> Region:
+    """Sampling rectangle of k >= 4: anchor bounding box grown by the margin."""
+    m = params.margin
+    r = params.anchor_distance
+    return Region(Point(-m, -m), Point(r + m, m))
+
+
 # numpy's Generator.poisson refuses a larger mean
 _POISSON_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
 
@@ -227,9 +234,9 @@ class ModelParams:
     ``margin`` may be left as None to use :func:`default_margin`; only
     k >= 4 draws a box, so k <= 3 records the margin but never uses it.
     Parameters are refused when the mean number of points one replication
-    draws, :func:`cloud_mass` per anchor for k <= 3 and rho times the box
-    area for k >= 4, overflows or is above the largest Poisson mean numpy
-    draws.
+    draws, :func:`cloud_mass` per anchor for k <= 3 and rho times the area
+    of :func:`region_for` for k >= 4, overflows or is above the largest
+    Poisson mean numpy draws.
     """
 
     rho: float
@@ -255,7 +262,7 @@ class ModelParams:
                 mean = math.inf
         else:
             names, what = "rho, anchor_distance, margin", "of the box"
-            mean = self.rho * 2.0 * self.margin * (self.anchor_distance + 2.0 * self.margin)
+            mean = self.rho * region_for(self).area
         if not mean <= _POISSON_MAX:
             raise ValidationError(
                 f"{names}: the mean number of points {what} must be at most {_POISSON_MAX:.4g} "

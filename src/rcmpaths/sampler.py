@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ValidationError, _int_problems
-from .model import RAYLEIGH, ConnectionSpec, ModelParams, Point, Region, cloud_mass
+from .model import RAYLEIGH, ConnectionSpec, ModelParams, cloud_mass, region_for
 from .rng import pair_uniforms, points_key
 
 _local = threading.local()
@@ -93,13 +93,6 @@ class GraphRealization:
         iu, ju = np.triu_indices(self.n, k=1)
         keep = self.adjacency[iu, ju]
         return np.column_stack([iu[keep], ju[keep]])
-
-
-def region_for(params: ModelParams) -> Region:
-    """Sampling rectangle of k >= 4: anchor bounding box grown by the margin."""
-    m = params.margin
-    r = params.anchor_distance
-    return Region(Point(-m, -m), Point(r + m, m))
 
 
 def sample_conditioned_ppp(params: ModelParams, seed: int, replication: int) -> np.ndarray:

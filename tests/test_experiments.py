@@ -534,6 +534,21 @@ def counted_pools(monkeypatch):
     experiments._drop_pool()
 
 
+@pytest.fixture
+def map_sizes(monkeypatch, counted_pools):
+    """The number of items each ``map`` call sends the worker pool."""
+    sizes = []
+
+    class MapCountingPool(experiments.ProcessPoolExecutor):
+        def map(self, fn, *items, **kwargs):
+            items = [list(it) for it in items]
+            sizes.append(len(items[0]))
+            return super().map(fn, *items, **kwargs)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", MapCountingPool)
+    return sizes
+
+
 def _fail_on_replication_3(monkeypatch):
     # the k = 3 draw
     real = experiments.neighbour_draws
@@ -591,16 +606,7 @@ class TestWorkerPool:
             assert _report_files(tmp_path) == expected, threads
         assert counted_pools == [3, 2, 3]
 
-    def test_one_batch_per_worker(self, tmp_path, monkeypatch, counted_pools):
-        sent = []
-
-        class BatchCountingPool(experiments.ProcessPoolExecutor):
-            def map(self, fn, *items, **kwargs):
-                items = [list(it) for it in items]
-                sent.append(len(items[0]))
-                return super().map(fn, *items, **kwargs)
-
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", BatchCountingPool)
+    def test_cheap_calls_send_one_batch_per_worker(self, tmp_path, map_sizes):
         grid = tuple(
             ModelParams(rho=0.2 * (i + 1), connection=RAY1, anchor_distance=1.0, k=2 + i % 2) for i in range(10)
         )
@@ -610,11 +616,42 @@ class TestWorkerPool:
         for threads in (2, 3):
             run_experiment(cfg, threads=threads)
             assert _report_files(tmp_path) == expected, threads
-        assert sent == [2, 3]
+        assert map_sizes == [2, 3]
         params = grid[0]
         counts, _ = run_replications(params, 7, 60, threads=3)
         assert np.array_equal(counts, run_replications(params, 7, 60)[0])
-        assert sent == [2, 3, 3]
+        assert map_sizes == [2, 3, 3]
+
+    def test_costly_calls_send_one_job_per_item(self, tmp_path, monkeypatch, map_sizes):
+        monkeypatch.setattr(experiments, "_BATCH_POINTS", 1.0)
+        grid = tuple(
+            ModelParams(rho=0.3 * (i + 1), connection=RAY1, anchor_distance=1.0, k=2 + i % 3) for i in range(10)
+        )
+        cfg = tiny_config(tmp_path, params_grid=grid, replications=20)
+        run_experiment(cfg, threads=1)
+        expected = _report_files(tmp_path)
+        run_experiment(cfg, threads=2)
+        assert _report_files(tmp_path) == expected
+        assert map_sizes == [10]
+
+    @pytest.mark.parametrize("batch_points", [1e9, 1.0])
+    def test_deal_balances_a_periodic_grid(self, monkeypatch, batch_points):
+        # cost cycles with k along the grid, so dealing by grid position would
+        # put every k = 5 point on one worker
+        monkeypatch.setattr(experiments, "_BATCH_POINTS", batch_points)
+        grid = [
+            ModelParams(rho=rho, connection=RAY1, anchor_distance=1.0, k=k)
+            for rho in (0.5, 1.0, 1.5, 2.0)
+            for k in (2, 3, 4, 5)
+        ]
+        jobs = [(params, i, 0, 12, False, None) for i, params in enumerate(grid)]
+        batches = experiments._deal(jobs, 4)
+        assert sorted(j for batch in batches for j in batch) == list(range(16))
+        assert len(batches) == (4 if batch_points > 1 else 16)
+        points = [12 * experiments._points_per_replication(params) for params in grid]
+        loads = [sum(points[j] for j in batch) for batch in batches]
+        assert max(loads) - min(loads) <= max(points)
+        assert all(sum(grid[j].k == 5 for j in batch) <= 1 for batch in batches)
 
     def test_killed_workers_are_replaced(self, counted_pools):
         params = ModelParams(rho=1.0, connection=RAY1, anchor_distance=1.0, k=3)
