@@ -606,7 +606,14 @@ class TestWorkerPool:
             assert _report_files(tmp_path) == expected, threads
         assert counted_pools == [3, 2, 3]
 
-    def test_cheap_calls_send_one_batch_per_worker(self, tmp_path, map_sizes):
+    @pytest.mark.parametrize(
+        "batch_points, sizes",
+        [(None, [2, 3, 3]), (1.0, [10, 20, 12])],
+        ids=["cheap-one-batch-per-worker", "costly-one-job-per-item"],
+    )
+    def test_items_per_map_call(self, tmp_path, monkeypatch, map_sizes, batch_points, sizes):
+        if batch_points is not None:
+            monkeypatch.setattr(experiments, "_BATCH_POINTS", batch_points)
         grid = tuple(
             ModelParams(rho=0.2 * (i + 1), connection=RAY1, anchor_distance=1.0, k=2 + i % 2) for i in range(10)
         )
@@ -616,23 +623,10 @@ class TestWorkerPool:
         for threads in (2, 3):
             run_experiment(cfg, threads=threads)
             assert _report_files(tmp_path) == expected, threads
-        assert map_sizes == [2, 3]
         params = grid[0]
         counts, _ = run_replications(params, 7, 60, threads=3)
         assert np.array_equal(counts, run_replications(params, 7, 60)[0])
-        assert map_sizes == [2, 3, 3]
-
-    def test_costly_calls_send_one_job_per_item(self, tmp_path, monkeypatch, map_sizes):
-        monkeypatch.setattr(experiments, "_BATCH_POINTS", 1.0)
-        grid = tuple(
-            ModelParams(rho=0.3 * (i + 1), connection=RAY1, anchor_distance=1.0, k=2 + i % 3) for i in range(10)
-        )
-        cfg = tiny_config(tmp_path, params_grid=grid, replications=20)
-        run_experiment(cfg, threads=1)
-        expected = _report_files(tmp_path)
-        run_experiment(cfg, threads=2)
-        assert _report_files(tmp_path) == expected
-        assert map_sizes == [10]
+        assert map_sizes == sizes
 
     @pytest.mark.parametrize("batch_points", [1e9, 1.0])
     def test_deal_balances_a_periodic_grid(self, monkeypatch, batch_points):
