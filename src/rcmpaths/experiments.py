@@ -8,7 +8,8 @@ byte-identical regardless of worker count.
 
 The counter works on blocks of replications of one grid point.  Only the
 keyed draws run once per replication, each from the replication's own
-Philox stream: for k <= 3 the anchors' neighbourhoods
+Philox stream: for k <= 3 the anchors' neighbourhoods, whose stream keys
+are folded for the whole block at once
 (:func:`rcmpaths.sampler.neighbour_draws`), for k >= 4 the points of a box
 around the anchors; k = 1 draws no points.  Everything else is one
 vectorised pass per block: for k <= 3 placing and thinning the neighbours
@@ -25,12 +26,15 @@ box).  Every edge between non-anchor points is decided by
 so the lazy counter finds exactly the paths of
 :func:`rcmpaths.sampler.sample_realization`.  How replications fall into
 blocks or workers never changes a result: the reports are byte-identical to
-one replication at a time.  With
-``threads`` > 1 the replication ranges go through one worker pool per
-process: it starts on the first such call and serves every later call with
-the same worker count, so repeated calls pay for it once.  A call sends the
-pool its jobs in batches, one per worker when the call is cheap, so the
-messages to the workers do not outweigh the counting.
+one replication at a time.  A call that draws less than one batch
+(``_BATCH_POINTS`` points) counts in the calling process whatever
+``threads`` says: starting the workers on it would cost more than they
+save.  With ``threads`` > 1 a larger call's replication ranges go through
+one worker pool per process: it starts on the first such call and serves
+every later call with the same worker count, so repeated calls pay for it
+once.  A call sends the pool its jobs in batches, one per worker when the
+call is cheap, so the messages to the workers do not outweigh the
+counting.
 
 Every file format follows a dataclass.  The fields of :class:`MomentReport`
 and :class:`MarginCheck`, in order, are the CSV columns and the JSON keys of
@@ -256,9 +260,11 @@ def load_config(path: str) -> ExperimentConfig:
 _BLOCK_POINTS = 1 << 16
 
 # A sweep call sends the pool one batch of jobs per this many points or
-# proposals, and at least one batch per worker.  Counting that many takes
-# about 10 to 50 ms on one core of a shared 2-vCPU x86 machine, against
-# about 0.2 ms for one message to a worker there.
+# proposals, and at least one batch per worker; a call that draws fewer
+# counts in the calling process.  Counting that many takes about 10 to 50 ms
+# on one core of a shared 2-vCPU x86 machine, against about 0.2 ms for one
+# message to a worker there, and a k <= 3 call breaks even on two workers
+# at 3500 to 7000 points.
 _BATCH_POINTS = 1 << 13
 
 
@@ -270,8 +276,9 @@ def _replication_draws(params: ModelParams, seed: int, reps) -> list:
     k = int(params.k)
     if k == 1:
         return [None] * len(reps)
-    draw = neighbour_draws if k <= 3 else sample_conditioned_ppp
-    return [draw(params, seed, rep) for rep in reps]
+    if k <= 3:
+        return neighbour_draws(params, seed, reps)
+    return [sample_conditioned_ppp(params, seed, rep) for rep in reps]
 
 
 def _block_paths(params: ModelParams, seed: int, first: int, draws: list):
@@ -400,21 +407,20 @@ def _count_batch(batch) -> list:
     return [_count_range(job) for job in batch]
 
 
-def _deal(jobs, threads: int) -> list[list[int]]:
-    """The indices of ``jobs`` dealt into batches for a pool of ``threads``
-    workers.
+def _deal(points, threads: int) -> list[list[int]]:
+    """The indices of jobs that draw ``points[j]`` points each, dealt into
+    batches for a pool of ``threads`` workers.
 
     There is one batch per ``_BATCH_POINTS`` points the jobs draw, at least
-    one per worker and at most one per job: a cheap call sends each worker
-    one message, and a costly one hands its jobs out one at a time as
-    workers free up.  Jobs go heaviest first to the batch with the fewest
+    one per worker and at most one per job: a call of a few batches sends
+    each worker one message, and a costly one hands its jobs out one at a
+    time as workers free up.  Jobs go heaviest first to the batch with the fewest
     points so far, so the batches stay even whatever order the grid has.
     """
-    points = [(hi - lo) * _points_per_replication(params) for params, _, lo, hi, _, _ in jobs]
-    count = min(len(jobs), max(threads, math.ceil(sum(points) / _BATCH_POINTS)))
+    count = min(len(points), max(threads, math.ceil(sum(points) / _BATCH_POINTS)))
     batches = [[] for _ in range(count)]
     loads = [(0.0, b) for b in range(count)]
-    for j in sorted(range(len(jobs)), key=lambda j: -points[j]):
+    for j in sorted(range(len(points)), key=lambda j: -points[j]):
         load, b = heapq.heappop(loads)
         batches[b].append(j)
         heapq.heappush(loads, (load + points[j], b))
@@ -448,27 +454,33 @@ def _sweep(tasks, replications: int, threads: int):
     collect_pairs, inside)``; returns one ``(counts, classes, kept_counts)``
     per task, in task order.
 
-    With ``threads`` > 1, every task's replication ranges go through the
+    The points every task draws are estimated once.  A call that draws
+    less than one batch (``_BATCH_POINTS``) in all, or runs at ``threads``
+    = 1, counts each task's replications in one range here, in the calling
+    process.  Otherwise every task's replication ranges go through the
     process's worker pool, which outlives the call, in the batches of
     :func:`_deal`.  Each replication is a pure function of (params, seed,
-    replication index), so the split never changes a result.
+    replication index), so neither choice nor the split ever changes a
+    result.
     """
     problems = _int_problems(1, replications=replications, threads=threads)
     for task in tasks:
         problems += _int_problems(0, 64, seed=task[1])
     if problems:
         raise ValidationError("; ".join(problems))
-    parts = 1 if threads == 1 else min(-(-threads * 4 // len(tasks)), replications)
+    per_replication = [_points_per_replication(task[0]) for task in tasks]
+    inline = threads == 1 or replications * sum(per_replication) < _BATCH_POINTS
+    parts = 1 if inline else min(-(-threads * 4 // len(tasks)), replications)
     ranges = [(replications * i // parts, replications * (i + 1) // parts) for i in range(parts)]
     jobs = [
         (params, seed, lo, hi, collect, inside)
         for params, seed, collect, inside in tasks
         for lo, hi in ranges
     ]
-    if threads == 1:
+    if inline:
         results = [_count_range(job) for job in jobs]
     else:
-        batches = _deal(jobs, threads)
+        batches = _deal([(hi - lo) * p for p in per_replication for lo, hi in ranges], threads)
         results = [None] * len(jobs)
         counted = _pool_map([[jobs[j] for j in batch] for batch in batches], threads)
         for batch, batch_results in zip(batches, counted):
@@ -879,10 +891,15 @@ def validate_margin(
     if replications is None:
         replications = max(1000, config.replications // 10)
     seeds = [derive_subseed(config.seed, i) for i in range(len(config.params_grid))]
-    tasks = [
-        (replace(params, margin=2.0 * params.margin), seed, False, region_for(params) if params.k >= 4 else None)
-        for params, seed in zip(config.params_grid, seeds)
-    ]
+    tasks = []
+    for i, (params, seed) in enumerate(zip(config.params_grid, seeds)):
+        try:
+            doubled = replace(params, margin=2.0 * params.margin)
+        except ValidationError as exc:
+            raise ValidationError(
+                f"params_grid[{i}] {params} with its doubled margin {2.0 * params.margin!r}: {exc}"
+            ) from exc
+        tasks.append((doubled, seed, False, region_for(params) if params.k >= 4 else None))
     checks = []
     for grid_index, (params, seed, (big, _, small)) in enumerate(
         zip(config.params_grid, seeds, _sweep(tasks, replications, threads))

@@ -16,7 +16,8 @@ Streams (so point draws and edge draws never collide):
 
 * point stream: two folded words key a Philox generator per replication;
   the Poisson count is drawn first, then the coordinate uniforms, in that
-  fixed order.
+  fixed order.  :func:`points_keys` folds the keys of a block of
+  replications in one uint64 pass.
 * edge stream: the uniform deciding the edge of vertex pair ``{i, j}`` is
   folded from ``(replication, STREAM_EDGES, min(i, j), max(i, j))``.  Any
   subset of pairs can therefore be evaluated lazily, in any order, and
@@ -26,7 +27,8 @@ Streams (so point draws and edge draws never collide):
 :func:`fold` is the one fold, on Python ints masked to 64 bits.
 :func:`pair_uniforms` folds the edge-stream prefixes of many replications,
 and then the pairs' two indices, in numpy uint64, whose arithmetic wraps
-modulo 2**64 the same way, so one pair or a million give the same bits.
+modulo 2**64 the same way, so one pair or a million give the same bits;
+:func:`points_keys` folds point-stream keys the same way.
 """
 from __future__ import annotations
 
@@ -72,13 +74,13 @@ def fold(seed: int, *fields) -> int:
     return h
 
 
-def _edge_prefixes(seed: int, replications: np.ndarray) -> np.ndarray:
-    """``fold(seed, r, STREAM_EDGES)`` for every r of an integer array, in
-    one uint64 pass per field."""
+def _stream_prefixes(seed: int, replications, stream: int) -> np.ndarray:
+    """``fold(seed, r, stream)`` for every r of ``replications`` (an integer
+    array or sequence), in one uint64 pass per field."""
     h = _U64((fold(seed) + _GAMMA_I) & _MASK)
     with np.errstate(over="ignore"):
-        h = _mix64(h ^ replications.astype(np.uint64))
-        return _mix64((h + _GAMMA) ^ _U64(STREAM_EDGES))
+        h = _mix64(h ^ np.asarray(replications, dtype=np.uint64))
+        return _mix64((h + _GAMMA) ^ _U64(stream))
 
 
 def pair_uniforms(seed: int, replication, i, j):
@@ -104,19 +106,27 @@ def pair_uniforms(seed: int, replication, i, j):
             return np.empty(rep.shape)
         starts = np.flatnonzero(np.concatenate(([True], flat[1:] != flat[:-1])))
         runs = np.diff(np.append(starts, flat.size))
-        h = np.repeat(_edge_prefixes(seed, flat[starts]), runs).reshape(rep.shape)
+        h = np.repeat(_stream_prefixes(seed, flat[starts], STREAM_EDGES), runs).reshape(rep.shape)
     with np.errstate(over="ignore"):
         h = _mix64((h + _GAMMA) ^ lo)
         h = _mix64((h + _GAMMA) ^ hi)
     return (h >> _U64(11)).astype(np.float64) * 2.0**-53
 
 
+def points_keys(seed: int, replications) -> np.ndarray:
+    """128-bit Philox keys for the point draws of a block of replications:
+    row t holds the words ``fold(seed, replications[t], STREAM_POINTS, w)``
+    for w = 0, 1, which share the fold of their prefix.  The whole block is
+    folded in one uint64 pass per field."""
+    with np.errstate(over="ignore"):
+        h = _stream_prefixes(seed, replications, STREAM_POINTS) + _GAMMA
+        return np.column_stack([_mix64(h.copy()), _mix64(h ^ _U64(1))])
+
+
 def points_key(seed: int, replication: int) -> tuple[int, int]:
-    """128-bit Philox key for the point draws of one replication: the words
-    ``fold(seed, replication, STREAM_POINTS, w)`` for w = 0, 1, sharing the
-    fold of their prefix."""
-    h = (fold(seed, replication, STREAM_POINTS) + _GAMMA_I) & _MASK
-    return _mix64_int(h), _mix64_int(h ^ 1)
+    """The :func:`points_keys` of one replication, as Python ints."""
+    w0, w1 = points_keys(seed, (replication,))[0].tolist()
+    return w0, w1
 
 
 def points_generator(seed: int, replication: int) -> np.random.Generator:

@@ -4,7 +4,10 @@ The two anchors are always placed at (0, 0) and (anchor_distance, 0); the
 model is isotropic, so fixing the axis loses no generality.
 
 Two samplers draw a replication's points, each from the replication's own
-Philox stream:
+Philox stream.  The k <= 3 sampler draws a block of replications in one
+call: the stream keys of the whole block are folded in one pass
+(:func:`rcmpaths.rng.points_keys`), and only the draws themselves run once
+per replication.
 
 * k <= 3 draws only the anchors' neighbours, in the whole plane, with no
   box.  A path of at most three hops passes only through points adjacent to
@@ -30,32 +33,41 @@ import numpy as np
 
 from .errors import ValidationError, _int_problems
 from .model import RAYLEIGH, ConnectionSpec, ModelParams, cloud_mass, region_for
-from .rng import pair_uniforms, points_key
+from .rng import pair_uniforms, points_keys
 
 _local = threading.local()
 # the Philox counter and buffer of a fresh stream; the state setter copies them
 _ZEROS = np.zeros(4, dtype=np.uint64)
 
 
-def _fast_points_rng(seed: int, replication: int) -> np.random.Generator:
-    """Same stream as :func:`rcmpaths.rng.points_generator`, but reusing one
-    Philox instance and its generator per thread (construction dominates at
-    high replication counts).  The generator is reset on the next call on the
-    same thread, so it must be consumed before then; it never escapes
-    :func:`sample_conditioned_ppp` or :func:`neighbour_draws`.
+def _points_streams(seed: int, replications):
+    """Yield the point stream of each of ``replications`` in turn: the stream
+    of :func:`rcmpaths.rng.points_generator`, but reusing one Philox instance
+    and its generator per thread (construction dominates at high replication
+    counts), and keyed from :func:`rcmpaths.rng.points_keys` of the whole
+    block.  Each stream must be consumed before the next is asked for, and
+    none escapes :func:`sample_conditioned_ppp` or :func:`neighbour_draws`.
     """
     rng = getattr(_local, "rng", None)
     if rng is None:
         rng = _local.rng = np.random.Generator(np.random.Philox(key=[0, 0]))
-    rng.bit_generator.state = {
+    state = {
         "bit_generator": "Philox",
-        "state": {"counter": _ZEROS, "key": np.array(points_key(seed, replication), dtype=np.uint64)},
+        "state": {"counter": _ZEROS, "key": None},
         "buffer": _ZEROS,
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
-    return rng
+    for key in points_keys(seed, replications):
+        state["state"]["key"] = key
+        rng.bit_generator.state = state
+        yield rng
+
+
+def _fast_points_rng(seed: int, replication: int) -> np.random.Generator:
+    """The :func:`_points_streams` stream of one replication."""
+    return next(_points_streams(seed, (replication,)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,29 +128,39 @@ def sample_conditioned_ppp(params: ModelParams, seed: int, replication: int) -> 
     return pts
 
 
-def neighbour_draws(params: ModelParams, seed: int, replication: int):
-    """The keyed draws of one replication's anchor neighbourhoods (k <= 3).
+def neighbour_draws(params: ModelParams, seed: int, replications) -> list:
+    """The keyed draws of the anchor neighbourhoods of a block of
+    replications (k <= 3), one ``(n0, v)`` per replication in order.
 
-    From the replication's Philox stream, in this order: the proposal counts
-    n0 and n1 of clouds 0 and 1, both Poisson with mean :func:`cloud_mass`;
-    then one radial variate per proposal, a Gamma(2/eta) variate G for
-    Rayleigh (the distance is (G/beta)**(1/eta)) and a uniform U for the
-    other kinds (the distance is reach * sqrt(U)); then, per proposal, a
-    uniform angle, a uniform mark and, unless Rayleigh, a uniform that
-    accepts it with probability H of its distance.  Returns ``(n0, v)``,
-    ``v`` of shape (3 or 4, n0 + n1) holding those variates by row, cloud 0's
-    proposals first.  :func:`anchor_neighbours` turns a block of these into
-    points; that part needs no random draw and runs once per block.
+    From each replication's Philox stream, in this order: the proposal
+    counts n0 and n1 of clouds 0 and 1, both Poisson with mean
+    :func:`cloud_mass`; then one radial variate per proposal, a Gamma(2/eta)
+    variate G for Rayleigh (the distance is (G/beta)**(1/eta)) and a uniform
+    U for the other kinds (the distance is reach * sqrt(U)); then, per
+    proposal, a uniform angle, a uniform mark and, unless Rayleigh, a uniform
+    that accepts it with probability H of its distance.  ``v`` has shape
+    (3 or 4, n0 + n1) and holds those variates by row, cloud 0's proposals
+    first.  The keys, the mean and the kind are worked out once per block;
+    only the draws themselves run once per replication.
+    :func:`anchor_neighbours` turns the block into points; that part needs
+    no random draw and runs once per block.
     """
     spec = params.connection
-    rng = _fast_points_rng(seed, replication)
-    n0, n1 = rng.poisson(cloud_mass(params), 2).tolist()
+    mass = cloud_mass(params)
+    draws = []
     if spec.kind != RAYLEIGH:
-        return n0, rng.random((4, n0 + n1))
-    v = np.empty((3, n0 + n1))
-    rng.standard_gamma(2.0 / spec.eta, out=v[0])
-    rng.random(out=v[1:])
-    return n0, v
+        for rng in _points_streams(seed, replications):
+            n0, n1 = rng.poisson(mass, 2).tolist()
+            draws.append((n0, rng.random((4, n0 + n1))))
+        return draws
+    shape = 2.0 / spec.eta
+    for rng in _points_streams(seed, replications):
+        n0, n1 = rng.poisson(mass, 2).tolist()
+        v = np.empty((3, n0 + n1))
+        rng.standard_gamma(shape, out=v[0])
+        rng.random(out=v[1:])
+        draws.append((n0, v))
+    return draws
 
 
 def anchor_neighbours(params: ModelParams, draws: list):
@@ -194,6 +216,12 @@ def draw_edges(spec: ConnectionSpec, seed: int, replication, i, j, sq_dists) -> 
     return pair_uniforms(seed, replication, i, j) < connection_probabilities(spec, sq_dists)
 
 
+def _refuse_bad_keys(seed: int, replication: int) -> None:
+    problems = _int_problems(0, 64, seed=seed, replication=replication)
+    if problems:
+        raise ValidationError("; ".join(problems))
+
+
 def realize_graph(
     points: np.ndarray,
     spec: ConnectionSpec,
@@ -203,9 +231,7 @@ def realize_graph(
     """Draw every pairwise edge of the realization with :func:`draw_edges`.
     Seeds and replication indices outside [0, 2**64) raise
     ``ValidationError``."""
-    problems = _int_problems(0, 64, seed=seed, replication=replication)
-    if problems:
-        raise ValidationError("; ".join(problems))
+    _refuse_bad_keys(seed, replication)
     points = np.asarray(points, dtype=float)
     if len(points) < 2:
         raise ValidationError("need the two anchors at indices 0 and 1")
@@ -228,12 +254,14 @@ def sample_realization(params: ModelParams, seed: int, replication: int) -> Grap
     drawn by :func:`realize_graph`.  k <= 3: the anchors' neighbours of
     :func:`anchor_neighbours`; their edges to the anchors are its marks, and
     every other edge, the anchors' own included, is drawn by
-    :func:`realize_graph`.
+    :func:`realize_graph`.  Seeds and replication indices outside
+    [0, 2**64) raise ``ValidationError``.
     """
+    _refuse_bad_keys(seed, replication)
     if int(params.k) >= 4:
         pts = sample_conditioned_ppp(params, seed, replication)
         return realize_graph(pts, params.connection, seed, replication)
-    xy, _, near = anchor_neighbours(params, [neighbour_draws(params, seed, replication)])
+    xy, _, near = anchor_neighbours(params, neighbour_draws(params, seed, (replication,)))
     anchors = [[0.0, 0.0], [params.anchor_distance, 0.0]]
     g = realize_graph(np.vstack([anchors, xy]), params.connection, seed, replication)
     adjacency = g.adjacency.copy()

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -550,15 +551,22 @@ def map_sizes(monkeypatch, counted_pools):
 
 
 def _fail_on_replication_3(monkeypatch):
-    # the k = 3 draw
+    # the k = 3 draw of a block of replications
     real = experiments.neighbour_draws
 
-    def draw(params, seed, rep):
-        if rep == 3:
+    def draw(params, seed, reps):
+        if 3 in reps:
             raise FloatingPointError("bad draw")
-        return real(params, seed, rep)
+        return real(params, seed, reps)
 
     monkeypatch.setattr(experiments, "neighbour_draws", draw)
+
+
+def _pooled_replications(*grid):
+    """Replications of a sweep over ``grid`` that draw about two batches of
+    points: a call that costly counts on the worker pool at threads > 1."""
+    per_replication = sum(experiments._points_per_replication(params) for params in grid)
+    return math.ceil(2 * experiments._BATCH_POINTS / per_replication)
 
 
 def _report_files(directory):
@@ -574,10 +582,11 @@ def _assert_names_replication_3(error):
 
 class TestWorkerPool:
     def test_one_pool_serves_repeated_calls(self, tmp_path, counted_pools):
-        cfg = tiny_config(tmp_path, replications=40)
+        replications = _pooled_replications(*tiny_config(tmp_path).params_grid)
+        cfg = tiny_config(tmp_path, replications=replications)
         run_experiment(cfg, threads=3)
         run_experiment(cfg, threads=3)
-        validate_margin(cfg, replications=40, threads=3)
+        validate_margin(cfg, replications=replications, threads=3)
         assert counted_pools == [3]
         run_experiment(cfg, threads=2)
         assert counted_pools == [3, 2]
@@ -589,7 +598,7 @@ class TestWorkerPool:
                 ModelParams(rho=1.0, connection=RAY1, anchor_distance=1.0, k=3),
                 ModelParams(rho=1.5, connection=ConnectionSpec.hard_disk(1.0), anchor_distance=1.5, k=2),
             ),
-            # 14 jobs: dealt 5, 5, 4 at 3 workers
+            # 60 replications, 14 jobs: dealt 5, 5, 4 at 3 workers
             tuple(
                 ModelParams(rho=0.3 * (i + 1), connection=RAY1, anchor_distance=1.0, k=2 + i % 3)
                 for i in range(7)
@@ -598,7 +607,8 @@ class TestWorkerPool:
         ids=["two-points", "seven-mixed-k"],
     )
     def test_reports_identical_across_pool_switches(self, tmp_path, counted_pools, grid):
-        cfg = tiny_config(tmp_path, params_grid=grid, replications=60, emit_histograms=True)
+        replications = max(60, _pooled_replications(*grid))
+        cfg = tiny_config(tmp_path, params_grid=grid, replications=replications, emit_histograms=True)
         run_experiment(cfg, threads=1)
         expected = _report_files(tmp_path)
         for threads in (3, 2, 3):
@@ -608,12 +618,13 @@ class TestWorkerPool:
 
     @pytest.mark.parametrize(
         "batch_points, sizes",
-        [(None, [2, 3, 3]), (1.0, [10, 20, 12])],
+        [(1000.0, [2, 3, 3]), (1.0, [10, 20, 12])],
         ids=["cheap-one-batch-per-worker", "costly-one-job-per-item"],
     )
     def test_items_per_map_call(self, tmp_path, monkeypatch, map_sizes, batch_points, sizes):
-        if batch_points is not None:
-            monkeypatch.setattr(experiments, "_BATCH_POINTS", batch_points)
+        # the sweep draws about 1782 points and the run_replications call
+        # about 1457: each is one to two batches of 1000 points
+        monkeypatch.setattr(experiments, "_BATCH_POINTS", batch_points)
         grid = tuple(
             ModelParams(rho=0.2 * (i + 1), connection=RAY1, anchor_distance=1.0, k=2 + i % 2) for i in range(10)
         )
@@ -623,9 +634,9 @@ class TestWorkerPool:
         for threads in (2, 3):
             run_experiment(cfg, threads=threads)
             assert _report_files(tmp_path) == expected, threads
-        params = grid[0]
-        counts, _ = run_replications(params, 7, 60, threads=3)
-        assert np.array_equal(counts, run_replications(params, 7, 60)[0])
+        params = grid[-1]
+        counts, _ = run_replications(params, 7, 100, threads=3)
+        assert np.array_equal(counts, run_replications(params, 7, 100)[0])
         assert map_sizes == sizes
 
     @pytest.mark.parametrize("batch_points", [1e9, 1.0])
@@ -638,26 +649,26 @@ class TestWorkerPool:
             for rho in (0.5, 1.0, 1.5, 2.0)
             for k in (2, 3, 4, 5)
         ]
-        jobs = [(params, i, 0, 12, False, None) for i, params in enumerate(grid)]
-        batches = experiments._deal(jobs, 4)
+        points = [12 * experiments._points_per_replication(params) for params in grid]
+        batches = experiments._deal(points, 4)
         assert sorted(j for batch in batches for j in batch) == list(range(16))
         assert len(batches) == (4 if batch_points > 1 else 16)
-        points = [12 * experiments._points_per_replication(params) for params in grid]
         loads = [sum(points[j] for j in batch) for batch in batches]
         assert max(loads) - min(loads) <= max(points)
         assert all(sum(grid[j].k == 5 for j in batch) <= 1 for batch in batches)
 
     def test_killed_workers_are_replaced(self, counted_pools):
         params = ModelParams(rho=1.0, connection=RAY1, anchor_distance=1.0, k=3)
-        expected, _ = run_replications(params, 7, 60)
-        run_replications(params, 7, 60, threads=2)
+        replications = _pooled_replications(params)
+        expected, _ = run_replications(params, 7, replications)
+        run_replications(params, 7, replications, threads=2)
         workers = multiprocessing.active_children()
         assert workers
         for worker in workers:
             os.kill(worker.pid, signal.SIGKILL)
         for worker in workers:
             worker.join()
-        counts, _ = run_replications(params, 7, 60, threads=2)
+        counts, _ = run_replications(params, 7, replications, threads=2)
         assert np.array_equal(counts, expected)
         assert counted_pools == [2, 2]
 
@@ -665,12 +676,13 @@ class TestWorkerPool:
         # two threads switching worker counts would otherwise drop the pool
         # under each other's calls
         params = ModelParams(rho=1.0, connection=RAY1, anchor_distance=1.0, k=3)
-        expected, _ = run_replications(params, 7, 30)
+        replications = _pooled_replications(params)
+        expected, _ = run_replications(params, 7, replications)
         results = []
 
         def calls(threads):
             for _ in range(3):
-                results.append(run_replications(params, 7, 30, threads=threads)[0])
+                results.append(run_replications(params, 7, replications, threads=threads)[0])
 
         workers = [threading.Thread(target=calls, args=(t,)) for t in (2, 3)]
         for worker in workers:
@@ -680,6 +692,7 @@ class TestWorkerPool:
             assert not worker.is_alive()
         assert len(results) == 6
         assert all(np.array_equal(counts, expected) for counts in results)
+        assert set(counted_pools) == {2, 3}
 
     def test_second_break_names_the_grid_seeds(self, monkeypatch, counted_pools):
         class BreakingPool(experiments.ProcessPoolExecutor):
@@ -689,7 +702,7 @@ class TestWorkerPool:
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", BreakingPool)
         params = ModelParams(rho=1.0, connection=RAY1, anchor_distance=1.0, k=3)
         with pytest.raises(ReplicationError, match=r"broke twice running grid seeds \[7\]"):
-            run_replications(params, 7, 10, threads=2)
+            run_replications(params, 7, _pooled_replications(params), threads=2)
         assert counted_pools == [2, 2]
 
     def test_failure_names_point_seed_and_block(self, monkeypatch):
@@ -705,8 +718,27 @@ class TestWorkerPool:
         _fail_on_replication_3(monkeypatch)
         params = ModelParams(rho=1.0, connection=RAY1, anchor_distance=1.0, k=3)
         with pytest.raises(ReplicationError) as info:
-            run_replications(params, 7, 10, threads=2)
+            run_replications(params, 7, _pooled_replications(params), threads=2)
         _assert_names_replication_3(info.value)
+        assert counted_pools == [2]
+
+    def test_calls_under_one_batch_count_inline(self, tmp_path, counted_pools):
+        # 200 replications of about 8.3 points each: under one batch
+        cfg = tiny_config(tmp_path)
+        run_experiment(cfg, threads=1)
+        expected = _report_files(tmp_path)
+        run_experiment(cfg, threads=2)
+        assert _report_files(tmp_path) == expected
+        assert validate_margin(cfg, replications=200, threads=2) == validate_margin(cfg, replications=200)
+        assert counted_pools == []
+
+    def test_a_call_of_one_batch_starts_the_pool(self, counted_pools):
+        params = ModelParams(rho=1.0, connection=RAY1, anchor_distance=1.0, k=3)
+        one_batch = math.ceil(experiments._BATCH_POINTS / experiments._points_per_replication(params))
+        for replications, pools in ((one_batch - 1, []), (one_batch, [2])):
+            counts, _ = run_replications(params, 7, replications, threads=2)
+            assert counted_pools == pools
+            assert np.array_equal(counts, run_replications(params, 7, replications)[0])
 
     def test_k1_draws_no_points(self, monkeypatch):
         params = ModelParams(rho=5.0, connection=RAY1, anchor_distance=1.0, k=1)
@@ -833,6 +865,18 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "tiny_margin.csv").exists()
         assert (tmp_path / "tiny_margin.json").exists()
+
+    def test_validate_margin_names_the_point_whose_doubled_box_is_refused(self, tmp_path, capsys):
+        # rho = 1e16 is drawn with its own margin (4.2e18 points on average),
+        # but not with the doubled one (1.64e19)
+        grid = tuple(ModelParams(rho=rho, connection=RAY1, anchor_distance=1.0, k=4) for rho in (1.0, 1e16))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config_to_dict(tiny_config(tmp_path / "out", params_grid=grid))))
+        assert cli_main(["validate-margin", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: params_grid[1] ModelParams(rho=1e+16,"), err
+        assert "doubled margin 20.0" in err and "1.64e+19" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "sources", [["--config", "CONFIG", "--preset", "fig-existence"], []], ids=["both", "neither"]

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +11,7 @@ from rcmpaths.rng import (
     pair_uniforms,
     points_generator,
     points_key,
+    points_keys,
 )
 from rcmpaths.sampler import _fast_points_rng
 
@@ -59,6 +61,21 @@ def test_fast_points_rng_matches_public_generator():
 @settings(max_examples=200)
 def test_points_key_is_two_folds(seed, rep):
     assert points_key(seed, rep) == (fold(seed, rep, STREAM_POINTS, 0), fold(seed, rep, STREAM_POINTS, 1))
+
+
+@pytest.mark.parametrize("seed", [0, (1 << 63) + 5, (1 << 64) - 1], ids=["0", "2**63+5", "2**64-1"])
+def test_points_keys_fold_a_block(seed):
+    # the one-pass uint64 fold of a block gives the Python-int fold of each
+    # replication, replications at and above 2**63 included
+    reps = [0, 1, 2, 1 << 32, (1 << 63) - 1, 1 << 63, (1 << 64) - 2, (1 << 64) - 1]
+    keys = points_keys(seed, reps)
+    assert keys.dtype == np.uint64 and keys.shape == (len(reps), 2)
+    for key, rep in zip(keys.tolist(), reps):
+        assert tuple(key) == points_key(seed, rep)
+        assert tuple(key) == (fold(seed, rep, STREAM_POINTS, 0), fold(seed, rep, STREAM_POINTS, 1))
+    # a range, as the sweep passes its blocks, up to the last replication
+    assert np.array_equal(points_keys(seed, range((1 << 64) - 2, 1 << 64)), keys[-2:])
+    assert points_keys(seed, []).shape == (0, 2)
 
 
 def test_fast_points_rng_resets_a_used_stream():

@@ -6,11 +6,12 @@ import pytest
 from conftest import CONNECTIONS
 from rcmpaths.analytics import mean_khop_numeric
 from rcmpaths.experiments import run_replications
-from rcmpaths.model import ConnectionSpec, ModelParams, Point
+from rcmpaths.model import RAYLEIGH, ConnectionSpec, ModelParams, Point, cloud_mass
 from rcmpaths.paths import count_khop_paths, iter_khop_paths
-from rcmpaths.rng import pair_uniforms
+from rcmpaths.rng import pair_uniforms, points_generator
 from rcmpaths.sampler import (
     draw_edges,
+    neighbour_draws,
     realize_graph,
     region_for,
     sample_conditioned_ppp,
@@ -177,3 +178,32 @@ class TestAnchorNeighbours:
         for rep in range(20):
             g = sample_realization(params, 5, rep)
             assert (g.adjacency[0, 2:] | g.adjacency[1, 2:]).all()
+
+    @pytest.mark.parametrize("spec", CONNECTIONS, ids=["eta-2", "eta-3", "hard-disk", "tabulated"])
+    @pytest.mark.parametrize("rho", [0.05, 1.5])
+    def test_block_draws_equal_one_replication_at_a_time(self, spec, rho):
+        # each replication's variates come from its own public generator in
+        # the documented order, however the block is cut; at rho = 0.05 most
+        # clouds are empty
+        params = ModelParams(rho=rho, connection=spec, anchor_distance=1.0, k=3)
+        seed = (1 << 63) + 5
+
+        def one(rep):
+            rng = points_generator(seed, rep)
+            n0, n1 = rng.poisson(cloud_mass(params), 2).tolist()
+            if spec.kind != RAYLEIGH:
+                return n0, rng.random((4, n0 + n1))
+            radial = rng.standard_gamma(2.0 / spec.eta, n0 + n1)
+            return n0, np.vstack([radial, rng.random((2, n0 + n1))])
+
+        expected = [one(rep) for rep in range(40)]
+        for a, b in ((0, 40), (7, 8), (13, 29)):
+            block = neighbour_draws(params, seed, range(a, b))
+            assert len(block) == b - a
+            for (n0, v), (want_n0, want_v) in zip(block, expected[a:b]):
+                assert n0 == want_n0
+                assert v.dtype == want_v.dtype and np.array_equal(v, want_v)
+            assert neighbour_draws(params, seed, [b - 1])[0][1].tobytes() == expected[b - 1][1].tobytes()
+        sizes = [v.shape[1] for _, v in expected]
+        assert max(sizes) > 0
+        assert rho > 1 or 0 in sizes
