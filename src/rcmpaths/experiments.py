@@ -414,8 +414,9 @@ def _deal(points, threads: int) -> list[list[int]]:
     There is one batch per ``_BATCH_POINTS`` points the jobs draw, at least
     one per worker and at most one per job: a call of a few batches sends
     each worker one message, and a costly one hands its jobs out one at a
-    time as workers free up.  Jobs go heaviest first to the batch with the fewest
-    points so far, so the batches stay even whatever order the grid has.
+    time as workers free up.  Jobs go heaviest first to the batch with the
+    fewest points so far, so the batches stay even whatever order the grid
+    has.
     """
     count = min(len(points), max(threads, math.ceil(sum(points) / _BATCH_POINTS)))
     batches = [[] for _ in range(count)]

@@ -33,20 +33,20 @@ import numpy as np
 
 from .errors import ValidationError, _int_problems
 from .model import RAYLEIGH, ConnectionSpec, ModelParams, cloud_mass, region_for
-from .rng import pair_uniforms, points_keys
+from .rng import pair_uniforms, points_key, points_keys
 
 _local = threading.local()
 # the Philox counter and buffer of a fresh stream; the state setter copies them
 _ZEROS = np.zeros(4, dtype=np.uint64)
 
 
-def _points_streams(seed: int, replications):
-    """Yield the point stream of each of ``replications`` in turn: the stream
-    of :func:`rcmpaths.rng.points_generator`, but reusing one Philox instance
-    and its generator per thread (construction dominates at high replication
-    counts), and keyed from :func:`rcmpaths.rng.points_keys` of the whole
-    block.  Each stream must be consumed before the next is asked for, and
-    none escapes :func:`sample_conditioned_ppp` or :func:`neighbour_draws`.
+def _points_streams(keys):
+    """Yield the point stream of each Philox key of ``keys`` in turn: the
+    stream of :func:`rcmpaths.rng.points_generator`, but reusing one Philox
+    instance and its generator per thread (construction dominates at high
+    replication counts).  Each stream must be consumed before the next is
+    asked for, and none escapes :func:`sample_conditioned_ppp` or
+    :func:`neighbour_draws`.
     """
     rng = getattr(_local, "rng", None)
     if rng is None:
@@ -59,7 +59,7 @@ def _points_streams(seed: int, replications):
         "has_uint32": 0,
         "uinteger": 0,
     }
-    for key in points_keys(seed, replications):
+    for key in keys:
         state["state"]["key"] = key
         rng.bit_generator.state = state
         yield rng
@@ -67,7 +67,8 @@ def _points_streams(seed: int, replications):
 
 def _fast_points_rng(seed: int, replication: int) -> np.random.Generator:
     """The :func:`_points_streams` stream of one replication."""
-    return next(_points_streams(seed, (replication,)))
+    # keys above 2**63 must be passed as uint64, not Python ints
+    return next(_points_streams([np.array(points_key(seed, replication), dtype=np.uint64)]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,12 +150,12 @@ def neighbour_draws(params: ModelParams, seed: int, replications) -> list:
     mass = cloud_mass(params)
     draws = []
     if spec.kind != RAYLEIGH:
-        for rng in _points_streams(seed, replications):
+        for rng in _points_streams(points_keys(seed, replications)):
             n0, n1 = rng.poisson(mass, 2).tolist()
             draws.append((n0, rng.random((4, n0 + n1))))
         return draws
     shape = 2.0 / spec.eta
-    for rng in _points_streams(seed, replications):
+    for rng in _points_streams(points_keys(seed, replications)):
         n0, n1 = rng.poisson(mass, 2).tolist()
         v = np.empty((3, n0 + n1))
         rng.standard_gamma(shape, out=v[0])
