@@ -16,8 +16,7 @@ Streams (so point draws and edge draws never collide):
 
 * point stream: two folded words key a Philox generator per replication;
   the Poisson count is drawn first, then the coordinate uniforms, in that
-  fixed order.  :func:`points_keys` folds the keys of a block of
-  replications in one uint64 pass.
+  fixed order.
 * edge stream: the uniform deciding the edge of vertex pair ``{i, j}`` is
   folded from ``(replication, STREAM_EDGES, min(i, j), max(i, j))``.  Any
   subset of pairs can therefore be evaluated lazily, in any order, and
@@ -28,7 +27,8 @@ Streams (so point draws and edge draws never collide):
 :func:`pair_uniforms` folds the edge-stream prefixes of many replications,
 and then the pairs' two indices, in numpy uint64, whose arithmetic wraps
 modulo 2**64 the same way, so one pair or a million give the same bits;
-:func:`points_keys` folds point-stream keys the same way.
+:func:`points_keys` folds the point-stream keys of a whole block of
+replications the same way.
 """
 from __future__ import annotations
 

@@ -598,7 +598,7 @@ class TestWorkerPool:
                 ModelParams(rho=1.0, connection=RAY1, anchor_distance=1.0, k=3),
                 ModelParams(rho=1.5, connection=ConnectionSpec.hard_disk(1.0), anchor_distance=1.5, k=2),
             ),
-            # 60 replications, 14 jobs: dealt 5, 5, 4 at 3 workers
+            # 60 replications, about 71000 points: 14 jobs in 9 batches
             tuple(
                 ModelParams(rho=0.3 * (i + 1), connection=RAY1, anchor_distance=1.0, k=2 + i % 3)
                 for i in range(7)
