@@ -168,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_preset = sub.add_parser("preset", help="run a named built-in experiment")
     p_preset.add_argument("name", choices=list(PRESET_NAMES))
     p_preset.add_argument(
-        "--anchor-distance", type=float, default=None, help="fixed anchor separation where applicable"
+        "--anchor-distance", type=float, default=None, help="fixed anchor separation (fig-mean-var sweeps it)"
     )
     _add_common(p_preset)
     p_preset.set_defaults(func=_cmd_preset)

@@ -6,22 +6,21 @@ of (grid seed, replication index).  Replications are embarrassingly parallel;
 results are always assembled in replication order, so output files are
 byte-identical regardless of worker count.
 
-The counter works on blocks of replications of one grid point.  Only the
-keyed draws run once per replication, each from the replication's own
-Philox stream: for k <= 3 the anchors' neighbourhoods, whose stream keys
-are folded for the whole block at once
-(:func:`rcmpaths.sampler.neighbour_draws`), for k >= 4 the points of a box
-around the anchors; k = 1 draws no points.  Everything else is one
-vectorised pass per block: for k <= 3 placing and thinning the neighbours
-and reading their anchor edges off their marks, then hashing only the pair
-draws a path can use (see :func:`_block_paths`).  The half-path joins that
-list the paths are those of :mod:`rcmpaths.paths`, which also count the
-paths of a realized graph.  It reduces counts per replication, and pair
-classes by counting identities.  A block holds about ``_BLOCK_POINTS``
-points, and a join draws at most about ``rcmpaths.paths._JOIN_PAIRS`` pairs
-at once, which bounds memory.  Margin validation uses the same counter,
-with a mask of the points inside the base rectangle (k >= 4; k <= 3 has no
-box).  Every edge between non-anchor points is decided by
+The counter works on blocks of replications of one grid point.  What a
+replication draws is decided by the sampler alone: one call,
+:func:`rcmpaths.sampler.block_points`, draws a whole block, for every k
+but 1, and returns its non-anchor points with their edges to the anchors.
+Only the keyed draws run once per replication, each from the replication's
+own Philox stream; k = 1 draws no points.  Everything else is one
+vectorised pass per block: hashing only the pair draws a path can use
+(see :func:`_block_paths`).  The half-path joins that list the paths are
+those of :mod:`rcmpaths.paths`, which also count the paths of a realized
+graph.  It reduces counts per replication, and pair classes by counting
+identities.  A block holds about ``_BLOCK_POINTS`` points, and a join
+draws at most about ``rcmpaths.paths._JOIN_PAIRS`` pairs at once, which
+bounds memory.  Margin validation uses the same counter, with a mask of
+the points inside the base rectangle (k >= 4; k <= 3 has no box).  Every
+edge between non-anchor points is decided by
 :func:`rcmpaths.sampler.draw_edges` from a draw keyed by the vertex pair,
 so the lazy counter finds exactly the paths of
 :func:`rcmpaths.sampler.sample_realization`.  How replications fall into
@@ -67,7 +66,7 @@ from .analytics import (
     variance_threehop_rayleigh,
 )
 from .errors import ReplicationError, ValidationError, _int_problems
-from .model import HARD_DISK, RAYLEIGH, TABULATED, ConnectionSpec, ModelParams, cloud_mass, region_for
+from .model import HARD_DISK, RAYLEIGH, TABULATED, ConnectionSpec, ModelParams, region_for
 from .moments import (
     ExistenceBracket,
     PathCountSamples,
@@ -77,12 +76,7 @@ from .moments import (
 )
 from .paths import PairStructureCounts, classify_path_pair_segments, khop_intermediates
 from .rng import derive_subseed
-from .sampler import (
-    anchor_neighbours,
-    draw_edges,
-    neighbour_draws,
-    sample_conditioned_ppp,
-)
+from .sampler import block_points, draw_edges, mean_draws
 
 PAIR_CLASSES = tuple(f.name for f in fields(PairStructureCounts))
 DEFAULT_BRACKET_ORDERS = (3, 4, 5, 80)
@@ -100,7 +94,8 @@ class ExperimentConfig:
 
     ``collect_pair_structures`` classifies every ordered pair of 3-hop paths
     per replication (skip it for dense sweeps where only the count matters).
-    ``bracket_orders`` are the truncation orders of the existence brackets.
+    ``bracket_orders`` are the truncation orders of the existence brackets,
+    distinct integers >= 0; each names two CSV columns.
     """
 
     name: str
@@ -123,8 +118,10 @@ class ExperimentConfig:
             problems.append("params_grid: must contain at least one grid point")
         problems += _int_problems(1, replications=self.replications)
         problems += _int_problems(0, 64, seed=self.seed)
-        if any(m < 0 for m in self.bracket_orders):
-            problems.append("bracket_orders: orders must be >= 0")
+        orders = list(self.bracket_orders)
+        problems += _int_problems(0, **{f"bracket_orders[{i}]": m for i, m in enumerate(orders)})
+        if any(m in orders[:i] for i, m in enumerate(orders)):
+            problems.append(f"bracket_orders: orders must be distinct, got {orders!r}")
         if problems:
             raise ValidationError("invalid experiment config: " + "; ".join(problems))
         object.__setattr__(self, "params_grid", tuple(self.params_grid))
@@ -254,9 +251,9 @@ def load_config(path: str) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-# A block of replications holds about this many points (k >= 4) or neighbour
-# proposals (k <= 3) on average; the block's arrays, and so the counter's
-# working memory, grow with it.
+# A block of replications holds about this many points or neighbour
+# proposals (rcmpaths.sampler.mean_draws) on average; the block's arrays,
+# and so the counter's working memory, grow with it.
 _BLOCK_POINTS = 1 << 16
 
 # A sweep call sends the pool one batch of jobs per this many points or
@@ -268,93 +265,62 @@ _BLOCK_POINTS = 1 << 16
 _BATCH_POINTS = 1 << 13
 
 
-def _replication_draws(params: ModelParams, seed: int, reps) -> list:
-    """The keyed draws of replications ``reps`` of one grid point: the anchor
-    neighbourhoods of :func:`rcmpaths.sampler.neighbour_draws` for k <= 3, the
-    box points of :func:`rcmpaths.sampler.sample_conditioned_ppp` for k >= 4.
-    k = 1 draws nothing: its count is the anchors' own edge."""
-    k = int(params.k)
-    if k == 1:
-        return [None] * len(reps)
-    if k <= 3:
-        return neighbour_draws(params, seed, reps)
-    return [sample_conditioned_ppp(params, seed, rep) for rep in reps]
+def _block_paths(params: ModelParams, seed: int, first: int, last: int):
+    """Every k-hop path of replications ``first`` .. ``last - 1`` of one grid
+    point.
 
-
-def _block_paths(params: ModelParams, seed: int, first: int, draws: list):
-    """Every k-hop path of a block of replications of one grid point.
-
-    ``draws[b]`` holds the :func:`_replication_draws` of replication
-    ``first + b``.  Returns ``(xy, seg, inter)``: the concatenated non-anchor
-    points, the block position of each path's replication (non-decreasing),
-    and k - 1 arrays holding the paths' intermediate vertices as rows of
-    ``xy``, in order from anchor 0.  The paths are the half-path joins of
-    :func:`rcmpaths.paths.khop_intermediates`, and the edges they read are
-    drawn here.  Only the pair draws a path can use are made.  For k <= 3 the
-    points are the anchors' neighbours, whose anchor edges come with them
-    from :func:`rcmpaths.sampler.anchor_neighbours`; for k >= 4 the two
-    anchor rows and each half-path's last vertex with the other points of
-    its replication are drawn.  The joining pairs are drawn for every k.
-    Each pair is decided by :func:`rcmpaths.sampler.draw_edges`, as in
+    Returns ``(xy, seg, inter)``: the block's non-anchor points, the block
+    position of each path's replication (non-decreasing), and k - 1 arrays
+    holding the paths' intermediate vertices as rows of ``xy``, in order from
+    anchor 0.  The points and their anchor edges are the
+    :func:`rcmpaths.sampler.block_points` of the block; the paths are the
+    half-path joins of :func:`rcmpaths.paths.khop_intermediates`, and the
+    joining pairs they read are drawn here, only those a path can use.  Each
+    pair is decided by :func:`rcmpaths.sampler.draw_edges`, as in
     :func:`rcmpaths.sampler.sample_realization`, so the paths are exactly
-    those of each replication's realization.
+    those of each replication's realization.  k = 1 draws no points: its
+    count is the anchors' own edge.
     """
-    spec, k, r = params.connection, int(params.k), params.anchor_distance
-    reps = np.arange(first, first + len(draws))
+    spec, k = params.connection, int(params.k)
     if k == 1:
-        hit = draw_edges(spec, seed, reps, 0, 1, np.float64(r * r))
+        r = params.anchor_distance
+        hit = draw_edges(spec, seed, np.arange(first, last), 0, 1, np.float64(r * r))
         return np.empty((0, 2)), np.flatnonzero(hit), ()
-    if k <= 3:
-        xy, sizes, near = anchor_neighbours(params, draws)
-    else:
-        # a k-hop path needs k - 1 points besides the anchors
-        others = [p[2:] if len(p) > k else p[:0] for p in draws]
-        sizes = np.array([len(o) for o in others])
-        xy = np.concatenate(others)
-    seg_of = np.repeat(np.arange(len(draws)), sizes)
-    rep_of = reps[seg_of]
+    xy, sizes, near = block_points(params, seed, range(first, last))
+    seg_of = np.repeat(np.arange(last - first), sizes)
+    rep_of = first + seg_of
     # vertex index within its replication: anchors are 0 and 1
     local = np.arange(2, len(xy) + 2) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    if k >= 4:
-        # the anchors sit at (0, 0) and (r, 0)
-        x, y = xy[:, 0], xy[:, 1]
-        yy = y * y
-        near = [
-            draw_edges(spec, seed, rep_of, anchor, local, (x - ax) * (x - ax) + yy)
-            for anchor, ax in ((0, 0.0), (1, r))
-        ]
 
     def linked(u, v):
         d = xy[u] - xy[v]
         return draw_edges(spec, seed, rep_of[u], local[u], local[v], d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
 
-    inter = khop_intermediates(k, near, linked, seg_of, len(draws))
+    inter = khop_intermediates(k, near, linked, seg_of, last - first)
     return xy, seg_of[inter[0]], inter
 
 
-def _count_block(params, seed, first, draws, collect_pairs, inside):
-    """Path counts of a block of replications, plus the pair classes when
-    ``collect_pairs`` (k = 3) and, when ``inside`` is a Region, the counts of
-    the paths whose intermediates all lie in it (else None)."""
-    xy, seg, inter = _block_paths(params, seed, first, draws)
-    counts = np.bincount(seg, minlength=len(draws))
-    classes = classify_path_pair_segments(*inter, seg, len(draws)) if collect_pairs else None
+def _count_block(params, seed, first, last, collect_pairs, inside):
+    """Path counts of replications ``first`` .. ``last - 1`` of one grid
+    point, plus the pair classes when ``collect_pairs`` (k = 3) and, when
+    ``inside`` is a Region, the counts of the paths whose intermediates all
+    lie in it (else None)."""
+    xy, seg, inter = _block_paths(params, seed, first, last)
+    counts = np.bincount(seg, minlength=last - first)
+    classes = classify_path_pair_segments(*inter, seg, last - first) if collect_pairs else None
     kept_counts = None
     if inside is not None:
         keep = np.ones(len(seg), dtype=bool)
         for z in inter:
             keep &= inside.contains(xy[z, 0], xy[z, 1])
-        kept_counts = np.bincount(seg[keep], minlength=len(draws))
+        kept_counts = np.bincount(seg[keep], minlength=last - first)
     return counts, classes, kept_counts
 
 
 def _points_per_replication(params: ModelParams) -> float:
     """Mean number of points or proposals one replication draws, with the
     two anchors."""
-    k = int(params.k)
-    if k == 1:
-        return 2.0
-    return (2.0 * cloud_mass(params) if k <= 3 else params.rho * region_for(params).area) + 2.0
+    return 2.0 if int(params.k) == 1 else mean_draws(params) + 2.0
 
 
 def _block_replications(params: ModelParams) -> int:
@@ -377,8 +343,7 @@ def _count_range(job):
         step = _block_replications(params)
         for first in range(lo, hi, step):
             last = min(first + step, hi)
-            draws = _replication_draws(params, seed, range(first, last))
-            parts.append(_count_block(params, seed, first, draws, collect_pairs, inside))
+            parts.append(_count_block(params, seed, first, last, collect_pairs, inside))
     except Exception as exc:
         raise ReplicationError(
             f"{params} (grid seed {seed}) failed in replications {first}..{last - 1}: {exc!r}"
@@ -970,9 +935,12 @@ def preset_config(
                       0.3, against a Poisson reference with the same mean.
     fig-existence     existence probability and factorial-moment brackets
                       over a density sweep for k = 2, 3 and beta = 1, 1.5.
+    ``anchor_distance`` fixes the separation; fig-mean-var sweeps it instead.
     """
     r = 1.0 if anchor_distance is None else anchor_distance
     if name == "fig-mean-var":
+        if anchor_distance is not None:
+            raise ValidationError(f"anchor_distance: fig-mean-var sweeps it, so it cannot be {anchor_distance!r}")
         grid = [
             ModelParams(rho=rho, connection=ConnectionSpec.rayleigh(beta=1.0), anchor_distance=i / 4, k=3)
             for rho in (0.5, 2.0, 5.0)

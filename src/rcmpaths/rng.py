@@ -14,9 +14,9 @@ A 64-bit state is folded through the splitmix64 finalizer once per field::
 
 Streams (so point draws and edge draws never collide):
 
-* point stream: two folded words key a Philox generator per replication;
-  the Poisson count is drawn first, then the coordinate uniforms, in that
-  fixed order.
+* point stream: the two words ``fold(seed, replication, STREAM_POINTS, w)``,
+  w = 0, 1, key a Philox generator per replication; the Poisson counts are
+  drawn first, then the variates that place the points, in a fixed order.
 * edge stream: the uniform deciding the edge of vertex pair ``{i, j}`` is
   folded from ``(replication, STREAM_EDGES, min(i, j), max(i, j))``.  Any
   subset of pairs can therefore be evaluated lazily, in any order, and
@@ -28,7 +28,8 @@ Streams (so point draws and edge draws never collide):
 and then the pairs' two indices, in numpy uint64, whose arithmetic wraps
 modulo 2**64 the same way, so one pair or a million give the same bits;
 :func:`points_keys` folds the point-stream keys of a whole block of
-replications the same way.
+replications the same way; it is the only point-stream fold the samplers
+use, even for one replication.
 """
 from __future__ import annotations
 
@@ -123,18 +124,13 @@ def points_keys(seed: int, replications) -> np.ndarray:
         return np.column_stack([_mix64(h.copy()), _mix64(h ^ _U64(1))])
 
 
-def points_key(seed: int, replication: int) -> tuple[int, int]:
-    """The :func:`points_keys` of one replication, folded on Python ints
-    (faster than the array pass for a single replication)."""
-    h = (fold(seed, replication, STREAM_POINTS) + _GAMMA_I) & _MASK
-    return _mix64_int(h), _mix64_int(h ^ 1)
-
-
 def points_generator(seed: int, replication: int) -> np.random.Generator:
-    """Philox generator for the point draws of one replication."""
+    """Philox generator for the point draws of one replication, keyed by
+    ``fold(seed, replication, STREAM_POINTS, w)`` for w = 0, 1: the stream
+    the samplers draw from, keyed here without :func:`points_keys`."""
     # keys above 2**63 must be passed as uint64, not Python ints (those would
     # round-trip through float64 and lose low bits)
-    key = np.array(points_key(seed, replication), dtype=np.uint64)
+    key = np.array([fold(seed, replication, STREAM_POINTS, w) for w in (0, 1)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

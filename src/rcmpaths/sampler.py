@@ -3,11 +3,12 @@
 The two anchors are always placed at (0, 0) and (anchor_distance, 0); the
 model is isotropic, so fixing the axis loses no generality.
 
-Two samplers draw a replication's points, each from the replication's own
-Philox stream.  The k <= 3 sampler draws a block of replications in one
-call: the stream keys of the whole block are folded in one pass
-(:func:`rcmpaths.rng.points_keys`), and only the draws themselves run once
-per replication.
+This module alone decides what a replication of a given k draws.  One call,
+:func:`block_points`, draws a block of replications for every k, each from
+the replication's own Philox stream: the stream keys of the whole block are
+folded in one pass (:func:`rcmpaths.rng.points_keys`), and only the draws
+themselves run once per replication.  It returns the block's non-anchor
+points with their edges to the two anchors.
 
 * k <= 3 draws only the anchors' neighbours, in the whole plane, with no
   box.  A path of at most three hops passes only through points adjacent to
@@ -18,7 +19,8 @@ per replication.
   law of the points adjacent to {x, y}, with their anchor edges (see
   :func:`neighbour_draws` and :func:`anchor_neighbours`).
 * k >= 4 draws a Poisson process on the anchors' bounding box grown by the
-  margin on every side (:func:`sample_conditioned_ppp`).
+  margin on every side (:func:`box_points`); the edges to the anchors are
+  drawn by :func:`draw_edges`.
 
 Every other edge, between two non-anchor points or between the anchors, is
 decided by :func:`draw_edges` from a uniform keyed by the vertex pair.
@@ -33,7 +35,7 @@ import numpy as np
 
 from .errors import ValidationError, _int_problems
 from .model import RAYLEIGH, ConnectionSpec, ModelParams, cloud_mass, region_for
-from .rng import pair_uniforms, points_key, points_keys
+from .rng import pair_uniforms, points_keys
 
 _local = threading.local()
 # the Philox counter and buffer of a fresh stream; the state setter copies them
@@ -45,7 +47,7 @@ def _points_streams(keys):
     stream of :func:`rcmpaths.rng.points_generator`, but reusing one Philox
     instance and its generator per thread (construction dominates at high
     replication counts).  Each stream must be consumed before the next is
-    asked for, and none escapes :func:`sample_conditioned_ppp` or
+    asked for, and none escapes :func:`box_points` or
     :func:`neighbour_draws`.
     """
     rng = getattr(_local, "rng", None)
@@ -63,12 +65,6 @@ def _points_streams(keys):
         state["state"]["key"] = key
         rng.bit_generator.state = state
         yield rng
-
-
-def _fast_points_rng(seed: int, replication: int) -> np.random.Generator:
-    """The :func:`_points_streams` stream of one replication."""
-    # keys above 2**63 must be passed as uint64, not Python ints
-    return next(_points_streams([np.array(points_key(seed, replication), dtype=np.uint64)]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,25 +104,35 @@ class GraphRealization:
         return np.column_stack([iu[keep], ju[keep]])
 
 
-def sample_conditioned_ppp(params: ModelParams, seed: int, replication: int) -> np.ndarray:
-    """Sample the conditioned point set for one replication (the k >= 4
-    sampler).
+def mean_draws(params: ModelParams) -> float:
+    """Mean number of points (k >= 4) or neighbour proposals (k <= 3) one
+    replication draws, the anchors not counted."""
+    if int(params.k) <= 3:
+        return 2.0 * cloud_mass(params)
+    return params.rho * region_for(params).area
 
-    Returns an (N + 2, 2) array: the anchors at (0, 0) and
-    (anchor_distance, 0) followed by N ~ Poisson(rho * area) points placed
-    uniformly in the sampling rectangle.  Pure function of
-    (params, seed, replication).
+
+def box_points(params: ModelParams, seed: int, replications):
+    """The box points of a block of replications (the k >= 4 draw).
+
+    Returns ``(xy, sizes)``: the points of every replication in turn,
+    ``sizes[b]`` of them for replication b.  From each replication's Philox
+    stream: the count N ~ Poisson(rho * area), then 2N uniforms placing N
+    points in the rectangle of :func:`rcmpaths.model.region_for`.  The keys,
+    the rectangle and the mean are worked out once per block.
     """
-    region = region_for(params)
-    rng = _fast_points_rng(seed, replication)
-    n = int(rng.poisson(params.rho * region.area))
-    u = rng.random((n, 2))
-    pts = np.empty((n + 2, 2))
-    pts[0] = (0.0, 0.0)
-    pts[1] = (params.anchor_distance, 0.0)
-    pts[2:, 0] = region.min_corner.x + u[:, 0] * region.width
-    pts[2:, 1] = region.min_corner.y + u[:, 1] * region.height
-    return pts
+    box = region_for(params)
+    mean = params.rho * box.area
+    u = [rng.random((int(rng.poisson(mean)), 2)) for rng in _points_streams(points_keys(seed, replications))]
+    corner, size = np.array([[box.min_corner.x, box.min_corner.y], [box.width, box.height]])
+    return corner + np.concatenate(u) * size, np.array([len(b) for b in u])
+
+
+def sample_conditioned_ppp(params: ModelParams, seed: int, replication: int) -> np.ndarray:
+    """The anchors at (0, 0) and (anchor_distance, 0), then the
+    :func:`box_points` of one replication: an (N + 2, 2) array."""
+    xy, _ = box_points(params, seed, (replication,))
+    return np.vstack([[[0.0, 0.0], [params.anchor_distance, 0.0]], xy])
 
 
 def neighbour_draws(params: ModelParams, seed: int, replications) -> list:
@@ -247,22 +253,46 @@ def realize_graph(
     return GraphRealization(points=points, adjacency=adjacency, seed=seed, replication=replication)
 
 
+def block_points(params: ModelParams, seed: int, replications):
+    """What a block of replications of ``params.k`` draws: the non-anchor
+    points, with their edges to the two anchors.
+
+    Returns ``(xy, sizes, near)``: the points of every replication in turn,
+    ``sizes[b]`` of them for replication b, in draw order (so they are
+    numbered 2, 3, ... within their replication), and two boolean arrays
+    over the points, their edges to anchor 0 and to anchor 1.  k <= 3: the
+    anchors' neighbours of :func:`anchor_neighbours`, whose anchor edges are
+    its marks.  k >= 4: the points of :func:`box_points`, whose anchor edges
+    are drawn by :func:`draw_edges`.
+    """
+    if int(params.k) <= 3:
+        return anchor_neighbours(params, neighbour_draws(params, seed, replications))
+    xy, sizes = box_points(params, seed, replications)
+    rep_of = np.repeat(np.asarray(replications, dtype=np.uint64), sizes)
+    local = np.arange(2, len(xy) + 2) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    # the anchors sit at (0, 0) and (r, 0)
+    x, y = xy[:, 0], xy[:, 1]
+    yy = y * y
+    near = tuple(
+        draw_edges(params.connection, seed, rep_of, anchor, local, (x - ax) * (x - ax) + yy)
+        for anchor, ax in ((0, 0.0), (1, params.anchor_distance))
+    )
+    return xy, sizes, near
+
+
 def sample_realization(params: ModelParams, seed: int, replication: int) -> GraphRealization:
     """Sample one replication's points and realize its graph, with the draws
     the sweep counter makes for it, so both find the same paths.
 
-    k >= 4: the box points of :func:`sample_conditioned_ppp`, every edge
-    drawn by :func:`realize_graph`.  k <= 3: the anchors' neighbours of
-    :func:`anchor_neighbours`; their edges to the anchors are its marks, and
-    every other edge, the anchors' own included, is drawn by
-    :func:`realize_graph`.  Seeds and replication indices outside
-    [0, 2**64) raise ``ValidationError``.
+    The points are the anchors and the :func:`block_points` of the
+    replication; their edges to the anchors are its ``near`` rows, and every
+    other edge, the anchors' own included, is drawn by
+    :func:`realize_graph`.  At k >= 4 the anchor rows are drawn by
+    :func:`draw_edges` either way, so they are the full draw's.  Seeds and
+    replication indices outside [0, 2**64) raise ``ValidationError``.
     """
     _refuse_bad_keys(seed, replication)
-    if int(params.k) >= 4:
-        pts = sample_conditioned_ppp(params, seed, replication)
-        return realize_graph(pts, params.connection, seed, replication)
-    xy, _, near = anchor_neighbours(params, neighbour_draws(params, seed, (replication,)))
+    xy, _, near = block_points(params, seed, (replication,))
     anchors = [[0.0, 0.0], [params.anchor_distance, 0.0]]
     g = realize_graph(np.vstack([anchors, xy]), params.connection, seed, replication)
     adjacency = g.adjacency.copy()

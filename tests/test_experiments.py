@@ -26,7 +26,6 @@ from rcmpaths.experiments import (
     _attach_references,
     _count_block,
     _count_range,
-    _replication_draws,
     config_from_dict,
     config_to_dict,
     load_config,
@@ -218,6 +217,33 @@ class TestConfig:
         with pytest.raises(ValidationError, match="JSON object"):
             config_from_dict([{"name": "x"}])
 
+    @pytest.mark.parametrize(
+        "orders, problems",
+        [
+            (
+                (2.7, 3, 3),
+                [
+                    "bracket_orders[0]: must be an integer >= 0, got 2.7",
+                    "bracket_orders: orders must be distinct, got [2.7, 3, 3]",
+                ],
+            ),
+            ((3, True), ["bracket_orders[1]: must be an integer >= 0, got True"]),
+            ((4, -1), ["bracket_orders[1]: must be an integer >= 0, got -1"]),
+        ],
+        ids=["fraction-and-repeat", "bool", "negative"],
+    )
+    def test_refuses_bad_bracket_orders(self, tmp_path, orders, problems):
+        # each would be coerced or repeated as a CSV column; every problem is
+        # listed with the config's others
+        with pytest.raises(ValidationError) as err:
+            tiny_config(tmp_path, bracket_orders=orders, replications=0)
+        for problem in [*problems, "replications: must be an integer >= 1, got 0"]:
+            assert problem in str(err.value)
+
+    def test_refuses_repeated_bracket_orders_in_json(self, tmp_path, capsys):
+        d = {**config_to_dict(tiny_config(tmp_path)), "bracket_orders": [3, 3]}
+        _assert_refused(tmp_path, capsys, d, "bracket_orders: orders must be distinct, got [3, 3]")
+
     def test_lists_every_problem_and_exits_2(self, tmp_path, capsys):
         d = config_to_dict(tiny_config(tmp_path))
         d.update(strict_numerics="false", replications=1.9, replication=5)
@@ -289,8 +315,7 @@ class TestEngineEquivalence:
                 ModelParams(rho=rho, connection=spec, anchor_distance=anchor_distance, k=k, margin=margin / 2)
             )
         reps = range(first, first + size)
-        draws = _replication_draws(params, seed, reps)
-        counts, classes, kept = _count_block(params, seed, first, draws, k == 3, inside)
+        counts, classes, kept = _count_block(params, seed, first, first + size, k == 3, inside)
         for b, rep in enumerate(reps):
             count, expected_classes, expected_kept = _full_realization_counts(params, seed, rep, inside)
             assert counts[b] == count
@@ -314,7 +339,7 @@ class TestEngineEquivalence:
         params = ModelParams(rho=rho, connection=spec, anchor_distance=anchor_distance, k=k, margin=margin)
         g = sample_realization(params, seed, rep)
         assume(g.n - 2 <= 12)
-        (count,), _, _ = _count_block(params, seed, rep, _replication_draws(params, seed, [rep]), False, None)
+        (count,), _, _ = _count_block(params, seed, rep, rep + 1, False, None)
         assert count == count_khop_paths(g, k).count == len(list(iter_khop_paths(g, k)))
         assert count == count_khop_paths_oracle(g, k).count
 
@@ -323,11 +348,10 @@ class TestEngineEquivalence:
         # joins split into runs of a few pairs, most runs cutting through
         # one half-path's pairs, must find the same paths
         params = ModelParams(rho=1.2, connection=RAY1, anchor_distance=1.0, k=k, margin=2.0)
-        draws = _replication_draws(params, 8, range(5))
         inside = region_for(dataclasses.replace(params, margin=1.0))
-        whole = _count_block(params, 8, 0, draws, k == 3, inside)
+        whole = _count_block(params, 8, 0, 5, k == 3, inside)
         monkeypatch.setattr(paths, "_JOIN_PAIRS", 7)
-        runs = _count_block(params, 8, 0, draws, k == 3, inside)
+        runs = _count_block(params, 8, 0, 5, k == 3, inside)
         for expected, got in zip(whole, runs):
             assert (expected is None and got is None) or np.array_equal(expected, got)
         assert whole[0].sum() > 0
@@ -551,15 +575,15 @@ def map_sizes(monkeypatch, counted_pools):
 
 
 def _fail_on_replication_3(monkeypatch):
-    # the k = 3 draw of a block of replications
-    real = experiments.neighbour_draws
+    # the draw of a block of replications
+    real = experiments.block_points
 
     def draw(params, seed, reps):
         if 3 in reps:
             raise FloatingPointError("bad draw")
         return real(params, seed, reps)
 
-    monkeypatch.setattr(experiments, "neighbour_draws", draw)
+    monkeypatch.setattr(experiments, "block_points", draw)
 
 
 def _pooled_replications(*grid):
@@ -742,10 +766,9 @@ class TestWorkerPool:
 
     def test_k1_draws_no_points(self, monkeypatch):
         params = ModelParams(rho=5.0, connection=RAY1, anchor_distance=1.0, k=1)
-        pts = [sample_conditioned_ppp(params, 7, rep) for rep in range(50)]
-        expected, _, _ = _count_block(params, 7, 0, pts, False, None)
-        monkeypatch.setattr(experiments, "sample_conditioned_ppp", None)
-        monkeypatch.setattr(experiments, "neighbour_draws", None)
+        # the anchors' own edge of each full realization
+        expected = np.array([sample_realization(params, 7, rep).adjacency[0, 1] for rep in range(50)])
+        monkeypatch.setattr(experiments, "block_points", None)
         counts, _ = run_replications(params, 7, 50)
         assert np.array_equal(counts, expected)
         assert expected.sum() > 0
@@ -805,6 +828,10 @@ class TestPresets:
         dist = preset_config("fig-distribution", outputs=str(tmp_path), anchor_distance=2.0)
         assert all(p.anchor_distance == 2.0 for p in dist.params_grid)
 
+    def test_swept_anchor_distance_cannot_be_fixed(self, tmp_path):
+        with pytest.raises(ValidationError, match="anchor_distance: fig-mean-var sweeps it, so it cannot be 2.0"):
+            preset_config("fig-mean-var", outputs=str(tmp_path), anchor_distance=2.0)
+
     def test_unknown_preset(self, tmp_path):
         with pytest.raises(ValidationError):
             preset_config("nope", outputs=str(tmp_path))
@@ -847,6 +874,13 @@ class TestCli:
         )
         assert code == 0
         assert (tmp_path / "fig-existence.csv").exists()
+
+    def test_preset_refuses_a_fixed_swept_distance(self, tmp_path, capsys):
+        argv = ["preset", "fig-mean-var", "--anchor-distance", "2", "--out", str(tmp_path / "out")]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: anchor_distance: fig-mean-var sweeps it, so it cannot be 2.0\n"
+        assert not (tmp_path / "out").exists()
 
     def test_failed_replications_exit_1_with_one_line(self, tmp_path, monkeypatch, capsys):
         _fail_on_replication_3(monkeypatch)

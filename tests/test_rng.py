@@ -10,10 +10,9 @@ from rcmpaths.rng import (
     fold,
     pair_uniforms,
     points_generator,
-    points_key,
     points_keys,
 )
-from rcmpaths.sampler import _fast_points_rng
+from rcmpaths.sampler import _points_streams
 
 u64s = st.integers(min_value=0, max_value=(1 << 64) - 1)
 small_ints = st.integers(min_value=0, max_value=1 << 20)
@@ -51,8 +50,10 @@ def test_determinism():
 
 
 def test_fast_points_rng_matches_public_generator():
-    for rep in range(100):
-        a = _fast_points_rng(13, rep).random(5)
+    # the samplers' reused stream of each key of a block is the replication's
+    # public generator
+    for rep, rng in enumerate(_points_streams(points_keys(13, range(100)))):
+        a = rng.random(5)
         b = points_generator(13, rep).random(5)
         assert np.array_equal(a, b)
 
@@ -60,7 +61,8 @@ def test_fast_points_rng_matches_public_generator():
 @given(seed=u64s, rep=small_ints)
 @settings(max_examples=200)
 def test_points_key_is_two_folds(seed, rep):
-    assert points_key(seed, rep) == (fold(seed, rep, STREAM_POINTS, 0), fold(seed, rep, STREAM_POINTS, 1))
+    (key,) = points_keys(seed, [rep]).tolist()
+    assert tuple(key) == (fold(seed, rep, STREAM_POINTS, 0), fold(seed, rep, STREAM_POINTS, 1))
 
 
 @pytest.mark.parametrize("seed", [0, (1 << 63) + 5, (1 << 64) - 1], ids=["0", "2**63+5", "2**64-1"])
@@ -71,7 +73,6 @@ def test_points_keys_fold_a_block(seed):
     keys = points_keys(seed, reps)
     assert keys.dtype == np.uint64 and keys.shape == (len(reps), 2)
     for key, rep in zip(keys.tolist(), reps):
-        assert tuple(key) == points_key(seed, rep)
         assert tuple(key) == (fold(seed, rep, STREAM_POINTS, 0), fold(seed, rep, STREAM_POINTS, 1))
     # a range, as the sweep passes its blocks, up to the last replication
     assert np.array_equal(points_keys(seed, range((1 << 64) - 2, 1 << 64)), keys[-2:])
@@ -83,10 +84,18 @@ def test_fast_points_rng_resets_a_used_stream():
     # spare 32-bit word: the reset must clear both
     seed = (1 << 63) + 12345
     for rep in range(20):
-        _fast_points_rng(seed, rep + 1).integers(0, 7, size=3, dtype=np.uint32)
-        a = _fast_points_rng(seed, rep).random(9)
+        (used,) = _points_streams(points_keys(seed, [rep + 1]))
+        used.integers(0, 7, size=3, dtype=np.uint32)
+        (rng,) = _points_streams(points_keys(seed, [rep]))
+        a = rng.random(9)
         b = points_generator(seed, rep).random(9)
         assert np.array_equal(a, b)
+    # the same within one block: each key resets the stream the last one used
+    for rep, rng in enumerate(_points_streams(points_keys(seed, range(20)))):
+        if rep % 2:
+            rng.integers(0, 7, size=3, dtype=np.uint32)
+        else:
+            assert np.array_equal(rng.random(9), points_generator(seed, rep).random(9))
 
 
 def test_uniformity_gross():

@@ -10,6 +10,7 @@ from rcmpaths.model import RAYLEIGH, ConnectionSpec, ModelParams, Point, cloud_m
 from rcmpaths.paths import count_khop_paths, iter_khop_paths
 from rcmpaths.rng import pair_uniforms, points_generator
 from rcmpaths.sampler import (
+    box_points,
     draw_edges,
     neighbour_draws,
     realize_graph,
@@ -207,3 +208,48 @@ class TestAnchorNeighbours:
         sizes = [v.shape[1] for _, v in expected]
         assert max(sizes) > 0
         assert rho > 1 or 0 in sizes
+
+
+class TestBoxPoints:
+    """k >= 4 draws a block of box points, with drawn anchor edges."""
+
+    @pytest.mark.parametrize("rho", [0.05, 1.5])
+    def test_box_draws_equal_one_replication_at_a_time(self, rho):
+        # each replication's count and uniforms come from its own public
+        # generator, placed as in the box, however the block is cut; at
+        # rho = 0.05 most boxes are empty
+        params = ModelParams(rho=rho, connection=RAY1, anchor_distance=1.0, k=4, margin=1.0)
+        region = region_for(params)
+        seed = (1 << 63) + 5
+
+        def one(rep):
+            rng = points_generator(seed, rep)
+            u = rng.random((int(rng.poisson(params.rho * region.area)), 2))
+            return np.column_stack(
+                [region.min_corner.x + u[:, 0] * region.width, region.min_corner.y + u[:, 1] * region.height]
+            )
+
+        expected = [one(rep) for rep in range(40)]
+        for a, b in ((0, 40), (7, 8), (13, 29)):
+            xy, sizes = box_points(params, seed, range(a, b))
+            assert sizes.tolist() == [len(p) for p in expected[a:b]]
+            assert xy.tobytes() == np.concatenate(expected[a:b]).tobytes()
+            assert sample_conditioned_ppp(params, seed, b - 1)[2:].tobytes() == expected[b - 1].tobytes()
+        sizes = [len(p) for p in expected]
+        assert max(sizes) > 0
+        assert rho > 1 or 0 in sizes
+
+    @pytest.mark.parametrize("spec", CONNECTIONS, ids=["eta-2", "eta-3", "hard-disk", "tabulated"])
+    @pytest.mark.parametrize("seed", [0, 19, (1 << 63) + 5], ids=["0", "19", "2**63+5"])
+    def test_realization_is_the_full_draw(self, spec, seed):
+        # the realization the k >= 4 counter is checked against writes the
+        # anchor rows of block_points; they must be the full matrix draw's
+        params = ModelParams(rho=1.5, connection=spec, anchor_distance=1.0, k=4, margin=1.0)
+        anchor_edges = 0
+        for rep in (0, 1, 5, (1 << 64) - 1):
+            g = sample_realization(params, seed, rep)
+            full = realize_graph(sample_conditioned_ppp(params, seed, rep), spec, seed, rep)
+            assert g.points.tobytes() == full.points.tobytes()
+            assert np.array_equal(g.adjacency, full.adjacency)
+            anchor_edges += int(full.adjacency[:2, 2:].sum())
+        assert anchor_edges > 0
