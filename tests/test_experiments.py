@@ -827,9 +827,8 @@ class TestPresets:
     def test_anchor_distance_flag(self, tmp_path):
         dist = preset_config("fig-distribution", outputs=str(tmp_path), anchor_distance=2.0)
         assert all(p.anchor_distance == 2.0 for p in dist.params_grid)
-
-    def test_swept_anchor_distance_cannot_be_fixed(self, tmp_path):
-        with pytest.raises(ValidationError, match="anchor_distance: fig-mean-var sweeps it, so it cannot be 2.0"):
+        # fig-mean-var sweeps the distance, so fixing it is refused, not ignored
+        with pytest.raises(ValidationError, match="fig-mean-var sweeps it"):
             preset_config("fig-mean-var", outputs=str(tmp_path), anchor_distance=2.0)
 
     def test_unknown_preset(self, tmp_path):
