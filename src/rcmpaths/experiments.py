@@ -6,34 +6,42 @@ of (grid seed, replication index).  Replications are embarrassingly parallel;
 results are always assembled in replication order, so output files are
 byte-identical regardless of worker count.
 
-The counter works on blocks of replications of one grid point.  What a
-replication draws is decided by the sampler alone: one call,
-:func:`rcmpaths.sampler.block_points`, draws a whole block, for every k
-but 1, and returns its non-anchor points with their edges to the anchors.
-Only the keyed draws run once per replication, each from the replication's
-own Philox stream; k = 1 draws no points.  Everything else is one
-vectorised pass per block: hashing only the pair draws a path can use
-(see :func:`_block_paths`).  The half-path joins that list the paths are
-those of :mod:`rcmpaths.paths`, which also count the paths of a realized
-graph.  It reduces counts per replication, and pair classes by counting
-identities.  A block holds about ``_BLOCK_POINTS`` points, and a join
-draws at most about ``rcmpaths.paths._JOIN_PAIRS`` pairs at once, which
-bounds memory.  Margin validation uses the same counter, with a mask of
-the points inside the base rectangle (k >= 4; k <= 3 has no box).  Every
-edge between non-anchor points is decided by
-:func:`rcmpaths.sampler.draw_edges` from a draw keyed by the vertex pair,
-so the lazy counter finds exactly the paths of
-:func:`rcmpaths.sampler.sample_realization`.  How replications fall into
-blocks or workers never changes a result: the reports are byte-identical to
-one replication at a time.  A call that draws less than one batch
-(``_BATCH_POINTS`` points) counts in the calling process whatever
-``threads`` says: starting the workers on it would cost more than they
-save.  With ``threads`` > 1 a larger call's replication ranges go through
-one worker pool per process: it starts on the first such call and serves
-every later call with the same worker count, so repeated calls pay for it
-once.  A call sends the pool its jobs in batches, one per worker when the
-call is cheap, so the messages to the workers do not outweigh the
-counting.
+The counter works on blocks of replications, and a block may span several
+grid points that share one connection function and one k: each block is a
+list of slices, replications ``first`` .. ``last - 1`` of one grid point,
+and its segments are the (grid point, replication) pairs.  One entry,
+:func:`_count_batch`, counts a list of jobs, in the calling process and in
+every pool worker alike: a job that draws fewer than ``_MERGE_POINTS``
+points shares its blocks with the other such jobs of its connection and
+k, and a larger one is cut into blocks of its own of about
+``_BLOCK_POINTS`` points.  A cheap grid point thus pays no block's fixed
+numpy cost of its own.  What a replication draws is decided by the sampler
+alone: one call, :func:`rcmpaths.sampler.block_points`, draws a whole
+block, for every k but 1, and returns its non-anchor points with their
+edges to the anchors.  Only the keyed draws run once per replication, each
+from the replication's own Philox stream; k = 1 draws no points.
+Everything else is one vectorised pass per block: hashing only the pair
+draws a path can use (see :func:`_block_paths`).  The half-path joins that
+list the paths are those of :mod:`rcmpaths.paths`, which also count the
+paths of a realized graph.  It reduces counts per segment, and pair classes
+by counting identities, and splits them back per grid point.  A join draws
+at most about ``rcmpaths.paths._JOIN_PAIRS`` pairs at once, which with the
+block sizes bounds memory.  Margin validation uses the same counter, with a
+mask of the points inside each grid point's base rectangle (k >= 4; k <= 3
+has no box).  Every edge between non-anchor points is decided by
+:func:`rcmpaths.sampler.draw_edges` from a draw keyed by the grid seed, the
+replication and the vertex pair, so the lazy counter finds exactly the
+paths of :func:`rcmpaths.sampler.sample_realization`.  How replications
+and grid points fall into blocks or workers never changes a result: the
+reports are byte-identical to one replication at a time.  A call that draws
+less than one batch (``_BATCH_POINTS`` points) counts in the calling
+process whatever ``threads`` says: starting the workers on it would cost
+more than they save.  With ``threads`` > 1 a larger call's replication
+ranges go through one worker pool per process: it starts on the first such
+call and serves every later call with the same worker count, so repeated
+calls pay for it once.  A call sends the pool its jobs in batches, one per
+worker when the call is cheap, so the messages to the workers do not
+outweigh the counting.
 
 Every file format follows a dataclass.  The fields of :class:`MomentReport`
 and :class:`MarginCheck`, in order, are the CSV columns and the JSON keys of
@@ -76,7 +84,7 @@ from .moments import (
 )
 from .paths import PairStructureCounts, classify_path_pair_segments, khop_intermediates
 from .rng import derive_subseed
-from .sampler import block_points, draw_edges, mean_draws
+from .sampler import block_points, draw_edges, mean_draws, slice_replications
 
 PAIR_CLASSES = tuple(f.name for f in fields(PairStructureCounts))
 DEFAULT_BRACKET_ORDERS = (3, 4, 5, 80)
@@ -256,6 +264,16 @@ def load_config(path: str) -> ExperimentConfig:
 # and so the counter's working memory, grow with it.
 _BLOCK_POINTS = 1 << 16
 
+# A job that draws fewer points or proposals than this shares its blocks
+# with the other such jobs of its batch that have its connection function,
+# k and pair-class choice, up to this many points a block.  Each block
+# costs about 0.5 ms of numpy calls whatever its size, more than 20
+# replications of a cheap grid point take.  A larger budget saved little
+# more and raised the peak memory of the joins: at 2048 points the 21-point
+# rho = 5, k = 3 call of 20 replications peaked at 2.8 MiB against 1.0 MiB
+# (BENCH_15.json holds the measured curve).
+_MERGE_POINTS = 1 << 10
+
 # A sweep call sends the pool one batch of jobs per this many points or
 # proposals, and at least one batch per worker; a call that draws fewer
 # counts in the calling process.  Counting that many takes about 10 to 50 ms
@@ -265,56 +283,74 @@ _BLOCK_POINTS = 1 << 16
 _BATCH_POINTS = 1 << 13
 
 
-def _block_paths(params: ModelParams, seed: int, first: int, last: int):
-    """Every k-hop path of replications ``first`` .. ``last - 1`` of one grid
-    point.
+def _block_paths(slices):
+    """Every k-hop path of a block of replications.
 
-    Returns ``(xy, seg, inter)``: the block's non-anchor points, the block
-    position of each path's replication (non-decreasing), and k - 1 arrays
-    holding the paths' intermediate vertices as rows of ``xy``, in order from
-    anchor 0.  The points and their anchor edges are the
+    ``slices`` lists ``(params, seed, first, last)``: replications ``first``
+    .. ``last - 1`` of grid points that share one connection function and
+    one k.  Returns ``(xy, seg, inter)``: the block's non-anchor points, the
+    block position of each path's replication (non-decreasing; the
+    replications of every slice in turn), and k - 1 arrays holding the
+    paths' intermediate vertices as rows of ``xy``, in order from anchor 0.
+    The points and their anchor edges are the
     :func:`rcmpaths.sampler.block_points` of the block; the paths are the
     half-path joins of :func:`rcmpaths.paths.khop_intermediates`, and the
     joining pairs they read are drawn here, only those a path can use.  Each
-    pair is decided by :func:`rcmpaths.sampler.draw_edges`, as in
+    pair is decided by :func:`rcmpaths.sampler.draw_edges` under its own
+    grid seed and replication, as in
     :func:`rcmpaths.sampler.sample_realization`, so the paths are exactly
     those of each replication's realization.  k = 1 draws no points: its
     count is the anchors' own edge.
     """
+    params = slices[0][0]
     spec, k = params.connection, int(params.k)
+    seeds, replications = slice_replications(slices)
     if k == 1:
-        r = params.anchor_distance
-        hit = draw_edges(spec, seed, np.arange(first, last), 0, 1, np.float64(r * r))
+        lengths = [last - first for _, _, first, last in slices]
+        sq_dists = np.repeat([p.anchor_distance * p.anchor_distance for p, _, _, _ in slices], lengths)
+        hit = draw_edges(spec, seeds, replications, 0, 1, sq_dists)
         return np.empty((0, 2)), np.flatnonzero(hit), ()
-    xy, sizes, near = block_points(params, seed, range(first, last))
-    seg_of = np.repeat(np.arange(last - first), sizes)
-    rep_of = first + seg_of
+    xy, sizes, near = block_points(slices)
+    seg_of = np.repeat(np.arange(len(sizes)), sizes)
+    seed_of, rep_of = seeds[seg_of], replications[seg_of]
     # vertex index within its replication: anchors are 0 and 1
     local = np.arange(2, len(xy) + 2) - np.repeat(np.cumsum(sizes) - sizes, sizes)
 
     def linked(u, v):
         d = xy[u] - xy[v]
-        return draw_edges(spec, seed, rep_of[u], local[u], local[v], d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
+        sq_dists = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+        return draw_edges(spec, seed_of[u], rep_of[u], local[u], local[v], sq_dists)
 
-    inter = khop_intermediates(k, near, linked, seg_of, last - first)
+    inter = khop_intermediates(k, near, linked, seg_of, len(sizes))
     return xy, seg_of[inter[0]], inter
 
 
-def _count_block(params, seed, first, last, collect_pairs, inside):
-    """Path counts of replications ``first`` .. ``last - 1`` of one grid
-    point, plus the pair classes when ``collect_pairs`` (k = 3) and, when
-    ``inside`` is a Region, the counts of the paths whose intermediates all
+def _count_block(slices, collect_pairs, insides):
+    """Path counts of a block of replications, one ``(counts, classes,
+    kept_counts)`` per slice ``(params, seed, first, last)`` of ``slices``
+    (see :func:`_block_paths`): the counts of its replications, their pair
+    classes when ``collect_pairs`` (k = 3), and, when the slice's entry of
+    ``insides`` is a Region, the counts of the paths whose intermediates all
     lie in it (else None)."""
-    xy, seg, inter = _block_paths(params, seed, first, last)
-    counts = np.bincount(seg, minlength=last - first)
-    classes = classify_path_pair_segments(*inter, seg, last - first) if collect_pairs else None
-    kept_counts = None
-    if inside is not None:
-        keep = np.ones(len(seg), dtype=bool)
-        for z in inter:
-            keep &= inside.contains(xy[z, 0], xy[z, 1])
-        kept_counts = np.bincount(seg[keep], minlength=last - first)
-    return counts, classes, kept_counts
+    xy, seg, inter = _block_paths(slices)
+    lengths = [last - first for _, _, first, last in slices]
+    ends = np.cumsum(lengths)
+    segments = int(ends[-1])
+    # the paths of each slice are a run of seg
+    bounds = np.searchsorted(seg, np.concatenate(([0], ends))).tolist()
+    counts = np.split(np.bincount(seg, minlength=segments), ends[:-1])
+    classes = [None] * len(slices)
+    if collect_pairs:
+        classes = np.split(classify_path_pair_segments(*inter, seg, segments), ends[:-1])
+    kept_counts = [None] * len(slices)
+    for s, inside in enumerate(insides):
+        if inside is not None:
+            lo, hi = bounds[s], bounds[s + 1]
+            keep = np.ones(hi - lo, dtype=bool)
+            for z in inter:
+                keep &= inside.contains(xy[z[lo:hi], 0], xy[z[lo:hi], 1])
+            kept_counts[s] = np.bincount(seg[lo:hi][keep] - (ends[s] - lengths[s]), minlength=lengths[s])
+    return list(zip(counts, classes, kept_counts))
 
 
 def _points_per_replication(params: ModelParams) -> float:
@@ -331,24 +367,55 @@ def _block_replications(params: ModelParams) -> int:
     return max(1, int(_BLOCK_POINTS // _points_per_replication(params)))
 
 
-def _count_range(job):
-    """:func:`_count_block` over replications ``lo`` .. ``hi - 1`` of one grid
-    point, drawn in blocks of :func:`_block_replications`.  A failure is
-    re-raised as a :class:`ReplicationError` naming the grid point, its seed
-    and the failing block's replications."""
-    params, seed, lo, hi, collect_pairs, inside = job
-    parts = []
-    first, last = lo, hi
-    try:
-        step = _block_replications(params)
-        for first in range(lo, hi, step):
-            last = min(first + step, hi)
-            parts.append(_count_block(params, seed, first, last, collect_pairs, inside))
-    except Exception as exc:
-        raise ReplicationError(
-            f"{params} (grid seed {seed}) failed in replications {first}..{last - 1}: {exc!r}"
-        ) from exc
-    return _concat(parts)
+def _blocks(jobs):
+    """The blocks a batch of jobs is counted in, each a list of ``(job,
+    first, last)``: replications ``first`` .. ``last - 1`` of ``jobs[job]``.
+
+    A job that draws ``_MERGE_POINTS`` or more points keeps blocks of its
+    own, of :func:`_block_replications` each.  The smaller jobs of each
+    (connection, k, collect_pairs) share blocks, in job order, each of at
+    most ``_MERGE_POINTS`` points.
+    """
+    shared = {}
+    for j, (params, _, lo, hi, collect_pairs, _) in enumerate(jobs):
+        points = (hi - lo) * _points_per_replication(params)
+        if points >= _MERGE_POINTS:
+            step = _block_replications(params)
+            for first in range(lo, hi, step):
+                yield [(j, first, min(first + step, hi))]
+            continue
+        key = (params.connection, int(params.k), collect_pairs)
+        block, load = shared.get(key, ([], 0.0))
+        if block and load + points > _MERGE_POINTS:
+            yield block
+            block, load = [], 0.0
+        shared[key] = ([*block, (j, lo, hi)], load + points)
+    for block, _ in shared.values():
+        yield block
+
+
+def _count_batch(jobs) -> list:
+    """Count every job ``(params, seed, lo, hi, collect_pairs, inside)``:
+    replications ``lo`` .. ``hi - 1`` of one grid point, in the blocks of
+    :func:`_blocks`.  Returns one ``(counts, classes, kept_counts)`` per job,
+    in job order (see :func:`_count_block`).  A failure is re-raised as a
+    :class:`ReplicationError` naming every grid point of the failing block,
+    with its grid seed and its replications there."""
+    parts = [[] for _ in jobs]
+    for block in _blocks(jobs):
+        slices = [(jobs[j][0], jobs[j][1], first, last) for j, first, last in block]
+        # the jobs of a block share collect_pairs
+        collect_pairs = jobs[block[0][0]][4]
+        try:
+            counted = _count_block(slices, collect_pairs, [jobs[j][5] for j, _, _ in block])
+        except Exception as exc:
+            where = ", ".join(
+                f"{first}..{last - 1} of {params} (grid seed {seed})" for params, seed, first, last in slices
+            )
+            raise ReplicationError(f"failed in replications {where}: {exc!r}") from exc
+        for (j, _, _), part in zip(block, counted):
+            parts[j].append(part)
+    return [_concat(job_parts) for job_parts in parts]
 
 
 def _concat(parts):
@@ -366,10 +433,6 @@ def _drop_pool() -> None:
     if _pool is not None:
         _pool[1].shutdown()
         _pool = None
-
-
-def _count_batch(batch) -> list:
-    return [_count_range(job) for job in batch]
 
 
 def _deal(points, threads: int) -> list[list[int]]:
@@ -444,7 +507,7 @@ def _sweep(tasks, replications: int, threads: int):
         for lo, hi in ranges
     ]
     if inline:
-        results = [_count_range(job) for job in jobs]
+        results = _count_batch(jobs)
     else:
         batches = _deal([(hi - lo) * p for p in per_replication for lo, hi in ranges], threads)
         results = [None] * len(jobs)

@@ -24,9 +24,10 @@ Streams (so point draws and edge draws never collide):
 * subseed stream: derives independent master seeds for sweep grid points.
 
 :func:`fold` is the one fold, on Python ints masked to 64 bits.
-:func:`pair_uniforms` folds the edge-stream prefixes of many replications,
-and then the pairs' two indices, in numpy uint64, whose arithmetic wraps
-modulo 2**64 the same way, so one pair or a million give the same bits;
+:func:`pair_uniforms` folds the edge-stream prefixes of many (seed,
+replication) pairs, and then the pairs' two indices, in numpy uint64, whose
+arithmetic wraps modulo 2**64 the same way, so one pair or a million give
+the same bits;
 :func:`points_keys` folds the point-stream keys of a whole block of
 replications the same way; it is the only point-stream fold the samplers
 use, even for one replication.
@@ -75,50 +76,57 @@ def fold(seed: int, *fields) -> int:
     return h
 
 
-def _stream_prefixes(seed: int, replications, stream: int) -> np.ndarray:
-    """``fold(seed, r, stream)`` for every r of ``replications`` (an integer
-    array or sequence), in one uint64 pass per field."""
-    h = _U64((fold(seed) + _GAMMA_I) & _MASK)
+def _stream_prefixes(seed, replications, stream: int) -> np.ndarray:
+    """``fold(s, r, stream)`` for every r of ``replications`` (an integer
+    array or sequence) and the seed s of ``seed``, one for the whole array
+    or one per replication, in one uint64 pass per field."""
     with np.errstate(over="ignore"):
+        if np.ndim(seed) == 0:
+            h = _U64((fold(seed) + _GAMMA_I) & _MASK)
+        else:
+            h = _mix64(np.array(seed, dtype=np.uint64) ^ _U64(_INIT_I)) + _GAMMA
         h = _mix64(h ^ np.asarray(replications, dtype=np.uint64))
         return _mix64((h + _GAMMA) ^ _U64(stream))
 
 
-def pair_uniforms(seed: int, replication, i, j):
+def pair_uniforms(seed, replication, i, j):
     """Uniform(0, 1) variates keyed by the sorted vertex pair ``{i, j}``.
 
-    ``replication``, ``i`` and ``j`` may be scalars or broadcastable integer
-    arrays; the result is symmetric in (i, j).  The (seed, replication,
-    stream) prefix of the fold is computed once per run of equal consecutive
-    replications, all runs in one array pass, so a batch of many
-    replications, each contiguous, costs little more than one replication of
-    the same size.
+    ``seed``, ``replication``, ``i`` and ``j`` may be scalars or
+    broadcastable integer arrays; the result is symmetric in (i, j).  The
+    (seed, replication, stream) prefix of the fold is computed once per run
+    of equal consecutive (seed, replication), all runs in one array pass, so
+    a batch of many replications, or of many grid points, each contiguous,
+    costs little more than one replication of the same size.
     """
     ii = np.asarray(i, dtype=np.uint64)
     jj = np.asarray(j, dtype=np.uint64)
     lo = np.minimum(ii, jj)
     hi = np.maximum(ii, jj)
-    if np.ndim(replication) == 0:
+    if np.ndim(seed) == 0 and np.ndim(replication) == 0:
         h = _U64(fold(seed, replication, STREAM_EDGES))
     else:
-        rep, lo, hi = np.broadcast_arrays(np.asarray(replication), lo, hi)
-        flat = rep.ravel()
-        if flat.size == 0:
-            return np.empty(rep.shape)
-        starts = np.flatnonzero(np.concatenate(([True], flat[1:] != flat[:-1])))
-        runs = np.diff(np.append(starts, flat.size))
-        h = np.repeat(_stream_prefixes(seed, flat[starts], STREAM_EDGES), runs).reshape(rep.shape)
+        s, r, lo, hi = np.broadcast_arrays(
+            np.asarray(seed, dtype=np.uint64), np.asarray(replication, dtype=np.uint64), lo, hi
+        )
+        if lo.size == 0:
+            return np.empty(lo.shape)
+        s, r = s.ravel(), r.ravel()
+        starts = np.flatnonzero(np.concatenate(([True], (s[1:] != s[:-1]) | (r[1:] != r[:-1]))))
+        runs = np.diff(np.append(starts, lo.size))
+        h = np.repeat(_stream_prefixes(s[starts], r[starts], STREAM_EDGES), runs).reshape(lo.shape)
     with np.errstate(over="ignore"):
         h = _mix64((h + _GAMMA) ^ lo)
         h = _mix64((h + _GAMMA) ^ hi)
     return (h >> _U64(11)).astype(np.float64) * 2.0**-53
 
 
-def points_keys(seed: int, replications) -> np.ndarray:
+def points_keys(seed, replications) -> np.ndarray:
     """128-bit Philox keys for the point draws of a block of replications:
-    row t holds the words ``fold(seed, replications[t], STREAM_POINTS, w)``
-    for w = 0, 1, which share the fold of their prefix.  The whole block is
-    folded in one uint64 pass per field."""
+    row t holds the words ``fold(s, replications[t], STREAM_POINTS, w)`` for
+    w = 0, 1, which share the fold of their prefix; s is ``seed``, or
+    ``seed[t]`` when it is an array like ``replications``.  The whole block
+    is folded in one uint64 pass per field."""
     with np.errstate(over="ignore"):
         h = _stream_prefixes(seed, replications, STREAM_POINTS) + _GAMMA
         return np.column_stack([_mix64(h.copy()), _mix64(h ^ _U64(1))])

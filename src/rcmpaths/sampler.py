@@ -5,10 +5,14 @@ model is isotropic, so fixing the axis loses no generality.
 
 This module alone decides what a replication of a given k draws.  One call,
 :func:`block_points`, draws a block of replications for every k, each from
-the replication's own Philox stream: the stream keys of the whole block are
-folded in one pass (:func:`rcmpaths.rng.points_keys`), and only the draws
-themselves run once per replication.  It returns the block's non-anchor
-points with their edges to the two anchors.
+the replication's own Philox stream.  A block lists slices, runs of
+replications of one grid point each, and its grid points share one
+connection function and one k but may differ in density, separation, box
+and seed.  The stream keys are folded in one pass
+(:func:`rcmpaths.rng.points_keys`), for the whole block at k <= 3 and for
+each grid point at k >= 4, and only the draws themselves run once per
+replication.  It returns the block's non-anchor points with their edges to
+the two anchors.
 
 * k <= 3 draws only the anchors' neighbours, in the whole plane, with no
   box.  A path of at most three hops passes only through points adjacent to
@@ -23,13 +27,15 @@ points with their edges to the two anchors.
   drawn by :func:`draw_edges`.
 
 Every other edge, between two non-anchor points or between the anchors, is
-decided by :func:`draw_edges` from a uniform keyed by the vertex pair.
+decided by :func:`draw_edges` from a uniform keyed by the grid seed, the
+replication and the vertex pair.
 """
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -112,6 +118,17 @@ def mean_draws(params: ModelParams) -> float:
     return params.rho * region_for(params).area
 
 
+def slice_replications(slices):
+    """The grid seed and the index of every replication of ``slices``, a
+    list of ``(params, seed, first, last)``: two uint64 arrays, slice by
+    slice, replications ``first`` .. ``last - 1`` of each in order."""
+    lengths = [last - first for _, _, first, last in slices]
+    seeds = np.repeat(np.array([seed for _, seed, _, _ in slices], dtype=np.uint64), lengths)
+    offsets = np.repeat(np.array([first for _, _, first, _ in slices], dtype=np.uint64), lengths)
+    within = np.arange(len(seeds)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return seeds, offsets + within.astype(np.uint64)
+
+
 def box_points(params: ModelParams, seed: int, replications):
     """The box points of a block of replications (the k >= 4 draw).
 
@@ -135,9 +152,12 @@ def sample_conditioned_ppp(params: ModelParams, seed: int, replication: int) -> 
     return np.vstack([[[0.0, 0.0], [params.anchor_distance, 0.0]], xy])
 
 
-def neighbour_draws(params: ModelParams, seed: int, replications) -> list:
-    """The keyed draws of the anchor neighbourhoods of a block of
-    replications (k <= 3), one ``(n0, v)`` per replication in order.
+def neighbour_draws(slices) -> list:
+    """The keyed draws of the anchor neighbourhoods (k <= 3) of the
+    replications of ``slices``, a list of ``(params, seed, first, last)``
+    whose grid points share one connection function: one ``(n0, v)`` per
+    replication, slice by slice, replications ``first`` .. ``last - 1`` of
+    each in order.
 
     From each replication's Philox stream, in this order: the proposal
     counts n0 and n1 of clouds 0 and 1, both Poisson with mean
@@ -147,32 +167,34 @@ def neighbour_draws(params: ModelParams, seed: int, replications) -> list:
     proposal, a uniform angle, a uniform mark and, unless Rayleigh, a uniform
     that accepts it with probability H of its distance.  ``v`` has shape
     (3 or 4, n0 + n1) and holds those variates by row, cloud 0's proposals
-    first.  The keys, the mean and the kind are worked out once per block;
-    only the draws themselves run once per replication.
+    first.  The keys of every slice are folded in one pass, and the mean
+    once per slice; only the draws themselves run once per replication.
     :func:`anchor_neighbours` turns the block into points; that part needs
     no random draw and runs once per block.
     """
-    spec = params.connection
-    mass = cloud_mass(params)
+    spec = slices[0][0].connection
+    rayleigh = spec.kind == RAYLEIGH
+    shape = 2.0 / spec.eta if rayleigh else None
+    streams = _points_streams(points_keys(*slice_replications(slices)))
     draws = []
-    if spec.kind != RAYLEIGH:
-        for rng in _points_streams(points_keys(seed, replications)):
+    for params, _, first, last in slices:
+        mass = cloud_mass(params)
+        for rng in islice(streams, last - first):
             n0, n1 = rng.poisson(mass, 2).tolist()
-            draws.append((n0, rng.random((4, n0 + n1))))
-        return draws
-    shape = 2.0 / spec.eta
-    for rng in _points_streams(points_keys(seed, replications)):
-        n0, n1 = rng.poisson(mass, 2).tolist()
-        v = np.empty((3, n0 + n1))
-        rng.standard_gamma(shape, out=v[0])
-        rng.random(out=v[1:])
-        draws.append((n0, v))
+            if rayleigh:
+                v = np.empty((3, n0 + n1))
+                rng.standard_gamma(shape, out=v[0])
+                rng.random(out=v[1:])
+            else:
+                v = rng.random((4, n0 + n1))
+            draws.append((n0, v))
     return draws
 
 
-def anchor_neighbours(params: ModelParams, draws: list):
+def anchor_neighbours(spec: ConnectionSpec, distances, draws: list):
     """The anchors' neighbours of a block of replications, from their
-    :func:`neighbour_draws`.
+    :func:`neighbour_draws`; ``distances[b]`` is the anchor distance of
+    replication b.
 
     Returns ``(xy, sizes, near)``: the kept points of every replication in
     turn, ``sizes[b]`` of them for replication b, in draw order (so they are
@@ -183,11 +205,11 @@ def anchor_neighbours(params: ModelParams, draws: list):
     adjacent to anchor 1 and is kept when its mark, against H of its
     distance to anchor 0, says it is not adjacent to anchor 0.
     """
-    spec, r = params.connection, params.anchor_distance
     v = np.concatenate([d[1] for d in draws], axis=1)
     n = np.array([d[1].shape[1] for d in draws])
     n0 = np.array([d[0] for d in draws])
     cloud1 = np.repeat(np.tile([False, True], len(draws)), np.column_stack([n0, n - n0]).ravel())
+    r = np.repeat(distances, n)
     if spec.kind == RAYLEIGH:
         dist = (v[0] / spec.beta) ** (1.0 / spec.eta)
         keep = np.ones(v.shape[1], dtype=bool)
@@ -210,15 +232,15 @@ def connection_probabilities(spec: ConnectionSpec, sq_dists: np.ndarray) -> np.n
     return spec.evaluate(np.sqrt(sq_dists))
 
 
-def draw_edges(spec: ConnectionSpec, seed: int, replication, i, j, sq_dists) -> np.ndarray:
+def draw_edges(spec: ConnectionSpec, seed, replication, i, j, sq_dists) -> np.ndarray:
     """Whether each vertex pair ``{i, j}`` of ``replication`` is an edge: its
     pair-keyed uniform lies below H at the pair's squared distance.
 
     Every edge, drawn lazily by the sweep counter or all at once by
     :func:`realize_graph`, is decided here, so both agree bit for bit; only
     the anchor edges of a k <= 3 replication are marks of
-    :func:`anchor_neighbours` instead.
-    ``replication``, ``i``, ``j`` and ``sq_dists`` broadcast together.
+    :func:`anchor_neighbours` instead.  ``seed``, ``replication``, ``i``,
+    ``j`` and ``sq_dists`` broadcast together.
     """
     return pair_uniforms(seed, replication, i, j) < connection_probabilities(spec, sq_dists)
 
@@ -227,6 +249,27 @@ def _refuse_bad_keys(seed: int, replication: int) -> None:
     problems = _int_problems(0, 64, seed=seed, replication=replication)
     if problems:
         raise ValidationError("; ".join(problems))
+
+
+def _adjacency(points: np.ndarray, spec: ConnectionSpec, seed: int, replication: int, near=None):
+    """The symmetric adjacency of ``points`` with every pair's edge drawn by
+    :func:`draw_edges`, except, when ``near`` is given, the edges between an
+    anchor and a non-anchor point: those are the rows ``near``."""
+    n = len(points)
+    iu, ju = np.triu_indices(n, k=1)
+    if near is not None:
+        # the pairs come row by row: the anchors' own pair is the first, and
+        # every pair of non-anchor points follows the 2n - 3 of rows 0 and 1
+        iu, ju = (np.concatenate((z[:1], z[2 * n - 3 :])) for z in (iu, ju))
+    dx = points[iu, 0] - points[ju, 0]
+    dy = points[iu, 1] - points[ju, 1]
+    hit = draw_edges(spec, seed, replication, iu, ju, dx * dx + dy * dy)
+    adjacency = np.zeros((n, n), dtype=bool)
+    adjacency[iu[hit], ju[hit]] = True
+    if near is not None:
+        adjacency[0, 2:], adjacency[1, 2:] = near
+    adjacency |= adjacency.T
+    return adjacency
 
 
 def realize_graph(
@@ -242,40 +285,43 @@ def realize_graph(
     points = np.asarray(points, dtype=float)
     if len(points) < 2:
         raise ValidationError("need the two anchors at indices 0 and 1")
-    n = len(points)
-    iu, ju = np.triu_indices(n, k=1)
-    dx = points[iu, 0] - points[ju, 0]
-    dy = points[iu, 1] - points[ju, 1]
-    hit = draw_edges(spec, seed, replication, iu, ju, dx * dx + dy * dy)
-    adjacency = np.zeros((n, n), dtype=bool)
-    adjacency[iu[hit], ju[hit]] = True
-    adjacency |= adjacency.T
+    adjacency = _adjacency(points, spec, seed, replication)
     return GraphRealization(points=points, adjacency=adjacency, seed=seed, replication=replication)
 
 
-def block_points(params: ModelParams, seed: int, replications):
-    """What a block of replications of ``params.k`` draws: the non-anchor
-    points, with their edges to the two anchors.
+def block_points(slices):
+    """What a block of replications draws: the non-anchor points, with their
+    edges to the two anchors.
 
-    Returns ``(xy, sizes, near)``: the points of every replication in turn,
-    ``sizes[b]`` of them for replication b, in draw order (so they are
-    numbered 2, 3, ... within their replication), and two boolean arrays
-    over the points, their edges to anchor 0 and to anchor 1.  k <= 3: the
-    anchors' neighbours of :func:`anchor_neighbours`, whose anchor edges are
-    its marks.  k >= 4: the points of :func:`box_points`, whose anchor edges
-    are drawn by :func:`draw_edges`.
+    ``slices`` lists ``(params, seed, first, last)``: replications ``first``
+    .. ``last - 1`` of the grid point ``params`` whose grid seed is
+    ``seed``.  The grid points share one connection function and one k, and
+    may differ in everything else.  Returns ``(xy, sizes, near)``: the
+    points of every replication in turn, slice by slice, ``sizes[b]`` of
+    them for replication b, in draw order (so they are numbered 2, 3, ...
+    within their replication), and two boolean arrays over the points, their
+    edges to anchor 0 and to anchor 1.  k <= 3: the anchors' neighbours of
+    :func:`anchor_neighbours`, whose anchor edges are its marks.  k >= 4:
+    the points of :func:`box_points`, whose anchor edges are drawn by
+    :func:`draw_edges`.
     """
+    params = slices[0][0]
+    lengths = [last - first for _, _, first, last in slices]
+    distances = np.repeat([p.anchor_distance for p, _, _, _ in slices], lengths)
     if int(params.k) <= 3:
-        return anchor_neighbours(params, neighbour_draws(params, seed, replications))
-    xy, sizes = box_points(params, seed, replications)
-    rep_of = np.repeat(np.asarray(replications, dtype=np.uint64), sizes)
+        return anchor_neighbours(params.connection, distances, neighbour_draws(slices))
+    boxes = [box_points(p, seed, range(first, last)) for p, seed, first, last in slices]
+    xy = np.concatenate([b[0] for b in boxes])
+    sizes = np.concatenate([b[1] for b in boxes])
+    seeds, replications = slice_replications(slices)
+    seed_of, rep_of = np.repeat(seeds, sizes), np.repeat(replications, sizes)
     local = np.arange(2, len(xy) + 2) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     # the anchors sit at (0, 0) and (r, 0)
     x, y = xy[:, 0], xy[:, 1]
     yy = y * y
     near = tuple(
-        draw_edges(params.connection, seed, rep_of, anchor, local, (x - ax) * (x - ax) + yy)
-        for anchor, ax in ((0, 0.0), (1, params.anchor_distance))
+        draw_edges(params.connection, seed_of, rep_of, anchor, local, (x - ax) * (x - ax) + yy)
+        for anchor, ax in ((0, 0.0), (1, np.repeat(distances, sizes)))
     )
     return xy, sizes, near
 
@@ -286,16 +332,13 @@ def sample_realization(params: ModelParams, seed: int, replication: int) -> Grap
 
     The points are the anchors and the :func:`block_points` of the
     replication; their edges to the anchors are its ``near`` rows, and every
-    other edge, the anchors' own included, is drawn by
-    :func:`realize_graph`.  At k >= 4 the anchor rows are drawn by
+    other edge, the anchors' own included, is drawn by :func:`draw_edges`
+    as in :func:`realize_graph`.  At k >= 4 the anchor rows are drawn by
     :func:`draw_edges` either way, so they are the full draw's.  Seeds and
     replication indices outside [0, 2**64) raise ``ValidationError``.
     """
     _refuse_bad_keys(seed, replication)
-    xy, _, near = block_points(params, seed, (replication,))
-    anchors = [[0.0, 0.0], [params.anchor_distance, 0.0]]
-    g = realize_graph(np.vstack([anchors, xy]), params.connection, seed, replication)
-    adjacency = g.adjacency.copy()
-    for anchor, row in enumerate(near):
-        adjacency[anchor, 2:] = adjacency[2:, anchor] = row
-    return replace(g, adjacency=adjacency)
+    xy, _, near = block_points([(params, seed, replication, replication + 1)])
+    points = np.vstack([[[0.0, 0.0], [params.anchor_distance, 0.0]], xy])
+    adjacency = _adjacency(points, params.connection, seed, replication, near)
+    return GraphRealization(points=points, adjacency=adjacency, seed=seed, replication=replication)

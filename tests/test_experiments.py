@@ -24,8 +24,8 @@ from rcmpaths.errors import ReplicationError, ValidationError
 from rcmpaths.experiments import (
     ExperimentConfig,
     _attach_references,
+    _count_batch,
     _count_block,
-    _count_range,
     config_from_dict,
     config_to_dict,
     load_config,
@@ -279,13 +279,13 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_lazy_counts_match_full_realization(self, k):
         params = ModelParams(rho=0.8, connection=RAY1, anchor_distance=1.0, k=k, margin=2.5)
-        counts, _, _ = _count_range((params, 99, 0, 60, False, None))
+        ((counts, _, _),) = _count_batch([(params, 99, 0, 60, False, None)])
         for rep in range(60):
             assert counts[rep] == _full_realization_counts(params, 99, rep)[0]
 
     def test_pair_classes_match_graph_classifier(self):
         params = ModelParams(rho=0.8, connection=RAY1, anchor_distance=1.0, k=3, margin=2.5)
-        counts, classes, _ = _count_range((params, 31, 0, 40, True, None))
+        ((counts, classes, _),) = _count_batch([(params, 31, 0, 40, True, None)])
         for rep in range(40):
             count, expected, _ = _full_realization_counts(params, 31, rep)
             assert counts[rep] == count
@@ -315,7 +315,7 @@ class TestEngineEquivalence:
                 ModelParams(rho=rho, connection=spec, anchor_distance=anchor_distance, k=k, margin=margin / 2)
             )
         reps = range(first, first + size)
-        counts, classes, kept = _count_block(params, seed, first, first + size, k == 3, inside)
+        ((counts, classes, kept),) = _count_block([(params, seed, first, first + size)], k == 3, [inside])
         for b, rep in enumerate(reps):
             count, expected_classes, expected_kept = _full_realization_counts(params, seed, rep, inside)
             assert counts[b] == count
@@ -323,6 +323,53 @@ class TestEngineEquivalence:
                 assert tuple(classes[b]) == expected_classes
             if masked:
                 assert kept[b] == expected_kept
+
+    @given(
+        spec=st.sampled_from(CONNECTIONS),
+        k=st.integers(1, 6),
+        points=st.lists(
+            st.tuples(
+                st.floats(0.02, 1.5),
+                st.floats(0.0, 2.0),
+                st.floats(0.2, 1.5),
+                st.integers(0, 2**64 - 1),
+                st.integers(0, 10_000),
+                st.integers(1, 4),
+                st.booleans(),
+            ),
+            min_size=2,
+            max_size=5,
+        ),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_block_of_grid_points_matches_each_point(self, spec, k, points):
+        # grid points of one connection and k, each with its own density,
+        # separation, box, seed, replications and mask, share one block;
+        # low densities give replications without points
+        slices, insides = [], []
+        for rho, anchor_distance, margin, seed, first, size, masked in points:
+            params = ModelParams(
+                rho=rho, connection=spec, anchor_distance=anchor_distance, k=k, margin=margin
+            )
+            slices.append((params, seed, first, first + size))
+            insides.append(region_for(dataclasses.replace(params, margin=margin / 2)) if masked else None)
+        merged = _count_block(slices, k == 3, insides)
+        batched = _count_batch([(*part, k == 3, inside) for part, inside in zip(slices, insides)])
+        assert len(merged) == len(batched) == len(slices)
+        for (params, seed, first, last), inside, got, again in zip(slices, insides, merged, batched):
+            (alone,) = _count_block([(params, seed, first, last)], k == 3, [inside])
+            for expected, a, b in zip(alone, got, again):
+                assert (expected is None and a is None and b is None) or (
+                    np.array_equal(expected, a) and np.array_equal(expected, b)
+                )
+            counts, classes, kept = got
+            for b, rep in enumerate(range(first, last)):
+                count, expected_classes, expected_kept = _full_realization_counts(params, seed, rep, inside)
+                assert counts[b] == count
+                if k == 3:
+                    assert tuple(classes[b]) == expected_classes
+                if inside is not None:
+                    assert kept[b] == expected_kept
 
     @given(
         spec=st.sampled_from(CONNECTIONS),
@@ -339,7 +386,7 @@ class TestEngineEquivalence:
         params = ModelParams(rho=rho, connection=spec, anchor_distance=anchor_distance, k=k, margin=margin)
         g = sample_realization(params, seed, rep)
         assume(g.n - 2 <= 12)
-        (count,), _, _ = _count_block(params, seed, rep, rep + 1, False, None)
+        (((count,), _, _),) = _count_block([(params, seed, rep, rep + 1)], False, [None])
         assert count == count_khop_paths(g, k).count == len(list(iter_khop_paths(g, k)))
         assert count == count_khop_paths_oracle(g, k).count
 
@@ -349,9 +396,9 @@ class TestEngineEquivalence:
         # one half-path's pairs, must find the same paths
         params = ModelParams(rho=1.2, connection=RAY1, anchor_distance=1.0, k=k, margin=2.0)
         inside = region_for(dataclasses.replace(params, margin=1.0))
-        whole = _count_block(params, 8, 0, 5, k == 3, inside)
+        (whole,) = _count_block([(params, 8, 0, 5)], k == 3, [inside])
         monkeypatch.setattr(paths, "_JOIN_PAIRS", 7)
-        runs = _count_block(params, 8, 0, 5, k == 3, inside)
+        (runs,) = _count_block([(params, 8, 0, 5)], k == 3, [inside])
         for expected, got in zip(whole, runs):
             assert (expected is None and got is None) or np.array_equal(expected, got)
         assert whole[0].sum() > 0
@@ -578,10 +625,10 @@ def _fail_on_replication_3(monkeypatch):
     # the draw of a block of replications
     real = experiments.block_points
 
-    def draw(params, seed, reps):
-        if 3 in reps:
+    def draw(slices):
+        if any(first <= 3 < last for _, _, first, last in slices):
             raise FloatingPointError("bad draw")
-        return real(params, seed, reps)
+        return real(slices)
 
     monkeypatch.setattr(experiments, "block_points", draw)
 
@@ -736,6 +783,23 @@ class TestWorkerPool:
             run_replications(params, 7, 10)
         _assert_names_replication_3(info.value)
         assert isinstance(info.value.__cause__, FloatingPointError)
+
+    def test_failure_in_a_shared_block_names_every_point(self, tmp_path, monkeypatch):
+        # three cheap grid points share one block: a failure cannot be pinned
+        # on one of them, so the error names each with its seed and range
+        _fail_on_replication_3(monkeypatch)
+        grid = tuple(
+            ModelParams(rho=0.5 * (i + 1), connection=RAY1, anchor_distance=1.0, k=3) for i in range(3)
+        )
+        cfg = tiny_config(tmp_path / "out", params_grid=grid, replications=10)
+        with pytest.raises(ReplicationError) as info:
+            run_experiment(cfg)
+        message = str(info.value)
+        assert message.count("(grid seed ") == 3
+        for i, params in enumerate(grid):
+            assert f"0..9 of {params} (grid seed {experiments.derive_subseed(5, i)})" in message
+        assert isinstance(info.value.__cause__, FloatingPointError)
+        assert not (tmp_path / "out").exists()
 
     def test_worker_failure_names_point_seed_and_block(self, monkeypatch, counted_pools):
         # the pool starts after the patch, so its workers draw through it

@@ -136,3 +136,34 @@ def test_pair_uniforms_prefixes_equal_fold(seed, reps):
     for t, rep in enumerate(reps):
         h = fold(seed, rep, STREAM_EDGES, 2, 5)
         assert u[t] == (h >> 11) * 2.0**-53
+
+
+@given(
+    runs=st.lists(st.tuples(u64s, u64s, st.integers(1, 4)), min_size=1, max_size=6),
+    big=st.sampled_from([1 << 63, (1 << 64) - 1]),
+)
+@settings(max_examples=200)
+def test_pair_uniforms_per_element_seeds_equal_scalar_seeds(runs, big):
+    # runs of (seed, replication), a seed at or above 2**63 among them, and
+    # the first run repeated after the others: each element gets the bits
+    # of the scalar-seed call
+    runs = [*runs, (big, runs[0][1], 2), runs[0]]
+    seeds = np.array([s for s, _, n in runs for _ in range(n)], dtype=np.uint64)
+    reps = np.array([r for _, r, n in runs for _ in range(n)], dtype=np.uint64)
+    i = np.arange(len(seeds)) % 5
+    j = i + 3
+    u = pair_uniforms(seeds, reps, i, j)
+    for t in range(len(seeds)):
+        assert u[t] == pair_uniforms(int(seeds[t]), int(reps[t]), int(i[t]), int(j[t]))
+    # one seed per element against one replication, and one replication per
+    # element against a broadcast seed
+    expected = [pair_uniforms(int(s), 9, int(a), int(b)) for s, a, b in zip(seeds, i, j)]
+    assert np.array_equal(pair_uniforms(seeds, 9, i, j), expected)
+    assert pair_uniforms(seeds[:1], reps[:1], 0, 1)[0] == pair_uniforms(int(seeds[0]), int(reps[0]), 0, 1)
+
+
+def test_pair_uniforms_per_element_seeds_empty():
+    empty = np.array([], dtype=np.uint64)
+    assert pair_uniforms(empty, empty, empty, empty).shape == (0,)
+    assert pair_uniforms(empty, 3, empty, empty).shape == (0,)
+    assert pair_uniforms(np.zeros((2, 0), dtype=np.uint64), 3, 0, 1).shape == (2, 0)

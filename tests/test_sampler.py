@@ -199,12 +199,12 @@ class TestAnchorNeighbours:
 
         expected = [one(rep) for rep in range(40)]
         for a, b in ((0, 40), (7, 8), (13, 29)):
-            block = neighbour_draws(params, seed, range(a, b))
+            block = neighbour_draws([(params, seed, a, b)])
             assert len(block) == b - a
             for (n0, v), (want_n0, want_v) in zip(block, expected[a:b]):
                 assert n0 == want_n0
                 assert v.dtype == want_v.dtype and np.array_equal(v, want_v)
-            assert neighbour_draws(params, seed, [b - 1])[0][1].tobytes() == expected[b - 1][1].tobytes()
+            assert neighbour_draws([(params, seed, b - 1, b)])[0][1].tobytes() == expected[b - 1][1].tobytes()
         sizes = [v.shape[1] for _, v in expected]
         assert max(sizes) > 0
         assert rho > 1 or 0 in sizes
