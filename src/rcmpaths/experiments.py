@@ -304,11 +304,9 @@ def _block_paths(slices):
     """
     params = slices[0][0]
     spec, k = params.connection, int(params.k)
-    seeds, replications = slice_replications(slices)
+    seeds, replications, distances, _ = slice_replications(slices)
     if k == 1:
-        lengths = [last - first for _, _, first, last in slices]
-        sq_dists = np.repeat([p.anchor_distance * p.anchor_distance for p, _, _, _ in slices], lengths)
-        hit = draw_edges(spec, seeds, replications, 0, 1, sq_dists)
+        hit = draw_edges(spec, seeds, replications, 0, 1, distances * distances)
         return np.empty((0, 2)), np.flatnonzero(hit), ()
     xy, sizes, near = block_points(slices)
     seg_of = np.repeat(np.arange(len(sizes)), sizes)
@@ -333,11 +331,11 @@ def _count_block(slices, collect_pairs, insides):
     ``insides`` is a Region, the counts of the paths whose intermediates all
     lie in it (else None)."""
     xy, seg, inter = _block_paths(slices)
-    lengths = [last - first for _, _, first, last in slices]
-    ends = np.cumsum(lengths)
+    *_, ends = slice_replications(slices)
     segments = int(ends[-1])
-    # the paths of each slice are a run of seg
-    bounds = np.searchsorted(seg, np.concatenate(([0], ends))).tolist()
+    # slice s holds the segments edges[s] .. edges[s + 1] - 1, and its paths are a run of seg
+    edges = np.concatenate(([0], ends))
+    bounds = np.searchsorted(seg, edges).tolist()
     counts = np.split(np.bincount(seg, minlength=segments), ends[:-1])
     classes = [None] * len(slices)
     if collect_pairs:
@@ -349,7 +347,7 @@ def _count_block(slices, collect_pairs, insides):
             keep = np.ones(hi - lo, dtype=bool)
             for z in inter:
                 keep &= inside.contains(xy[z[lo:hi], 0], xy[z[lo:hi], 1])
-            kept_counts[s] = np.bincount(seg[lo:hi][keep] - (ends[s] - lengths[s]), minlength=lengths[s])
+            kept_counts[s] = np.bincount(seg[lo:hi][keep] - edges[s], minlength=edges[s + 1] - edges[s])
     return list(zip(counts, classes, kept_counts))
 
 

@@ -81,10 +81,7 @@ def _stream_prefixes(seed, replications, stream: int) -> np.ndarray:
     array or sequence) and the seed s of ``seed``, one for the whole array
     or one per replication, in one uint64 pass per field."""
     with np.errstate(over="ignore"):
-        if np.ndim(seed) == 0:
-            h = _U64((fold(seed) + _GAMMA_I) & _MASK)
-        else:
-            h = _mix64(np.array(seed, dtype=np.uint64) ^ _U64(_INIT_I)) + _GAMMA
+        h = _mix64(np.asarray(seed, dtype=np.uint64) ^ _U64(_INIT_I)) + _GAMMA
         h = _mix64(h ^ np.asarray(replications, dtype=np.uint64))
         return _mix64((h + _GAMMA) ^ _U64(stream))
 

@@ -119,14 +119,21 @@ def mean_draws(params: ModelParams) -> float:
 
 
 def slice_replications(slices):
-    """The grid seed and the index of every replication of ``slices``, a
-    list of ``(params, seed, first, last)``: two uint64 arrays, slice by
-    slice, replications ``first`` .. ``last - 1`` of each in order."""
+    """The layout of the replications of ``slices``, a list of ``(params,
+    seed, first, last)``: replications ``first`` .. ``last - 1`` of each
+    slice in order, slice by slice.
+
+    Returns ``(seeds, replications, distances, ends)``: the grid seed, the
+    index and the anchor distance of every replication (two uint64 arrays
+    and a float array), and where each slice's replications end.
+    """
     lengths = [last - first for _, _, first, last in slices]
+    ends = np.cumsum(lengths)
     seeds = np.repeat(np.array([seed for _, seed, _, _ in slices], dtype=np.uint64), lengths)
     offsets = np.repeat(np.array([first for _, _, first, _ in slices], dtype=np.uint64), lengths)
-    within = np.arange(len(seeds)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    return seeds, offsets + within.astype(np.uint64)
+    within = np.arange(len(seeds)) - np.repeat(ends - lengths, lengths)
+    distances = np.repeat([p.anchor_distance for p, _, _, _ in slices], lengths)
+    return seeds, offsets + within.astype(np.uint64), distances, ends
 
 
 def box_points(params: ModelParams, seed: int, replications):
@@ -175,7 +182,8 @@ def neighbour_draws(slices) -> list:
     spec = slices[0][0].connection
     rayleigh = spec.kind == RAYLEIGH
     shape = 2.0 / spec.eta if rayleigh else None
-    streams = _points_streams(points_keys(*slice_replications(slices)))
+    seeds, replications, _, _ = slice_replications(slices)
+    streams = _points_streams(points_keys(seeds, replications))
     draws = []
     for params, _, first, last in slices:
         mass = cloud_mass(params)
@@ -306,14 +314,12 @@ def block_points(slices):
     :func:`draw_edges`.
     """
     params = slices[0][0]
-    lengths = [last - first for _, _, first, last in slices]
-    distances = np.repeat([p.anchor_distance for p, _, _, _ in slices], lengths)
+    seeds, replications, distances, _ = slice_replications(slices)
     if int(params.k) <= 3:
         return anchor_neighbours(params.connection, distances, neighbour_draws(slices))
     boxes = [box_points(p, seed, range(first, last)) for p, seed, first, last in slices]
     xy = np.concatenate([b[0] for b in boxes])
     sizes = np.concatenate([b[1] for b in boxes])
-    seeds, replications = slice_replications(slices)
     seed_of, rep_of = np.repeat(seeds, sizes), np.repeat(replications, sizes)
     local = np.arange(2, len(xy) + 2) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     # the anchors sit at (0, 0) and (r, 0)
