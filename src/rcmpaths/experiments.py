@@ -18,9 +18,9 @@ k, and a larger one is cut into blocks of its own of about
 numpy cost of its own.  What a replication draws is decided by the sampler
 alone: one call, :func:`rcmpaths.sampler.block_points`, draws a whole
 block, for every k but 1, and returns its non-anchor points with their
-edges to the anchors.  Only the keyed draws run once per replication, each
-from the replication's own Philox stream; k = 1 draws no points.
-Everything else is one vectorised pass per block: hashing only the pair
+edges to the anchors; k = 1 draws no points.  Every variate is a keyed hash
+of the grid seed, the replication and the variate, so the draw, like
+everything else, is one vectorised pass per block, hashing only the pair
 draws a path can use (see :func:`_block_paths`).  The half-path joins that
 list the paths are those of :mod:`rcmpaths.paths`, which also count the
 paths of a realized graph.  It reduces counts per segment, and pair classes
@@ -283,32 +283,33 @@ _MERGE_POINTS = 1 << 10
 _BATCH_POINTS = 1 << 13
 
 
-def _block_paths(slices):
+def _block_paths(slices, layout):
     """Every k-hop path of a block of replications.
 
     ``slices`` lists ``(params, seed, first, last)``: replications ``first``
     .. ``last - 1`` of grid points that share one connection function and
-    one k.  Returns ``(xy, seg, inter)``: the block's non-anchor points, the
-    block position of each path's replication (non-decreasing; the
-    replications of every slice in turn), and k - 1 arrays holding the
-    paths' intermediate vertices as rows of ``xy``, in order from anchor 0.
-    The points and their anchor edges are the
-    :func:`rcmpaths.sampler.block_points` of the block; the paths are the
-    half-path joins of :func:`rcmpaths.paths.khop_intermediates`, and the
-    joining pairs they read are drawn here, only those a path can use.  Each
-    pair is decided by :func:`rcmpaths.sampler.draw_edges` under its own
-    grid seed and replication, as in
-    :func:`rcmpaths.sampler.sample_realization`, so the paths are exactly
-    those of each replication's realization.  k = 1 draws no points: its
-    count is the anchors' own edge.
+    one k, and ``layout`` is their
+    :func:`rcmpaths.sampler.slice_replications`.  Returns ``(xy, seg,
+    inter)``: the block's non-anchor points, the block position of each
+    path's replication (non-decreasing; the replications of every slice in
+    turn), and k - 1 arrays holding the paths' intermediate vertices as
+    rows of ``xy``, in order from anchor 0.  The points and their anchor
+    edges are the :func:`rcmpaths.sampler.block_points` of the block; the
+    paths are the half-path joins of
+    :func:`rcmpaths.paths.khop_intermediates`, and the joining pairs they
+    read are drawn here, only those a path can use.  Each pair is decided by
+    :func:`rcmpaths.sampler.draw_edges` under its own grid seed and
+    replication, as in :func:`rcmpaths.sampler.sample_realization`, so the
+    paths are exactly those of each replication's realization.  k = 1 draws
+    no points: its count is the anchors' own edge.
     """
     params = slices[0][0]
     spec, k = params.connection, int(params.k)
-    seeds, replications, distances, _ = slice_replications(slices)
+    seeds, replications, distances, _ = layout
     if k == 1:
         hit = draw_edges(spec, seeds, replications, 0, 1, distances * distances)
         return np.empty((0, 2)), np.flatnonzero(hit), ()
-    xy, sizes, near = block_points(slices)
+    xy, sizes, near = block_points(slices, layout)
     seg_of = np.repeat(np.arange(len(sizes)), sizes)
     seed_of, rep_of = seeds[seg_of], replications[seg_of]
     # vertex index within its replication: anchors are 0 and 1
@@ -330,8 +331,9 @@ def _count_block(slices, collect_pairs, insides):
     classes when ``collect_pairs`` (k = 3), and, when the slice's entry of
     ``insides`` is a Region, the counts of the paths whose intermediates all
     lie in it (else None)."""
-    xy, seg, inter = _block_paths(slices)
-    *_, ends = slice_replications(slices)
+    layout = slice_replications(slices)
+    xy, seg, inter = _block_paths(slices, layout)
+    ends = layout[3]
     segments = int(ends[-1])
     # slice s holds the segments edges[s] .. edges[s + 1] - 1, and its paths are a run of seg
     edges = np.concatenate(([0], ends))

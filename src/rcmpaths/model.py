@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, _int_problems, _real_problems
+from .rng import POISSON_MAX
 
 RAYLEIGH = "rayleigh"
 HARD_DISK = "hard_disk"
@@ -223,10 +224,6 @@ def region_for(params: ModelParams) -> Region:
     return Region(Point(-m, -m), Point(r + m, m))
 
 
-# numpy's Generator.poisson refuses a larger mean
-_POISSON_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """Parameters of one simulated scenario.
@@ -235,8 +232,9 @@ class ModelParams:
     k >= 4 draws a box, so k <= 3 records the margin but never uses it.
     Parameters are refused when the mean number of points one replication
     draws, :func:`cloud_mass` per anchor for k <= 3 and rho times the area
-    of :func:`region_for` for k >= 4, overflows or is above the largest
-    Poisson mean numpy draws.
+    of :func:`region_for` for k >= 4, overflows or is above
+    :data:`rcmpaths.rng.POISSON_MAX`, the largest Poisson mean the keyed
+    sampler draws.
     """
 
     rho: float
@@ -263,8 +261,8 @@ class ModelParams:
         else:
             names, what = "rho, anchor_distance, margin", "of the box"
             mean = self.rho * region_for(self).area
-        if not mean <= _POISSON_MAX:
+        if not mean <= POISSON_MAX:
             raise ValidationError(
-                f"{names}: the mean number of points {what} must be at most {_POISSON_MAX:.4g} "
+                f"{names}: the mean number of points {what} must be at most {POISSON_MAX:.4g} "
                 f"to be drawn, got {mean!r}"
             )

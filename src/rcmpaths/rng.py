@@ -12,27 +12,32 @@ A 64-bit state is folded through the splitmix64 finalizer once per field::
     for field in fields:
         h = mix64((h + GAMMA) ^ field)
 
+and a variate's uniform is the top 53 bits of ``fold(seed, replication,
+stream, a, b)``.  :func:`keyed_uniforms` is the one function that draws
+them: it folds ``b`` into the keys ``fold(seed, replication, stream, a)``,
+which :func:`fold_keys` folds from ``a`` and the stream keys ``fold(seed,
+replication, stream)`` of :func:`stream_keys`.  All three work in numpy
+uint64, whose arithmetic wraps modulo 2**64 as the Python-int :func:`fold`
+does, so one variate or a million give the same bits.
+
 Streams (so point draws and edge draws never collide):
 
-* point stream: the two words ``fold(seed, replication, STREAM_POINTS, w)``,
-  w = 0, 1, key a Philox generator per replication; the Poisson counts are
-  drawn first, then the variates that place the points, in a fixed order.
+* point stream: variate ``index`` of a replication's draw ``field`` (a
+  count, a radius, an angle, a mark, ...) is keyed by ``(STREAM_POINTS,
+  field, index)``; no generator carries state from one variate to the next.
+  :func:`poisson_counts` turns uniforms into Poisson counts by inverting a
+  CDF table, and :func:`keyed_gamma` draws Gamma variates by a rejection
+  whose every attempt has keys of its own.
 * edge stream: the uniform deciding the edge of vertex pair ``{i, j}`` is
-  folded from ``(replication, STREAM_EDGES, min(i, j), max(i, j))``.  Any
-  subset of pairs can therefore be evaluated lazily, in any order, and
-  agrees bit-for-bit with a full-matrix realization.
+  keyed by ``(STREAM_EDGES, min(i, j), max(i, j))``.  Any subset of pairs can
+  therefore be evaluated lazily, in any order, and agrees bit-for-bit with a
+  full-matrix realization.
 * subseed stream: derives independent master seeds for sweep grid points.
-
-:func:`fold` is the one fold, on Python ints masked to 64 bits.
-:func:`pair_uniforms` folds the edge-stream prefixes of many (seed,
-replication) pairs, and then the pairs' two indices, in numpy uint64, whose
-arithmetic wraps modulo 2**64 the same way, so one pair or a million give
-the same bits;
-:func:`points_keys` folds the point-stream keys of a whole block of
-replications the same way; it is the only point-stream fold the samplers
-use, even for one replication.
 """
 from __future__ import annotations
+
+import functools
+import math
 
 import numpy as np
 
@@ -45,6 +50,19 @@ _MASK = (1 << 64) - 1
 STREAM_POINTS = 1
 STREAM_EDGES = 2
 STREAM_SUBSEED = 3
+
+# The largest Poisson mean poisson_counts draws.  A mean's CDF table spans
+# about 20 sqrt(mean) + 60 counts: at this mean 232000 float64, 1.8 MiB.
+POISSON_MAX = float(1 << 27)
+
+# The CDF tables of the 64 means last used up to this one are cached, at
+# most 41 KiB each; a larger mean's table costs little beside its draws.
+_CACHED_MEAN = float(1 << 16)
+
+# Attempt t of a keyed_gamma draw at field f reads its three uniforms at the
+# fields f + (3t + 1, 3t + 2, 3t + 3) * _ATTEMPT, so field values below
+# _ATTEMPT never collide with an attempt's.
+_ATTEMPT = 1 << 32
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -76,67 +94,126 @@ def fold(seed: int, *fields) -> int:
     return h
 
 
-def _stream_prefixes(seed, replications, stream: int) -> np.ndarray:
-    """``fold(s, r, stream)`` for every r of ``replications`` (an integer
-    array or sequence) and the seed s of ``seed``, one for the whole array
-    or one per replication, in one uint64 pass per field."""
+def stream_keys(seed, replication, stream: int) -> np.ndarray:
+    """``fold(s, r, stream)`` for every (s, r) of the broadcast integer
+    arrays (or scalars) ``seed`` and ``replication``, in [0, 2**64), as a
+    uint64 array of their broadcast shape.  The fold runs once per run of
+    equal consecutive (s, r), all runs in one uint64 pass per field, so many
+    replications, or many grid points, each contiguous, cost little more
+    than one."""
+    s, r = np.broadcast_arrays(np.asarray(seed, dtype=np.uint64), np.asarray(replication, dtype=np.uint64))
+    shape = s.shape
+    s, r = s.ravel(), r.ravel()
+    new = np.ones(s.size, dtype=bool)
+    new[1:] = (s[1:] != s[:-1]) | (r[1:] != r[:-1])
+    starts = np.flatnonzero(new)
     with np.errstate(over="ignore"):
-        h = _mix64(np.asarray(seed, dtype=np.uint64) ^ _U64(_INIT_I)) + _GAMMA
-        h = _mix64(h ^ np.asarray(replications, dtype=np.uint64))
-        return _mix64((h + _GAMMA) ^ _U64(stream))
+        h = _mix64(s[starts] ^ _U64(_INIT_I)) + _GAMMA
+        h = _mix64(h ^ r[starts]) + _GAMMA
+        h = _mix64(h ^ _U64(stream))
+    return np.repeat(h, np.diff(np.append(starts, s.size))).reshape(shape)
+
+
+def fold_keys(keys, field) -> np.ndarray:
+    """Fold the integer ``field`` (in [0, 2**64)) into the fold states
+    ``keys``, broadcast together: ``fold(s, r, stream, a)`` from the
+    :func:`stream_keys` ``fold(s, r, stream)`` and ``a``."""
+    with np.errstate(over="ignore"):
+        return _mix64((np.asarray(keys, dtype=np.uint64) + _GAMMA) ^ np.asarray(field, dtype=np.uint64))
+
+
+def keyed_uniforms(keys, index) -> np.ndarray:
+    """Uniform [0, 1) variates, the top 53 bits of ``fold_keys(keys,
+    index)`` times 2**-53: ``(fold(s, r, stream, a, b) >> 11) * 2**-53`` for
+    the keys ``fold_keys(stream_keys(s, r, stream), a)`` and the index
+    ``b``."""
+    return (fold_keys(keys, index) >> _U64(11)).astype(np.float64) * 2.0**-53
 
 
 def pair_uniforms(seed, replication, i, j):
-    """Uniform(0, 1) variates keyed by the sorted vertex pair ``{i, j}``.
-
-    ``seed``, ``replication``, ``i`` and ``j`` may be scalars or
-    broadcastable integer arrays; the result is symmetric in (i, j).  The
-    (seed, replication, stream) prefix of the fold is computed once per run
-    of equal consecutive (seed, replication), all runs in one array pass, so
-    a batch of many replications, or of many grid points, each contiguous,
-    costs little more than one replication of the same size.
-    """
+    """Uniform(0, 1) variates keyed by the sorted vertex pair ``{i, j}``:
+    the :func:`keyed_uniforms` of the edge stream with ``a = min(i, j)`` and
+    ``b = max(i, j)``.  ``seed``, ``replication``, ``i`` and ``j`` may be
+    scalars or broadcastable integer arrays; the result is symmetric in
+    (i, j)."""
     ii = np.asarray(i, dtype=np.uint64)
     jj = np.asarray(j, dtype=np.uint64)
-    lo = np.minimum(ii, jj)
-    hi = np.maximum(ii, jj)
-    if np.ndim(seed) == 0 and np.ndim(replication) == 0:
-        h = _U64(fold(seed, replication, STREAM_EDGES))
-    else:
-        s, r, lo, hi = np.broadcast_arrays(
-            np.asarray(seed, dtype=np.uint64), np.asarray(replication, dtype=np.uint64), lo, hi
-        )
-        if lo.size == 0:
-            return np.empty(lo.shape)
-        s, r = s.ravel(), r.ravel()
-        starts = np.flatnonzero(np.concatenate(([True], (s[1:] != s[:-1]) | (r[1:] != r[:-1]))))
-        runs = np.diff(np.append(starts, lo.size))
-        h = np.repeat(_stream_prefixes(s[starts], r[starts], STREAM_EDGES), runs).reshape(lo.shape)
-    with np.errstate(over="ignore"):
-        h = _mix64((h + _GAMMA) ^ lo)
-        h = _mix64((h + _GAMMA) ^ hi)
-    return (h >> _U64(11)).astype(np.float64) * 2.0**-53
+    keys = fold_keys(stream_keys(seed, replication, STREAM_EDGES), np.minimum(ii, jj))
+    return keyed_uniforms(keys, np.maximum(ii, jj))
 
 
-def points_keys(seed, replications) -> np.ndarray:
-    """128-bit Philox keys for the point draws of a block of replications:
-    row t holds the words ``fold(s, replications[t], STREAM_POINTS, w)`` for
-    w = 0, 1, which share the fold of their prefix; s is ``seed``, or
-    ``seed[t]`` when it is an array like ``replications``.  The whole block
-    is folded in one uint64 pass per field."""
-    with np.errstate(over="ignore"):
-        h = _stream_prefixes(seed, replications, STREAM_POINTS) + _GAMMA
-        return np.column_stack([_mix64(h.copy()), _mix64(h ^ _U64(1))])
+def _poisson_cdf(mean: float):
+    """``(lo, cdf)``: the Poisson(mean) CDF at lo, lo + 1, ..., but for its
+    last entry (which is 1), normalized over a window of 10 sqrt(mean) + 30
+    counts on each side of the mean, beyond which each tail holds less than
+    e**-45 of the mass.  The log pmf is summed outward from the mode, in log
+    space, so a large mean neither underflows nor loses the bulk's
+    precision."""
+    spread = 10.0 * math.sqrt(mean) + 30.0
+    lo = max(0, math.floor(mean - spread))
+    at = math.floor(mean) - lo
+    n = np.arange(lo, math.ceil(mean + spread) + 1, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # log p(n) - log p(n - 1); the entry at n = 0 is never read
+        step = np.log(mean / n)
+    logw = np.zeros_like(n)
+    np.cumsum(step[at + 1 :], out=logw[at + 1 :])
+    logw[:at] = -np.cumsum(step[at:0:-1])[::-1]
+    cdf = np.cumsum(np.exp(logw, out=logw), out=logw)
+    cdf /= cdf[-1]
+    # the table may be cached: no caller may write to it
+    cdf.setflags(write=False)
+    return lo, cdf[:-1]
 
 
-def points_generator(seed: int, replication: int) -> np.random.Generator:
-    """Philox generator for the point draws of one replication, keyed by
-    ``fold(seed, replication, STREAM_POINTS, w)`` for w = 0, 1: the stream
-    the samplers draw from, keyed here without :func:`points_keys`."""
-    # keys above 2**63 must be passed as uint64, not Python ints (those would
-    # round-trip through float64 and lose low bits)
-    key = np.array([fold(seed, replication, STREAM_POINTS, w) for w in (0, 1)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+_cached_cdf = functools.lru_cache(maxsize=64)(_poisson_cdf)
+
+
+def poisson_counts(mean, u) -> np.ndarray:
+    """Poisson counts by inversion: the least n whose CDF exceeds each
+    uniform of ``u``, for the mean of ``mean`` (one per uniform, or one for
+    all; at most ``POISSON_MAX``), from one CDF table per distinct mean."""
+    mean, u = np.broadcast_arrays(np.asarray(mean, dtype=np.float64), np.asarray(u, dtype=np.float64))
+    out = np.empty(u.shape, dtype=np.int64)
+    values, which = np.unique(mean, return_inverse=True)
+    for t, m in enumerate(values.tolist()):
+        at = which.reshape(u.shape) == t
+        lo, cdf = (_cached_cdf if m <= _CACHED_MEAN else _poisson_cdf)(m)
+        out[at] = lo + np.searchsorted(cdf, u[at], side="right")
+    return out
+
+
+def keyed_gamma(keys, index, shape: float, field: int) -> np.ndarray:
+    """Gamma(shape) variates, one per entry of the :func:`stream_keys`
+    ``keys`` and the variate numbers ``index`` (equal-length arrays), by the
+    Marsaglia-Tsang rejection.
+
+    Every attempt draws a normal by Box-Muller and an acceptance uniform
+    from keys of its own (see ``_ATTEMPT``), so a variate is the same
+    however many others are drawn with it; the rejected variates try again
+    together, round by round.  A shape below 1 draws Gamma(shape + 1) and
+    multiplies it by U**(1/shape), U keyed at ``field`` itself.
+    """
+    a = shape + 1.0 if shape < 1.0 else shape
+    d = a - 1.0 / 3.0
+    c = 1.0 / math.sqrt(9.0 * d)
+    out = np.empty(len(index))
+    todo = np.arange(len(index))
+    attempt = 0
+    while todo.size:
+        fields = field + (3 * attempt + np.arange(1, 4)) * _ATTEMPT
+        u = keyed_uniforms(fold_keys(keys[todo, None], fields), index[todo, None])
+        x = np.sqrt(-2.0 * np.log1p(-u[:, 0])) * np.cos(2.0 * math.pi * u[:, 1])
+        v = 1.0 + c * x
+        v *= v * v
+        with np.errstate(divide="ignore", invalid="ignore"):
+            accept = (v > 0.0) & (np.log(u[:, 2]) < 0.5 * x * x + d - d * v + d * np.log(v))
+        out[todo[accept]] = d * v[accept]
+        todo = todo[~accept]
+        attempt += 1
+    if shape < 1.0:
+        out *= keyed_uniforms(fold_keys(keys, field), index) ** (1.0 / shape)
+    return out
 
 
 def derive_subseed(seed: int, index: int) -> int:

@@ -4,15 +4,15 @@ The two anchors are always placed at (0, 0) and (anchor_distance, 0); the
 model is isotropic, so fixing the axis loses no generality.
 
 This module alone decides what a replication of a given k draws.  One call,
-:func:`block_points`, draws a block of replications for every k, each from
-the replication's own Philox stream.  A block lists slices, runs of
-replications of one grid point each, and its grid points share one
-connection function and one k but may differ in density, separation, box
-and seed.  The stream keys are folded in one pass
-(:func:`rcmpaths.rng.points_keys`), for the whole block at k <= 3 and for
-each grid point at k >= 4, and only the draws themselves run once per
-replication.  It returns the block's non-anchor points with their edges to
-the two anchors.
+:func:`block_points`, draws a block of replications for every k.  A block
+lists slices, runs of replications of one grid point each, and its grid
+points share one connection function and one k but may differ in density,
+separation, box and seed.  Every variate is a keyed uniform of the point
+stream (:func:`rcmpaths.rng.keyed_uniforms`), keyed by the grid seed, the
+replication, the draw (one of the ``_COUNT`` .. ``_BOX_Y`` fields) and the
+variate's number within its replication, so the whole block is drawn in one
+vectorised pass and any cut of it into blocks gives the same bits.  It
+returns the block's non-anchor points with their edges to the two anchors.
 
 * k <= 3 draws only the anchors' neighbours, in the whole plane, with no
   box.  A path of at most three hops passes only through points adjacent to
@@ -21,7 +21,7 @@ the two anchors.
   Cloud 1 is a Poisson process of intensity rho * H(|z - y|), kept where its
   mark says the point is *not* adjacent to x.  Together they have the exact
   law of the points adjacent to {x, y}, with their anchor edges (see
-  :func:`neighbour_draws` and :func:`anchor_neighbours`).
+  :func:`anchor_neighbours`).
 * k >= 4 draws a Poisson process on the anchors' bounding box grown by the
   margin on every side (:func:`box_points`); the edges to the anchors are
   drawn by :func:`draw_edges`.
@@ -33,44 +33,26 @@ replication and the vertex pair.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
 from .errors import ValidationError, _int_problems
 from .model import RAYLEIGH, ConnectionSpec, ModelParams, cloud_mass, region_for
-from .rng import pair_uniforms, points_keys
+from .rng import (
+    STREAM_POINTS,
+    fold_keys,
+    keyed_gamma,
+    keyed_uniforms,
+    pair_uniforms,
+    poisson_counts,
+    stream_keys,
+)
 
-_local = threading.local()
-# the Philox counter and buffer of a fresh stream; the state setter copies them
-_ZEROS = np.zeros(4, dtype=np.uint64)
-
-
-def _points_streams(keys):
-    """Yield the point stream of each Philox key of ``keys`` in turn: the
-    stream of :func:`rcmpaths.rng.points_generator`, but reusing one Philox
-    instance and its generator per thread (construction dominates at high
-    replication counts).  Each stream must be consumed before the next is
-    asked for, and none escapes :func:`box_points` or
-    :func:`neighbour_draws`.
-    """
-    rng = getattr(_local, "rng", None)
-    if rng is None:
-        rng = _local.rng = np.random.Generator(np.random.Philox(key=[0, 0]))
-    state = {
-        "bit_generator": "Philox",
-        "state": {"counter": _ZEROS, "key": None},
-        "buffer": _ZEROS,
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    for key in keys:
-        state["state"]["key"] = key
-        rng.bit_generator.state = state
-        yield rng
+# The draws of the point stream: variate i of draw f of a replication is
+# keyed_uniforms(fold_keys(key, f), i), key being the replication's stream
+# key.
+_COUNT, _RADIUS, _ANGLE, _MARK, _ACCEPT, _BOX_X, _BOX_Y = range(7)
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,101 +118,108 @@ def slice_replications(slices):
     return seeds, offsets + within.astype(np.uint64), distances, ends
 
 
-def box_points(params: ModelParams, seed: int, replications):
-    """The box points of a block of replications (the k >= 4 draw).
+def _variates(sizes):
+    """``(owner, number)`` of every variate of a draw in which replication b
+    draws ``sizes[b]``: the replication it belongs to, and its number
+    there."""
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    return owner, np.arange(len(owner)) - (np.cumsum(sizes) - sizes)[owner]
+
+
+def _uniforms(keys, fields, owner, number):
+    """The point-stream uniforms of the draws ``fields`` of the variates
+    ``(owner, number)``, for the replications' stream keys ``keys``: one row
+    per variate, one column per field.  Each field is folded once per
+    replication."""
+    return keyed_uniforms(fold_keys(keys[:, None], fields)[owner], number[:, None])
+
+
+def box_points(slices, layout):
+    """The box points of the replications of ``slices`` (the k >= 4 draw),
+    whose :func:`slice_replications` are ``layout``.
 
     Returns ``(xy, sizes)``: the points of every replication in turn,
-    ``sizes[b]`` of them for replication b.  From each replication's Philox
-    stream: the count N ~ Poisson(rho * area), then 2N uniforms placing N
-    points in the rectangle of :func:`rcmpaths.model.region_for`.  The keys,
-    the rectangle and the mean are worked out once per block.
+    ``sizes[b]`` of them for replication b.  Each replication draws its
+    count N ~ Poisson(rho * area) from its ``_COUNT`` uniform, and point i
+    from its ``_BOX_X`` and ``_BOX_Y`` uniforms i, in the rectangle of
+    :func:`rcmpaths.model.region_for`.
     """
-    box = region_for(params)
-    mean = params.rho * box.area
-    u = [rng.random((int(rng.poisson(mean)), 2)) for rng in _points_streams(points_keys(seed, replications))]
-    corner, size = np.array([[box.min_corner.x, box.min_corner.y], [box.width, box.height]])
-    return corner + np.concatenate(u) * size, np.array([len(b) for b in u])
+    seeds, replications, _, ends = layout
+    lengths = np.diff(ends, prepend=0)
+    boxes = [(p.rho, region_for(p)) for p, _, _, _ in slices]
+    keys = stream_keys(seeds, replications, STREAM_POINTS)
+    means = np.repeat([rho * b.area for rho, b in boxes], lengths)
+    sizes = poisson_counts(means, keyed_uniforms(fold_keys(keys, _COUNT), 0))
+    owner, number = _variates(sizes)
+    geometry = [(b.min_corner.x, b.min_corner.y, b.width, b.height) for _, b in boxes]
+    geometry = np.repeat(geometry, lengths, axis=0)[owner]
+    xy = _uniforms(keys, [_BOX_X, _BOX_Y], owner, number)
+    xy *= geometry[:, 2:]
+    xy += geometry[:, :2]
+    return xy, sizes
 
 
 def sample_conditioned_ppp(params: ModelParams, seed: int, replication: int) -> np.ndarray:
     """The anchors at (0, 0) and (anchor_distance, 0), then the
     :func:`box_points` of one replication: an (N + 2, 2) array."""
-    xy, _ = box_points(params, seed, (replication,))
+    slices = [(params, seed, replication, replication + 1)]
+    xy, _ = box_points(slices, slice_replications(slices))
     return np.vstack([[[0.0, 0.0], [params.anchor_distance, 0.0]], xy])
 
 
-def neighbour_draws(slices) -> list:
-    """The keyed draws of the anchor neighbourhoods (k <= 3) of the
-    replications of ``slices``, a list of ``(params, seed, first, last)``
-    whose grid points share one connection function: one ``(n0, v)`` per
-    replication, slice by slice, replications ``first`` .. ``last - 1`` of
-    each in order.
+def anchor_neighbours(slices, layout):
+    """The anchors' neighbours (the k <= 3 draw) of the replications of
+    ``slices``, whose grid points share one connection function and whose
+    :func:`slice_replications` are ``layout``.
 
-    From each replication's Philox stream, in this order: the proposal
-    counts n0 and n1 of clouds 0 and 1, both Poisson with mean
-    :func:`cloud_mass`; then one radial variate per proposal, a Gamma(2/eta)
-    variate G for Rayleigh (the distance is (G/beta)**(1/eta)) and a uniform
-    U for the other kinds (the distance is reach * sqrt(U)); then, per
-    proposal, a uniform angle, a uniform mark and, unless Rayleigh, a uniform
-    that accepts it with probability H of its distance.  ``v`` has shape
-    (3 or 4, n0 + n1) and holds those variates by row, cloud 0's proposals
-    first.  The keys of every slice are folded in one pass, and the mean
-    once per slice; only the draws themselves run once per replication.
-    :func:`anchor_neighbours` turns the block into points; that part needs
-    no random draw and runs once per block.
-    """
-    spec = slices[0][0].connection
-    rayleigh = spec.kind == RAYLEIGH
-    shape = 2.0 / spec.eta if rayleigh else None
-    seeds, replications, _, _ = slice_replications(slices)
-    streams = _points_streams(points_keys(seeds, replications))
-    draws = []
-    for params, _, first, last in slices:
-        mass = cloud_mass(params)
-        for rng in islice(streams, last - first):
-            n0, n1 = rng.poisson(mass, 2).tolist()
-            if rayleigh:
-                v = np.empty((3, n0 + n1))
-                rng.standard_gamma(shape, out=v[0])
-                rng.random(out=v[1:])
-            else:
-                v = rng.random((4, n0 + n1))
-            draws.append((n0, v))
-    return draws
-
-
-def anchor_neighbours(spec: ConnectionSpec, distances, draws: list):
-    """The anchors' neighbours of a block of replications, from their
-    :func:`neighbour_draws`; ``distances[b]`` is the anchor distance of
-    replication b.
+    Each replication draws the proposal counts n0 and n1 of clouds 0 and 1,
+    Poisson with mean :func:`cloud_mass`, from its ``_COUNT`` uniforms 0
+    and 1; proposals 0 .. n0 - 1 are cloud 0's.  Proposal i lies at a
+    distance from its anchor drawn from ``_RADIUS`` variate i: a Gamma(2/eta)
+    variate G for Rayleigh (the distance is (G/beta)**(1/eta); -log1p(-U) at
+    eta = 2, else :func:`rcmpaths.rng.keyed_gamma`), reach * sqrt(U) for the
+    other kinds, which then accept it when its ``_ACCEPT`` uniform lies
+    below H of the distance.  Its angle is 2 pi times its ``_ANGLE``
+    uniform, and its ``_MARK`` uniform decides its edge to the other anchor.
 
     Returns ``(xy, sizes, near)``: the kept points of every replication in
-    turn, ``sizes[b]`` of them for replication b, in draw order (so they are
-    numbered 2, 3, ... within their replication), and two boolean arrays
+    turn, ``sizes[b]`` of them for replication b, in proposal order (so they
+    are numbered 2, 3, ... within their replication), and two boolean arrays
     over the points, their edges to anchor 0 and to anchor 1.  A cloud-0
     point is adjacent to anchor 0 and its mark, a uniform below H of its
     distance to anchor 1, makes the edge to anchor 1.  A cloud-1 point is
     adjacent to anchor 1 and is kept when its mark, against H of its
     distance to anchor 0, says it is not adjacent to anchor 0.
     """
-    v = np.concatenate([d[1] for d in draws], axis=1)
-    n = np.array([d[1].shape[1] for d in draws])
-    n0 = np.array([d[0] for d in draws])
-    cloud1 = np.repeat(np.tile([False, True], len(draws)), np.column_stack([n0, n - n0]).ravel())
-    r = np.repeat(distances, n)
-    if spec.kind == RAYLEIGH:
-        dist = (v[0] / spec.beta) ** (1.0 / spec.eta)
-        keep = np.ones(v.shape[1], dtype=bool)
+    spec = slices[0][0].connection
+    seeds, replications, distances, ends = layout
+    keys = stream_keys(seeds, replications, STREAM_POINTS)
+    mass = np.repeat([cloud_mass(p) for p, _, _, _ in slices], np.diff(ends, prepend=0))
+    clouds = poisson_counts(mass[:, None], keyed_uniforms(fold_keys(keys, _COUNT)[:, None], np.arange(2)))
+    owner, number = _variates(clouds.sum(axis=1))
+    rayleigh = spec.kind == RAYLEIGH
+    fields = [_RADIUS, _ANGLE, _MARK] if rayleigh else [_RADIUS, _ANGLE, _MARK, _ACCEPT]
+    u = _uniforms(keys, fields, owner, number)
+    if rayleigh:
+        shape = 2.0 / spec.eta
+        if shape == 1.0:
+            radial = -np.log1p(-u[:, 0])
+        else:
+            radial = keyed_gamma(keys[owner], number, shape, _RADIUS)
+        dist = (radial / spec.beta) ** (1.0 / spec.eta)
+        keep = np.ones(len(u), dtype=bool)
     else:
-        dist = spec.reach * np.sqrt(v[0])
-        keep = v[3] < spec.evaluate(dist)
-    angle = 2.0 * math.pi * v[1]
+        dist = spec.reach * np.sqrt(u[:, 0])
+        keep = u[:, 3] < spec.evaluate(dist)
+    cloud1 = number >= clouds[owner, 0]
+    angle = 2.0 * math.pi * u[:, 1]
+    r = distances[owner]
     x = np.where(cloud1, r, 0.0) + dist * np.cos(angle)
     y = dist * np.sin(angle)
     dx = x - np.where(cloud1, 0.0, r)
-    marked = v[2] < connection_probabilities(spec, dx * dx + y * y)
+    marked = u[:, 2] < connection_probabilities(spec, dx * dx + y * y)
     keep &= ~(cloud1 & marked)
-    sizes = np.bincount(np.repeat(np.arange(len(draws)), n)[keep], minlength=len(draws))
+    sizes = np.bincount(owner[keep], minlength=len(clouds))
     near = (~cloud1[keep], (cloud1 | marked)[keep])
     return np.column_stack([x[keep], y[keep]]), sizes, near
 
@@ -297,37 +286,38 @@ def realize_graph(
     return GraphRealization(points=points, adjacency=adjacency, seed=seed, replication=replication)
 
 
-def block_points(slices):
+def block_points(slices, layout):
     """What a block of replications draws: the non-anchor points, with their
     edges to the two anchors.
 
     ``slices`` lists ``(params, seed, first, last)``: replications ``first``
     .. ``last - 1`` of the grid point ``params`` whose grid seed is
-    ``seed``.  The grid points share one connection function and one k, and
-    may differ in everything else.  Returns ``(xy, sizes, near)``: the
-    points of every replication in turn, slice by slice, ``sizes[b]`` of
-    them for replication b, in draw order (so they are numbered 2, 3, ...
-    within their replication), and two boolean arrays over the points, their
-    edges to anchor 0 and to anchor 1.  k <= 3: the anchors' neighbours of
+    ``seed``, and ``layout`` is their :func:`slice_replications`.  The grid
+    points share one connection function and one k, and may differ in
+    everything else.  Returns ``(xy, sizes, near)``: the points of every
+    replication in turn, slice by slice, ``sizes[b]`` of them for
+    replication b, in draw order (so they are numbered 2, 3, ... within
+    their replication), and two boolean arrays over the points, their edges
+    to anchor 0 and to anchor 1.  k <= 3: the anchors' neighbours of
     :func:`anchor_neighbours`, whose anchor edges are its marks.  k >= 4:
     the points of :func:`box_points`, whose anchor edges are drawn by
     :func:`draw_edges`.
     """
     params = slices[0][0]
-    seeds, replications, distances, _ = slice_replications(slices)
     if int(params.k) <= 3:
-        return anchor_neighbours(params.connection, distances, neighbour_draws(slices))
-    boxes = [box_points(p, seed, range(first, last)) for p, seed, first, last in slices]
-    xy = np.concatenate([b[0] for b in boxes])
-    sizes = np.concatenate([b[1] for b in boxes])
-    seed_of, rep_of = np.repeat(seeds, sizes), np.repeat(replications, sizes)
-    local = np.arange(2, len(xy) + 2) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        return anchor_neighbours(slices, layout)
+    seeds, replications, distances, _ = layout
+    xy, sizes = box_points(slices, layout)
+    owner, number = _variates(sizes)
+    seed_of, rep_of = seeds[owner], replications[owner]
+    # vertex index within its replication: anchors are 0 and 1
+    local = number + 2
     # the anchors sit at (0, 0) and (r, 0)
     x, y = xy[:, 0], xy[:, 1]
     yy = y * y
     near = tuple(
         draw_edges(params.connection, seed_of, rep_of, anchor, local, (x - ax) * (x - ax) + yy)
-        for anchor, ax in ((0, 0.0), (1, np.repeat(distances, sizes)))
+        for anchor, ax in ((0, 0.0), (1, distances[owner]))
     )
     return xy, sizes, near
 
@@ -344,7 +334,8 @@ def sample_realization(params: ModelParams, seed: int, replication: int) -> Grap
     replication indices outside [0, 2**64) raise ``ValidationError``.
     """
     _refuse_bad_keys(seed, replication)
-    xy, _, near = block_points([(params, seed, replication, replication + 1)])
+    slices = [(params, seed, replication, replication + 1)]
+    xy, _, near = block_points(slices, slice_replications(slices))
     points = np.vstack([[[0.0, 0.0], [params.anchor_distance, 0.0]], xy])
     adjacency = _adjacency(points, params.connection, seed, replication, near)
     return GraphRealization(points=points, adjacency=adjacency, seed=seed, replication=replication)

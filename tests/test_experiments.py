@@ -182,12 +182,24 @@ class TestConfig:
             (
                 {"connection": {"kind": "rayleigh", "beta": 1.0, "eta": 0.01}},
                 "rho, connection: the mean number of points of each anchor's cloud must be at most "
-                "9.223e+18 to be drawn, got inf",
+                "1.342e+08 to be drawn, got inf",
+            ),
+            # means above the keyed sampler's Poisson limit, 2**27, though
+            # far below numpy's
+            (
+                {"rho": 5e7},
+                "rho, connection: the mean number of points of each anchor's cloud must be at most "
+                "1.342e+08 to be drawn, got 157079632.67948964",
             ),
             (
                 {"rho": 1e19, "k": 4},
                 "rho, anchor_distance, margin: the mean number of points of the box must be at most "
-                "9.223e+18 to be drawn, got 3.173205080756887e+21",
+                "1.342e+08 to be drawn, got 3.173205080756887e+21",
+            ),
+            (
+                {"rho": 1e6, "k": 4},
+                "rho, anchor_distance, margin: the mean number of points of the box must be at most "
+                "1.342e+08 to be drawn, got 317320508.07568866",
             ),
             ({"connection": "x"}, "connection: expected a JSON object, got 'x'"),
             ("abc", "expected a JSON object, got 'abc'"),
@@ -201,7 +213,9 @@ class TestConfig:
             "r0-string",
             "reach-overflow",
             "cloud-overflow",
+            "cloud-above-poisson-max",
             "box-draw-too-large",
+            "box-above-poisson-max",
             "connection-string",
             "point-string",
         ],
@@ -625,10 +639,10 @@ def _fail_on_replication_3(monkeypatch):
     # the draw of a block of replications
     real = experiments.block_points
 
-    def draw(slices):
+    def draw(slices, layout):
         if any(first <= 3 < last for _, _, first, last in slices):
             raise FloatingPointError("bad draw")
-        return real(slices)
+        return real(slices, layout)
 
     monkeypatch.setattr(experiments, "block_points", draw)
 
@@ -964,15 +978,15 @@ class TestCli:
         assert (tmp_path / "tiny_margin.json").exists()
 
     def test_validate_margin_names_the_point_whose_doubled_box_is_refused(self, tmp_path, capsys):
-        # rho = 1e16 is drawn with its own margin (4.2e18 points on average),
-        # but not with the doubled one (1.64e19)
-        grid = tuple(ModelParams(rho=rho, connection=RAY1, anchor_distance=1.0, k=4) for rho in (1.0, 1e16))
+        # rho = 1e5 is drawn with its own margin (4.2e7 points on average),
+        # but not with the doubled one (1.64e8, above 2**27)
+        grid = tuple(ModelParams(rho=rho, connection=RAY1, anchor_distance=1.0, k=4) for rho in (1.0, 1e5))
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config_to_dict(tiny_config(tmp_path / "out", params_grid=grid))))
         assert cli_main(["validate-margin", "--config", str(path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: params_grid[1] ModelParams(rho=1e+16,"), err
-        assert "doubled margin 20.0" in err and "1.64e+19" in err
+        assert err.startswith("error: params_grid[1] ModelParams(rho=100000.0,"), err
+        assert "doubled margin 20.0" in err and "164000000.0" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(

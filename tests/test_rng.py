@@ -1,18 +1,24 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from rcmpaths.rng import (
+    POISSON_MAX,
     STREAM_EDGES,
     STREAM_POINTS,
     derive_subseed,
     fold,
+    fold_keys,
+    keyed_uniforms,
     pair_uniforms,
-    points_generator,
-    points_keys,
+    poisson_counts,
+    stream_keys,
 )
-from rcmpaths.sampler import _points_streams
+from rcmpaths.sampler import _ACCEPT, _COUNT, _MARK
 
 u64s = st.integers(min_value=0, max_value=(1 << 64) - 1)
 small_ints = st.integers(min_value=0, max_value=1 << 20)
@@ -23,6 +29,15 @@ def test_pair_uniforms_symmetric():
     i = np.array([2, 5, 8])
     j = np.array([10, 1, 3])
     assert np.array_equal(pair_uniforms(7, 3, i, j), pair_uniforms(7, 3, j, i))
+
+
+@given(seed=u64s, rep=u64s, i=u64s, j=u64s)
+@settings(max_examples=200)
+def test_pair_uniforms_scalar_equals_fold(seed, rep, i, j):
+    # scalars take the array fold, which wraps as the Python-int fold does
+    u = pair_uniforms(seed, rep, i, j)
+    assert np.ndim(u) == 0
+    assert u == (fold(seed, rep, STREAM_EDGES, min(i, j), max(i, j)) >> 11) * 2.0**-53
 
 
 def test_pair_uniforms_scalar_matches_array():
@@ -44,25 +59,17 @@ def test_determinism():
     a = pair_uniforms(42, 7, np.arange(100), np.arange(100, 200))
     b = pair_uniforms(42, 7, np.arange(100), np.arange(100, 200))
     assert np.array_equal(a, b)
-    ga = points_generator(42, 7).random(16)
-    gb = points_generator(42, 7).random(16)
-    assert np.array_equal(ga, gb)
+    keys = fold_keys(stream_keys(42, 7, STREAM_POINTS), 3)
+    assert np.array_equal(keyed_uniforms(keys, np.arange(16)), keyed_uniforms(keys, np.arange(16)))
 
 
-def test_fast_points_rng_matches_public_generator():
-    # the samplers' reused stream of each key of a block is the replication's
-    # public generator
-    for rep, rng in enumerate(_points_streams(points_keys(13, range(100)))):
-        a = rng.random(5)
-        b = points_generator(13, rep).random(5)
-        assert np.array_equal(a, b)
-
-
-@given(seed=u64s, rep=small_ints)
+@given(seed=u64s, rep=small_ints, field=small_ints, index=u64s)
 @settings(max_examples=200)
-def test_points_key_is_two_folds(seed, rep):
-    (key,) = points_keys(seed, [rep]).tolist()
-    assert tuple(key) == (fold(seed, rep, STREAM_POINTS, 0), fold(seed, rep, STREAM_POINTS, 1))
+def test_points_key_is_two_folds(seed, rep, field, index):
+    # a point variate's uniform is the fold of its draw and its number into
+    # the replication's point-stream key
+    (u,) = keyed_uniforms(fold_keys(stream_keys(seed, [rep], STREAM_POINTS), field), index).tolist()
+    assert u == (fold(seed, rep, STREAM_POINTS, field, index) >> 11) * 2.0**-53
 
 
 @pytest.mark.parametrize("seed", [0, (1 << 63) + 5, (1 << 64) - 1], ids=["0", "2**63+5", "2**64-1"])
@@ -70,32 +77,12 @@ def test_points_keys_fold_a_block(seed):
     # the one-pass uint64 fold of a block gives the Python-int fold of each
     # replication, replications at and above 2**63 included
     reps = [0, 1, 2, 1 << 32, (1 << 63) - 1, 1 << 63, (1 << 64) - 2, (1 << 64) - 1]
-    keys = points_keys(seed, reps)
-    assert keys.dtype == np.uint64 and keys.shape == (len(reps), 2)
-    for key, rep in zip(keys.tolist(), reps):
-        assert tuple(key) == (fold(seed, rep, STREAM_POINTS, 0), fold(seed, rep, STREAM_POINTS, 1))
+    keys = stream_keys(seed, np.array(reps, dtype=np.uint64), STREAM_POINTS)
+    assert keys.dtype == np.uint64 and keys.shape == (len(reps),)
+    assert keys.tolist() == [fold(seed, rep, STREAM_POINTS) for rep in reps]
     # a range, as the sweep passes its blocks, up to the last replication
-    assert np.array_equal(points_keys(seed, range((1 << 64) - 2, 1 << 64)), keys[-2:])
-    assert points_keys(seed, []).shape == (0, 2)
-
-
-def test_fast_points_rng_resets_a_used_stream():
-    # a seed above 2**63, and a previous stream left mid-buffer with a
-    # spare 32-bit word: the reset must clear both
-    seed = (1 << 63) + 12345
-    for rep in range(20):
-        (used,) = _points_streams(points_keys(seed, [rep + 1]))
-        used.integers(0, 7, size=3, dtype=np.uint32)
-        (rng,) = _points_streams(points_keys(seed, [rep]))
-        a = rng.random(9)
-        b = points_generator(seed, rep).random(9)
-        assert np.array_equal(a, b)
-    # the same within one block: each key resets the stream the last one used
-    for rep, rng in enumerate(_points_streams(points_keys(seed, range(20)))):
-        if rep % 2:
-            rng.integers(0, 7, size=3, dtype=np.uint32)
-        else:
-            assert np.array_equal(rng.random(9), points_generator(seed, rep).random(9))
+    assert np.array_equal(stream_keys(seed, range((1 << 64) - 2, 1 << 64), STREAM_POINTS), keys[-2:])
+    assert stream_keys(seed, [], STREAM_POINTS).shape == (0,)
 
 
 def test_uniformity_gross():
@@ -167,3 +154,58 @@ def test_pair_uniforms_per_element_seeds_empty():
     assert pair_uniforms(empty, empty, empty, empty).shape == (0,)
     assert pair_uniforms(empty, 3, empty, empty).shape == (0,)
     assert pair_uniforms(np.zeros((2, 0), dtype=np.uint64), 3, 0, 1).shape == (2, 0)
+
+
+def _point_uniforms(field, n=100_000, seed=(1 << 63) + 7):
+    """One point-stream uniform of draw ``field`` for each of ``n``
+    replications, and a few variate numbers each."""
+    keys = stream_keys(seed, np.arange(n // 4), STREAM_POINTS)
+    return keyed_uniforms(fold_keys(keys, field)[:, None], np.array([0, 1, 2, 1 << 40])).ravel()
+
+
+@pytest.mark.parametrize("field", [_MARK, _ACCEPT])
+def test_point_uniforms_are_uniform(field):
+    u = _point_uniforms(field)
+    assert 0.0 <= u.min() and u.max() < 1.0
+    assert stats.kstest(u, "uniform").pvalue > 1e-3
+
+
+@pytest.mark.parametrize("mean", [0.05, 3.7, 40.0, 903.5])
+def test_poisson_counts_follow_the_pmf(mean):
+    # chi-squared against the exact pmf, over the counts of many keys, the
+    # bins merged until each expects at least 20
+    n = poisson_counts(mean, _point_uniforms(_COUNT))
+    assert n.min() >= 0
+    top = int(stats.poisson.ppf(1 - 1e-9, mean)) + 1
+    edges, expected = [0], []
+    mass = 0.0
+    for c in range(top + 1):
+        mass += stats.poisson.pmf(c, mean)
+        if mass * len(n) >= 20 and stats.poisson.sf(c, mean) * len(n) >= 20:
+            edges.append(c + 1)
+            expected.append(mass)
+            mass = 0.0
+    expected.append(stats.poisson.sf(edges[-1] - 1, mean))
+    observed = np.histogram(n, bins=[*edges, np.inf])[0]
+    assert len(observed) >= 2
+    chi2 = (((observed - len(n) * np.array(expected)) ** 2) / (len(n) * np.array(expected))).sum()
+    assert stats.chi2.sf(chi2, len(observed) - 1) > 1e-3
+
+
+def test_poisson_counts_at_the_largest_mean():
+    # the table of the largest mean is built, and its counts are Poisson-like
+    n = poisson_counts(POISSON_MAX, _point_uniforms(_COUNT, n=4000))
+    z = (n.mean() - POISSON_MAX) / math.sqrt(POISSON_MAX / len(n))
+    assert abs(z) < 5
+    assert 0.9 < n.var() / POISSON_MAX < 1.1
+
+
+def test_poisson_counts_per_element_means():
+    # one table per distinct mean: each element is its own mean's count
+    u = _point_uniforms(_COUNT, n=400)
+    means = np.resize([0.5, 7.0, 0.5, 30.0], u.shape)
+    n = poisson_counts(means, u)
+    for m in (0.5, 7.0, 30.0):
+        assert np.array_equal(n[means == m], poisson_counts(m, u[means == m]))
+    assert np.array_equal(poisson_counts(means.reshape(-1, 4), u.reshape(-1, 4)).ravel(), n)
+    assert poisson_counts(2.0, np.empty(0)).shape == (0,)

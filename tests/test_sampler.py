@@ -1,22 +1,30 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import special, stats
 
 from conftest import CONNECTIONS
 from rcmpaths.analytics import mean_khop_numeric
 from rcmpaths.experiments import run_replications
-from rcmpaths.model import RAYLEIGH, ConnectionSpec, ModelParams, Point, cloud_mass
+from rcmpaths.model import ConnectionSpec, ModelParams, Point, cloud_mass
 from rcmpaths.paths import count_khop_paths, iter_khop_paths
-from rcmpaths.rng import pair_uniforms, points_generator
+from rcmpaths.rng import STREAM_POINTS, fold_keys, keyed_uniforms, pair_uniforms, poisson_counts, stream_keys
 from rcmpaths.sampler import (
+    _ANGLE,
+    _BOX_X,
+    _BOX_Y,
+    _COUNT,
+    _RADIUS,
+    block_points,
     box_points,
     draw_edges,
-    neighbour_draws,
     realize_graph,
     region_for,
     sample_conditioned_ppp,
     sample_realization,
+    slice_replications,
 )
 
 RAY1 = ConnectionSpec.rayleigh(beta=1.0)
@@ -183,31 +191,73 @@ class TestAnchorNeighbours:
     @pytest.mark.parametrize("spec", CONNECTIONS, ids=["eta-2", "eta-3", "hard-disk", "tabulated"])
     @pytest.mark.parametrize("rho", [0.05, 1.5])
     def test_block_draws_equal_one_replication_at_a_time(self, spec, rho):
-        # each replication's variates come from its own public generator in
-        # the documented order, however the block is cut; at rho = 0.05 most
+        # every variate is keyed by its replication and its number there, so
+        # each replication draws the same points however the block is cut,
+        # and beside another grid point's replications; at rho = 0.05 most
         # clouds are empty
         params = ModelParams(rho=rho, connection=spec, anchor_distance=1.0, k=3)
+        other = replace(params, rho=2.0 * rho, anchor_distance=0.5)
         seed = (1 << 63) + 5
-
-        def one(rep):
-            rng = points_generator(seed, rep)
-            n0, n1 = rng.poisson(cloud_mass(params), 2).tolist()
-            if spec.kind != RAYLEIGH:
-                return n0, rng.random((4, n0 + n1))
-            radial = rng.standard_gamma(2.0 / spec.eta, n0 + n1)
-            return n0, np.vstack([radial, rng.random((2, n0 + n1))])
-
-        expected = [one(rep) for rep in range(40)]
-        for a, b in ((0, 40), (7, 8), (13, 29)):
-            block = neighbour_draws([(params, seed, a, b)])
-            assert len(block) == b - a
-            for (n0, v), (want_n0, want_v) in zip(block, expected[a:b]):
-                assert n0 == want_n0
-                assert v.dtype == want_v.dtype and np.array_equal(v, want_v)
-            assert neighbour_draws([(params, seed, b - 1, b)])[0][1].tobytes() == expected[b - 1][1].tobytes()
-        sizes = [v.shape[1] for _, v in expected]
+        expected = [_replications([(params, seed, rep, rep + 1)])[0] for rep in range(40)]
+        for cut in (
+            [(params, seed, 0, 40)],
+            [(params, seed, 7, 8)],
+            [(other, 3, 0, 5), (params, seed, 13, 29), (other, 3, 5, 9)],
+        ):
+            got = _replications(cut)
+            at = 0
+            for p, _, a, b in cut:
+                if p is params:
+                    assert got[at : at + b - a] == expected[a:b]
+                at += b - a
+        sizes = [len(xy) // 16 for xy, _, _ in expected]
         assert max(sizes) > 0
         assert rho > 1 or 0 in sizes
+
+    def test_eta_2_draws_its_documented_keys(self):
+        # cloud 0 comes first in each replication: its n0 points lie at
+        # sqrt(-log1p(-U) / beta) from anchor 0, U the _RADIUS uniform, at
+        # the angle of the _ANGLE uniform
+        params = ModelParams(rho=1.5, connection=ConnectionSpec.rayleigh(beta=0.8), anchor_distance=1.0, k=3)
+        seed = 21
+        slices = [(params, seed, 0, 30)]
+        xy, sizes, near = block_points(slices, slice_replications(slices))
+        starts = np.cumsum(sizes) - sizes
+        for rep in range(30):
+            key = stream_keys(seed, rep, STREAM_POINTS)
+            n0 = int(poisson_counts(cloud_mass(params), keyed_uniforms(fold_keys(key, _COUNT), 0)))
+            i = np.arange(n0)
+            dist = np.sqrt(-np.log1p(-keyed_uniforms(fold_keys(key, _RADIUS), i)) / 0.8)
+            angle = 2.0 * math.pi * keyed_uniforms(fold_keys(key, _ANGLE), i)
+            got = xy[starts[rep] : starts[rep] + n0]
+            assert np.array_equal(got, np.column_stack([dist * np.cos(angle), dist * np.sin(angle)]))
+            assert near[0][starts[rep] : starts[rep] + sizes[rep]].sum() == n0
+        assert sizes.sum() > 0
+
+    @pytest.mark.parametrize("eta", [1.0, 2.0, 3.0, 6.0])
+    def test_radii_and_angles_follow_their_laws(self, eta):
+        # a cloud-0 point lies at distance D from anchor 0 with beta D**eta
+        # ~ Gamma(2/eta), at a uniform angle: KS over many replications
+        beta = 0.7
+        spec = ConnectionSpec.rayleigh(beta=beta, eta=eta)
+        params = ModelParams(rho=0.5, connection=spec, anchor_distance=1.0, k=3)
+        slices = [(params, 5, 0, 8000)]
+        xy, _, near = block_points(slices, slice_replications(slices))
+        x, y = xy[near[0]].T
+        assert len(x) > 5000
+        dist = np.hypot(x, y)
+        assert stats.kstest(dist, lambda r: special.gammainc(2.0 / eta, beta * r**eta)).pvalue > 1e-3
+        angle = np.mod(np.arctan2(y, x), 2.0 * math.pi) / (2.0 * math.pi)
+        assert stats.kstest(angle, "uniform").pvalue > 1e-3
+
+
+def _replications(slices):
+    """The block draw of ``slices`` cut back into replications: the bytes of
+    each one's points and of its two anchor rows."""
+    xy, sizes, near = block_points(slices, slice_replications(slices))
+    cuts = np.cumsum(sizes)[:-1]
+    parts = (np.split(z, cuts) for z in (xy, *near))
+    return [tuple(z.tobytes() for z in rows) for rows in zip(*parts)]
 
 
 class TestBoxPoints:
@@ -215,29 +265,42 @@ class TestBoxPoints:
 
     @pytest.mark.parametrize("rho", [0.05, 1.5])
     def test_box_draws_equal_one_replication_at_a_time(self, rho):
-        # each replication's count and uniforms come from its own public
-        # generator, placed as in the box, however the block is cut; at
+        # each replication draws its count from its _COUNT uniform and point
+        # i from its _BOX_X and _BOX_Y uniforms i, placed in the box, however
+        # the block is cut and beside another grid point's box; at
         # rho = 0.05 most boxes are empty
         params = ModelParams(rho=rho, connection=RAY1, anchor_distance=1.0, k=4, margin=1.0)
+        other = replace(params, rho=2.0 * rho, anchor_distance=2.0)
         region = region_for(params)
         seed = (1 << 63) + 5
 
         def one(rep):
-            rng = points_generator(seed, rep)
-            u = rng.random((int(rng.poisson(params.rho * region.area)), 2))
+            key = stream_keys(seed, rep, STREAM_POINTS)
+            i = np.arange(poisson_counts(params.rho * region.area, keyed_uniforms(fold_keys(key, _COUNT), 0)))
+            u = np.column_stack([keyed_uniforms(fold_keys(key, f), i) for f in (_BOX_X, _BOX_Y)])
             return np.column_stack(
                 [region.min_corner.x + u[:, 0] * region.width, region.min_corner.y + u[:, 1] * region.height]
             )
 
         expected = [one(rep) for rep in range(40)]
         for a, b in ((0, 40), (7, 8), (13, 29)):
-            xy, sizes = box_points(params, seed, range(a, b))
-            assert sizes.tolist() == [len(p) for p in expected[a:b]]
-            assert xy.tobytes() == np.concatenate(expected[a:b]).tobytes()
+            slices = [(other, 3, 0, 4), (params, seed, a, b)]
+            xy, sizes = box_points(slices, slice_replications(slices))
+            assert sizes[4:].tolist() == [len(p) for p in expected[a:b]]
+            assert xy[sizes[:4].sum() :].tobytes() == np.concatenate(expected[a:b]).tobytes()
             assert sample_conditioned_ppp(params, seed, b - 1)[2:].tobytes() == expected[b - 1].tobytes()
         sizes = [len(p) for p in expected]
         assert max(sizes) > 0
         assert rho > 1 or 0 in sizes
+
+    def test_box_coordinates_are_uniform(self):
+        params = ModelParams(rho=0.05, connection=RAY1, anchor_distance=2.0, k=4, margin=3.0)
+        region = region_for(params)
+        slices = [(params, 8, 0, 2500)]
+        xy, sizes = box_points(slices, slice_replications(slices))
+        assert sizes.sum() > 5000
+        assert stats.kstest((xy[:, 0] - region.min_corner.x) / region.width, "uniform").pvalue > 1e-3
+        assert stats.kstest((xy[:, 1] - region.min_corner.y) / region.height, "uniform").pvalue > 1e-3
 
     @pytest.mark.parametrize("spec", CONNECTIONS, ids=["eta-2", "eta-3", "hard-disk", "tabulated"])
     @pytest.mark.parametrize("seed", [0, 19, (1 << 63) + 5], ids=["0", "19", "2**63+5"])
