@@ -29,17 +29,17 @@ from rcmpaths.model import ConnectionSpec, ModelParams
 RAY1 = ConnectionSpec.rayleigh(beta=1.0)
 
 DIGESTS = {
-    "fig-mean-var": "358719ca5e28574b4054f90d8e32f11e4f0ac9a251c8fb69cd340809c6301e59",
-    "fig-existence": "1f8f003b7538b7d99335253db08b4231fac4a4a6dc83bcdb70912d9e972d55a4",
-    "small-k": "4f63b24f30c034185a8dc005bf79c96f7657c15f5e3e1527c6033d0b5050d6d7",
-    "margin": "49d1a146cc7d9a21172be08184f23758018a674e880abfe36b3da1369563cbe2",
-    "mixed": "78d6545da27b7ca3069c02e510f5e1ffcae92543f1b7a556b0b65a0f4b36a7e3",
-    "mixed-margin": "d727c15f1ca51ba7c5fb4d47294fa11214116d8af93b5537d9dd83469b917b22",
-    "fig-distribution": "bcc774a7f14309c633ccf04c45dd8b30c22f56a6f712841e4c02d0945c6faef3",
-    "sample-rayleigh": "b53b478501064945baa2a7371f409db483187c851168a265fe0e79e95615ca0a",
-    "sample-tabulated": "4dab3d9b99d5cac38a9debc48dbff4a1af5e1b5f8cedd870d7b451df79cc6217",
-    "khop": "e1bad453c14ce868cc54d93c2abb95bbe327d08bd4ecfb9357bd436304a6baa0",
-    "khop-margin": "96595b49b53dafc16ba141fc60f7387e447aa199717cfde32742b10ed5d11dd0",
+    "fig-mean-var": "14189c0c9bb566bf1ddf769bea9f5931df5338444e06aa5c25d60309cbf04ea7",
+    "fig-existence": "dbd0a9f52da9b582638250862ef8d75678c3d86c05262797ec15ef52fc5c1b10",
+    "small-k": "2f87400a80ff2125217e1b44215e076ad6f8b0e0913bfa5a6180b2964b79084a",
+    "margin": "f2ae9675621517db239200975ef3c19cdce2967cb409fa0da75f01cfdb3b0cfb",
+    "mixed": "fffa5893d3410b0eaf62a024b3af7effeaa322d64d96fd40ffae951974e3d7b5",
+    "mixed-margin": "8a3555400e721e241e79e9496965fa04a9f4bc83ca285c42840eb02c585034e9",
+    "fig-distribution": "643fee04c047ad16e1fe76b2d55ab25ad42d412b4239b72a6880fb1acd50d3de",
+    "sample-rayleigh": "2e3ed5ee8129690cb6e442e9247693e25853381857615100d4df9577eb5a099f",
+    "sample-tabulated": "27f83b6ae5c2100ae8b9f111243ce6115a79ea84feb39a0a6c3c9289299c2d29",
+    "khop": "1d597fd696342aebaa02c8540919835131caaa66b48b99e183fa12945015d930",
+    "khop-margin": "9d29229af327cfabd89fc0df805c9a226844b27eafdec7c21b16b25dd171f1ac",
 }
 
 # one point per connection kind, k = 1 to 4, every report flag on
