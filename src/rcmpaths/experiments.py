@@ -79,8 +79,8 @@ from .moments import (
     ExistenceBracket,
     PathCountSamples,
     bonferroni_bound_order2,
+    existence_brackets,
     quadratic_existence_bound,
-    truncated_zero_probability,
 )
 from .paths import PairStructureCounts, classify_path_pair_segments, khop_intermediates
 from .rng import derive_subseed
@@ -638,7 +638,7 @@ def summarize_grid_point(
             pair_means[name] = {"mean": float(vals.mean()), "se": _mean_se(vals)}
 
     samples = PathCountSamples(k=int(params.k), counts=counts, params=params, seed=grid_seed)
-    brackets = tuple(truncated_zero_probability(samples, m) for m in config.bracket_orders)
+    brackets = existence_brackets(samples, config.bracket_orders)
 
     if analytic_mean is not None and analytic_variance is not None:
         source, ref_mean, ref_var = "analytic", analytic_mean, analytic_variance

@@ -92,17 +92,25 @@ def truncated_zero_probability(samples: PathCountSamples, m: int) -> ExistenceBr
     reaches the largest observed count the estimate equals the exact
     empirical zero frequency.
     """
-    if m < 0:
-        raise ValidationError(f"truncation order must be >= 0, got {m}")
+    return existence_brackets(samples, (m,))[0]
+
+
+def existence_brackets(samples: PathCountSamples, orders) -> tuple[ExistenceBracket, ...]:
+    """:func:`truncated_zero_probability` at every order of ``orders``, from
+    one count of the samples' distinct values."""
+    for m in orders:
+        if m < 0:
+            raise ValidationError(f"truncation order must be >= 0, got {m}")
     values, freq = np.unique(samples.counts, return_counts=True)
-    total = sum(
-        alternating_binomial_partial_sum(sigma, m) * n for sigma, n in zip(values.tolist(), freq.tolist())
-    )
-    partial = total / len(samples)
-    side = UPPER_BOUND if m % 2 == 0 else LOWER_BOUND
-    return ExistenceBracket(
-        order=m, partial_sum=partial, side=side, existence_estimate=1.0 - partial
-    )
+    groups = list(zip(values.tolist(), freq.tolist()))
+    brackets = []
+    for m in orders:
+        partial = sum(alternating_binomial_partial_sum(sigma, m) * n for sigma, n in groups) / len(samples)
+        side = UPPER_BOUND if m % 2 == 0 else LOWER_BOUND
+        brackets.append(
+            ExistenceBracket(order=m, partial_sum=partial, side=side, existence_estimate=1.0 - partial)
+        )
+    return tuple(brackets)
 
 
 def quadratic_existence_bound(mean: float, variance: float) -> float:

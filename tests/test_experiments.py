@@ -579,13 +579,10 @@ class TestRunExperiment:
     def test_brackets_match_direct_computation(self, tmp_path):
         from rcmpaths.moments import PathCountSamples, truncated_zero_probability
 
-        cfg = tiny_config(tmp_path, bracket_orders=(2, 3), replications=100)
+        cfg = tiny_config(tmp_path, bracket_orders=(2, 3, 0, 80), replications=100)
         report = run_experiment(cfg)[0]
         s = PathCountSamples(k=3, counts=report.counts)
-        for bracket, m in zip(report.existence_brackets, (2, 3)):
-            direct = truncated_zero_probability(s, m)
-            assert bracket.partial_sum == direct.partial_sum
-            assert bracket.side == direct.side
+        assert report.existence_brackets == tuple(truncated_zero_probability(s, m) for m in (2, 3, 0, 80))
 
 
 class TestAtomicWrites:

@@ -14,6 +14,7 @@ from rcmpaths.moments import (
     alternating_binomial_partial_sum,
     bonferroni_bound_order2,
     empirical_factorial_moment,
+    existence_brackets,
     falling_factorial,
     quadratic_existence_bound,
     truncated_zero_probability,
@@ -123,6 +124,21 @@ class TestTruncatedZeroProbability:
     def test_negative_order_rejected(self):
         with pytest.raises(ValidationError):
             truncated_zero_probability(samples([1]), -1)
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=150), min_size=1, max_size=60),
+        st.lists(st.integers(min_value=0, max_value=90), max_size=6, unique=True),
+    )
+    @settings(max_examples=200)
+    def test_brackets_of_many_orders_equal_each_order(self, cts, orders):
+        # one pass over the distinct counts serves every order: each bracket
+        # is the one-order truncation, and the per-sample oracle's sum
+        got = existence_brackets(samples(cts), orders)
+        assert got == tuple(truncated_zero_probability(samples(cts), m) for m in orders)
+        for bracket, m in zip(got, orders):
+            assert bracket.partial_sum == sum(alternating_binomial_partial_sum_oracle(c, m) for c in cts) / len(cts)
+        with pytest.raises(ValidationError):
+            existence_brackets(samples(cts), [*orders, -1])
 
 
 class TestBounds:
