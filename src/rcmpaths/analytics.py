@@ -172,18 +172,39 @@ def _kernel_grid(spec: ConnectionSpec, m: int, s: float) -> np.ndarray:
     return spec.kernel(np.hypot(xx, yy))
 
 
+def _nonzero_rows(a: np.ndarray) -> slice:
+    """The rows of ``a`` from its first to its last row holding a nonzero."""
+    rows = np.flatnonzero(a.any(axis=1))
+    return slice(int(rows[0]), int(rows[-1]) + 1) if len(rows) else slice(0, 0)
+
+
+def _row_spectrum(a: np.ndarray, n1: int) -> np.ndarray:
+    """``scipy.fft.rfft(a, n1, axis=1)``, transforming only the
+    :func:`_nonzero_rows` of ``a``."""
+    from scipy import fft
+
+    band = _nonzero_rows(a)
+    if band == slice(0, len(a)):
+        return fft.rfft(a, n1, axis=1)
+    out = np.zeros((len(a), n1 // 2 + 1), dtype=complex)
+    out[band] = fft.rfft(a[band], n1, axis=1)
+    return out
+
+
 def _convolve_same(a: np.ndarray, b: np.ndarray, b_spectrum=None, rows=None):
     """``scipy.signal.fftconvolve(a, b, mode="same")`` bit for bit, or only
-    its rows ``lo:hi`` when ``rows=(lo, hi)``, with ``scipy.fft`` (a third of
+    its rows ``rows`` (a slice) when given, with ``scipy.fft`` (a third of
     ``scipy.signal``'s import time).
 
     The 2-D transforms run as the two 1-D stages pocketfft runs inside
     ``rfftn`` and ``irfftn``, minus the rows known to be zero or not kept:
-    the forward row stage (``rfft`` along axis 1) transforms an operand's own
-    rows, not its zero padding, before the column stage (``fft`` along axis
-    0); the inverse runs the column stage, then the row stage (``irfft``) on
-    the output rows kept only, and scales once by the factor pocketfft
-    applies at its last stage.  Returns the result and the spectrum of ``b``
+    the forward row stage (``rfft`` along axis 1) transforms only the
+    :func:`_nonzero_rows` of ``a``, not its zero rows or its zero padding,
+    before the column stage (``fft`` along axis 0); the inverse runs the
+    column stage, then the row stage (``irfft``) on the output rows kept
+    only, and scales once by the factor pocketfft applies at its last
+    stage.  Each row is transformed on its own, so skipping rows changes
+    no bit of the others.  Returns the result and the spectrum of ``b``
     as a pair (row spectrum, full spectrum).  A later call with the same
     ``b`` and an ``a`` with as many columns may pass it back, or only its row
     spectrum as ``(row spectrum, None)``: that skips ``b``'s row stage, and
@@ -200,11 +221,12 @@ def _convolve_same(a: np.ndarray, b: np.ndarray, b_spectrum=None, rows=None):
     if a is b:
         product = b_full * b_full
     else:
-        product = fft.fft(fft.rfft(a, n1, axis=1), n0, axis=0)
+        product = fft.fft(_row_spectrum(a, n1), n0, axis=0)
         product *= b_full
-    lo, hi = (0, a.shape[0]) if rows is None else rows
     start0, start1 = ((n - p) // 2 for n, p in zip(full, a.shape))
-    columns = fft.ifft(product, axis=0, norm="forward", overwrite_x=True)[start0 + lo : start0 + hi]
+    columns = fft.ifft(product, axis=0, norm="forward", overwrite_x=True)[start0 : start0 + a.shape[0]]
+    if rows is not None:
+        columns = columns[rows]
     out = fft.irfft(columns, n1, axis=1, norm="forward")[:, start1 : start1 + a.shape[1]]
     return out * float(np.longdouble(1) / np.longdouble(n0 * n1)), (b_rows, b_full)
 
@@ -225,7 +247,7 @@ def _chain_grid(spec: ConnectionSpec, k: int, r: float, quad: QuadratureSpec):
     t = r / s
     i0 = int(math.floor(t))
     frac = t - i0
-    read = (m + i0, m + i0 + (2 if frac else 1))
+    read = slice(m + i0, m + i0 + (2 if frac else 1))
     h = _kernel_grid(spec, m, s)
     powers, spectrum = [h], None
     for _ in range(k - 2):
@@ -295,8 +317,14 @@ def variance_terms_numeric(
     s11 = rho**3 * cell * float((h_at_x * h2_at_y**2).sum() + (h_at_y * h2_at_x**2).sum())
     s12 = 2.0 * rho**3 * cell * float((h_at_x * h_at_y * h2_at_x * h2_at_y).sum())
     q = h_at_x * h_at_y
-    conv_q = _convolve_same(q, hc, (h_rows, None))[0] * cell
-    s22 = rho**2 * cell * float((q * conv_q).sum())
+    # only q's nonzero rows are transformed and kept (21 of 305 for a hard
+    # disk at separation 1.5); q weighs the others by zero
+    band = _nonzero_rows(q)
+    conv_q = _convolve_same(q, hc, (h_rows, None), band)[0]
+    conv_q *= cell
+    weighted = np.zeros_like(q)
+    np.multiply(q[band], conv_q, out=weighted[band])
+    s22 = rho**2 * cell * float(weighted.sum())
 
     mean = rho**2 * h3_at_r
     return AnalyticMoments.from_terms(mean, s11, s12, s22)

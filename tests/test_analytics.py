@@ -184,6 +184,8 @@ class TestConvolveSame:
 
         rng = np.random.default_rng(seed)
         a, b = (rng.standard_normal(shape) for shape in shapes)
+        # zero rows of a are skipped by the row transforms
+        a[rng.random(len(a)) < 0.3] = 0.0
         oracle = fftconvolve(a, b, mode="same")
         out, b_spectrum = _convolve_same(a, b)
         assert np.array_equal(out, oracle)
@@ -195,8 +197,8 @@ class TestConvolveSame:
         # any window of output rows equals the same rows of the whole result
         lo = data.draw(st.integers(0, len(a) - 1), label="lo")
         hi = data.draw(st.integers(lo + 1, len(a)), label="hi")
-        assert np.array_equal(_convolve_same(a, b, rows=(lo, hi))[0], oracle[lo:hi])
-        assert np.array_equal(_convolve_same(a, b, b_spectrum, (lo, hi))[0], oracle[lo:hi])
+        assert np.array_equal(_convolve_same(a, b, rows=slice(lo, hi))[0], oracle[lo:hi])
+        assert np.array_equal(_convolve_same(a, b, b_spectrum, slice(lo, hi))[0], oracle[lo:hi])
 
     @given(
         b_shape=st.tuples(_side, _side),
@@ -218,7 +220,7 @@ class TestConvolveSame:
         kernel_spectrum = _convolve_same(b, b)[1]
         assert np.array_equal(_convolve_same(a, b, kernel_spectrum)[0], oracle)
         lo = data.draw(st.integers(0, a_rows - 1), label="lo")
-        assert np.array_equal(_convolve_same(a, b, kernel_spectrum, (lo, lo + 1))[0], oracle[lo : lo + 1])
+        assert np.array_equal(_convolve_same(a, b, kernel_spectrum, slice(lo, lo + 1))[0], oracle[lo : lo + 1])
 
     def test_chain_transforms_the_kernel_once(self, quadrature_calls):
         p = ModelParams(rho=1.0, connection=ConnectionSpec.hard_disk(1.0), anchor_distance=1.0, k=5)
