@@ -172,15 +172,19 @@ _cached_cdf = functools.lru_cache(maxsize=64)(_poisson_cdf)
 def poisson_counts(mean, u) -> np.ndarray:
     """Poisson counts by inversion: the least n whose CDF exceeds each
     uniform of ``u``, for the mean of ``mean`` (one per uniform, or one for
-    all; at most ``POISSON_MAX``), from one CDF table per distinct mean."""
+    all; at most ``POISSON_MAX``).  Each run of equal consecutive means, in
+    C order, is looked up in that mean's CDF table."""
     mean, u = np.broadcast_arrays(np.asarray(mean, dtype=np.float64), np.asarray(u, dtype=np.float64))
-    out = np.empty(u.shape, dtype=np.int64)
-    values, which = np.unique(mean, return_inverse=True)
-    for t, m in enumerate(values.tolist()):
-        at = which.reshape(u.shape) == t
+    shape = u.shape
+    mean, u = mean.ravel(), u.ravel()
+    out = np.empty(len(u), dtype=np.int64)
+    starts = np.flatnonzero(np.diff(mean, prepend=np.nan) != 0).tolist()
+    for a, b in zip(starts, [*starts[1:], len(u)]):
+        m = float(mean[a])
         lo, cdf = (_cached_cdf if m <= _CACHED_MEAN else _poisson_cdf)(m)
-        out[at] = lo + np.searchsorted(cdf, u[at], side="right")
-    return out
+        out[a:b] = np.searchsorted(cdf, u[a:b], side="right")
+        out[a:b] += lo
+    return out.reshape(shape)
 
 
 def keyed_gamma(keys, index, shape: float, field: int) -> np.ndarray:
