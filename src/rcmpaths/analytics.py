@@ -179,13 +179,10 @@ def _nonzero_rows(a: np.ndarray) -> slice:
 
 
 def _row_spectrum(a: np.ndarray, n1: int) -> np.ndarray:
-    """``scipy.fft.rfft(a, n1, axis=1)``, transforming only the
-    :func:`_nonzero_rows` of ``a``."""
+    """``scipy.fft.rfft(a, n1, axis=1)`` of the :func:`_nonzero_rows` only."""
     from scipy import fft
 
     band = _nonzero_rows(a)
-    if band == slice(0, len(a)):
-        return fft.rfft(a, n1, axis=1)
     out = np.zeros((len(a), n1 // 2 + 1), dtype=complex)
     out[band] = fft.rfft(a[band], n1, axis=1)
     return out

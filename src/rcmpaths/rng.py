@@ -12,22 +12,19 @@ A 64-bit state is folded through the splitmix64 finalizer once per field::
     for field in fields:
         h = mix64((h + GAMMA) ^ field)
 
-and a variate's uniform is the top 53 bits of ``fold(seed, replication,
-stream, a, b)``.  :func:`keyed_uniforms` is the one function that draws
-them: it folds ``b`` into the keys ``fold(seed, replication, stream, a)``,
-which :func:`fold_keys` folds from ``a`` and the stream keys ``fold(seed,
-replication, stream)`` of :func:`stream_keys`.  All three work in numpy
-uint64, whose arithmetic wraps modulo 2**64 as the Python-int :func:`fold`
-does, so one variate or a million give the same bits.
+and every uniform is the top 53 bits of ``fold(seed, replication, stream,
+a, b)``, drawn by :func:`keyed_uniforms` from :func:`stream_keys` and
+:func:`fold_keys` in numpy uint64, whose arithmetic wraps modulo 2**64 as
+the Python-int :func:`fold` does, so one variate or a million give the same
+bits.
 
 Streams (so point draws and edge draws never collide):
 
 * point stream: variate ``index`` of a replication's draw ``field`` (a
-  count, a radius, an angle, a mark, ...) is keyed by ``(STREAM_POINTS,
-  field, index)``; no generator carries state from one variate to the next.
-  :func:`poisson_counts` turns uniforms into Poisson counts by inverting a
-  CDF table, and :func:`keyed_gamma` draws Gamma variates by a rejection
-  whose every attempt has keys of its own.
+  count, a radius, an angle, ...) is keyed by ``(STREAM_POINTS, field,
+  index)``, so no state passes from one variate to the next; Poisson counts
+  invert a CDF table (:func:`poisson_counts`) and Gamma variates come from
+  a keyed rejection (:func:`keyed_gamma`).
 * edge stream: the uniform deciding the edge of vertex pair ``{i, j}`` is
   keyed by ``(STREAM_EDGES, min(i, j), max(i, j))``.  Any subset of pairs can
   therefore be evaluated lazily, in any order, and agrees bit-for-bit with a
@@ -97,10 +94,8 @@ def fold(seed: int, *fields) -> int:
 def stream_keys(seed, replication, stream: int) -> np.ndarray:
     """``fold(s, r, stream)`` for every (s, r) of the broadcast integer
     arrays (or scalars) ``seed`` and ``replication``, in [0, 2**64), as a
-    uint64 array of their broadcast shape.  The fold runs once per run of
-    equal consecutive (s, r), all runs in one uint64 pass per field, so many
-    replications, or many grid points, each contiguous, cost little more
-    than one."""
+    uint64 array of their broadcast shape, folded once per run of equal
+    consecutive (s, r), all runs in one uint64 pass per field."""
     s, r = np.broadcast_arrays(np.asarray(seed, dtype=np.uint64), np.asarray(replication, dtype=np.uint64))
     shape = s.shape
     s, r = s.ravel(), r.ravel()
@@ -123,10 +118,8 @@ def fold_keys(keys, field) -> np.ndarray:
 
 
 def keyed_uniforms(keys, index) -> np.ndarray:
-    """Uniform [0, 1) variates, the top 53 bits of ``fold_keys(keys,
-    index)`` times 2**-53: ``(fold(s, r, stream, a, b) >> 11) * 2**-53`` for
-    the keys ``fold_keys(stream_keys(s, r, stream), a)`` and the index
-    ``b``."""
+    """Uniform [0, 1) variates ``(fold(s, r, stream, a, b) >> 11) * 2**-53``
+    for the keys ``fold_keys(stream_keys(s, r, stream), a)`` and index ``b``."""
     return (fold_keys(keys, index) >> _U64(11)).astype(np.float64) * 2.0**-53
 
 
@@ -144,22 +137,18 @@ def pair_uniforms(seed, replication, i, j):
 
 def _poisson_cdf(mean: float):
     """``(lo, cdf)``: the Poisson(mean) CDF at lo, lo + 1, ..., but for its
-    last entry (which is 1), normalized over a window of 10 sqrt(mean) + 30
-    counts on each side of the mean, beyond which each tail holds less than
-    e**-45 of the mass.  The log pmf is summed outward from the mode, in log
-    space, so a large mean neither underflows nor loses the bulk's
-    precision."""
+    last entry (which is 1), over the 10 sqrt(mean) + 30 counts on each side
+    of the mean, beyond which each tail holds less than e**-45 of the mass.
+    The pmf is summed in log space, so a large mean does not underflow."""
     spread = 10.0 * math.sqrt(mean) + 30.0
     lo = max(0, math.floor(mean - spread))
-    at = math.floor(mean) - lo
-    n = np.arange(lo, math.ceil(mean + spread) + 1, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
-        # log p(n) - log p(n - 1); the entry at n = 0 is never read
-        step = np.log(mean / n)
-    logw = np.zeros_like(n)
-    np.cumsum(step[at + 1 :], out=logw[at + 1 :])
-    logw[:at] = -np.cumsum(step[at:0:-1])[::-1]
-    cdf = np.cumsum(np.exp(logw, out=logw), out=logw)
+        # log p(n) - log p(n - 1), summed from p(lo)
+        logp = np.log(mean / np.arange(lo, math.ceil(mean + spread) + 1, dtype=np.float64))
+    logp[0] = 0.0
+    np.cumsum(logp, out=logp)
+    logp -= logp.max()
+    cdf = np.cumsum(np.exp(logp, out=logp), out=logp)
     cdf /= cdf[-1]
     # the table may be cached: no caller may write to it
     cdf.setflags(write=False)
@@ -189,14 +178,13 @@ def poisson_counts(mean, u) -> np.ndarray:
 
 def keyed_gamma(keys, index, shape: float, field: int) -> np.ndarray:
     """Gamma(shape) variates, one per entry of the :func:`stream_keys`
-    ``keys`` and the variate numbers ``index`` (equal-length arrays), by the
-    Marsaglia-Tsang rejection.
+    ``keys`` and variate numbers ``index``, by Marsaglia-Tsang rejection.
 
-    Every attempt draws a normal by Box-Muller and an acceptance uniform
-    from keys of its own (see ``_ATTEMPT``), so a variate is the same
-    however many others are drawn with it; the rejected variates try again
-    together, round by round.  A shape below 1 draws Gamma(shape + 1) and
-    multiplies it by U**(1/shape), U keyed at ``field`` itself.
+    Each attempt draws a Box-Muller normal and an acceptance uniform from
+    keys of its own (see ``_ATTEMPT``), so a variate does not depend on the
+    others drawn with it; the rejected ones retry together, round by round.
+    A shape below 1 draws Gamma(shape + 1) times U**(1/shape), U keyed at
+    ``field`` itself.
     """
     a = shape + 1.0 if shape < 1.0 else shape
     d = a - 1.0 / 3.0
