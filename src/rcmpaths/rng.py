@@ -38,10 +38,12 @@ import math
 
 import numpy as np
 
-_U64 = np.uint64
-_GAMMA = _U64(0x9E3779B97F4A7C15)
-_C1 = _U64(0xBF58476D1CE4E5B9)
-_C2 = _U64(0x94D049BB133111EB)
+# 0-d uint64 arrays, not numpy scalars: numpy arithmetic on them is faster
+# and never warns of the wraparound the hash relies on
+_GAMMA, _C1, _C2, _INIT, _S11, _S27, _S30, _S31 = (
+    np.array(c, dtype=np.uint64)
+    for c in (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 0x5851F42D4C957F2D, 11, 27, 30, 31)
+)
 _MASK = (1 << 64) - 1
 
 STREAM_POINTS = 1
@@ -63,13 +65,11 @@ _ATTEMPT = 1 << 32
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    # in place: every caller passes a temporary it owns
-    z ^= z >> _U64(30)
-    z *= _C1
-    z ^= z >> _U64(27)
-    z *= _C2
-    z ^= z >> _U64(31)
-    return z
+    z = z ^ (z >> _S30)
+    z = z * _C1
+    z = z ^ (z >> _S27)
+    z = z * _C2
+    return z ^ (z >> _S31)
 
 
 def _mix64_int(z: int) -> int:
@@ -79,7 +79,7 @@ def _mix64_int(z: int) -> int:
     return z ^ (z >> 31)
 
 
-_INIT_I = 0x5851F42D4C957F2D
+_INIT_I = int(_INIT)
 _GAMMA_I = int(_GAMMA)
 
 
@@ -102,10 +102,9 @@ def stream_keys(seed, replication, stream: int) -> np.ndarray:
     new = np.ones(s.size, dtype=bool)
     new[1:] = (s[1:] != s[:-1]) | (r[1:] != r[:-1])
     starts = np.flatnonzero(new)
-    with np.errstate(over="ignore"):
-        h = _mix64(s[starts] ^ _U64(_INIT_I)) + _GAMMA
-        h = _mix64(h ^ r[starts]) + _GAMMA
-        h = _mix64(h ^ _U64(stream))
+    h = _mix64(s[starts] ^ _INIT) + _GAMMA
+    h = _mix64(h ^ r[starts]) + _GAMMA
+    h = _mix64(h ^ np.asarray(stream, dtype=np.uint64))
     return np.repeat(h, np.diff(np.append(starts, s.size))).reshape(shape)
 
 
@@ -113,14 +112,13 @@ def fold_keys(keys, field) -> np.ndarray:
     """Fold the integer ``field`` (in [0, 2**64)) into the fold states
     ``keys``, broadcast together: ``fold(s, r, stream, a)`` from the
     :func:`stream_keys` ``fold(s, r, stream)`` and ``a``."""
-    with np.errstate(over="ignore"):
-        return _mix64((np.asarray(keys, dtype=np.uint64) + _GAMMA) ^ np.asarray(field, dtype=np.uint64))
+    return _mix64((np.asarray(keys, dtype=np.uint64) + _GAMMA) ^ np.asarray(field, dtype=np.uint64))
 
 
 def keyed_uniforms(keys, index) -> np.ndarray:
     """Uniform [0, 1) variates ``(fold(s, r, stream, a, b) >> 11) * 2**-53``
     for the keys ``fold_keys(stream_keys(s, r, stream), a)`` and index ``b``."""
-    return (fold_keys(keys, index) >> _U64(11)).astype(np.float64) * 2.0**-53
+    return (fold_keys(keys, index) >> _S11).astype(np.float64) * 2.0**-53
 
 
 def pair_uniforms(seed, replication, i, j):

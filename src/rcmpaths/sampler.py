@@ -145,17 +145,16 @@ def box_points(slices, layout):
     :func:`rcmpaths.model.region_for`.
     """
     seeds, replications, _, ends = layout
-    lengths = np.diff(ends, prepend=0)
     boxes = [(p.rho, region_for(p)) for p, _, _, _ in slices]
     keys = stream_keys(seeds, replications, STREAM_POINTS)
-    means = np.repeat([rho * b.area for rho, b in boxes], lengths)
+    means = np.repeat([rho * b.area for rho, b in boxes], np.diff(ends, prepend=0))
     sizes = poisson_counts(means, keyed_uniforms(fold_keys(keys, _COUNT), 0))
-    owner, number = _variates(sizes)
-    geometry = [(b.min_corner.x, b.min_corner.y, b.width, b.height) for _, b in boxes]
-    geometry = np.repeat(geometry, lengths, axis=0)[owner]
-    xy = _uniforms(keys, [_BOX_X, _BOX_Y], owner, number)
-    xy *= geometry[:, 2:]
-    xy += geometry[:, :2]
+    xy = _uniforms(keys, [_BOX_X, _BOX_Y], *_variates(sizes))
+    # each slice's points are a run of rows
+    bounds = np.cumsum(sizes)[ends - 1].tolist()
+    for (_, b), lo, hi in zip(boxes, [0, *bounds], bounds):
+        xy[lo:hi] *= (b.width, b.height)
+        xy[lo:hi] += (b.min_corner.x, b.min_corner.y)
     return xy, sizes
 
 
