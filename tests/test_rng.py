@@ -201,7 +201,7 @@ def test_poisson_counts_at_the_largest_mean():
 
 
 def test_poisson_counts_per_element_means():
-    # one table per distinct mean: each element is its own mean's count
+    # each element gets its own mean's count, whatever the means around it
     u = _point_uniforms(_COUNT, n=400)
     means = np.resize([0.5, 7.0, 0.5, 30.0], u.shape)
     n = poisson_counts(means, u)

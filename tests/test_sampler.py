@@ -210,7 +210,7 @@ class TestAnchorNeighbours:
                 if p is params:
                     assert got[at : at + b - a] == expected[a:b]
                 at += b - a
-        sizes = [len(xy) // 16 for xy, _, _ in expected]
+        sizes = [len(xy) // 16 for xy, _, _ in expected]  # 16 bytes a point
         assert max(sizes) > 0
         assert rho > 1 or 0 in sizes
 
