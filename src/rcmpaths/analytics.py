@@ -178,30 +178,21 @@ def _nonzero_rows(a: np.ndarray) -> slice:
     return slice(int(rows[0]), int(rows[-1]) + 1) if len(rows) else slice(0, 0)
 
 
-def _row_spectrum(a: np.ndarray, n1: int) -> np.ndarray:
-    """``scipy.fft.rfft(a, n1, axis=1)`` of the :func:`_nonzero_rows` only."""
-    from scipy import fft
-
-    band = _nonzero_rows(a)
-    out = np.zeros((len(a), n1 // 2 + 1), dtype=complex)
-    out[band] = fft.rfft(a[band], n1, axis=1)
-    return out
-
-
-def _convolve_same(a: np.ndarray, b: np.ndarray, b_spectrum=None, rows=None):
+def _convolve_same(a: np.ndarray, b: np.ndarray, b_spectrum=None, rows=None, band=None):
     """``scipy.signal.fftconvolve(a, b, mode="same")`` bit for bit, or only
     its rows ``rows`` (a slice) when given, with ``scipy.fft`` (a third of
-    ``scipy.signal``'s import time).
+    ``scipy.signal``'s import time).  ``a`` is zero outside its rows
+    ``band`` (a slice; by default its :func:`_nonzero_rows`).
 
     The 2-D transforms run as the two 1-D stages pocketfft runs inside
     ``rfftn`` and ``irfftn``, minus the rows known to be zero or not kept:
-    the forward row stage (``rfft`` along axis 1) transforms only the
-    :func:`_nonzero_rows` of ``a``, not its zero rows or its zero padding,
-    before the column stage (``fft`` along axis 0); the inverse runs the
-    column stage, then the row stage (``irfft``) on the output rows kept
-    only, and scales once by the factor pocketfft applies at its last
-    stage.  Each row is transformed on its own, so skipping rows changes
-    no bit of the others.  Returns the result and the spectrum of ``b``
+    the forward row stage (``rfft`` along axis 1) transforms only ``a``'s
+    rows ``band``, not its zero rows or its zero padding, before the column
+    stage (``fft`` along axis 0); the inverse runs the column stage, then
+    the row stage (``irfft``) on the output rows kept only, and scales once
+    by the factor pocketfft applies at its last stage.  Each row is
+    transformed on its own, so skipping rows changes no bit of the others.
+    Returns the result and the spectrum of ``b``
     as a pair (row spectrum, full spectrum).  A later call with the same
     ``b`` and an ``a`` with as many columns may pass it back, or only its row
     spectrum as ``(row spectrum, None)``: that skips ``b``'s row stage, and
@@ -218,7 +209,10 @@ def _convolve_same(a: np.ndarray, b: np.ndarray, b_spectrum=None, rows=None):
     if a is b:
         product = b_full * b_full
     else:
-        product = fft.fft(_row_spectrum(a, n1), n0, axis=0)
+        a_rows = np.zeros((len(a), n1 // 2 + 1), dtype=complex)
+        band = _nonzero_rows(a) if band is None else band
+        a_rows[band] = fft.rfft(a[band], n1, axis=1)
+        product = fft.fft(a_rows, n0, axis=0)
         product *= b_full
     start0, start1 = ((n - p) // 2 for n, p in zip(full, a.shape))
     columns = fft.ifft(product, axis=0, norm="forward", overwrite_x=True)[start0 : start0 + a.shape[0]]
@@ -317,7 +311,7 @@ def variance_terms_numeric(
     # only q's nonzero rows are transformed and kept (21 of 305 for a hard
     # disk at separation 1.5); q weighs the others by zero
     band = _nonzero_rows(q)
-    conv_q = _convolve_same(q, hc, (h_rows, None), band)[0]
+    conv_q = _convolve_same(q, hc, (h_rows, None), band, band)[0]
     conv_q *= cell
     weighted = np.zeros_like(q)
     np.multiply(q[band], conv_q, out=weighted[band])

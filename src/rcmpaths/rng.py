@@ -33,7 +33,6 @@ Streams (so point draws and edge draws never collide):
 """
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -53,10 +52,6 @@ STREAM_SUBSEED = 3
 # The largest Poisson mean poisson_counts draws.  A mean's CDF table spans
 # about 20 sqrt(mean) + 60 counts: at this mean 232000 float64, 1.8 MiB.
 POISSON_MAX = float(1 << 27)
-
-# The CDF tables of the 64 means last used up to this one are cached, at
-# most 41 KiB each; a larger mean's table costs little beside its draws.
-_CACHED_MEAN = float(1 << 16)
 
 # Attempt t of a keyed_gamma draw at field f reads its three uniforms at the
 # fields f + (3t + 1, 3t + 2, 3t + 3) * _ATTEMPT, so field values below
@@ -148,12 +143,7 @@ def _poisson_cdf(mean: float):
     logp -= logp.max()
     cdf = np.cumsum(np.exp(logp, out=logp), out=logp)
     cdf /= cdf[-1]
-    # the table may be cached: no caller may write to it
-    cdf.setflags(write=False)
     return lo, cdf[:-1]
-
-
-_cached_cdf = functools.lru_cache(maxsize=64)(_poisson_cdf)
 
 
 def poisson_counts(mean, u) -> np.ndarray:
@@ -167,22 +157,22 @@ def poisson_counts(mean, u) -> np.ndarray:
     out = np.empty(len(u), dtype=np.int64)
     starts = np.flatnonzero(np.diff(mean, prepend=np.nan) != 0).tolist()
     for a, b in zip(starts, [*starts[1:], len(u)]):
-        m = float(mean[a])
-        lo, cdf = (_cached_cdf if m <= _CACHED_MEAN else _poisson_cdf)(m)
+        lo, cdf = _poisson_cdf(float(mean[a]))
         out[a:b] = np.searchsorted(cdf, u[a:b], side="right")
         out[a:b] += lo
     return out.reshape(shape)
 
 
-def keyed_gamma(keys, index, shape: float, field: int) -> np.ndarray:
+def keyed_gamma(keys, index, shape: float, field: int, boost) -> np.ndarray:
     """Gamma(shape) variates, one per entry of the :func:`stream_keys`
     ``keys`` and variate numbers ``index``, by Marsaglia-Tsang rejection.
 
     Each attempt draws a Box-Muller normal and an acceptance uniform from
     keys of its own (see ``_ATTEMPT``), so a variate does not depend on the
     others drawn with it; the rejected ones retry together, round by round.
-    A shape below 1 draws Gamma(shape + 1) times U**(1/shape), U keyed at
-    ``field`` itself.
+    A shape below 1 draws Gamma(shape + 1) times U**(1/shape), U the
+    uniform of ``boost`` (one per variate, the caller's draw at ``field``
+    itself).
     """
     a = shape + 1.0 if shape < 1.0 else shape
     d = a - 1.0 / 3.0
@@ -202,7 +192,7 @@ def keyed_gamma(keys, index, shape: float, field: int) -> np.ndarray:
         todo = todo[~accept]
         attempt += 1
     if shape < 1.0:
-        out *= keyed_uniforms(fold_keys(keys, field), index) ** (1.0 / shape)
+        out *= boost ** (1.0 / shape)
     return out
 
 

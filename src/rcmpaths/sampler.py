@@ -204,7 +204,7 @@ def anchor_neighbours(slices, layout):
         if shape == 1.0:
             radial = -np.log1p(-u[:, 0])
         else:
-            radial = keyed_gamma(keys[owner], number, shape, _RADIUS)
+            radial = keyed_gamma(keys[owner], number, shape, _RADIUS, u[:, 0])
         dist = (radial / spec.beta) ** (1.0 / spec.eta)
         keep = np.ones(len(u), dtype=bool)
     else:

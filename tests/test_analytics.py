@@ -199,6 +199,10 @@ class TestConvolveSame:
         hi = data.draw(st.integers(lo + 1, len(a)), label="hi")
         assert np.array_equal(_convolve_same(a, b, rows=slice(lo, hi))[0], oracle[lo:hi])
         assert np.array_equal(_convolve_same(a, b, b_spectrum, slice(lo, hi))[0], oracle[lo:hi])
+        # a given band of a's rows, zero outside it, is transformed as found
+        a[:lo] = a[hi:] = 0.0
+        oracle = fftconvolve(a, b, mode="same")
+        assert np.array_equal(_convolve_same(a, b, b_spectrum, band=slice(lo, hi))[0], oracle)
 
     @given(
         b_shape=st.tuples(_side, _side),
