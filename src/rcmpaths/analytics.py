@@ -209,10 +209,11 @@ def _convolve_same(a: np.ndarray, b: np.ndarray, b_spectrum=None, rows=None, ban
     if a is b:
         product = b_full * b_full
     else:
-        a_rows = np.zeros((len(a), n1 // 2 + 1), dtype=complex)
         band = _nonzero_rows(a) if band is None else band
-        a_rows[band] = fft.rfft(a[band], n1, axis=1)
-        product = fft.fft(a_rows, n0, axis=0)
+        # the row stage's output is dropped once the column stage has run
+        product = np.zeros((len(a), n1 // 2 + 1), dtype=complex)
+        product[band] = fft.rfft(a[band], n1, axis=1)
+        product = fft.fft(product, n0, axis=0)
         product *= b_full
     start0, start1 = ((n - p) // 2 for n, p in zip(full, a.shape))
     columns = fft.ifft(product, axis=0, norm="forward", overwrite_x=True)[start0 : start0 + a.shape[0]]
