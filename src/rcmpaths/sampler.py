@@ -40,6 +40,7 @@ import numpy as np
 from .errors import ValidationError, _int_problems
 from .model import RAYLEIGH, ConnectionSpec, ModelParams, cloud_mass, region_for
 from .rng import (
+    STREAM_EDGES,
     STREAM_POINTS,
     fold_keys,
     keyed_gamma,
@@ -228,7 +229,7 @@ def connection_probabilities(spec: ConnectionSpec, sq_dists: np.ndarray) -> np.n
     return spec.evaluate(np.sqrt(sq_dists))
 
 
-def draw_edges(spec: ConnectionSpec, seed, replication, i, j, sq_dists) -> np.ndarray:
+def draw_edges(spec: ConnectionSpec, seed, replication, i, j, sq_dists, keys=None) -> np.ndarray:
     """Whether each vertex pair ``{i, j}`` of ``replication`` is an edge: its
     pair-keyed uniform lies below H at the pair's squared distance.
 
@@ -236,9 +237,12 @@ def draw_edges(spec: ConnectionSpec, seed, replication, i, j, sq_dists) -> np.nd
     :func:`realize_graph`, is decided here, so both agree bit for bit; only
     the anchor edges of a k <= 3 replication are marks of
     :func:`anchor_neighbours` instead.  ``seed``, ``replication``, ``i``,
-    ``j`` and ``sq_dists`` broadcast together.
+    ``j`` and ``sq_dists`` broadcast together.  ``keys``, when given, are
+    the pairs' ``fold_keys(stream_keys(seed, replication, STREAM_EDGES),
+    min(i, j))``, folded once by the caller, in place of seed and replication.
     """
-    return pair_uniforms(seed, replication, i, j) < connection_probabilities(spec, sq_dists)
+    u = pair_uniforms(seed, replication, i, j) if keys is None else keyed_uniforms(keys, np.maximum(i, j))
+    return u < connection_probabilities(spec, sq_dists)
 
 
 def _refuse_bad_keys(seed: int, replication: int) -> None:
@@ -303,20 +307,21 @@ def block_points(slices, layout):
     :func:`draw_edges`.
     """
     params = slices[0][0]
+    spec = params.connection
     if int(params.k) <= 3:
         return anchor_neighbours(slices, layout)
     seeds, replications, distances, _ = layout
     xy, sizes = box_points(slices, layout)
     owner, number = _variates(sizes)
-    seed_of, rep_of = seeds[owner], replications[owner]
-    # vertex index within its replication: anchors are 0 and 1
+    # vertex index within its replication: anchors are 0 and 1, below every
+    # point's, so each anchor's pair keys are folded once per replication
     local = number + 2
+    keys = fold_keys(stream_keys(seeds, replications, STREAM_EDGES)[:, None], np.arange(2, dtype=np.uint64))
     # the anchors sit at (0, 0) and (r, 0)
-    x, y = xy[:, 0], xy[:, 1]
-    yy = y * y
+    x, yy = xy[:, 0], xy[:, 1] ** 2
     near = tuple(
-        draw_edges(params.connection, seed_of, rep_of, anchor, local, (x - ax) * (x - ax) + yy)
-        for anchor, ax in ((0, 0.0), (1, distances[owner]))
+        draw_edges(spec, None, None, a, local, (x - ax) * (x - ax) + yy, np.repeat(keys[:, a], sizes))
+        for a, ax in ((0, 0.0), (1, distances[owner]))
     )
     return xy, sizes, near
 

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special, stats
 
 from conftest import CONNECTIONS
@@ -316,3 +318,37 @@ class TestBoxPoints:
             assert np.array_equal(g.adjacency, full.adjacency)
             anchor_edges += int(full.adjacency[:2, 2:].sum())
         assert anchor_edges > 0
+
+    @given(
+        spec=st.sampled_from(CONNECTIONS),
+        k=st.sampled_from([4, 5]),
+        points=st.lists(
+            st.tuples(
+                st.integers(0, 2**64 - 1),
+                st.integers(0, 2**64 - 4),
+                st.integers(1, 3),
+                st.sampled_from([0.3, 1.5]),
+                st.sampled_from([0.5, 1.0, 2.0]),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_anchor_rows_are_draw_edges(self, spec, k, points):
+        # block_points folds each anchor's pair keys once per replication;
+        # its anchor rows are the rows draw_edges draws from the seed and
+        # replication of every point
+        slices = [
+            (ModelParams(rho=rho, connection=spec, anchor_distance=r, k=k, margin=1.0), seed, first, first + n)
+            for seed, first, n, rho, r in points
+        ]
+        layout = slice_replications(slices)
+        xy, sizes, near = block_points(slices, layout)
+        seeds, replications, distances, _ = layout
+        owner = np.repeat(np.arange(len(sizes)), sizes)
+        local = np.arange(len(owner)) - (np.cumsum(sizes) - sizes)[owner] + 2
+        x, y = xy[:, 0], xy[:, 1]
+        for anchor, ax in ((0, 0.0), (1, distances[owner])):
+            want = draw_edges(spec, seeds[owner], replications[owner], anchor, local, (x - ax) * (x - ax) + y * y)
+            assert np.array_equal(near[anchor], want)
