@@ -17,14 +17,16 @@ distinct); the self-pair class sigma21 contributes the mean itself.
 
 The numerical route exploits that the k-hop mean integrand is a chain of
 radial displacement kernels, so the 2(k-1)-dimensional integral collapses to
-k-1 planar convolutions evaluated on a grid.  The chain transforms the kernel
-grid once and reuses its spectrum at every step.  The pair-class integrals
-read the 2-hop kernel and the 3-hop mean off that same chain, plus one extra
-convolution that reuses the kernel's row spectrum.  Each 2-D transform runs
-as its two 1-D stages and skips the rows known to be zero (the padding) or
-not kept: the last convolution of the chain inverse-transforms only the one
-or two rows its read-off uses.  The results equal
-``scipy.signal.fftconvolve`` bit for bit.
+k-1 planar convolutions evaluated on a grid.  H is evaluated once per call,
+and the chain transforms the kernel grid once and reuses its spectrum at
+every step.  The last convolution is needed at one displacement only, so it
+is read off as an inner product of the chain's last power with the shifted
+kernel grid, with no transform (a 2-hop mean runs none at all).  The
+pair-class integrals read the 2-hop kernel and the 3-hop mean off that same
+chain, plus one extra convolution, of the nonzero rows of its operand, on
+the chain's spectrum of the kernel.  Each 2-D transform runs as its two 1-D
+stages and skips the rows known to be zero (the padding).  The chain's
+convolutions equal ``scipy.signal.fftconvolve`` bit for bit.
 """
 from __future__ import annotations
 
@@ -151,7 +153,13 @@ def _coarse_step_limit(spec: ConnectionSpec) -> float:
     return min(gaps) if gaps else d[-1] / 4.0
 
 
-def _check_grid(spec: ConnectionSpec, quad: QuadratureSpec, r: float, strict: bool) -> None:
+def _grid(params: ModelParams, quad: QuadratureSpec | None, strict: bool):
+    """``(s, m, t)`` for the grid ``quad`` (by default sized for ``params``),
+    once checked: 2m + 1 nodes of step s per axis, and r = t * s.  The step
+    puts r on a node, unless r is below half a step (the read-off then
+    interpolates between x-nodes; the chain is flat at that scale)."""
+    spec, r = params.connection, params.anchor_distance
+    quad = quad or QuadratureSpec.default_for(params)
     if quad.grid_step > _coarse_step_limit(spec):
         msg = (
             f"grid_step {quad.grid_step} is too coarse for this connection "
@@ -164,12 +172,16 @@ def _check_grid(spec: ConnectionSpec, quad: QuadratureSpec, r: float, strict: bo
         raise QuadratureConfigError(
             f"grid_extent {quad.grid_extent} does not cover the anchor distance {r}"
         )
+    s = quad.grid_step if r < quad.grid_step / 2.0 else r / round(r / quad.grid_step)
+    return s, int(math.ceil(quad.grid_extent / s - 1e-9)), r / s
 
 
-def _kernel_grid(spec: ConnectionSpec, m: int, s: float) -> np.ndarray:
-    c = np.arange(-m, m + 1) * s
-    xx, yy = np.meshgrid(c, c, indexing="ij")
-    return spec.kernel(np.hypot(xx, yy))
+def _kernel_grid(spec: ConnectionSpec, m: int, s: float, extra: int = 0) -> np.ndarray:
+    """H at the nodes (i s, j s), i = -m .. m + extra, j = -m .. m.  Its
+    first 2m + 1 rows are the kernel grid h; reversed, its rows are H about
+    (extra * s, 0), exactly, as each coordinate is an integer times s."""
+    x = np.arange(-m, m + extra + 1) * s
+    return spec.kernel(np.hypot(x[:, None], x[: 2 * m + 1]))
 
 
 def _nonzero_rows(a: np.ndarray) -> slice:
@@ -178,77 +190,69 @@ def _nonzero_rows(a: np.ndarray) -> slice:
     return slice(int(rows[0]), int(rows[-1]) + 1) if len(rows) else slice(0, 0)
 
 
-def _convolve_same(a: np.ndarray, b: np.ndarray, b_spectrum=None, rows=None, band=None):
-    """``scipy.signal.fftconvolve(a, b, mode="same")`` bit for bit, or only
-    its rows ``rows`` (a slice) when given, with ``scipy.fft`` (a third of
-    ``scipy.signal``'s import time).  ``a`` is zero outside its rows
-    ``band`` (a slice; by default its :func:`_nonzero_rows`).
+def _convolve_same(a: np.ndarray, b: np.ndarray, spectrum=None):
+    """``scipy.signal.fftconvolve(a, b, mode="same")`` bit for bit, with
+    ``scipy.fft`` (a third of ``scipy.signal``'s import time).
 
     The 2-D transforms run as the two 1-D stages pocketfft runs inside
-    ``rfftn`` and ``irfftn``, minus the rows known to be zero or not kept:
-    the forward row stage (``rfft`` along axis 1) transforms only ``a``'s
-    rows ``band``, not its zero rows or its zero padding, before the column
-    stage (``fft`` along axis 0); the inverse runs the column stage, then
-    the row stage (``irfft``) on the output rows kept only, and scales once
-    by the factor pocketfft applies at its last stage.  Each row is
-    transformed on its own, so skipping rows changes no bit of the others.
-    Returns the result and the spectrum of ``b``
-    as a pair (row spectrum, full spectrum).  A later call with the same
-    ``b`` and an ``a`` with as many columns may pass it back, or only its row
-    spectrum as ``(row spectrum, None)``: that skips ``b``'s row stage, and
-    its column stage too when the full spectrum is given and its padded row
-    count is the same.  ``a is b`` transforms once.
+    ``rfftn`` and ``irfftn``: the row stage (``rfft`` along axis 1), on
+    ``a``'s rows from its first to its last nonzero one only, then the
+    column stage (``fft`` along axis 0); the inverse runs them in reverse
+    and scales once, as pocketfft does at its last stage.  Each row is
+    transformed on its own, so skipping zero rows changes no bit.
+
+    Returns the result and ``b``'s spectrum, which a later call with the
+    same ``b`` and an ``a`` with as many columns may pass back.  Its padded
+    row count then serves: for an ``a`` of ``b``'s shape it is
+    ``fftconvolve``'s, and for any ``a`` with ``len(a) + len(b) // 2`` rows
+    at most, no kept row wraps around.  ``a is b`` transforms once.
     """
     from scipy import fft
 
     full = [p + q - 1 for p, q in zip(a.shape, b.shape)]
-    n0, n1 = (fft.next_fast_len(n, True) for n in full)
-    b_rows, b_full = (fft.rfft(b, n1, axis=1), None) if b_spectrum is None else b_spectrum
-    if b_full is None or len(b_full) != n0:
-        b_full = fft.fft(b_rows, n0, axis=0)
+    n1 = fft.next_fast_len(full[1], True)
+    if spectrum is None:
+        spectrum = fft.fft(fft.rfft(b, n1, axis=1), fft.next_fast_len(full[0], True), axis=0)
+    n0 = len(spectrum)
     if a is b:
-        product = b_full * b_full
+        product = spectrum * spectrum
     else:
-        band = _nonzero_rows(a) if band is None else band
+        band = _nonzero_rows(a)
         # the row stage's output is dropped once the column stage has run
-        product = np.zeros((len(a), n1 // 2 + 1), dtype=complex)
+        product = np.zeros((n0, n1 // 2 + 1), dtype=complex)
         product[band] = fft.rfft(a[band], n1, axis=1)
-        product = fft.fft(product, n0, axis=0)
-        product *= b_full
+        product = fft.fft(product, axis=0, overwrite_x=True)
+        product *= spectrum
     start0, start1 = ((n - p) // 2 for n, p in zip(full, a.shape))
     columns = fft.ifft(product, axis=0, norm="forward", overwrite_x=True)[start0 : start0 + a.shape[0]]
-    if rows is not None:
-        columns = columns[rows]
+    del product
     out = fft.irfft(columns, n1, axis=1, norm="forward")[:, start1 : start1 + a.shape[1]]
-    return out * float(np.longdouble(1) / np.longdouble(n0 * n1)), (b_rows, b_full)
+    return out * float(np.longdouble(1) / np.longdouble(n0 * n1)), spectrum
 
 
-def _chain_grid(spec: ConnectionSpec, k: int, r: float, quad: QuadratureSpec):
-    """The kernel grid h and its powers h, h*h, ..., h^{*(k-1)} (each
-    convolution scaled by the cell area), h^{*k} at the displacement (r, 0),
-    and h's row spectrum, all from one transform of h.  The last convolution
-    inverse-transforms only the one or two rows the read-off uses.
-
-    The step puts the anchor displacement on a grid node, unless r is below
-    half a step (the read-off then interpolates linearly between x-nodes;
-    the chain is flat at that scale).  Returns ``(powers, value, h_rows, m,
-    s)``: the grid has 2m + 1 nodes of step s on each axis.
-    """
-    s = quad.grid_step if r < quad.grid_step / 2.0 else r / round(r / quad.grid_step)
-    m = int(math.ceil(quad.grid_extent / s - 1e-9))
-    t = r / s
-    i0 = int(math.floor(t))
-    frac = t - i0
-    read = slice(m + i0, m + i0 + (2 if frac else 1))
-    h = _kernel_grid(spec, m, s)
-    powers, spectrum = [h], None
+def _chain_grid(h: np.ndarray, k: int, cell: float):
+    """h^{*(k-1)}, the (k-1)-fold convolution power of the kernel grid h
+    (each convolution scaled by the cell area), and the spectrum of h (None
+    at k = 2, which convolves nothing), all from one transform of h."""
+    power, spectrum = h, None
     for _ in range(k - 2):
-        acc, spectrum = _convolve_same(powers[-1], h, spectrum)
-        powers.append(acc * (s * s))
-    acc, spectrum = _convolve_same(powers[-1], h, spectrum, read)
-    near = acc[:, m] * (s * s)
-    value = float(near[0] * (1.0 - frac) + near[1] * frac) if frac else float(near[0])
-    return powers, value, spectrum[0], m, s
+        power, spectrum = _convolve_same(power, h, spectrum)
+        power *= cell
+    return power, spectrum
+
+
+def _read_off(power: np.ndarray, h: np.ndarray, t: float, cell: float) -> float:
+    """(power * h)(r, 0), the last convolution of the chain at the anchor
+    displacement r = t steps, as the inner product cell * sum_u power(u)
+    h(u - r e1): at a node i, h shifted by i rows (h is its own mirror
+    image); between nodes, linear in the two nearest."""
+
+    def at(i):
+        return float(np.einsum("ij,ij->", power[i:], h[: len(h) - i]))
+
+    i0 = math.floor(t)
+    frac = t - i0
+    return cell * (at(i0) * (1.0 - frac) + at(i0 + 1) * frac if frac else at(i0))
 
 
 def mean_khop_numeric(
@@ -256,18 +260,16 @@ def mean_khop_numeric(
 ) -> float:
     """Expected k-hop path count for any connection function.
 
-    Samples the kernel on a square grid, chains k-1 FFT convolutions, and
-    reads off the displacement (r, 0).
+    Samples the kernel on a square grid, chains k-2 FFT convolutions, and
+    reads the last of the k-1 off at the displacement (r, 0) as an inner
+    product.
     """
-    spec = params.connection
-    r = params.anchor_distance
     k = int(params.k)
     if k == 1:
-        return spec.evaluate(r)
-    if quad is None:
-        quad = QuadratureSpec.default_for(params)
-    _check_grid(spec, quad, r, strict)
-    return params.rho ** (k - 1) * _chain_grid(spec, k, r, quad)[1]
+        return params.connection.evaluate(params.anchor_distance)
+    s, m, t = _grid(params, quad, strict)
+    h = _kernel_grid(params.connection, m, s)
+    return params.rho ** (k - 1) * _read_off(_chain_grid(h, k, s * s)[0], h, t, s * s)
 
 
 def variance_terms_numeric(
@@ -281,42 +283,33 @@ def variance_terms_numeric(
     doubled.  The both-shared class is a double integral handled with one
     extra convolution.
     """
-    spec = params.connection
     if params.k != 3:
         raise ValidationError(f"pair-class variance is specific to k = 3, got k = {params.k}")
-    r = params.anchor_distance
     rho = params.rho
-    if quad is None:
-        quad = QuadratureSpec.default_for(params)
-    _check_grid(spec, quad, r, strict)
-    (hc, h2c), h3_at_r, h_rows, m, s = _chain_grid(spec, 3, r, quad)
-    nr = int(round(r / s))
+    s, m, t = _grid(params, quad, strict)
+    nr = int(round(t))
     cell = s * s
+    # H(U - x) over the free vertex U, on [-extent, r+extent] x [-extent,
+    # extent]: its first 2m + 1 rows are h, and its mirror is H(U - y)
+    h_at_x = _kernel_grid(params.connection, m, s, nr)
+    h_at_y = h_at_x[::-1]
+    h = h_at_x[: 2 * m + 1]
+    h2, spectrum = _chain_grid(h, 3, cell)
+    mean = rho**2 * _read_off(h2, h, t, cell)
 
-    # grid over the free vertex U, covering [-extent, r+extent] x [-extent,
-    # extent]; its first 2m + 1 rows are the kernel grid's own nodes
-    cx = np.arange(-m, m + nr + 1) * s
-    cy = np.arange(-m, m + 1) * s
-    ux, uy = np.meshgrid(cx, cy, indexing="ij")
-    h_at_x = np.concatenate((hc, spec.kernel(np.hypot(ux[2 * m + 1 :], uy[2 * m + 1 :]))))
-    h_at_y = spec.kernel(np.hypot(ux - nr * s, uy))
-
+    # only q's nonzero rows (21 of 305 for a hard disk at separation 1.5) are
+    # convolved, on the chain's spectrum of h: its padded row count, at
+    # least 4m + 1, holds them with no wrap-around, as nr <= m
+    q = h_at_x * h_at_y
+    band = q[_nonzero_rows(q)]
+    conv_q = _convolve_same(band, h, spectrum)[0]
+    del spectrum
+    conv_q *= cell
+    s22 = rho**2 * cell * float(np.einsum("ij,ij->", band, conv_q))
     # the chain's 2-hop kernel at U-x and U-y, shifted by nr rows (values
     # beyond the centered grid are tail-negligible zeros)
-    h2_at_x = np.pad(h2c, ((0, nr), (0, 0)))
-    h2_at_y = np.pad(h2c, ((nr, 0), (0, 0)))
-
+    h2_at_x = np.pad(h2, ((0, nr), (0, 0)))
+    h2_at_y = np.pad(h2, ((nr, 0), (0, 0)))
     s11 = rho**3 * cell * float((h_at_x * h2_at_y**2).sum() + (h_at_y * h2_at_x**2).sum())
     s12 = 2.0 * rho**3 * cell * float((h_at_x * h_at_y * h2_at_x * h2_at_y).sum())
-    q = h_at_x * h_at_y
-    # only q's nonzero rows are transformed and kept (21 of 305 for a hard
-    # disk at separation 1.5); q weighs the others by zero
-    band = _nonzero_rows(q)
-    conv_q = _convolve_same(q, hc, (h_rows, None), band, band)[0]
-    conv_q *= cell
-    weighted = np.zeros_like(q)
-    np.multiply(q[band], conv_q, out=weighted[band])
-    s22 = rho**2 * cell * float(weighted.sum())
-
-    mean = rho**2 * h3_at_r
     return AnalyticMoments.from_terms(mean, s11, s12, s22)

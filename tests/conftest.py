@@ -4,7 +4,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from rcmpaths.analytics import AnalyticMoments
+from rcmpaths.analytics import AnalyticMoments, QuadratureSpec
 from rcmpaths.errors import ValidationError
 from rcmpaths.model import RAYLEIGH, ConnectionSpec, ModelParams
 from rcmpaths.paths import PairStructureCounts, PathCount
@@ -235,40 +235,109 @@ def mc_variance_terms(params: ModelParams, samples: int, seed: int) -> AnalyticM
     return AnalyticMoments.from_terms(mean, s11, s12, s22)
 
 
+def _oracle_grid(params: ModelParams, quad):
+    """The quadrature's grid for ``params``: step s (r on a node unless r is
+    below half a step), 2m + 1 nodes per axis, and the kernel grid h."""
+    quad = quad or QuadratureSpec.default_for(params)
+    r = params.anchor_distance
+    s = quad.grid_step if r < quad.grid_step / 2.0 else r / round(r / quad.grid_step)
+    m = int(math.ceil(quad.grid_extent / s - 1e-9))
+    c = np.arange(-m, m + 1) * s
+    xx, yy = np.meshgrid(c, c, indexing="ij")
+    return s, m, params.connection.kernel(np.hypot(xx, yy))
+
+
+def _oracle_chain(params: ModelParams, quad, hops: int):
+    """The chain h, h*h, ..., h^{*hops} by full ``fftconvolve``
+    convolutions, each scaled by the cell area, and h^{*hops} at (r, 0): the
+    node there, or linear between the two x-nodes beside r when r is below
+    half a step."""
+    from scipy.signal import fftconvolve
+
+    s, m, h = _oracle_grid(params, quad)
+    chain = [h]
+    for _ in range(hops - 1):
+        chain.append(fftconvolve(chain[-1], h, mode="same") * (s * s))
+    t = params.anchor_distance / s
+    i0 = int(math.floor(t))
+    frac = t - i0
+    near = chain[-1][m + i0 : m + i0 + 2, m]
+    value = float(near[0] * (1.0 - frac) + near[1] * frac) if frac else float(near[0])
+    return chain, value, s, m
+
+
+def quadrature_mean_oracle(params: ModelParams, quad=None) -> float:
+    """Slow oracle of ``mean_khop_numeric`` (k >= 2) on its own grid: the
+    k - 1 chain convolutions and the read-off, each a full
+    ``scipy.signal.fftconvolve``."""
+    k = int(params.k)
+    return params.rho ** (k - 1) * _oracle_chain(params, quad, k)[1]
+
+
+def quadrature_variance_oracle(params: ModelParams, quad=None) -> AnalyticMoments:
+    """Slow oracle of ``variance_terms_numeric`` on its own grid: the chain
+    and the read-off of :func:`quadrature_mean_oracle`, H evaluated about x
+    and about y on the free vertex's grid, and sigma22 by a full
+    ``scipy.signal.fftconvolve`` of q with h."""
+    from scipy.signal import fftconvolve
+
+    (h, h2, _), h3_at_r, s, m = _oracle_chain(params, quad, 3)
+    spec, rho = params.connection, params.rho
+    nr = int(round(params.anchor_distance / s))
+    cell = s * s
+    ux, uy = np.meshgrid(np.arange(-m, m + nr + 1) * s, np.arange(-m, m + 1) * s, indexing="ij")
+    h_at_x = spec.kernel(np.hypot(ux, uy))
+    h_at_y = spec.kernel(np.hypot(ux - nr * s, uy))
+    h2_at_x = np.pad(h2, ((0, nr), (0, 0)))
+    h2_at_y = np.pad(h2, ((nr, 0), (0, 0)))
+    s11 = rho**3 * cell * float((h_at_x * h2_at_y**2).sum() + (h_at_y * h2_at_x**2).sum())
+    s12 = 2.0 * rho**3 * cell * float((h_at_x * h_at_y * h2_at_x * h2_at_y).sum())
+    q = h_at_x * h_at_y
+    s22 = rho**2 * cell * float((q * fftconvolve(q, h, mode="same") * cell).sum())
+    return AnalyticMoments.from_terms(rho**2 * h3_at_r, s11, s12, s22)
+
+
 @pytest.fixture
 def quadrature_calls(monkeypatch):
-    """Log of the quadrature's kernel-grid builds (``_kernel_grid``) and of
-    its 1-D transform stages (``scipy.fft`` ``rfft`` and ``irfft`` along
-    the rows, ``fft`` and ``ifft`` along the columns), one ``(name, lines,
-    of_kernel)`` entry per call in call order.  ``lines`` is the number of
-    1-D transforms the call runs (rows for a row stage, columns for a column
-    stage; the grid's rows for a build) and ``of_kernel`` is whether its
-    input is a grid that ``_kernel_grid`` built."""
+    """Log of the quadrature's evaluations of H (``ConnectionSpec.kernel``)
+    and of its 1-D transform stages (``scipy.fft`` ``rfft`` and ``irfft``
+    along the rows, ``fft`` and ``ifft`` along the columns), one ``(name,
+    lines, of_kernel)`` entry per call in call order.  ``lines`` is the
+    number of 1-D transforms the call runs (rows for a row stage, columns
+    for a column stage; the grid's rows for an evaluation of H) and
+    ``of_kernel`` is whether its input is, or is a view of, an evaluation of
+    H or a transform stage's output from one."""
     import scipy.fft
 
-    from rcmpaths import analytics
-
     log, kernels = [], []
+
+    def of_kernel(x):
+        return any(np.may_share_memory(x, g) for g in kernels)
 
     def counted(module, name):
         real = getattr(module, name)
 
         def wrapper(x, *args, **kwargs):
             axis = kwargs.get("axis", -1)
-            log.append((name, x.size // x.shape[axis], any(x is g for g in kernels)))
-            return real(x, *args, **kwargs)
+            derived = of_kernel(x)
+            log.append((name, x.size // x.shape[axis], derived))
+            out = real(x, *args, **kwargs)
+            if derived:
+                kernels.append(out)
+            return out
 
         monkeypatch.setattr(module, name, wrapper)
 
-    real_grid = analytics._kernel_grid
+    real_kernel = ConnectionSpec.kernel
 
-    def kernel_grid(*args):
-        grid = real_grid(*args)
-        kernels.append(grid)
-        log.append(("_kernel_grid", len(grid), True))
-        return grid
+    def kernel(self, r):
+        out = real_kernel(self, r)
+        if np.ndim(out) == 2:
+            kernels.append(out)
+            log.append(("kernel", len(out), True))
+        return out
 
-    monkeypatch.setattr(analytics, "_kernel_grid", kernel_grid)
+    monkeypatch.setattr(ConnectionSpec, "kernel", kernel)
     for name in ("rfft", "irfft", "fft", "ifft"):
         counted(scipy.fft, name)
     return log

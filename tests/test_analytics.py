@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mc_mean, mc_variance_terms
+from conftest import mc_mean, mc_variance_terms, quadrature_mean_oracle, quadrature_variance_oracle
 from rcmpaths.analytics import (
     QuadratureSpec,
     _convolve_same,
@@ -194,49 +194,73 @@ class TestConvolveSame:
         self_out, self_spectrum = _convolve_same(b, b)
         assert np.array_equal(self_out, self_oracle)
         assert np.array_equal(_convolve_same(b, b, self_spectrum)[0], self_oracle)
-        # any window of output rows equals the same rows of the whole result
+        # a band of a's rows, zero outside it, is transformed as found
         lo = data.draw(st.integers(0, len(a) - 1), label="lo")
         hi = data.draw(st.integers(lo + 1, len(a)), label="hi")
-        assert np.array_equal(_convolve_same(a, b, rows=slice(lo, hi))[0], oracle[lo:hi])
-        assert np.array_equal(_convolve_same(a, b, b_spectrum, slice(lo, hi))[0], oracle[lo:hi])
-        # a given band of a's rows, zero outside it, is transformed as found
         a[:lo] = a[hi:] = 0.0
         oracle = fftconvolve(a, b, mode="same")
-        assert np.array_equal(_convolve_same(a, b, b_spectrum, band=slice(lo, hi))[0], oracle)
+        assert np.array_equal(_convolve_same(a, b, b_spectrum)[0], oracle)
 
-    @given(
-        b_shape=st.tuples(_side, _side),
-        a_rows=_side,
-        seed=st.integers(0, 2**32 - 1),
-        data=st.data(),
-    )
+    @given(m=st.integers(1, 30), seed=st.integers(0, 2**32 - 1), data=st.data())
     @settings(max_examples=100, deadline=None)
-    def test_kernel_spectrum_serves_any_row_count(self, b_shape, a_rows, seed, data):
+    def test_kernel_spectrum_serves_the_free_vertex_grid(self, m, seed, data):
         # the spectrum of b from its self-convolution (the chain's first
-        # step) serves an a with as many columns and any number of rows
-        # (the s22 term's free-vertex grid), at its own padded row count
+        # step) serves the s22 term's free-vertex grid q, 2m + nr + 1 rows
+        # for nr <= m, at the chain's padded row count: no kept row wraps
+        # around, so the rows of q's nonzero band convolve as in
+        # fftconvolve, to rounding; so does any a with as many columns and
+        # at most the padded count less m rows
+        from scipy.fft import next_fast_len
         from scipy.signal import fftconvolve
 
         rng = np.random.default_rng(seed)
-        b = rng.standard_normal(b_shape)
-        a = rng.standard_normal((a_rows, b_shape[1]))
-        oracle = fftconvolve(a, b, mode="same")
+        b = rng.standard_normal((2 * m + 1, 2 * m + 1))
         kernel_spectrum = _convolve_same(b, b)[1]
-        assert np.array_equal(_convolve_same(a, b, kernel_spectrum)[0], oracle)
-        lo = data.draw(st.integers(0, a_rows - 1), label="lo")
-        assert np.array_equal(_convolve_same(a, b, kernel_spectrum, slice(lo, lo + 1))[0], oracle[lo : lo + 1])
+        n0 = next_fast_len(4 * m + 1, True)
+        assert len(kernel_spectrum) == n0
+        nr = data.draw(st.integers(0, m), label="nr")
+        rows = data.draw(st.sampled_from([2 * m + nr + 1, n0 - m]), label="rows")
+        a = rng.standard_normal((rows, 2 * m + 1))
+        lo = data.draw(st.integers(0, rows - 1), label="lo")
+        hi = data.draw(st.integers(lo + 1, rows), label="hi")
+        a[:lo] = a[hi:] = 0.0
+        oracle = fftconvolve(a, b, mode="same")[lo:hi]
+        out = _convolve_same(a[lo:hi], b, kernel_spectrum)[0]
+        assert out.shape == oracle.shape
+        np.testing.assert_allclose(out, oracle, rtol=0, atol=1e-12 * np.abs(oracle).max())
 
     def test_chain_transforms_the_kernel_once(self, quadrature_calls):
         p = ModelParams(rho=1.0, connection=ConnectionSpec.hard_disk(1.0), anchor_distance=1.0, k=5)
         mean_khop_numeric(p)
-        # one build of h and one row stage of h; then each chain stage after
-        # the first is transformed once, and each inverse keeps the grid's
-        # rows, except the last, which keeps the read-off's one or two
-        assert [name for name, _, of_kernel in quadrature_calls if of_kernel] == ["_kernel_grid", "rfft"]
+        # one evaluation of H, one row stage and one column stage of h;
+        # then each chain stage after the first is transformed once, and
+        # the last convolution is an inner product, not a transform
+        assert [name for name, _, of_kernel in quadrature_calls if of_kernel] == ["kernel", "rfft", "fft"]
         side = quadrature_calls[0][1]
         row_stages = [(name, lines) for name, lines, _ in quadrature_calls if name in ("rfft", "irfft")]
-        assert row_stages[:-1] == [("rfft", side)] + [("irfft", side), ("rfft", side)] * 3
-        assert row_stages[-1][0] == "irfft" and row_stages[-1][1] <= 2
+        assert row_stages == [("rfft", side)] + [("irfft", side), ("rfft", side)] * 2 + [("irfft", side)]
+
+    def test_variance_transforms_the_kernel_once(self, quadrature_calls):
+        p = ModelParams(rho=1.0, connection=ConnectionSpec.hard_disk(1.0), anchor_distance=1.5, k=3)
+        variance_terms_numeric(p)
+        # H is evaluated once, on the free vertex's grid; h, its first rows,
+        # has one row stage and one column stage; the chain's h * h and the
+        # s22 term's q each run one forward and one inverse transform, q
+        # only on its nonzero band of rows
+        assert [name for name, _, of_kernel in quadrature_calls if of_kernel] == ["kernel", "rfft", "fft"]
+        names = [name for name, _, _ in quadrature_calls]
+        assert [names.count(name) for name in ("kernel", "rfft", "fft", "ifft", "irfft")] == [1, 2, 2, 2, 2]
+        free_rows, side = quadrature_calls[0][1], quadrature_calls[1][1]
+        assert free_rows > side
+        band = [lines for name, lines, _ in quadrature_calls if name == "rfft"][1]
+        assert 0 < band < side // 4
+        assert [lines for name, lines, _ in quadrature_calls if name == "irfft"] == [side, band]
+
+    def test_two_hop_mean_runs_no_fft(self, quadrature_calls):
+        for r in (0.013, 1.0):
+            p = ModelParams(rho=1.0, connection=ConnectionSpec.hard_disk(1.0), anchor_distance=r, k=2)
+            mean_khop_numeric(p)
+        assert [name for name, _, _ in quadrature_calls] == ["kernel", "kernel"]
 
 
 # Pinned bits of the quadrature: sha256 over the repr of every
@@ -268,6 +292,53 @@ def test_quadrature_digest():
             lines.append(" ".join(map(repr, values)))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == QUADRATURE_DIGEST
+
+
+def _fast_values(point, quad=None):
+    """The digest's values: the k = 3 terms and the k = 2, 4 and 5 means."""
+    terms = variance_terms_numeric(ModelParams(k=3, **point), quad)
+    means = [mean_khop_numeric(ModelParams(k=k, **point), quad) for k in (2, 4, 5)]
+    return np.array([getattr(terms, name) for name in _TERMS] + means)
+
+
+def _oracle_values(point, quad=None):
+    """:func:`_fast_values` from the fftconvolve oracle."""
+    terms = quadrature_variance_oracle(ModelParams(k=3, **point), quad)
+    means = [quadrature_mean_oracle(ModelParams(k=k, **point), quad) for k in (2, 4, 5)]
+    return np.array([getattr(terms, name) for name in _TERMS] + means)
+
+
+def _assert_close_to_oracle(fast, slow, scale):
+    # 1e-12 relative; an integral that is exactly zero (a hard disk's k = 2
+    # mean beyond 2 r0) is exactly zero on the fast path, while the oracle's
+    # transforms leave rounding noise there, some 1e-16 of the term's scale
+    np.testing.assert_array_less(np.abs(fast - slow), 1e-12 * np.maximum(np.abs(slow), scale))
+
+
+@pytest.mark.parametrize("spec", QUADRATURE_KERNELS, ids=lambda spec: spec.kind)
+def test_quadrature_equals_the_fftconvolve_oracle(spec):
+    # on the digest's grid of separations, at the default grids
+    points = [dict(rho=1.3, connection=spec, anchor_distance=r) for r in QUADRATURE_SEPARATIONS]
+    slow = np.array([_oracle_values(point) for point in points])
+    fast = np.array([_fast_values(point) for point in points])
+    _assert_close_to_oracle(fast, slow, np.abs(slow).max(axis=0))
+
+
+@given(
+    spec=st.sampled_from(QUADRATURE_KERNELS),
+    r=st.one_of(st.floats(0.0, 0.03), st.floats(0.03, 1.7)),
+    step=st.floats(0.06, 0.15),
+)
+@settings(max_examples=20, deadline=None)
+def test_quadrature_equals_the_oracle_at_any_step(spec, r, step):
+    point = dict(rho=0.9, connection=spec, anchor_distance=r)
+    extent = QuadratureSpec.default_for(ModelParams(k=3, **point)).grid_extent
+    quad = QuadratureSpec(grid_extent=math.ceil(extent / step) * step, grid_step=step)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        # each term's scale is its value at separation 0
+        scale = np.abs(_fast_values(dict(point, anchor_distance=0.0), quad))
+        _assert_close_to_oracle(_fast_values(point, quad), _oracle_values(point, quad), scale)
 
 
 class TestHardDisk:

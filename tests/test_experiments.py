@@ -538,12 +538,12 @@ class TestRunExperiment:
     def test_k3_references_run_one_chain(self, tmp_path, quadrature_calls):
         params = ModelParams(rho=0.7, connection=ConnectionSpec.hard_disk(1.0), anchor_distance=1.0, k=3)
         run_experiment(tiny_config(tmp_path, params_grid=(params,), replications=2, attach_numeric=True))
-        # the chain h, h*h, h*h*h transforms h and h*h; the s22 term
-        # transforms the free-vertex grid, and h only along its columns, at
-        # that grid's size: h's row stage runs once
+        # H is evaluated once; the chain transforms h once, and reads h*h*h
+        # off as an inner product; the s22 term transforms the free-vertex
+        # grid q and reuses h's spectrum: h's row and column stages run once
         names = [name for name, _, _ in quadrature_calls]
-        assert [name for name, _, of_kernel in quadrature_calls if of_kernel] == ["_kernel_grid", "rfft"]
-        assert (names.count("rfft"), names.count("irfft")) == (3, 3)
+        assert [name for name, _, of_kernel in quadrature_calls if of_kernel] == ["kernel", "rfft", "fft"]
+        assert (names.count("rfft"), names.count("irfft")) == (2, 2)
 
     def test_byte_identical_across_thread_counts(self, tmp_path):
         cfg = tiny_config(tmp_path, emit_histograms=True)
