@@ -277,7 +277,7 @@ QUADRATURE_KERNELS = (
     ConnectionSpec.rayleigh(beta=1.0, eta=1.5),
 )
 QUADRATURE_SEPARATIONS = (0.0, 0.013, 0.5, 1.0, 1.5, 1.7)
-QUADRATURE_DIGEST = "e814c2881c07bd4b46ae8a58e5d392ca7cd17a6c782b87288f405423d10d019f"
+QUADRATURE_DIGEST = "ed69b1aa758d8caffacd947f46f5a02707c5dbdd843f2b22b506e606600bdcda"
 _TERMS = ("mean", "variance", "sigma11_term", "sigma12_term", "sigma21_term", "sigma22_term")
 
 
