@@ -160,18 +160,14 @@ def _grid(params: ModelParams, quad: QuadratureSpec | None, strict: bool):
     interpolates between x-nodes; the chain is flat at that scale)."""
     spec, r = params.connection, params.anchor_distance
     quad = quad or QuadratureSpec.default_for(params)
-    if quad.grid_step > _coarse_step_limit(spec):
-        msg = (
-            f"grid_step {quad.grid_step} is too coarse for this connection "
-            f"(limit {_coarse_step_limit(spec):.4g})"
-        )
+    limit = _coarse_step_limit(spec)
+    if quad.grid_step > limit:
+        msg = f"grid_step {quad.grid_step} is too coarse for this connection (limit {limit:.4g})"
         if strict:
             raise QuadratureConfigError(msg)
         warnings.warn(msg, stacklevel=3)
     if quad.grid_extent <= r:
-        raise QuadratureConfigError(
-            f"grid_extent {quad.grid_extent} does not cover the anchor distance {r}"
-        )
+        raise QuadratureConfigError(f"grid_extent {quad.grid_extent} does not cover the anchor distance {r}")
     s = quad.grid_step if r < quad.grid_step / 2.0 else r / round(r / quad.grid_step)
     return s, int(math.ceil(quad.grid_extent / s - 1e-9)), r / s
 
@@ -195,8 +191,8 @@ def _convolve_same(a: np.ndarray, b: np.ndarray, spectrum=None):
     ``scipy.fft`` (a third of ``scipy.signal``'s import time).
 
     The 2-D transforms run as the two 1-D stages pocketfft runs inside
-    ``rfftn`` and ``irfftn``: the row stage (``rfft`` along axis 1), on
-    ``a``'s rows from its first to its last nonzero one only, then the
+    ``rfftn`` and ``irfftn``: the row stage (``rfft`` along axis 1), on an
+    operand's rows from its first to its last nonzero one only, then the
     column stage (``fft`` along axis 0); the inverse runs them in reverse
     and scales once, as pocketfft does at its last stage.  Each row is
     transformed on its own, so skipping zero rows changes no bit.
@@ -211,21 +207,24 @@ def _convolve_same(a: np.ndarray, b: np.ndarray, spectrum=None):
 
     full = [p + q - 1 for p, q in zip(a.shape, b.shape)]
     n1 = fft.next_fast_len(full[1], True)
+    n0 = fft.next_fast_len(full[0], True) if spectrum is None else len(spectrum)
+
+    def transform(x):
+        # the row stage writes straight into the column stage's zero padding
+        band = _nonzero_rows(x)
+        out = np.zeros((n0, n1 // 2 + 1), dtype=complex)
+        out[band] = fft.rfft(x[band], n1, axis=1)
+        return fft.fft(out, axis=0, overwrite_x=True)
+
     if spectrum is None:
-        spectrum = fft.fft(fft.rfft(b, n1, axis=1), fft.next_fast_len(full[0], True), axis=0)
-    n0 = len(spectrum)
+        spectrum = transform(b)
     if a is b:
         product = spectrum * spectrum
     else:
-        band = _nonzero_rows(a)
-        # the row stage's output is dropped once the column stage has run
-        product = np.zeros((n0, n1 // 2 + 1), dtype=complex)
-        product[band] = fft.rfft(a[band], n1, axis=1)
-        product = fft.fft(product, axis=0, overwrite_x=True)
+        product = transform(a)
         product *= spectrum
     start0, start1 = ((n - p) // 2 for n, p in zip(full, a.shape))
     columns = fft.ifft(product, axis=0, norm="forward", overwrite_x=True)[start0 : start0 + a.shape[0]]
-    del product
     out = fft.irfft(columns, n1, axis=1, norm="forward")[:, start1 : start1 + a.shape[1]]
     return out * float(np.longdouble(1) / np.longdouble(n0 * n1)), spectrum
 

@@ -307,9 +307,9 @@ def block_points(slices, layout):
     :func:`draw_edges`.
     """
     params = slices[0][0]
-    spec = params.connection
     if int(params.k) <= 3:
         return anchor_neighbours(slices, layout)
+    spec = params.connection
     seeds, replications, distances, _ = layout
     xy, sizes = box_points(slices, layout)
     owner, number = _variates(sizes)

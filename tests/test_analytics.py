@@ -232,13 +232,16 @@ class TestConvolveSame:
     def test_chain_transforms_the_kernel_once(self, quadrature_calls):
         p = ModelParams(rho=1.0, connection=ConnectionSpec.hard_disk(1.0), anchor_distance=1.0, k=5)
         mean_khop_numeric(p)
-        # one evaluation of H, one row stage and one column stage of h;
-        # then each chain stage after the first is transformed once, and
-        # the last convolution is an inner product, not a transform
-        assert [name for name, _, of_kernel in quadrature_calls if of_kernel] == ["kernel", "rfft", "fft"]
-        side = quadrature_calls[0][1]
+        # one evaluation of H and one transform of h, its row stage on h's
+        # nonzero rows only; then each chain stage after the first is
+        # transformed once, and the last convolution is an inner product,
+        # not a transform
+        assert [name for name, _, of_kernel in quadrature_calls if of_kernel] == ["kernel", "rfft"]
+        assert [name for name, _, _ in quadrature_calls] == ["kernel"] + ["rfft", "fft", "ifft", "irfft"] * 3
+        side, band = quadrature_calls[0][1], quadrature_calls[1][1]
+        assert band < side
         row_stages = [(name, lines) for name, lines, _ in quadrature_calls if name in ("rfft", "irfft")]
-        assert row_stages == [("rfft", side)] + [("irfft", side), ("rfft", side)] * 2 + [("irfft", side)]
+        assert row_stages == [("rfft", band)] + [("irfft", side), ("rfft", side)] * 2 + [("irfft", side)]
 
     def test_variance_transforms_the_kernel_once(self, quadrature_calls):
         p = ModelParams(rho=1.0, connection=ConnectionSpec.hard_disk(1.0), anchor_distance=1.5, k=3)
@@ -247,14 +250,13 @@ class TestConvolveSame:
         # has one row stage and one column stage; the chain's h * h and the
         # s22 term's q each run one forward and one inverse transform, q
         # only on its nonzero band of rows
-        assert [name for name, _, of_kernel in quadrature_calls if of_kernel] == ["kernel", "rfft", "fft"]
-        names = [name for name, _, _ in quadrature_calls]
-        assert [names.count(name) for name in ("kernel", "rfft", "fft", "ifft", "irfft")] == [1, 2, 2, 2, 2]
-        free_rows, side = quadrature_calls[0][1], quadrature_calls[1][1]
+        assert [name for name, _, of_kernel in quadrature_calls if of_kernel] == ["kernel", "rfft"]
+        assert [name for name, _, _ in quadrature_calls] == ["kernel"] + ["rfft", "fft", "ifft", "irfft"] * 2
+        free_rows = quadrature_calls[0][1]
+        side, band = (lines for name, lines, _ in quadrature_calls if name == "irfft")
         assert free_rows > side
-        band = [lines for name, lines, _ in quadrature_calls if name == "rfft"][1]
         assert 0 < band < side // 4
-        assert [lines for name, lines, _ in quadrature_calls if name == "irfft"] == [side, band]
+        assert [lines for name, lines, _ in quadrature_calls if name == "rfft"][1] == band
 
     def test_two_hop_mean_runs_no_fft(self, quadrature_calls):
         for r in (0.013, 1.0):
