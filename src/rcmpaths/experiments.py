@@ -83,7 +83,7 @@ from .moments import (
     quadratic_existence_bound,
 )
 from .paths import PairStructureCounts, classify_path_pair_segments, khop_intermediates
-from .rng import derive_subseed
+from .rng import STREAM_EDGES, derive_subseed, fold_keys, stream_keys
 from .sampler import block_points, draw_edges, mean_draws, slice_replications
 
 PAIR_CLASSES = tuple(f.name for f in fields(PairStructureCounts))
@@ -289,39 +289,48 @@ def _block_paths(slices, layout):
     ``slices`` lists ``(params, seed, first, last)``: replications ``first``
     .. ``last - 1`` of grid points that share one connection function and
     one k, and ``layout`` is their
-    :func:`rcmpaths.sampler.slice_replications`.  Returns ``(xy, seg,
-    inter)``: the block's non-anchor points, the block position of each
-    path's replication (non-decreasing; the replications of every slice in
-    turn), and k - 1 arrays holding the paths' intermediate vertices as
-    rows of ``xy``, in order from anchor 0.  The points and their anchor
-    edges are the :func:`rcmpaths.sampler.block_points` of the block; the
-    paths are the half-path joins of
-    :func:`rcmpaths.paths.khop_intermediates`, and the joining pairs they
-    read are drawn here, only those a path can use.  Each pair is decided by
-    :func:`rcmpaths.sampler.draw_edges` under its own grid seed and
-    replication, as in :func:`rcmpaths.sampler.sample_realization`, so the
-    paths are exactly those of each replication's realization.  k = 1 draws
-    no points: its count is the anchors' own edge.
+    :func:`rcmpaths.sampler.slice_replications`.  Returns ``(xy, near, seg,
+    inter)``: the block's non-anchor points, their edges to anchor 0 and to
+    anchor 1, the block position of each path's replication (non-decreasing;
+    the replications of every slice in turn), and k - 1 arrays holding the
+    paths' intermediate vertices as rows of ``xy``, in order from anchor 0.
+    The points and their anchor edges are the
+    :func:`rcmpaths.sampler.block_points` of the block; the paths are the
+    half-path joins of :func:`rcmpaths.paths.khop_intermediates`, and the
+    joining pairs they read are drawn here, only those a path can use.  Each
+    pair is decided by :func:`rcmpaths.sampler.draw_edges` under its own
+    grid seed and replication, as in
+    :func:`rcmpaths.sampler.sample_realization`, so the paths are exactly
+    those of each replication's realization.  The edge stream's key of each
+    replication is folded once per block, and shared with the k >= 4 anchor
+    rows; each point's own index is folded into it once, and a pair of
+    points is keyed by its lower point's key, so drawing it costs one fold.
+    k = 1 draws no points: its count is the anchors' own edge.
     """
     params = slices[0][0]
     spec, k = params.connection, int(params.k)
     seeds, replications, distances, _ = layout
     if k == 1:
         hit = draw_edges(spec, seeds, replications, 0, 1, distances * distances)
-        return np.empty((0, 2)), np.flatnonzero(hit), ()
-    xy, sizes, near = block_points(slices, layout)
+        return np.empty((0, 2)), None, np.flatnonzero(hit), ()
+    # k = 2 joins no pair, so it folds no edge keys
+    edge_keys = stream_keys(seeds, replications, STREAM_EDGES) if k > 2 else None
+    xy, sizes, near = block_points(slices, layout, edge_keys)
     seg_of = np.repeat(np.arange(len(sizes)), sizes)
-    seed_of, rep_of = seeds[seg_of], replications[seg_of]
     # vertex index within its replication: anchors are 0 and 1
     local = np.arange(2, len(xy) + 2) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    keys = fold_keys(np.repeat(edge_keys, sizes), local) if k > 2 else None
+    x, y = xy[:, 0], xy[:, 1]
 
     def linked(u, v):
-        d = xy[u] - xy[v]
-        sq_dists = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
-        return draw_edges(spec, seed_of[u], rep_of[u], local[u], local[v], sq_dists)
+        # u and v are points of one replication, so the lower row is the
+        # lower local index
+        lo = np.minimum(u, v)
+        dx, dy = x[u] - x[v], y[u] - y[v]
+        return draw_edges(spec, None, None, local[u], local[v], dx * dx + dy * dy, keys[lo])
 
     inter = khop_intermediates(k, near, linked, seg_of, len(sizes))
-    return xy, seg_of[inter[0]], inter
+    return xy, near, seg_of[inter[0]], inter
 
 
 def _count_block(slices, collect_pairs, insides):
@@ -332,7 +341,7 @@ def _count_block(slices, collect_pairs, insides):
     ``insides`` is a Region, the counts of the paths whose intermediates all
     lie in it (else None)."""
     layout = slice_replications(slices)
-    xy, seg, inter = _block_paths(slices, layout)
+    xy, near, seg, inter = _block_paths(slices, layout)
     ends = layout[3]
     segments = int(ends[-1])
     # slice s holds the segments edges[s] .. edges[s + 1] - 1, and its paths are a run of seg
@@ -341,7 +350,11 @@ def _count_block(slices, collect_pairs, insides):
     counts = np.split(np.bincount(seg, minlength=segments), ends[:-1])
     classes = [None] * len(slices)
     if collect_pairs:
-        classes = np.split(classify_path_pair_segments(*inter, seg, segments), ends[:-1])
+        z1, z2 = inter
+        # the reverse (z2, z1) shares the middle edge, so it is a path
+        # exactly when z2 is adjacent to anchor 0 and z1 to anchor 1
+        reversed_too = near[0][z2] & near[1][z1]
+        classes = np.split(classify_path_pair_segments(z1, z2, seg, segments, reversed_too), ends[:-1])
     kept_counts = [None] * len(slices)
     for s, inside in enumerate(insides):
         if inside is not None:
@@ -580,6 +593,16 @@ def _mean_se(x: np.ndarray) -> float | None:
     return float(x.std(ddof=1) / math.sqrt(len(x)))
 
 
+def _pair_stats(pair_classes: np.ndarray):
+    """The mean and :func:`_mean_se` of every column of the (R, 5) pair-class
+    counts, from one contiguous float copy, one class a row: each row reduces
+    as the lone column would, so the bits are the same."""
+    vals = np.ascontiguousarray(pair_classes.T, dtype=np.float64)
+    r = vals.shape[1]
+    ses = (vals.std(axis=1, ddof=1) / math.sqrt(r)).tolist() if r >= 2 else [None] * len(vals)
+    return vals.mean(axis=1).tolist(), ses
+
+
 def _variance_se(x: np.ndarray) -> float | None:
     """Standard error of the unbiased sample variance, from the fourth
     central moment (valid for non-normal counts)."""
@@ -632,10 +655,8 @@ def summarize_grid_point(
 
     pair_means = None
     if pair_classes is not None:
-        pair_means = {}
-        for col, name in enumerate(PAIR_CLASSES):
-            vals = pair_classes[:, col].astype(float)
-            pair_means[name] = {"mean": float(vals.mean()), "se": _mean_se(vals)}
+        means, ses = _pair_stats(pair_classes)
+        pair_means = {name: {"mean": m, "se": se} for name, m, se in zip(PAIR_CLASSES, means, ses)}
 
     samples = PathCountSamples(k=int(params.k), counts=counts, params=params, seed=grid_seed)
     brackets = existence_brackets(samples, config.bracket_orders)

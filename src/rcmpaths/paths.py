@@ -25,7 +25,9 @@ from .sampler import GraphRealization
 # The most pairs one join draws at once: half-paths multiply with every hop,
 # and a k = 3 block joins every anchor-0 neighbour with every anchor-1
 # neighbour of its replication, so this, not the number of points, bounds
-# the memory (about 160 bytes a pair).
+# the memory: about 140 bytes a pair (a rho = 5, k = 3 block of 1961
+# replications peaked at 35.7 MB under tracemalloc, its largest join run
+# 262130 pairs; each further pair of a run cost about 115 bytes).
 _JOIN_PAIRS = 1 << 18
 
 
@@ -187,13 +189,16 @@ def count_khop_paths(g: GraphRealization, k: int, allowed: np.ndarray | None = N
 
 
 def classify_path_pair_segments(
-    z1: np.ndarray, z2: np.ndarray, seg: np.ndarray, segments: int
+    z1: np.ndarray, z2: np.ndarray, seg: np.ndarray, segments: int, reversed_too: np.ndarray
 ) -> np.ndarray:
     """Pair-class counts of many sets of 3-hop paths at once.
 
     Path ``p`` is the row (z1[p], z2[p]) of set ``seg[p]``; ``seg`` is
     non-decreasing, the rows of a set are distinct, and vertex ids are unique
-    across sets.  Returns a (segments, 5) int64 array with the columns
+    across sets.  ``reversed_too[p]`` says whether (z2[p], z1[p]) is also a
+    path of the set, which the caller reads off its anchor edges or, given
+    only the rows, finds by membership (see :func:`classify_path_pairs`).
+    Returns a (segments, 5) int64 array with the columns
     (sigma0, sigma11, sigma12, sigma21, sigma22).  With ``c1``/``c2`` the
     number of paths whose first/second intermediate is a vertex and ``m`` the
     set's path count, the classes follow from counting identities rather than
@@ -222,11 +227,11 @@ def classify_path_pair_segments(
     c2 = np.bincount(z2, minlength=n)
     same = per_set(c1[z1] + c2[z2])
     cross = per_set(c2[z1])
-    reversed_too = per_set(np.isin(z2 * n + z1, z1 * n + z2))
+    twins = per_set(reversed_too)
     out[:, 1] = same - 2 * m
-    out[:, 2] = 2 * cross - 2 * reversed_too
+    out[:, 2] = 2 * cross - 2 * twins
     out[:, 3] = m
-    out[:, 4] = reversed_too
+    out[:, 4] = twins
     out[:, 0] = m * m - out[:, 1:].sum(axis=1)
     return out
 
@@ -239,8 +244,10 @@ def classify_path_pairs(pairs: np.ndarray) -> PairStructureCounts:
     exactly one, whether it sits at the same sequence position in both.
     """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    one_set = np.zeros(len(pairs), dtype=np.int64)
-    counts = classify_path_pair_segments(pairs[:, 0], pairs[:, 1], one_set, 1)
+    z1, z2 = pairs[:, 0], pairs[:, 1]
+    n = int(pairs.max(initial=0)) + 1
+    reversed_too = np.isin(z2 * n + z1, z1 * n + z2)
+    counts = classify_path_pair_segments(z1, z2, np.zeros(len(pairs), dtype=np.int64), 1, reversed_too)
     return PairStructureCounts(*(int(c) for c in counts[0]))
 
 

@@ -237,9 +237,12 @@ def draw_edges(spec: ConnectionSpec, seed, replication, i, j, sq_dists, keys=Non
     :func:`realize_graph`, is decided here, so both agree bit for bit; only
     the anchor edges of a k <= 3 replication are marks of
     :func:`anchor_neighbours` instead.  ``seed``, ``replication``, ``i``,
-    ``j`` and ``sq_dists`` broadcast together.  ``keys``, when given, are
-    the pairs' ``fold_keys(stream_keys(seed, replication, STREAM_EDGES),
-    min(i, j))``, folded once by the caller, in place of seed and replication.
+    ``j`` and ``sq_dists`` broadcast together.  ``keys``, when given, stand
+    in for seed and replication: they are the keys of the pairs' lower
+    vertices, ``fold_keys(stream_keys(seed, replication, STREAM_EDGES),
+    min(i, j))``, which the caller folds once per vertex (the k >= 4 anchor
+    rows, once per anchor and replication), so each pair costs one fold of
+    ``max(i, j)``.
     """
     u = pair_uniforms(seed, replication, i, j) if keys is None else keyed_uniforms(keys, np.maximum(i, j))
     return u < connection_probabilities(spec, sq_dists)
@@ -289,7 +292,7 @@ def realize_graph(
     return GraphRealization(points=points, adjacency=adjacency, seed=seed, replication=replication)
 
 
-def block_points(slices, layout):
+def block_points(slices, layout, edge_keys=None):
     """What a block of replications draws: the non-anchor points, with their
     edges to the two anchors.
 
@@ -304,19 +307,23 @@ def block_points(slices, layout):
     to anchor 0 and to anchor 1.  k <= 3: the anchors' neighbours of
     :func:`anchor_neighbours`, whose anchor edges are its marks.  k >= 4:
     the points of :func:`box_points`, whose anchor edges are drawn by
-    :func:`draw_edges`.
+    :func:`draw_edges`, from the replications' edge-stream keys
+    ``edge_keys``, ``stream_keys(seeds, replications, STREAM_EDGES)`` of the
+    layout, folded here when the caller has not.
     """
     params = slices[0][0]
     if int(params.k) <= 3:
         return anchor_neighbours(slices, layout)
     spec = params.connection
     seeds, replications, distances, _ = layout
+    if edge_keys is None:
+        edge_keys = stream_keys(seeds, replications, STREAM_EDGES)
     xy, sizes = box_points(slices, layout)
     owner, number = _variates(sizes)
     # vertex index within its replication: anchors are 0 and 1, below every
     # point's, so each anchor's pair keys are folded once per replication
     local = number + 2
-    keys = fold_keys(stream_keys(seeds, replications, STREAM_EDGES)[:, None], np.arange(2, dtype=np.uint64))
+    keys = fold_keys(edge_keys[:, None], np.arange(2, dtype=np.uint64))
     # the anchors sit at (0, 0) and (r, 0)
     x, yy = xy[:, 0], xy[:, 1] ** 2
     near = tuple(

@@ -26,6 +26,8 @@ from rcmpaths.experiments import (
     _attach_references,
     _count_batch,
     _count_block,
+    _mean_se,
+    _pair_stats,
     config_from_dict,
     config_to_dict,
     load_config,
@@ -480,6 +482,19 @@ class TestEngineEquivalence:
 
 
 class TestRunExperiment:
+    @pytest.mark.parametrize("r", [1, 2, 7, 8, 9, 128, 129, 1000])
+    def test_pair_stats_equal_each_column(self, r):
+        # one pass over a (5, R) copy reduces every class as its lone column
+        # would, at the edges of numpy's pairwise-summation blocks; counts of
+        # many magnitudes make the float sums round
+        rng = np.random.default_rng(r)
+        classes = rng.integers(0, 10 ** rng.integers(1, 16, size=5), size=(r, 5))
+        means, ses = _pair_stats(classes)
+        for col in range(5):
+            vals = classes[:, col].astype(float)
+            assert means[col] == float(vals.mean())
+            assert ses[col] == _mean_se(vals)
+
     def test_outputs_and_content(self, tmp_path):
         cfg = tiny_config(tmp_path, emit_histograms=True)
         reports = run_experiment(cfg)
@@ -635,10 +650,10 @@ def _fail_on_replication_3(monkeypatch):
     # the draw of a block of replications
     real = experiments.block_points
 
-    def draw(slices, layout):
+    def draw(slices, layout, *edge_keys):
         if any(first <= 3 < last for _, _, first, last in slices):
             raise FloatingPointError("bad draw")
-        return real(slices, layout)
+        return real(slices, layout, *edge_keys)
 
     monkeypatch.setattr(experiments, "block_points", draw)
 

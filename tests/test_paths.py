@@ -203,15 +203,18 @@ class TestPairClassification:
     )
     @settings(max_examples=100, deadline=None)
     def test_segmented_identities_match_oracle(self, sets):
-        # each set gets its own vertex ids, as the block counter's sets do
-        z1, z2, seg = [], [], []
+        # each set gets its own vertex ids, as the block counter's sets do;
+        # the reversed rows are the caller's, as the sweep reads them off
+        # its anchor edges
+        z1, z2, seg, reversed_too = [], [], [], []
         for s, rows in enumerate(sets):
             for a, b in sorted(rows):
                 z1.append(6 * s + a)
                 z2.append(6 * s + b)
                 seg.append(s)
+                reversed_too.append((b, a) in rows)
         z1, z2, seg = (np.array(v, dtype=np.int64) for v in (z1, z2, seg))
-        counts = classify_path_pair_segments(z1, z2, seg, len(sets))
+        counts = classify_path_pair_segments(z1, z2, seg, len(sets), np.array(reversed_too, dtype=bool))
         for s, rows in enumerate(sets):
             expected = classify_path_pairs_oracle(np.array(sorted(rows), dtype=np.int64).reshape(-1, 2))
             assert tuple(counts[s]) == (

@@ -12,7 +12,7 @@ from rcmpaths.analytics import mean_khop_numeric
 from rcmpaths.experiments import run_replications
 from rcmpaths.model import ConnectionSpec, ModelParams, Point, cloud_mass
 from rcmpaths.paths import count_khop_paths, iter_khop_paths
-from rcmpaths.rng import STREAM_POINTS, fold_keys, keyed_uniforms, pair_uniforms, poisson_counts, stream_keys
+from rcmpaths.rng import STREAM_EDGES, STREAM_POINTS, fold_keys, keyed_uniforms, pair_uniforms, poisson_counts, stream_keys
 from rcmpaths.sampler import (
     _ANGLE,
     _BOX_X,
@@ -132,6 +132,38 @@ def test_disjoint_pair_edges_uncorrelated():
     y = pair_uniforms(13, reps, 4, 5) < 0.5
     corr = np.corrcoef(x, y)[0, 1]
     assert abs(corr) < 0.02
+
+
+@given(
+    spec=st.sampled_from(CONNECTIONS),
+    replications=st.lists(
+        st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1), st.integers(1, 6)), min_size=1, max_size=4
+    ),
+    picks=st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 2**16), st.integers(0, 2**16)), min_size=1),
+)
+@settings(max_examples=100, deadline=None)
+def test_point_keys_draw_the_pair_uniforms(spec, replications, picks):
+    # the join of the sweep folds each point's index within its replication
+    # (2, 3, ...) into the replication's edge-stream key once, and draws a
+    # pair of points from its lower point's key: the pair's pair_uniforms,
+    # bit for bit, in either order
+    seeds, reps, sizes = zip(*replications)
+    seeds, reps, sizes = np.array(seeds, dtype=np.uint64), np.array(reps, dtype=np.uint64), np.array(sizes)
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    local = np.arange(len(owner)) - (np.cumsum(sizes) - sizes)[owner] + 2
+    keys = fold_keys(np.repeat(stream_keys(seeds, reps, STREAM_EDGES), sizes), local)
+    b, a, c = (np.array(v) for v in zip(*picks))
+    b %= len(sizes)
+    u, v = (np.cumsum(sizes) - sizes)[b] + a % sizes[b], (np.cumsum(sizes) - sizes)[b] + c % sizes[b]
+    want = pair_uniforms(seeds[b], reps[b], local[u], local[v])
+    sq_dists = np.linspace(0.0, 4.0, len(u))
+    for p, q in ((u, v), (v, u)):
+        lower = keys[np.minimum(p, q)]
+        assert keyed_uniforms(lower, np.maximum(local[p], local[q])).tobytes() == want.tobytes()
+        assert np.array_equal(
+            draw_edges(spec, None, None, local[p], local[q], sq_dists, lower),
+            draw_edges(spec, seeds[b], reps[b], local[p], local[q], sq_dists),
+        )
 
 
 class TestAnchorNeighbours:
