@@ -301,11 +301,10 @@ def _block_paths(slices, layout):
     pair is decided by :func:`rcmpaths.sampler.draw_edges` under its own
     grid seed and replication, as in
     :func:`rcmpaths.sampler.sample_realization`, so the paths are exactly
-    those of each replication's realization.  The edge stream's key of each
-    replication is folded once per block, and shared with the k >= 4 anchor
-    rows; each point's own index is folded into it once, and a pair of
-    points is keyed by its lower point's key, so drawing it costs one fold.
-    k = 1 draws no points: its count is the anchors' own edge.
+    those of each replication's realization, from its lower point's key:
+    the replication's edge-stream key (folded once per block, shared with
+    the k >= 4 anchor rows) folded with the point's index.  k = 1 draws no
+    points: its count is the anchors' own edge.
     """
     params = slices[0][0]
     spec, k = params.connection, int(params.k)
@@ -594,9 +593,9 @@ def _mean_se(x: np.ndarray) -> float | None:
 
 
 def _pair_stats(pair_classes: np.ndarray):
-    """The mean and :func:`_mean_se` of every column of the (R, 5) pair-class
-    counts, from one contiguous float copy, one class a row: each row reduces
-    as the lone column would, so the bits are the same."""
+    """Each column's mean and :func:`_mean_se` of the (R, 5) pair classes,
+    from one contiguous (5, R) float copy whose rows reduce as lone columns
+    do."""
     vals = np.ascontiguousarray(pair_classes.T, dtype=np.float64)
     r = vals.shape[1]
     ses = (vals.std(axis=1, ddof=1) / math.sqrt(r)).tolist() if r >= 2 else [None] * len(vals)
