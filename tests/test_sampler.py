@@ -12,7 +12,15 @@ from rcmpaths.analytics import mean_khop_numeric
 from rcmpaths.experiments import run_replications
 from rcmpaths.model import ConnectionSpec, ModelParams, Point, cloud_mass
 from rcmpaths.paths import count_khop_paths, iter_khop_paths
-from rcmpaths.rng import STREAM_EDGES, STREAM_POINTS, fold_keys, keyed_uniforms, pair_uniforms, poisson_counts, stream_keys
+from rcmpaths.rng import (
+    STREAM_EDGES,
+    STREAM_POINTS,
+    fold_keys,
+    keyed_uniforms,
+    pair_uniforms,
+    poisson_counts,
+    stream_keys,
+)
 from rcmpaths.sampler import (
     _ANGLE,
     _BOX_X,
@@ -149,12 +157,12 @@ def test_point_keys_draw_the_pair_uniforms(spec, replications, picks):
     # bit for bit, in either order
     seeds, reps, sizes = zip(*replications)
     seeds, reps, sizes = np.array(seeds, dtype=np.uint64), np.array(reps, dtype=np.uint64), np.array(sizes)
-    owner = np.repeat(np.arange(len(sizes)), sizes)
-    local = np.arange(len(owner)) - (np.cumsum(sizes) - sizes)[owner] + 2
+    starts = np.cumsum(sizes) - sizes
+    local = np.arange(sizes.sum()) - np.repeat(starts, sizes) + 2
     keys = fold_keys(np.repeat(stream_keys(seeds, reps, STREAM_EDGES), sizes), local)
     b, a, c = (np.array(v) for v in zip(*picks))
     b %= len(sizes)
-    u, v = (np.cumsum(sizes) - sizes)[b] + a % sizes[b], (np.cumsum(sizes) - sizes)[b] + c % sizes[b]
+    u, v = starts[b] + a % sizes[b], starts[b] + c % sizes[b]
     want = pair_uniforms(seeds[b], reps[b], local[u], local[v])
     sq_dists = np.linspace(0.0, 4.0, len(u))
     for p, q in ((u, v), (v, u)):
