@@ -156,19 +156,22 @@ def _coarse_step_limit(spec: ConnectionSpec) -> float:
 def _grid(params: ModelParams, quad: QuadratureSpec | None, strict: bool):
     """``(s, m, t)`` for the grid ``quad`` (by default sized for ``params``),
     once checked: 2m + 1 nodes of step s per axis, and r = t * s.  The step
-    puts r on a node, unless r is below half a step (the read-off then
-    interpolates between x-nodes; the chain is flat at that scale)."""
+    puts r on a node, unless r is at most half a step (the read-off then
+    interpolates between x-nodes; the chain is flat at that scale), so s
+    may be up to 1.5 times ``grid_step``; s is what the coarseness check
+    reads."""
     spec, r = params.connection, params.anchor_distance
     quad = quad or QuadratureSpec.default_for(params)
+    if quad.grid_extent <= r:
+        raise QuadratureConfigError(f"grid_extent {quad.grid_extent} does not cover the anchor distance {r}")
+    nodes = round(r / quad.grid_step)
+    s = r / nodes if nodes else quad.grid_step
     limit = _coarse_step_limit(spec)
-    if quad.grid_step > limit:
-        msg = f"grid_step {quad.grid_step} is too coarse for this connection (limit {limit:.4g})"
+    if s > limit:
+        msg = f"grid step {s:.4g} (grid_step {quad.grid_step}) is too coarse for this connection (limit {limit:.4g})"
         if strict:
             raise QuadratureConfigError(msg)
         warnings.warn(msg, stacklevel=3)
-    if quad.grid_extent <= r:
-        raise QuadratureConfigError(f"grid_extent {quad.grid_extent} does not cover the anchor distance {r}")
-    s = quad.grid_step if r < quad.grid_step / 2.0 else r / round(r / quad.grid_step)
     return s, int(math.ceil(quad.grid_extent / s - 1e-9)), r / s
 
 

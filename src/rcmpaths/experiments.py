@@ -15,28 +15,28 @@ every pool worker alike: a job that draws fewer than ``_MERGE_POINTS``
 points shares its blocks with the other such jobs of its connection and
 k, and a larger one is cut into blocks of its own of about
 ``_BLOCK_POINTS`` points.  A cheap grid point thus pays no block's fixed
-numpy cost of its own.  What a replication draws is decided by the sampler
-alone: one call, :func:`rcmpaths.sampler.block_points`, draws a whole
-block, for every k but 1, and returns its non-anchor points with their
-edges to the anchors; k = 1 draws no points.  Every variate is a keyed hash
-of the grid seed, the replication and the variate, so the draw, like
-everything else, is one vectorised pass per block, hashing only the pair
-draws a path can use (see :func:`_block_paths`).  The half-path joins that
+numpy cost of its own.  What a replication draws, its points and every
+edge, is decided by the sampler alone: one call,
+:func:`rcmpaths.sampler.block_points`, draws a whole block, for every k but
+1, and returns its non-anchor points with their edges to the anchors and a
+callback that draws the edge of any pair of points; k = 1 draws no points,
+only the anchors' own edge (:func:`rcmpaths.sampler.anchor_edges`).  Every
+variate is a keyed hash of the grid seed, the replication and the variate
+or vertex pair, so the draw, like everything else, is one vectorised pass
+per block, hashing only the pair draws a path can use (see
+:func:`_block_paths`), and the lazy counter finds exactly the paths of
+:func:`rcmpaths.sampler.sample_realization`.  The half-path joins that
 list the paths are those of :mod:`rcmpaths.paths`, which also count the
 paths of a realized graph.  It reduces counts per segment, and pair classes
 by counting identities, and splits them back per grid point.  A join draws
 at most about ``rcmpaths.paths._JOIN_PAIRS`` pairs at once, which with the
 block sizes bounds memory.  Margin validation uses the same counter, with a
 mask of the points inside each grid point's base rectangle (k >= 4; k <= 3
-has no box).  Every edge between non-anchor points is decided by
-:func:`rcmpaths.sampler.draw_edges` from a draw keyed by the grid seed, the
-replication and the vertex pair, so the lazy counter finds exactly the
-paths of :func:`rcmpaths.sampler.sample_realization`.  How replications
-and grid points fall into blocks or workers never changes a result: the
-reports are byte-identical to one replication at a time.  A call that draws
-less than one batch (``_BATCH_POINTS`` points) counts in the calling
-process whatever ``threads`` says: starting the workers on it would cost
-more than they save.  With ``threads`` > 1 a larger call's replication
+has no box).  How replications and grid points fall into blocks or workers
+never changes a result: the reports are byte-identical to one replication
+at a time.  A call that draws less than one batch (``_BATCH_POINTS``
+points) counts in the calling process whatever ``threads`` says: starting
+the workers on it would cost more than they save.  With ``threads`` > 1 a larger call's replication
 ranges go through one worker pool per process: it starts on the first such
 call and serves every later call with the same worker count, so repeated
 calls pay for it once.  A call sends the pool its jobs in batches, one per
@@ -83,8 +83,8 @@ from .moments import (
     quadratic_existence_bound,
 )
 from .paths import PairStructureCounts, classify_path_pair_segments, khop_intermediates
-from .rng import STREAM_EDGES, derive_subseed, fold_keys, stream_keys
-from .sampler import block_points, draw_edges, mean_draws, slice_replications
+from .rng import derive_subseed
+from .sampler import anchor_edges, block_points, mean_draws, slice_replications
 
 PAIR_CLASSES = tuple(f.name for f in fields(PairStructureCounts))
 DEFAULT_BRACKET_ORDERS = (3, 4, 5, 80)
@@ -293,43 +293,18 @@ def _block_paths(slices, layout):
     inter)``: the block's non-anchor points, their edges to anchor 0 and to
     anchor 1, the block position of each path's replication (non-decreasing;
     the replications of every slice in turn), and k - 1 arrays holding the
-    paths' intermediate vertices as rows of ``xy``, in order from anchor 0.
-    The points and their anchor edges are the
-    :func:`rcmpaths.sampler.block_points` of the block; the paths are the
-    half-path joins of :func:`rcmpaths.paths.khop_intermediates`, and the
-    joining pairs they read are drawn here, only those a path can use.  Each
-    pair is decided by :func:`rcmpaths.sampler.draw_edges` under its own
-    grid seed and replication, as in
-    :func:`rcmpaths.sampler.sample_realization`, so the paths are exactly
-    those of each replication's realization, from its lower point's key:
-    the replication's edge-stream key (folded once per block, shared with
-    the k >= 4 anchor rows) folded with the point's index.  k = 1 draws no
-    points: its count is the anchors' own edge.
+    paths' intermediate vertices as rows of ``xy``, in order from anchor 0:
+    the joins of :func:`rcmpaths.paths.khop_intermediates` over the
+    :func:`rcmpaths.sampler.block_points` of the block and its ``linked``
+    pair draws.  k = 1 draws no points: its count is the anchors' own edge
+    (:func:`rcmpaths.sampler.anchor_edges`).
     """
-    params = slices[0][0]
-    spec, k = params.connection, int(params.k)
-    seeds, replications, distances, _ = layout
+    k = int(slices[0][0].k)
     if k == 1:
-        hit = draw_edges(spec, seeds, replications, 0, 1, distances * distances)
-        return np.empty((0, 2)), None, np.flatnonzero(hit), ()
-    # k = 2 joins no pair, so it folds no edge keys
-    edge_keys = stream_keys(seeds, replications, STREAM_EDGES) if k > 2 else None
-    xy, sizes, near = block_points(slices, layout, edge_keys)
-    seg_of = np.repeat(np.arange(len(sizes)), sizes)
-    # vertex index within its replication: anchors are 0 and 1
-    local = np.arange(2, len(xy) + 2) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    keys = fold_keys(np.repeat(edge_keys, sizes), local) if k > 2 else None
-    x, y = xy[:, 0], xy[:, 1]
-
-    def linked(u, v):
-        # u and v are points of one replication, so the lower row is the
-        # lower local index
-        lo = np.minimum(u, v)
-        dx, dy = x[u] - x[v], y[u] - y[v]
-        return draw_edges(spec, None, None, local[u], local[v], dx * dx + dy * dy, keys[lo])
-
-    inter = khop_intermediates(k, near, linked, seg_of, len(sizes))
-    return xy, near, seg_of[inter[0]], inter
+        return np.empty((0, 2)), None, np.flatnonzero(anchor_edges(slices, layout)), ()
+    xy, owner, near, linked = block_points(slices, layout)
+    inter = khop_intermediates(k, near, linked, owner, len(layout[0]))
+    return xy, near, owner[inter[0]], inter
 
 
 def _count_block(slices, collect_pairs, insides):
@@ -368,15 +343,7 @@ def _count_block(slices, collect_pairs, insides):
 def _points_per_replication(params: ModelParams) -> float:
     """Mean number of points or proposals one replication draws, with the
     two anchors."""
-    return 2.0 if int(params.k) == 1 else mean_draws(params) + 2.0
-
-
-def _block_replications(params: ModelParams) -> int:
-    """Replications per block: about ``_BLOCK_POINTS`` points or proposals
-    drawn in all."""
-    if int(params.k) == 1:
-        return _BLOCK_POINTS
-    return max(1, int(_BLOCK_POINTS // _points_per_replication(params)))
+    return mean_draws(params) + 2.0
 
 
 def _blocks(jobs):
@@ -384,15 +351,16 @@ def _blocks(jobs):
     first, last)``: replications ``first`` .. ``last - 1`` of ``jobs[job]``.
 
     A job that draws ``_MERGE_POINTS`` or more points keeps blocks of its
-    own, of :func:`_block_replications` each.  The smaller jobs of each
-    (connection, k, collect_pairs) share blocks, in job order, each of at
-    most ``_MERGE_POINTS`` points.
+    own, of about ``_BLOCK_POINTS`` points or proposals each.  The smaller
+    jobs of each (connection, k, collect_pairs) share blocks, in job order,
+    each of at most ``_MERGE_POINTS`` points.
     """
     shared = {}
     for j, (params, _, lo, hi, collect_pairs, _) in enumerate(jobs):
-        points = (hi - lo) * _points_per_replication(params)
+        per_replication = _points_per_replication(params)
+        points = (hi - lo) * per_replication
         if points >= _MERGE_POINTS:
-            step = _block_replications(params)
+            step = max(1, int(_BLOCK_POINTS // per_replication))
             for first in range(lo, hi, step):
                 yield [(j, first, min(first + step, hi))]
             continue

@@ -28,7 +28,9 @@ Streams (so point draws and edge draws never collide):
 * edge stream: the uniform deciding the edge of vertex pair ``{i, j}`` is
   keyed by ``(STREAM_EDGES, min(i, j), max(i, j))``.  Any subset of pairs can
   therefore be evaluated lazily, in any order, and agrees bit-for-bit with a
-  full-matrix realization.
+  full-matrix realization.  :mod:`rcmpaths.sampler` draws every edge, from
+  each lower vertex's key folded once; :func:`pair_uniforms` is the
+  reference definition of the pair's uniform.
 * subseed stream: derives independent master seeds for sweep grid points.
 """
 from __future__ import annotations
@@ -89,18 +91,10 @@ def fold(seed: int, *fields) -> int:
 def stream_keys(seed, replication, stream: int) -> np.ndarray:
     """``fold(s, r, stream)`` for every (s, r) of the broadcast integer
     arrays (or scalars) ``seed`` and ``replication``, in [0, 2**64), as a
-    uint64 array of their broadcast shape, folded once per run of equal
-    consecutive (s, r), all runs in one uint64 pass per field."""
-    s, r = np.broadcast_arrays(np.asarray(seed, dtype=np.uint64), np.asarray(replication, dtype=np.uint64))
-    shape = s.shape
-    s, r = s.ravel(), r.ravel()
-    new = np.ones(s.size, dtype=bool)
-    new[1:] = (s[1:] != s[:-1]) | (r[1:] != r[:-1])
-    starts = np.flatnonzero(new)
-    h = _mix64(s[starts] ^ _INIT) + _GAMMA
-    h = _mix64(h ^ r[starts]) + _GAMMA
-    h = _mix64(h ^ np.asarray(stream, dtype=np.uint64))
-    return np.repeat(h, np.diff(np.append(starts, s.size))).reshape(shape)
+    uint64 array of their broadcast shape, in one uint64 pass per field."""
+    h = _mix64(np.asarray(seed, dtype=np.uint64) ^ _INIT) + _GAMMA
+    h = _mix64(h ^ np.asarray(replication, dtype=np.uint64)) + _GAMMA
+    return _mix64(h ^ np.asarray(stream, dtype=np.uint64))
 
 
 def fold_keys(keys, field) -> np.ndarray:

@@ -4,15 +4,16 @@ The two anchors are always placed at (0, 0) and (anchor_distance, 0); the
 model is isotropic, so fixing the axis loses no generality.
 
 This module alone decides what a replication of a given k draws.  One call,
-:func:`block_points`, draws a block of replications for every k.  A block
-lists slices, runs of replications of one grid point each, and its grid
-points share one connection function and one k but may differ in density,
-separation, box and seed.  Every variate is a keyed uniform of the point
-stream (:func:`rcmpaths.rng.keyed_uniforms`), keyed by the grid seed, the
-replication, the draw (one of the ``_COUNT`` .. ``_BOX_Y`` fields) and the
-variate's number within its replication, so the whole block is drawn in one
-vectorised pass and any cut of it into blocks gives the same bits.  It
-returns the block's non-anchor points with their edges to the two anchors.
+:func:`block_points`, draws a block of replications for every k >= 2.  A
+block lists slices, runs of replications of one grid point each, and its
+grid points share one connection function and one k but may differ in
+density, separation, box and seed.  Every variate is a keyed uniform of the
+point stream (:func:`rcmpaths.rng.keyed_uniforms`), keyed by the grid seed,
+the replication, the draw (one of the ``_COUNT`` .. ``_BOX_Y`` fields) and
+the variate's number within its replication, so the whole block is drawn in
+one vectorised pass and any cut of it into blocks gives the same bits.  It
+returns the block's non-anchor points with their edges to the two anchors,
+and a callback that draws their edges to each other.
 
 * k <= 3 draws only the anchors' neighbours, in the whole plane, with no
   box.  A path of at most three hops passes only through points adjacent to
@@ -26,9 +27,11 @@ returns the block's non-anchor points with their edges to the two anchors.
   margin on every side (:func:`box_points`); the edges to the anchors are
   drawn by :func:`draw_edges`.
 
-Every other edge, between two non-anchor points or between the anchors, is
-decided by :func:`draw_edges` from a uniform keyed by the grid seed, the
-replication and the vertex pair.
+Every other edge is decided by :func:`draw_edges`, which nothing outside
+this module calls, from the lower vertex's edge key (folded once per
+vertex) and the upper vertex's index: :func:`block_points`,
+:func:`anchor_edges` (k = 1) and :func:`realize_graph` all draw the
+:func:`rcmpaths.rng.pair_uniforms` of the grid seed, replication and pair.
 """
 from __future__ import annotations
 
@@ -45,7 +48,6 @@ from .rng import (
     fold_keys,
     keyed_gamma,
     keyed_uniforms,
-    pair_uniforms,
     poisson_counts,
     stream_keys,
 )
@@ -94,10 +96,10 @@ class GraphRealization:
 
 
 def mean_draws(params: ModelParams) -> float:
-    """Mean number of points (k >= 4) or neighbour proposals (k <= 3) one
-    replication draws, the anchors not counted."""
+    """Mean number of points (k >= 4) or neighbour proposals (k = 2, 3) one
+    replication draws, the anchors not counted; k = 1 draws none."""
     if int(params.k) <= 3:
-        return 2.0 * cloud_mass(params)
+        return 2.0 * cloud_mass(params) if int(params.k) > 1 else 0.0
     return params.rho * region_for(params).area
 
 
@@ -229,23 +231,25 @@ def connection_probabilities(spec: ConnectionSpec, sq_dists: np.ndarray) -> np.n
     return spec.evaluate(np.sqrt(sq_dists))
 
 
-def draw_edges(spec: ConnectionSpec, seed, replication, i, j, sq_dists, keys=None) -> np.ndarray:
-    """Whether each vertex pair ``{i, j}`` of ``replication`` is an edge: its
-    pair-keyed uniform lies below H at the pair's squared distance.
-
-    Every edge, drawn lazily by the sweep counter or all at once by
-    :func:`realize_graph`, is decided here, so both agree bit for bit; only
-    the anchor edges of a k <= 3 replication are marks of
-    :func:`anchor_neighbours` instead.  ``seed``, ``replication``, ``i``,
-    ``j`` and ``sq_dists`` broadcast together.  ``keys``, when given, stand
-    in for seed and replication: they are the keys of the pairs' lower
-    vertices, ``fold_keys(stream_keys(seed, replication, STREAM_EDGES),
-    min(i, j))``, which the caller folds once per vertex (the k >= 4 anchor
-    rows, once per anchor and replication), so each pair costs one fold of
-    ``max(i, j)``.
+def draw_edges(spec: ConnectionSpec, keys, j, sq_dists) -> np.ndarray:
+    """Whether each vertex pair ``{i, j}``, i < j, is an edge: its
+    ``pair_uniforms(seed, replication, i, j)`` lies below H at its squared
+    distance.  ``keys`` are the lower vertices' edge keys, ``fold(seed,
+    replication, STREAM_EDGES, i)``, folded once per vertex by the callers,
+    and ``j`` the upper vertices' indices; all three broadcast together.
+    Only the anchor edges of a k <= 3 replication are marks of
+    :func:`anchor_neighbours` instead.
     """
-    u = pair_uniforms(seed, replication, i, j) if keys is None else keyed_uniforms(keys, np.maximum(i, j))
-    return u < connection_probabilities(spec, sq_dists)
+    return keyed_uniforms(keys, j) < connection_probabilities(spec, sq_dists)
+
+
+def anchor_edges(slices, layout) -> np.ndarray:
+    """The anchors' own edge (the k = 1 draw) in each replication of
+    ``slices``, whose :func:`slice_replications` are ``layout``: the pair
+    {0, 1} at the replication's anchor distance."""
+    seeds, replications, distances, _ = layout
+    keys = fold_keys(stream_keys(seeds, replications, STREAM_EDGES), 0)
+    return draw_edges(slices[0][0].connection, keys, 1, distances * distances)
 
 
 def _refuse_bad_keys(seed: int, replication: int) -> None:
@@ -260,13 +264,10 @@ def _adjacency(points: np.ndarray, spec: ConnectionSpec, seed: int, replication:
     anchor and a non-anchor point: those are the rows ``near``."""
     n = len(points)
     iu, ju = np.triu_indices(n, k=1)
-    if near is not None:
-        # the pairs come row by row: the anchors' own pair is the first, and
-        # every pair of non-anchor points follows the 2n - 3 of rows 0 and 1
-        iu, ju = (np.concatenate((z[:1], z[2 * n - 3 :])) for z in (iu, ju))
     dx = points[iu, 0] - points[ju, 0]
     dy = points[iu, 1] - points[ju, 1]
-    hit = draw_edges(spec, seed, replication, iu, ju, dx * dx + dy * dy)
+    keys = fold_keys(stream_keys(seed, replication, STREAM_EDGES), np.arange(n, dtype=np.uint64))
+    hit = draw_edges(spec, keys[iu], ju, dx * dx + dy * dy)
     adjacency = np.zeros((n, n), dtype=bool)
     adjacency[iu[hit], ju[hit]] = True
     if near is not None:
@@ -292,45 +293,54 @@ def realize_graph(
     return GraphRealization(points=points, adjacency=adjacency, seed=seed, replication=replication)
 
 
-def block_points(slices, layout, edge_keys=None):
-    """What a block of replications draws: the non-anchor points, with their
-    edges to the two anchors.
+def block_points(slices, layout):
+    """What a block of replications draws: the non-anchor points and their
+    edges.
 
     ``slices`` lists ``(params, seed, first, last)``: replications ``first``
     .. ``last - 1`` of the grid point ``params`` whose grid seed is
     ``seed``, and ``layout`` is their :func:`slice_replications`.  The grid
-    points share one connection function and one k, and may differ in
-    everything else.  Returns ``(xy, sizes, near)``: the points of every
-    replication in turn, slice by slice, ``sizes[b]`` of them for
-    replication b, in draw order (so they are numbered 2, 3, ... within
-    their replication), and two boolean arrays over the points, their edges
-    to anchor 0 and to anchor 1.  k <= 3: the anchors' neighbours of
-    :func:`anchor_neighbours`, whose anchor edges are its marks.  k >= 4:
-    the points of :func:`box_points`, whose anchor edges are drawn by
-    :func:`draw_edges`, from the replications' edge-stream keys
-    ``edge_keys``, ``stream_keys(seeds, replications, STREAM_EDGES)`` of the
-    layout, folded here when the caller has not.
+    points share one connection function and one k >= 2.  Returns ``(xy,
+    owner, near, linked)``: the points of every replication in turn, in
+    draw order (numbered 2, 3, ... within their replication), the block
+    position of each one's replication, their edges to anchor 0 and to
+    anchor 1, and ``linked(u, v)``, the edges of the point pairs ``(u[i],
+    v[i])``, each of one replication (None at k = 2, which folds no edge
+    key).  k <= 3 draws the :func:`anchor_neighbours`, whose anchor edges
+    are marks, k >= 4 the :func:`box_points`, whose anchor edges, like every
+    pair's, are drawn by :func:`draw_edges` from the edge keys, folded once
+    per block, anchor and point.
     """
     params = slices[0][0]
-    if int(params.k) <= 3:
-        return anchor_neighbours(slices, layout)
-    spec = params.connection
+    spec, k = params.connection, int(params.k)
     seeds, replications, distances, _ = layout
-    if edge_keys is None:
-        edge_keys = stream_keys(seeds, replications, STREAM_EDGES)
-    xy, sizes = box_points(slices, layout)
+    if k <= 3:
+        xy, sizes, near = anchor_neighbours(slices, layout)
+    else:
+        xy, sizes = box_points(slices, layout)
     owner, number = _variates(sizes)
-    # vertex index within its replication: anchors are 0 and 1, below every
-    # point's, so each anchor's pair keys are folded once per replication
+    if k == 2:
+        return xy, owner, near, None
+    # vertex index within its replication, below which lie the anchors, 0 and
+    # 1; of two points of one replication the lower row is the lower vertex
     local = number + 2
-    keys = fold_keys(edge_keys[:, None], np.arange(2, dtype=np.uint64))
-    # the anchors sit at (0, 0) and (r, 0)
-    x, yy = xy[:, 0], xy[:, 1] ** 2
-    near = tuple(
-        draw_edges(spec, None, None, a, local, (x - ax) * (x - ax) + yy, np.repeat(keys[:, a], sizes))
-        for a, ax in ((0, 0.0), (1, distances[owner]))
-    )
-    return xy, sizes, near
+    edge_keys = stream_keys(seeds, replications, STREAM_EDGES)
+    x, y = xy[:, 0], xy[:, 1]
+    if k >= 4:
+        anchor_keys = fold_keys(edge_keys[:, None], np.arange(2, dtype=np.uint64))
+        # the anchors sit at (0, 0) and (r, 0)
+        yy = y**2
+        near = tuple(
+            draw_edges(spec, anchor_keys[owner, a], local, (x - ax) * (x - ax) + yy)
+            for a, ax in ((0, 0.0), (1, distances[owner]))
+        )
+    keys = fold_keys(edge_keys[owner], local)
+
+    def linked(u, v):
+        dx, dy = x[u] - x[v], y[u] - y[v]
+        return draw_edges(spec, keys[np.minimum(u, v)], local[np.maximum(u, v)], dx * dx + dy * dy)
+
+    return xy, owner, near, linked
 
 
 def sample_realization(params: ModelParams, seed: int, replication: int) -> GraphRealization:
@@ -346,7 +356,7 @@ def sample_realization(params: ModelParams, seed: int, replication: int) -> Grap
     """
     _refuse_bad_keys(seed, replication)
     slices = [(params, seed, replication, replication + 1)]
-    xy, _, near = block_points(slices, slice_replications(slices))
+    xy, _, near, _ = block_points(slices, slice_replications(slices))
     points = np.vstack([[[0.0, 0.0], [params.anchor_distance, 0.0]], xy])
     adjacency = _adjacency(points, params.connection, seed, replication, near)
     return GraphRealization(points=points, adjacency=adjacency, seed=seed, replication=replication)

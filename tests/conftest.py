@@ -237,10 +237,11 @@ def mc_variance_terms(params: ModelParams, samples: int, seed: int) -> AnalyticM
 
 def _oracle_grid(params: ModelParams, quad):
     """The quadrature's grid for ``params``: step s (r on a node unless r is
-    below half a step), 2m + 1 nodes per axis, and the kernel grid h."""
+    at most half a step), 2m + 1 nodes per axis, and the kernel grid h."""
     quad = quad or QuadratureSpec.default_for(params)
     r = params.anchor_distance
-    s = quad.grid_step if r < quad.grid_step / 2.0 else r / round(r / quad.grid_step)
+    nodes = round(r / quad.grid_step)
+    s = r / nodes if nodes else quad.grid_step
     m = int(math.ceil(quad.grid_extent / s - 1e-9))
     c = np.arange(-m, m + 1) * s
     xx, yy = np.meshgrid(c, c, indexing="ij")
@@ -250,7 +251,7 @@ def _oracle_grid(params: ModelParams, quad):
 def _oracle_chain(params: ModelParams, quad, hops: int):
     """The chain h, h*h, ..., h^{*hops} by full ``fftconvolve``
     convolutions, each scaled by the cell area, and h^{*hops} at (r, 0): the
-    node there, or linear between the two x-nodes beside r when r is below
+    node there, or linear between the two x-nodes beside r when r is at most
     half a step."""
     from scipy.signal import fftconvolve
 

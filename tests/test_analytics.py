@@ -390,6 +390,27 @@ class TestQuadratureSpecValidation:
         with pytest.raises(QuadratureConfigError):
             mean_khop_numeric(p, coarse, strict=True)
 
+    def test_coarse_check_reads_the_step_the_grid_runs_at(self):
+        # r = 0.3725 at grid_step 0.25 puts one step of 0.3725 between the
+        # anchors, over the 0.25 limit of Rayleigh eta = 3, beta = 1
+        p = ModelParams(rho=1.0, connection=ConnectionSpec.rayleigh(beta=1.0, eta=3.0), anchor_distance=0.3725, k=3)
+        quad = QuadratureSpec(grid_extent=10.0, grid_step=0.25)
+        with pytest.warns(UserWarning, match="grid step 0.3725"):
+            mean_khop_numeric(p, quad)
+        with pytest.raises(QuadratureConfigError):
+            variance_terms_numeric(p, quad, strict=True)
+
+    def test_half_step_separation_interpolates(self):
+        # r exactly half the default step of a unit hard disk (0.025) has no
+        # node of its own: the read-off interpolates, as below half a step
+        p = ModelParams(rho=1.0, connection=ConnectionSpec.hard_disk(1.0), anchor_distance=0.0125, k=3)
+        assert QuadratureSpec.default_for(p).grid_step == 0.025
+        point = dict(rho=1.0, connection=p.connection, anchor_distance=0.0125)
+        slow = _oracle_values(point)
+        _assert_close_to_oracle(_fast_values(point), slow, np.abs(slow))
+        below = ModelParams(rho=1.0, connection=p.connection, anchor_distance=0.0124, k=3)
+        assert mean_khop_numeric(p) == pytest.approx(mean_khop_numeric(below), rel=1e-3)
+
     def test_extent_must_cover_separation(self):
         p = ray_params(r=9.0)
         quad = QuadratureSpec(grid_extent=8.0, grid_step=0.05)

@@ -17,7 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import CONNECTIONS, classify_path_pairs_oracle, count_khop_paths_oracle
-from rcmpaths import experiments, paths
+from rcmpaths import experiments, paths, sampler
 from rcmpaths.analytics import mean_khop_numeric, variance_terms_numeric
 from rcmpaths.cli import main as cli_main
 from rcmpaths.errors import ReplicationError, ValidationError
@@ -650,10 +650,10 @@ def _fail_on_replication_3(monkeypatch):
     # the draw of a block of replications
     real = experiments.block_points
 
-    def draw(slices, layout, *edge_keys):
+    def draw(slices, layout):
         if any(first <= 3 < last for _, _, first, last in slices):
             raise FloatingPointError("bad draw")
-        return real(slices, layout, *edge_keys)
+        return real(slices, layout)
 
     monkeypatch.setattr(experiments, "block_points", draw)
 
@@ -857,7 +857,10 @@ class TestWorkerPool:
         params = ModelParams(rho=5.0, connection=RAY1, anchor_distance=1.0, k=1)
         # the anchors' own edge of each full realization
         expected = np.array([sample_realization(params, 7, rep).adjacency[0, 1] for rep in range(50)])
+        # neither the block draw nor either of the sampler's point draws runs
         monkeypatch.setattr(experiments, "block_points", None)
+        for name in ("anchor_neighbours", "box_points"):
+            monkeypatch.setattr(sampler, name, None)
         counts, _ = run_replications(params, 7, 50)
         assert np.array_equal(counts, expected)
         assert expected.sum() > 0

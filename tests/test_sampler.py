@@ -13,7 +13,6 @@ from rcmpaths.experiments import run_replications
 from rcmpaths.model import ConnectionSpec, ModelParams, Point, cloud_mass
 from rcmpaths.paths import count_khop_paths, iter_khop_paths
 from rcmpaths.rng import (
-    STREAM_EDGES,
     STREAM_POINTS,
     fold_keys,
     keyed_uniforms,
@@ -27,9 +26,10 @@ from rcmpaths.sampler import (
     _BOX_Y,
     _COUNT,
     _RADIUS,
+    anchor_edges,
     block_points,
     box_points,
-    draw_edges,
+    connection_probabilities,
     realize_graph,
     region_for,
     sample_conditioned_ppp,
@@ -144,34 +144,52 @@ def test_disjoint_pair_edges_uncorrelated():
 
 @given(
     spec=st.sampled_from(CONNECTIONS),
-    replications=st.lists(
-        st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1), st.integers(1, 6)), min_size=1, max_size=4
+    k=st.sampled_from([3, 4]),
+    points=st.lists(
+        st.tuples(
+            st.integers(0, 2**64 - 1),
+            st.integers(0, 2**64 - 3),
+            st.integers(1, 3),
+            st.sampled_from([0.3, 1.5]),
+            st.sampled_from([0.5, 1.0, 2.0]),
+        ),
+        min_size=1,
+        max_size=3,
     ),
-    picks=st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 2**16), st.integers(0, 2**16)), min_size=1),
 )
-@settings(max_examples=100, deadline=None)
-def test_point_keys_draw_the_pair_uniforms(spec, replications, picks):
-    # the join of the sweep folds each point's index within its replication
-    # (2, 3, ...) into the replication's edge-stream key once, and draws a
-    # pair of points from its lower point's key: the pair's pair_uniforms,
-    # bit for bit, in either order
-    seeds, reps, sizes = zip(*replications)
-    seeds, reps, sizes = np.array(seeds, dtype=np.uint64), np.array(reps, dtype=np.uint64), np.array(sizes)
-    starts = np.cumsum(sizes) - sizes
-    local = np.arange(sizes.sum()) - np.repeat(starts, sizes) + 2
-    keys = fold_keys(np.repeat(stream_keys(seeds, reps, STREAM_EDGES), sizes), local)
-    b, a, c = (np.array(v) for v in zip(*picks))
-    b %= len(sizes)
-    u, v = starts[b] + a % sizes[b], starts[b] + c % sizes[b]
-    want = pair_uniforms(seeds[b], reps[b], local[u], local[v])
-    sq_dists = np.linspace(0.0, 4.0, len(u))
-    for p, q in ((u, v), (v, u)):
-        lower = keys[np.minimum(p, q)]
-        assert keyed_uniforms(lower, np.maximum(local[p], local[q])).tobytes() == want.tobytes()
-        assert np.array_equal(
-            draw_edges(spec, None, None, local[p], local[q], sq_dists, lower),
-            draw_edges(spec, seeds[b], reps[b], local[p], local[q], sq_dists),
-        )
+@settings(max_examples=60, deadline=None)
+def test_linked_draws_the_pair_uniforms(spec, k, points):
+    # the block's linked callback decides every pair of points of one
+    # replication, in either order, as the pair's pair_uniforms below H
+    slices = [
+        (ModelParams(rho=rho, connection=spec, anchor_distance=r, k=k, margin=1.0), seed, first, first + n)
+        for seed, first, n, rho, r in points
+    ]
+    layout = slice_replications(slices)
+    xy, owner, _, linked = block_points(slices, layout)
+    seeds, replications, _, _ = layout
+    local = np.arange(len(owner)) - np.searchsorted(owner, owner) + 2
+    u, v = np.nonzero((owner[:, None] == owner) & ~np.eye(len(owner), dtype=bool))
+    d = xy[u] - xy[v]
+    h = connection_probabilities(spec, d[:, 0] ** 2 + d[:, 1] ** 2)
+    want = pair_uniforms(seeds[owner[u]], replications[owner[u]], local[u], local[v]) < h
+    assert np.array_equal(linked(u, v), want)
+    assert np.array_equal(linked(v, u), want)
+
+
+@pytest.mark.parametrize("spec", CONNECTIONS, ids=["eta-2", "eta-3", "hard-disk", "tabulated"])
+def test_anchor_edge_draws_the_pair_uniforms(spec):
+    # k = 1 draws the anchors' own edge, the pair {0, 1}, at each slice's
+    # anchor distance
+    slices = [
+        (ModelParams(rho=1.0, connection=spec, anchor_distance=0.6, k=1), 3, 0, 200),
+        (ModelParams(rho=2.0, connection=spec, anchor_distance=1.2, k=1), 2**64 - 1, 2**64 - 200, 2**64),
+    ]
+    layout = slice_replications(slices)
+    seeds, replications, distances, _ = layout
+    hit = anchor_edges(slices, layout)
+    assert np.array_equal(hit, pair_uniforms(seeds, replications, 0, 1) < spec.evaluate(distances))
+    assert 0 < hit.sum() < len(hit)
 
 
 class TestAnchorNeighbours:
@@ -221,7 +239,7 @@ class TestAnchorNeighbours:
         d = g.points[iu] - g.points[ju]
         sq = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
         assert np.array_equal(g.adjacency[iu, ju], g.adjacency[ju, iu])
-        assert np.array_equal(g.adjacency[iu, ju], draw_edges(RAY1, 9, 4, ju, iu, sq))
+        assert np.array_equal(g.adjacency[iu, ju], pair_uniforms(9, 4, ju, iu) < connection_probabilities(RAY1, sq))
         assert g.adjacency[iu, ju].any()
 
     def test_every_point_neighbours_an_anchor(self):
@@ -263,7 +281,8 @@ class TestAnchorNeighbours:
         params = ModelParams(rho=1.5, connection=ConnectionSpec.rayleigh(beta=0.8), anchor_distance=1.0, k=3)
         seed = 21
         slices = [(params, seed, 0, 30)]
-        xy, sizes, near = block_points(slices, slice_replications(slices))
+        xy, owner, near, _ = block_points(slices, slice_replications(slices))
+        sizes = np.bincount(owner, minlength=30)
         starts = np.cumsum(sizes) - sizes
         for rep in range(30):
             key = stream_keys(seed, rep, STREAM_POINTS)
@@ -284,7 +303,7 @@ class TestAnchorNeighbours:
         spec = ConnectionSpec.rayleigh(beta=beta, eta=eta)
         params = ModelParams(rho=0.5, connection=spec, anchor_distance=1.0, k=3)
         slices = [(params, 5, 0, 8000)]
-        xy, _, near = block_points(slices, slice_replications(slices))
+        xy, _, near, _ = block_points(slices, slice_replications(slices))
         x, y = xy[near[0]].T
         assert len(x) > 5000
         dist = np.hypot(x, y)
@@ -296,8 +315,9 @@ class TestAnchorNeighbours:
 def _replications(slices):
     """The block draw of ``slices`` cut back into replications: the bytes of
     each one's points and of its two anchor rows."""
-    xy, sizes, near = block_points(slices, slice_replications(slices))
-    cuts = np.cumsum(sizes)[:-1]
+    layout = slice_replications(slices)
+    xy, owner, near, _ = block_points(slices, layout)
+    cuts = np.cumsum(np.bincount(owner, minlength=len(layout[0])))[:-1]
     parts = (np.split(z, cuts) for z in (xy, *near))
     return [tuple(z.tobytes() for z in rows) for rows in zip(*parts)]
 
@@ -377,18 +397,17 @@ class TestBoxPoints:
     @settings(max_examples=60, deadline=None)
     def test_anchor_rows_are_draw_edges(self, spec, k, points):
         # block_points folds each anchor's pair keys once per replication;
-        # its anchor rows are the rows draw_edges draws from the seed and
-        # replication of every point
+        # its anchor rows are the pair_uniforms of the seed and replication
+        # of every point, below H
         slices = [
             (ModelParams(rho=rho, connection=spec, anchor_distance=r, k=k, margin=1.0), seed, first, first + n)
             for seed, first, n, rho, r in points
         ]
         layout = slice_replications(slices)
-        xy, sizes, near = block_points(slices, layout)
+        xy, owner, near, _ = block_points(slices, layout)
         seeds, replications, distances, _ = layout
-        owner = np.repeat(np.arange(len(sizes)), sizes)
-        local = np.arange(len(owner)) - (np.cumsum(sizes) - sizes)[owner] + 2
+        local = np.arange(len(owner)) - np.searchsorted(owner, owner) + 2
         x, y = xy[:, 0], xy[:, 1]
         for anchor, ax in ((0, 0.0), (1, distances[owner])):
-            want = draw_edges(spec, seeds[owner], replications[owner], anchor, local, (x - ax) * (x - ax) + y * y)
-            assert np.array_equal(near[anchor], want)
+            u = pair_uniforms(seeds[owner], replications[owner], anchor, local)
+            assert np.array_equal(near[anchor], u < connection_probabilities(spec, (x - ax) * (x - ax) + y * y))
