@@ -36,12 +36,12 @@ has no box).  How replications and grid points fall into blocks or workers
 never changes a result: the reports are byte-identical to one replication
 at a time.  A call that draws less than one batch (``_BATCH_POINTS``
 points) counts in the calling process whatever ``threads`` says: starting
-the workers on it would cost more than they save.  With ``threads`` > 1 a larger call's replication
-ranges go through one worker pool per process: it starts on the first such
-call and serves every later call with the same worker count, so repeated
-calls pay for it once.  A call sends the pool its jobs in batches, one per
-worker when the call is cheap, so the messages to the workers do not
-outweigh the counting.
+the workers on it would cost more than they save.  With ``threads`` > 1 a
+larger call's replication ranges go through one worker pool per process: it
+starts on the first such call and serves every later call with the same
+worker count, so repeated calls pay for it once.  A call sends the pool its
+jobs in batches, one per worker when the call is cheap, so the messages to
+the workers do not outweigh the counting.
 
 Every file format follows a dataclass.  The fields of :class:`MomentReport`
 and :class:`MarginCheck`, in order, are the CSV columns and the JSON keys of
