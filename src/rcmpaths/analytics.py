@@ -92,14 +92,11 @@ class QuadratureSpec:
         if spec.kind == RAYLEIGH:
             step = spec.reach / 100.0
             extent = 1.2 * spec.reach * math.sqrt(k)
-        elif spec.kind == HARD_DISK:
-            step = spec.r0 / 40.0
-            extent = k * spec.r0 + 2 * step
         else:
-            d = [knot[0] for knot in spec.table]
-            gaps = [b - a for a, b in zip(d, d[1:]) if b > a]
-            step = min(min(gaps) / 2.0 if gaps else d[-1] / 40.0, d[-1] / 40.0)
-            extent = k * d[-1] + 2 * step
+            # a hard disk's step is r0 / 40, a table's is at most half its
+            # smallest knot gap
+            step = min(_coarse_step_limit(spec) / 2.0, spec.reach / 40.0)
+            extent = k * spec.reach + 2 * step
         extent = math.ceil(extent / step) * step
         return cls(grid_extent=extent, grid_step=step)
 
@@ -149,7 +146,7 @@ def _coarse_step_limit(spec: ConnectionSpec) -> float:
     if spec.kind == HARD_DISK:
         return spec.r0 / 4.0
     d = [k[0] for k in spec.table]
-    gaps = [b - a for a, b in zip(d, d[1:]) if b > a]
+    gaps = [b - a for a, b in zip(d, d[1:])]
     return min(gaps) if gaps else d[-1] / 4.0
 
 

@@ -130,10 +130,14 @@ def _cmd_validate_margin(args) -> int:
     return 0
 
 
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="master seed")
     parser.add_argument("--replications", type=int, default=None, help="replication count override")
-    parser.add_argument("--threads", type=int, default=1, help="worker processes")
+    parser.add_argument("--threads", type=int, default=1, help="worker processes (at most the usable CPUs)")
     parser.add_argument("--out", type=str, default=None, help="output directory")
     parser.add_argument("--strict", action="store_true", help="turn numeric warnings into errors")
 
@@ -187,6 +191,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # a worker pool forks all of its workers at once
+        cpus = _usable_cpus()
+        if getattr(args, "threads", 1) > cpus:
+            raise ValidationError(f"threads: must be at most the {cpus} usable CPUs, got {args.threads}")
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ class UnsupportedClosedFormError(ValueError):
     """A closed-form routine was called outside the regime where it holds."""
 
 
-class QuadratureConfigError(ValueError):
+class QuadratureConfigError(ValidationError):
     """A quadrature grid is unusable (or too coarse while in strict mode)."""
 
 

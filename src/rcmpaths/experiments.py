@@ -276,10 +276,12 @@ _MERGE_POINTS = 1 << 10
 
 # A sweep call sends the pool one batch of jobs per this many points or
 # proposals, and at least one batch per worker; a call that draws fewer
-# counts in the calling process.  Counting that many takes about 10 to 50 ms
-# on one core of a shared 2-vCPU x86 machine, against about 0.2 ms for one
-# message to a worker there, and a k <= 3 call breaks even on two workers
-# at 3500 to 7000 points.
+# counts in the calling process.  A point costs more the denser the grid
+# point: on a shared 2-vCPU x86 machine (Rayleigh beta = 1, separation 1,
+# medians of 9 calls) one batch took 3.3 ms to count at k = 3, rho = 1,
+# 4.0 ms at k = 5, rho = 0.5 and 11.0 ms at k = 3, rho = 5.  On two workers
+# of a started pool the first two broke even near 3 to 4 batches, and the
+# third was faster from one batch (8.1 ms).
 _BATCH_POINTS = 1 << 13
 
 
@@ -708,55 +710,27 @@ _PAIR_STATS = ("mean", "se")
 _BRACKET_COLUMNS = {"partial_sum": "zero_partial_sum", "existence_estimate": "existence_estimate"}
 
 
-def _param_cells(params: ModelParams, columns) -> list[str]:
-    spec = params.connection
-    is_ray = spec.kind == RAYLEIGH
-    values = {
-        "k": int(params.k),
-        "rho": params.rho,
-        "kind": spec.kind,
-        "beta": spec.beta if is_ray else None,
-        "eta": spec.eta if is_ray else None,
-        "r0": spec.r0 if spec.kind == HARD_DISK else None,
-        "anchor_distance": params.anchor_distance,
-        "margin": params.margin,
-    }
-    return [_fmt(values[c]) for c in columns]
-
-
-def _csv_header(names, param_columns, bracket_orders=()) -> list[str]:
-    """Column names of a record whose fields, in column order, are ``names``:
-    ``params``, ``pair_means`` and ``existence_brackets`` span several
-    columns, every other field is one column under its own name."""
-    columns = []
-    for name in names:
-        if name == "params":
-            columns += param_columns
-        elif name == "pair_means":
-            columns += [f"pair_{c}_{stat}" for c in PAIR_CLASSES for stat in _PAIR_STATS]
-        elif name == "existence_brackets":
-            columns += [f"{prefix}_m{m}" for m in bracket_orders for prefix in _BRACKET_COLUMNS.values()]
-        else:
-            columns.append(name)
-    return columns
-
-
-def _csv_cells(record, names, param_columns) -> list[str]:
-    """The CSV row of ``record``, in the columns of :func:`_csv_header`."""
-    cells = []
+def _csv_columns(record, names, param_columns):
+    """``(column, value)`` for every CSV column of ``record``: its fields
+    ``names`` in order, ``params`` as the ``param_columns`` of
+    :func:`params_to_dict` with the connection merged in, and ``pair_means``
+    and ``existence_brackets`` as one column per class or bracket and stat."""
     for name in names:
         value = getattr(record, name)
         if name == "params":
-            cells += _param_cells(value, param_columns)
+            flat = params_to_dict(value)
+            flat.update(flat.pop("connection"))
+            yield from ((c, flat.get(c)) for c in param_columns)
         elif name == "pair_means":
-            cells += [
-                _fmt(None if value is None else value[c][stat]) for c in PAIR_CLASSES for stat in _PAIR_STATS
-            ]
+            for c in PAIR_CLASSES:
+                for stat in _PAIR_STATS:
+                    yield f"pair_{c}_{stat}", None if value is None else value[c][stat]
         elif name == "existence_brackets":
-            cells += [_fmt(getattr(b, attr)) for b in value for attr in _BRACKET_COLUMNS]
+            for b in value:
+                for attr, prefix in _BRACKET_COLUMNS.items():
+                    yield f"{prefix}_m{b.order}", getattr(b, attr)
         else:
-            cells.append(_fmt(value))
-    return cells
+            yield name, value
 
 
 def _json_record(record, names) -> dict:
@@ -795,11 +769,17 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def write_reports_csv(path: str, config: ExperimentConfig, reports: list[MomentReport]) -> None:
-    lines = [f"# experiment: {config.name}", f"# master seed: {config.seed}", _COLUMN_DOC.rstrip()]
-    lines.append(",".join(_csv_header(_REPORT_FIELDS, _REPORT_PARAMS, config.bracket_orders)))
-    lines += [",".join(_csv_cells(r, _REPORT_FIELDS, _REPORT_PARAMS)) for r in reports]
+def _write_csv(path: str, comments: list[str], records, names, param_columns) -> None:
+    """``comments``, the first record's column names, and one row per record."""
+    rows = [list(_csv_columns(record, names, param_columns)) for record in records]
+    lines = [*comments, ",".join(column for column, _ in rows[0])]
+    lines += [",".join(_fmt(value) for _, value in row) for row in rows]
     _write_lines(path, lines)
+
+
+def write_reports_csv(path: str, config: ExperimentConfig, reports: list[MomentReport]) -> None:
+    comments = [f"# experiment: {config.name}", f"# master seed: {config.seed}", _COLUMN_DOC.rstrip()]
+    _write_csv(path, comments, reports, _REPORT_FIELDS, _REPORT_PARAMS)
 
 
 def write_reports_json(path: str, config: ExperimentConfig, reports: list[MomentReport]) -> None:
@@ -952,13 +932,11 @@ _MARGIN_PARAMS = ("k", "rho", "kind", "anchor_distance", "margin")
 
 
 def write_margin_csv(path: str, config: ExperimentConfig, checks: list[MarginCheck]) -> None:
-    lines = [
+    comments = [
         f"# experiment: {config.name} (margin validation)",
         "# shift = doubled-margin mean - base-margin mean from coupled draws; flagged when |shift| > 2 se",
-        ",".join(_csv_header(_MARGIN_FIELDS, _MARGIN_PARAMS)),
     ]
-    lines += [",".join(_csv_cells(c, _MARGIN_FIELDS, _MARGIN_PARAMS)) for c in checks]
-    _write_lines(path, lines)
+    _write_csv(path, comments, checks, _MARGIN_FIELDS, _MARGIN_PARAMS)
 
 
 def write_margin_json(path: str, config: ExperimentConfig, checks: list[MarginCheck]) -> None:

@@ -143,14 +143,11 @@ class ConnectionSpec:
         return np.clip(out, 0.0, 1.0)
 
     def evaluate(self, r):
-        """Link probability at distance ``r`` (graph semantics: 0 at r = 0)."""
+        """Link probability at distance ``r`` (graph semantics: 0 at r = 0):
+        :meth:`kernel` with the r = 0 rule."""
         arr = np.asarray(r, dtype=float)
-        if np.any(arr < 0):
-            raise ValidationError("distances must be nonnegative")
-        out = np.where(arr > 0.0, self._raw(arr), 0.0)
-        if arr.ndim == 0:
-            return float(out)
-        return out
+        out = np.where(arr > 0.0, self.kernel(arr), 0.0)
+        return float(out) if arr.ndim == 0 else out
 
     def kernel(self, r):
         """Continuous extension of the connection function, for integration.
@@ -163,9 +160,7 @@ class ConnectionSpec:
         if np.any(arr < 0):
             raise ValidationError("distances must be nonnegative")
         out = self._raw(arr)
-        if arr.ndim == 0:
-            return float(out)
-        return out
+        return float(out) if arr.ndim == 0 else out
 
     def _rayleigh_reach(self) -> float:
         try:

@@ -17,7 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import CONNECTIONS, classify_path_pairs_oracle, count_khop_paths_oracle
-from rcmpaths import experiments, paths, sampler
+from rcmpaths import cli, experiments, paths, sampler
 from rcmpaths.analytics import mean_khop_numeric, variance_terms_numeric
 from rcmpaths.cli import main as cli_main
 from rcmpaths.errors import ReplicationError, ValidationError
@@ -26,6 +26,7 @@ from rcmpaths.experiments import (
     _attach_references,
     _count_batch,
     _count_block,
+    _fmt,
     _mean_se,
     _pair_stats,
     config_from_dict,
@@ -512,15 +513,39 @@ class TestRunExperiment:
         assert payload["reports"][0]["analytic_mean"] == report.analytic_mean
 
     def test_csv_row_count_and_header(self, tmp_path):
-        cfg = tiny_config(tmp_path)
-        run_experiment(cfg)
-        lines = (tmp_path / "tiny.csv").read_text().splitlines()
-        comments = [l for l in lines if l.startswith("#")]
-        data = [l for l in lines if not l.startswith("#")]
-        assert any("analytic_mean" in c for c in comments)
-        header, rows = data[0], data[1:]
-        assert len(rows) == len(cfg.params_grid)
-        assert len(header.split(",")) == len(rows[0].split(","))
+        # kinds without a closed form, no brackets and no pair classes
+        compact = dict(
+            params_grid=tuple(
+                ModelParams(rho=0.7, connection=connection, anchor_distance=0.9, k=3)
+                for connection in (
+                    ConnectionSpec.hard_disk(1.0),
+                    ConnectionSpec.tabulated([[0.0, 1.0], [0.5, 0.8], [1.0, 0.3], [1.5, 0.0]]),
+                    ConnectionSpec.rayleigh(beta=1.0, eta=3.0),
+                )
+            ),
+            bracket_orders=(),
+            collect_pair_structures=False,
+            replications=20,
+        )
+        for overrides in ({}, compact):
+            cfg = tiny_config(tmp_path, **overrides)
+            run_experiment(cfg)
+            lines = (tmp_path / "tiny.csv").read_text().splitlines()
+            comments = [l for l in lines if l.startswith("#")]
+            data = [l.split(",") for l in lines if not l.startswith("#")]
+            assert any("analytic_mean" in c for c in comments)
+            header, rows = data[0], data[1:]
+            assert len(rows) == len(cfg.params_grid)
+            assert all(len(row) == len(header) for row in rows)
+            brackets = [c for c in header if c.startswith(("zero_partial_sum_m", "existence_estimate_m"))]
+            assert len(brackets) == 2 * len(cfg.bracket_orders)
+            # the parameter cells are the report JSON's params, flattened
+            records = json.loads((tmp_path / "tiny.json").read_text())["reports"]
+            for row, record in zip(rows, records):
+                flat = {**record["params"], **record["params"]["connection"]}
+                cells = dict(zip(header, row))
+                for column in ("k", "rho", "kind", "beta", "eta", "r0", "anchor_distance", "margin"):
+                    assert cells[column] == _fmt(flat.get(column)), (column, record["params"])
 
     def test_numeric_reference_for_non_closed_form(self, tmp_path):
         grid = (ModelParams(rho=0.5, connection=ConnectionSpec.hard_disk(1.0), anchor_distance=1.0, k=3),)
@@ -942,7 +967,8 @@ class TestCli:
         for i, j in payload["edges"]:
             assert 0 <= i < j < n
 
-    def test_run_config_file(self, tmp_path):
+    def test_run_config_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
         cfg = tiny_config(tmp_path / "out", replications=50)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config_to_dict(cfg)))
@@ -1026,14 +1052,37 @@ class TestCli:
             ),
             (["preset", "fig-existence", "--threads", "0"], "threads: must be an integer >= 1, got 0"),
             (["preset", "fig-existence", "--threads", "-3"], "threads: must be an integer >= 1, got -3"),
+            (
+                ["preset", "fig-existence", "--threads", "100000", "--replications", "5"],
+                "threads: must be at most the 2 usable CPUs, got 100000",
+            ),
         ],
-        ids=["preset-replications-0", "margin-replications-0", "threads-0", "threads-negative"],
+        ids=["preset-replications-0", "margin-replications-0", "threads-0", "threads-negative", "threads-over-cpus"],
     )
-    def test_bad_counts_exit_2(self, tmp_path, capsys, argv, problem):
+    def test_bad_counts_exit_2(self, tmp_path, capsys, monkeypatch, argv, problem):
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a refused run started a worker pool")
+
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", NoPool)
         # a refused run makes no output directory, let alone files
         assert cli_main(argv + ["--out", str(tmp_path / "out")]) == 2
-        assert problem in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert problem in err and err.startswith("error: ") and err.count("\n") == 1, err
         assert not list(tmp_path.iterdir())
+
+    def test_strict_coarse_grid_exits_2(self, tmp_path, capsys):
+        # Rayleigh eta = 0.5 reaches 625, so its default grid step, 6.25, is
+        # above the coarseness limit 0.25, which strict mode refuses
+        params = ModelParams(rho=0.01, connection=ConnectionSpec.rayleigh(eta=0.5), anchor_distance=1.0, k=3)
+        cfg = tiny_config(tmp_path / "out", params_grid=(params,), replications=5, strict_numerics=True)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config_to_dict(cfg)))
+        assert cli_main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: grid step 6.25 (grid_step 6.25) is too coarse for this connection (limit 0.25)\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "argv, problem",
