@@ -2,7 +2,7 @@
 
 Simulates planar random connection models conditioned on two anchor nodes,
 counts k-hop simple paths between them exactly, and reproduces the counts'
-moments with closed forms and grid quadrature, including the decomposition of
+moments with closed forms and quadrature, including the decomposition of
 the 3-hop variance into ordered path-pair intersection classes and
 factorial-moment brackets on the path-existence probability.
 """

@@ -15,18 +15,18 @@ path-pair classes of :class:`rcmpaths.paths.PairStructureCounts`: sigma11
 opposite positions), and sigma22 (both intermediates shared, outer edges
 distinct); the self-pair class sigma21 contributes the mean itself.
 
-The numerical route exploits that the k-hop mean integrand is a chain of
-radial displacement kernels, so the 2(k-1)-dimensional integral collapses to
-k-1 planar convolutions evaluated on a grid.  H is evaluated once per call,
-and the chain transforms the kernel grid once and reuses its spectrum at
-every step.  The last convolution is needed at one displacement only, so it
-is read off as an inner product of the chain's last power with the shifted
-kernel grid, with no transform (a 2-hop mean runs none at all).  The
-pair-class integrals read the 2-hop kernel and the 3-hop mean off that same
-chain, plus one extra convolution, of the nonzero rows of its operand, on
-the chain's spectrum of the kernel.  Each 2-D transform runs as its two 1-D
-stages and skips the rows known to be zero (the padding).  The chain's
-convolutions equal ``scipy.signal.fftconvolve`` bit for bit.
+The numerical route uses that every connection function is radial: a planar
+convolution of radial functions is the product of their order-0 Hankel
+transforms, F(q) = 2 pi int H(s) J0(q s) s ds.  So, with h2 = H * H the
+2-hop kernel (read back from F**2 at the nodes),
+
+    mean_k  = rho**(k-1) / (2 pi) int F(q)**k J0(q r) q dq,
+    sigma11 = 2 rho**3 (H * h2**2)(r),  sigma12 = 2 rho**3 ((H h2) * (H h2))(r),
+
+each from one J0 matrix on Gauss-Legendre panels derived from the kernel.
+sigma22's union graph (x-U, U-y, x-V, V-y, U-V) is not series-parallel, so
+it stays on a grid sized to the support of H(. - x) H(. - y), as one
+Parseval sum of two forward FFTs.
 """
 from __future__ import annotations
 
@@ -66,8 +66,11 @@ class AnalyticMoments:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """The square grid the moment integrals are evaluated on: it spans
-    ``grid_extent`` on each side of the origin in steps of ``grid_step``."""
+    """The square grid of the sigma22 term: it spans ``grid_extent`` about
+    each anchor in steps of ``grid_step``, and the term sums over its nodes
+    within ``grid_extent`` of both anchors.  The extent must cover the
+    connection's reach; the radial route of the other integrals takes no
+    grid."""
 
     grid_extent: float = 10.0
     grid_step: float = 0.05
@@ -81,24 +84,16 @@ class QuadratureSpec:
 
     @classmethod
     def default_for(cls, params: ModelParams) -> "QuadratureSpec":
-        """Grid sized from the per-hop kernel scale and the hop count.
-
-        Rayleigh defaults give >10 grid points per kernel standard deviation
-        and tail truncation below 1e-10: extent 1.2*reach*sqrt(k) and step
-        reach/100, i.e. 6*sqrt(k)/sqrt(beta) and 1/(20*sqrt(beta)) for eta=2.
-        """
+        """Grid sized to the kernel's support: the extent is the reach,
+        rounded up to a whole number of steps.  A Rayleigh step is reach / 100
+        (1 / (20 sqrt(beta)) for eta = 2), a hard disk's r0 / 40, and a
+        table's at most half its smallest knot gap."""
         spec = params.connection
-        k = max(int(params.k), 3)
         if spec.kind == RAYLEIGH:
             step = spec.reach / 100.0
-            extent = 1.2 * spec.reach * math.sqrt(k)
         else:
-            # a hard disk's step is r0 / 40, a table's is at most half its
-            # smallest knot gap
             step = min(_coarse_step_limit(spec) / 2.0, spec.reach / 40.0)
-            extent = k * spec.reach + 2 * step
-        extent = math.ceil(extent / step) * step
-        return cls(grid_extent=extent, grid_step=step)
+        return cls(grid_extent=math.ceil(spec.reach / step - 1e-9) * step, grid_step=step)
 
 
 def mean_khop_rayleigh(params: ModelParams) -> float:
@@ -136,8 +131,114 @@ def variance_threehop_rayleigh(params: ModelParams) -> AnalyticMoments:
 
 
 # ---------------------------------------------------------------------------
-# grid-convolution quadrature
+# radial quadrature
 # ---------------------------------------------------------------------------
+
+# A Gauss-Legendre panel spans at most _PANEL_PHASE radians of J0 and takes
+# phase / 3 + 12 nodes (enough for cos(phase * x) over [0, 1] to 1e-14); the
+# q-range sheds a tail of _TAIL, and a call's J0 matrix holds at most
+# _RADIAL_CAP entries (8 MiB), shortening the q-range if need be; a tail
+# then above _CAPPED_TAIL warns.
+_PANEL_PHASE = 120.0
+_TAIL = 1e-9
+_RADIAL_CAP = 2**20
+_CAPPED_TAIL = 1e-6
+
+
+def _gauss_legendre(n: int):
+    """The n-point Gauss-Legendre rule on [-1, 1] (Golub-Welsch), at a
+    fifth of the cost of numpy's ``leggauss``."""
+    i = np.arange(1.0, n)
+    off = i / np.sqrt(4.0 * i * i - 1.0)
+    nodes, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    return nodes, 2.0 * vectors[0] ** 2
+
+
+def _panels(edges, frequency: float, refine: int):
+    """Gauss-Legendre nodes and weights over consecutive ``edges``, each
+    interval cut into equal panels of at most _PANEL_PHASE radians of
+    cos(frequency * x); ``refine`` multiplies each panel's node count."""
+    nodes, weights = [], []
+    for a, b in zip(edges, edges[1:]):
+        parts = max(1, math.ceil((b - a) * frequency / _PANEL_PHASE))
+        x, w = _gauss_legendre(refine * (math.ceil((b - a) * frequency / parts / 3.0) + 12))
+        width = (b - a) / parts
+        nodes.append((a + width * np.arange(parts)[:, None] + width / 2.0 * (x + 1.0)).ravel())
+        weights.append(np.tile(width / 2.0 * w, parts))
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def _radial_rule(spec: ConnectionSpec, s_max: float, bandwidth: float, strict: bool, refine: int = 1):
+    """``(s, ws, q, wq)``: Gauss-Legendre nodes and weights on [0, s_max],
+    split at the kernel's knots (a table's distances, the reach, and a, a/4,
+    a/16, a/64 toward a Rayleigh cusp at 0, a = beta**(-1/eta)), and on
+    [0, q_max], resolving J0(q s) for s up to ``bandwidth``.  q_max = T / a
+    (T / reach when compact) follows from F's decay: q**-1.5 past a jump of
+    H, q**-2.5 past a kink, q**-(2 + eta) from a cusp, faster than any power
+    for eta = 2; F**2 and its like shed a tail of T**(2 - 2 decay), which T
+    holds to _TAIL within [16, 128].  Above _RADIAL_CAP nodes the q-range
+    shortens, and if its tail then exceeds _CAPPED_TAIL the rule warns, or
+    raises QuadratureConfigError when ``strict``.  ``refine`` multiplies
+    q_max and each panel's node count."""
+    if spec.kind == RAYLEIGH:
+        scale = spec.beta ** (-1.0 / spec.eta)
+        decay = math.inf if spec.eta == 2.0 else 2.0 + spec.eta
+        knots = [] if spec.eta == 2.0 else [scale / 4.0**j for j in (3, 2, 1, 0)]
+    else:
+        scale = spec.reach
+        decay = 1.5 if spec.kind == HARD_DISK or spec.table[-1][1] > 0.0 else 2.5
+        knots = [] if spec.kind == HARD_DISK else [d for d, _ in spec.table]
+    edges = sorted({0.0, s_max, *(d for d in (*knots, spec.reach) if d < s_max)})
+    q_max = refine * min(128.0, max(16.0, _TAIL ** (-1.0 / (2.0 * decay - 2.0)))) / scale
+    needed = None
+    while True:
+        s, ws = _panels(edges, q_max, refine)
+        q, wq = _panels([0.0, q_max], bandwidth, refine)
+        if len(s) * len(q) <= _RADIAL_CAP:
+            break
+        needed = needed or len(s) * len(q)
+        q_max *= 0.9 * math.sqrt(_RADIAL_CAP / (len(s) * len(q)))
+    tail = (q_max * scale / refine) ** (2.0 - 2.0 * decay)
+    if needed and tail > _CAPPED_TAIL:
+        msg = f"the radial quadrature needs {needed} J0 nodes for this connection, above its cap {_RADIAL_CAP}"
+        msg += f"; within the cap its q-range sheds a tail of {tail:.1g}"
+        if strict:
+            raise QuadratureConfigError(msg)
+        warnings.warn(msg, stacklevel=4)
+    return s, ws, q, wq
+
+
+def _radial_moments(params: ModelParams, strict: bool, refine: int = 1):
+    """``(mean, sigma11, sigma12)`` by the radial route; the sigma terms are
+    None unless k = 3.  A k = 3 rule reads h2**2 out to where it dies (2
+    reach for a compact kernel, reach * 2**(1 - 2/eta) for Rayleigh), so its
+    mean is the same number whichever function asks for it."""
+    from scipy.special import j0
+
+    spec, k, r, rho = params.connection, int(params.k), params.anchor_distance, params.rho
+    # Rayleigh runs on to 1.2 reaches, where H < e**-36 for eta >= 2
+    reach = spec.reach if spec.kind != RAYLEIGH else 1.2 * spec.reach
+    if k == 3:
+        s_max = reach * (max(1.0, 2.0 ** (1.0 - 2.0 / spec.eta)) if spec.kind == RAYLEIGH else 2.0)
+        bandwidth = reach + s_max + max(r, reach)
+    else:
+        s_max, bandwidth = reach, k * reach + r
+    s, ws, q, wq = _radial_rule(spec, s_max, bandwidth, strict, refine)
+    bessel = j0(np.outer(s, q))
+    forward = 2.0 * math.pi * ws * s
+    back = wq * q * j0(q * r) / (2.0 * math.pi)
+    h = spec.kernel(s)
+    f = (forward * h) @ bessel
+    # a compact kernel's n-fold convolution vanishes beyond n reaches, where
+    # the truncated q-integral would leave noise
+    support = math.inf if spec.kind == RAYLEIGH else reach
+    mean = 0.0 if r >= k * support else rho ** (k - 1) * float(back @ f**k)
+    if k != 3:
+        return mean, None, None
+    h2 = bessel @ (wq * q * f * f) / (2.0 * math.pi)
+    s11 = 0.0 if r >= 3 * support else 2.0 * rho**3 * float(back @ (f * ((forward * h2 * h2) @ bessel)))
+    g = (forward * h * h2) @ bessel
+    return mean, s11, 0.0 if r >= 2 * support else 2.0 * rho**3 * float(back @ (g * g))
 
 
 def _coarse_step_limit(spec: ConnectionSpec) -> float:
@@ -151,16 +252,14 @@ def _coarse_step_limit(spec: ConnectionSpec) -> float:
 
 
 def _grid(params: ModelParams, quad: QuadratureSpec | None, strict: bool):
-    """``(s, m, t)`` for the grid ``quad`` (by default sized for ``params``),
-    once checked: 2m + 1 nodes of step s per axis, and r = t * s.  The step
-    puts r on a node, unless r is at most half a step (the read-off then
-    interpolates between x-nodes; the chain is flat at that scale), so s
-    may be up to 1.5 times ``grid_step``; s is what the coarseness check
-    reads."""
+    """``(s, m, nr)`` for the grid ``quad`` (by default sized for
+    ``params``), once checked: m nodes of step s about each anchor, nr
+    between them.  s puts r on a node unless r is at most half a step (the
+    anchors then share one), so s may be up to 1.5 times ``grid_step``."""
     spec, r = params.connection, params.anchor_distance
     quad = quad or QuadratureSpec.default_for(params)
-    if quad.grid_extent <= r:
-        raise QuadratureConfigError(f"grid_extent {quad.grid_extent} does not cover the anchor distance {r}")
+    if quad.grid_extent < spec.reach * (1.0 - 1e-9):
+        raise QuadratureConfigError(f"grid_extent {quad.grid_extent} does not cover the reach {spec.reach:.6g}")
     nodes = round(r / quad.grid_step)
     s = r / nodes if nodes else quad.grid_step
     limit = _coarse_step_limit(spec)
@@ -169,146 +268,52 @@ def _grid(params: ModelParams, quad: QuadratureSpec | None, strict: bool):
         if strict:
             raise QuadratureConfigError(msg)
         warnings.warn(msg, stacklevel=3)
-    return s, int(math.ceil(quad.grid_extent / s - 1e-9)), r / s
+    return s, int(math.ceil(quad.grid_extent / s - 1e-9)), nodes
 
 
-def _kernel_grid(spec: ConnectionSpec, m: int, s: float, extra: int = 0) -> np.ndarray:
-    """H at the nodes (i s, j s), i = -m .. m + extra, j = -m .. m.  Its
-    first 2m + 1 rows are the kernel grid h; reversed, its rows are H about
-    (extra * s, 0), exactly, as each coordinate is an integer times s."""
-    x = np.arange(-m, m + extra + 1) * s
-    return spec.kernel(np.hypot(x[:, None], x[: 2 * m + 1]))
-
-
-def _nonzero_rows(a: np.ndarray) -> slice:
-    """The rows of ``a`` from its first to its last row holding a nonzero."""
-    rows = np.flatnonzero(a.any(axis=1))
-    return slice(int(rows[0]), int(rows[-1]) + 1) if len(rows) else slice(0, 0)
-
-
-def _convolve_same(a: np.ndarray, b: np.ndarray, spectrum=None):
-    """``scipy.signal.fftconvolve(a, b, mode="same")`` bit for bit, with
-    ``scipy.fft`` (a third of ``scipy.signal``'s import time).
-
-    The 2-D transforms run as the two 1-D stages pocketfft runs inside
-    ``rfftn`` and ``irfftn``: the row stage (``rfft`` along axis 1), on an
-    operand's rows from its first to its last nonzero one only, then the
-    column stage (``fft`` along axis 0); the inverse runs them in reverse
-    and scales once, as pocketfft does at its last stage.  Each row is
-    transformed on its own, so skipping zero rows changes no bit.
-
-    Returns the result and ``b``'s spectrum, which a later call with the
-    same ``b`` and an ``a`` with as many columns may pass back.  Its padded
-    row count then serves: for an ``a`` of ``b``'s shape it is
-    ``fftconvolve``'s, and for any ``a`` with ``len(a) + len(b) // 2`` rows
-    at most, no kept row wraps around.  ``a is b`` transforms once.
-    """
+def _sigma22(spec: ConnectionSpec, s: float, m: int, nr: int) -> float:
+    """sigma22 / rho**2: cell**2 sum_{U,V} q(U) q(V) H(U - V) over the nodes
+    within m of both anchors, q = H(. - x) H(. - y), from H on the square of
+    m nodes about an anchor.  It is one Parseval sum, cell**2 sum_xi Hhat(xi)
+    |Qhat(xi)|**2 / N, on a periodic grid that holds q's span plus H's on
+    each axis, so no difference U - V wraps onto H's square; H is centred on
+    the periodic origin, so Hhat is real."""
     from scipy import fft
 
-    full = [p + q - 1 for p, q in zip(a.shape, b.shape)]
-    n1 = fft.next_fast_len(full[1], True)
-    n0 = fft.next_fast_len(full[0], True) if spectrum is None else len(spectrum)
-
-    def transform(x):
-        # the row stage writes straight into the column stage's zero padding
-        band = _nonzero_rows(x)
-        out = np.zeros((n0, n1 // 2 + 1), dtype=complex)
-        out[band] = fft.rfft(x[band], n1, axis=1)
-        return fft.fft(out, axis=0, overwrite_x=True)
-
-    if spectrum is None:
-        spectrum = transform(b)
-    if a is b:
-        product = spectrum * spectrum
-    else:
-        product = transform(a)
-        product *= spectrum
-    start0, start1 = ((n - p) // 2 for n, p in zip(full, a.shape))
-    columns = fft.ifft(product, axis=0, norm="forward", overwrite_x=True)[start0 : start0 + a.shape[0]]
-    out = fft.irfft(columns, n1, axis=1, norm="forward")[:, start1 : start1 + a.shape[1]]
-    return out * float(np.longdouble(1) / np.longdouble(n0 * n1)), spectrum
+    if nr > 2 * m:
+        return 0.0
+    axis = np.arange(-m, m + 1) * s
+    h = spec.kernel(np.hypot(axis[:, None], axis))
+    q = h[nr:] * h[: len(h) - nr]
+    # differences U - V span len(q) - 1 rows, so H's rows beyond never meet
+    mx = min(m, len(q) - 1)
+    h = h[m - mx : m + mx + 1]
+    shape = (fft.next_fast_len(len(q) + mx, True), fft.next_fast_len(3 * m + 1, True))
+    periodic = np.roll(np.pad(h, [(0, n - k) for n, k in zip(shape, h.shape)]), (-mx, -m), axis=(0, 1))
+    q_hat = fft.rfft2(q, shape)
+    power = fft.rfft2(periodic).real * (q_hat.real**2 + q_hat.imag**2)
+    # rfft2 keeps half the spectrum: count each column twice but the first and an even N1's last
+    total = 2.0 * power.sum() - power[:, 0].sum() - (power[:, -1].sum() if shape[1] % 2 == 0 else 0.0)
+    return s**4 * float(total) / (shape[0] * shape[1])
 
 
-def _chain_grid(h: np.ndarray, k: int, cell: float):
-    """h^{*(k-1)}, the (k-1)-fold convolution power of the kernel grid h
-    (each convolution scaled by the cell area), and the spectrum of h (None
-    at k = 2, which convolves nothing), all from one transform of h."""
-    power, spectrum = h, None
-    for _ in range(k - 2):
-        power, spectrum = _convolve_same(power, h, spectrum)
-        power *= cell
-    return power, spectrum
-
-
-def _read_off(power: np.ndarray, h: np.ndarray, t: float, cell: float) -> float:
-    """(power * h)(r, 0), the last convolution of the chain at the anchor
-    displacement r = t steps, as the inner product cell * sum_u power(u)
-    h(u - r e1): at a node i, h shifted by i rows (h is its own mirror
-    image); between nodes, linear in the two nearest."""
-
-    def at(i):
-        return float(np.einsum("ij,ij->", power[i:], h[: len(h) - i]))
-
-    i0 = math.floor(t)
-    frac = t - i0
-    return cell * (at(i0) * (1.0 - frac) + at(i0 + 1) * frac if frac else at(i0))
-
-
-def mean_khop_numeric(
-    params: ModelParams, quad: QuadratureSpec | None = None, strict: bool = False
-) -> float:
-    """Expected k-hop path count for any connection function.
-
-    Samples the kernel on a square grid, chains k-2 FFT convolutions, and
-    reads the last of the k-1 off at the displacement (r, 0) as an inner
-    product.
-    """
-    k = int(params.k)
-    if k == 1:
+def mean_khop_numeric(params: ModelParams, strict: bool = False) -> float:
+    """Expected k-hop path count for any connection function, by the radial
+    route; ``strict`` refuses a kernel its rule cannot resolve in its cap."""
+    if params.k == 1:
         return params.connection.evaluate(params.anchor_distance)
-    s, m, t = _grid(params, quad, strict)
-    h = _kernel_grid(params.connection, m, s)
-    return params.rho ** (k - 1) * _read_off(_chain_grid(h, k, s * s)[0], h, t, s * s)
+    return _radial_moments(params, strict)[0]
 
 
 def variance_terms_numeric(
     params: ModelParams, quad: QuadratureSpec | None = None, strict: bool = False
 ) -> AnalyticMoments:
-    """Numerically evaluate the 3-hop variance and its pair-class terms.
-
-    The one-shared-vertex terms integrate a single free vertex U against the
-    2-hop kernel; the opposite-position class has two orientations (shared
-    vertex first in one path, second in the other), so its base integral is
-    doubled.  The both-shared class is a double integral handled with one
-    extra convolution.
-    """
+    """Numerically evaluate the 3-hop variance and its pair-class terms: the
+    mean, sigma11 and sigma12 by the radial route (the opposite-position
+    class has two orientations, so its base integral is doubled), and
+    sigma22 on the grid ``quad``, by default sized to the kernel's support."""
     if params.k != 3:
         raise ValidationError(f"pair-class variance is specific to k = 3, got k = {params.k}")
-    rho = params.rho
-    s, m, t = _grid(params, quad, strict)
-    nr = int(round(t))
-    cell = s * s
-    # H(U - x) over the free vertex U, on [-extent, r+extent] x [-extent,
-    # extent]: its first 2m + 1 rows are h, and its mirror is H(U - y)
-    h_at_x = _kernel_grid(params.connection, m, s, nr)
-    h_at_y = h_at_x[::-1]
-    h = h_at_x[: 2 * m + 1]
-    h2, spectrum = _chain_grid(h, 3, cell)
-    mean = rho**2 * _read_off(h2, h, t, cell)
-
-    # only q's nonzero rows (21 of 305 for a hard disk at separation 1.5) are
-    # convolved, on the chain's spectrum of h: its padded row count, at
-    # least 4m + 1, holds them with no wrap-around, as nr <= m
-    q = h_at_x * h_at_y
-    band = q[_nonzero_rows(q)]
-    conv_q = _convolve_same(band, h, spectrum)[0]
-    del spectrum
-    conv_q *= cell
-    s22 = rho**2 * cell * float(np.einsum("ij,ij->", band, conv_q))
-    # the chain's 2-hop kernel at U-x and U-y, shifted by nr rows (values
-    # beyond the centered grid are tail-negligible zeros)
-    h2_at_x = np.pad(h2, ((0, nr), (0, 0)))
-    h2_at_y = np.pad(h2, ((nr, 0), (0, 0)))
-    s11 = rho**3 * cell * float((h_at_x * h2_at_y**2).sum() + (h_at_y * h2_at_x**2).sum())
-    s12 = 2.0 * rho**3 * cell * float((h_at_x * h_at_y * h2_at_x * h2_at_y).sum())
-    return AnalyticMoments.from_terms(mean, s11, s12, s22)
+    s, m, nr = _grid(params, quad, strict)
+    mean, s11, s12 = _radial_moments(params, strict)
+    return AnalyticMoments.from_terms(mean, s11, s12, params.rho**2 * _sigma22(params.connection, s, m, nr))

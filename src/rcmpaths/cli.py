@@ -108,14 +108,8 @@ def _cmd_preset(args) -> int:
 
 
 def _cmd_validate_margin(args) -> int:
-    if args.preset is None:
-        config = _apply_overrides(load_config(args.config), args)
-    else:
-        config = preset_config(
-            args.preset,
-            outputs=args.out or "results",
-            seed=args.seed if args.seed is not None else 0,
-        )
+    source = load_config(args.config) if args.preset is None else preset_config(args.preset, outputs="results")
+    config = _apply_overrides(source, args)
     checks = validate_margin(config, replications=args.replications, threads=args.threads)
     os.makedirs(config.outputs, exist_ok=True)
     base = os.path.join(config.outputs, config.name + "_margin")

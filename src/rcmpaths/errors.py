@@ -17,7 +17,7 @@ class UnsupportedClosedFormError(ValueError):
 
 
 class QuadratureConfigError(ValidationError):
-    """A quadrature grid is unusable (or too coarse while in strict mode)."""
+    """A quadrature grid or radial rule is unusable (or too coarse while in strict mode)."""
 
 
 class ReplicationError(RuntimeError):

@@ -596,7 +596,7 @@ def _attach_references(params: ModelParams, config: ExperimentConfig):
     numeric_mean = numeric_variance = None
     if config.attach_numeric or not closed_form:
         if params.k == 3:
-            # the variance pass reads the mean off its own convolution chain
+            # the variance pass gives the mean from its own radial rule
             moments = variance_terms_numeric(params, strict=config.strict_numerics)
             numeric_mean, numeric_variance = moments.mean, moments.variance
         else:

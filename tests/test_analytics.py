@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import mc_mean, mc_variance_terms, quadrature_mean_oracle, quadrature_variance_oracle
 from rcmpaths.analytics import (
     QuadratureSpec,
-    _convolve_same,
+    _radial_moments,
     mean_khop_numeric,
     mean_khop_rayleigh,
     variance_terms_numeric,
@@ -151,124 +151,128 @@ class TestGridQuadrature:
             variance_terms_numeric(ray_params(k=2))
 
     def test_grid_refinement_converges(self):
+        # only sigma22 runs on the grid; the radial terms do not read it
         p = ray_params(rho=1.0, beta=1.0, r=1.0)
         quad = QuadratureSpec.default_for(p)
         halved = QuadratureSpec(grid_extent=quad.grid_extent, grid_step=quad.grid_step / 2)
-        a = mean_khop_numeric(p, quad)
-        b = mean_khop_numeric(p, halved)
-        assert abs(a - b) / b < 1e-3
         va = variance_terms_numeric(p, quad)
         vb = variance_terms_numeric(p, halved)
-        for term in ("sigma11_term", "sigma12_term", "sigma22_term"):
-            assert abs(getattr(va, term) - getattr(vb, term)) / getattr(vb, term) < 1e-3
+        assert abs(va.sigma22_term - vb.sigma22_term) / vb.sigma22_term < 1e-3
+        for term in ("mean", "sigma11_term", "sigma12_term"):
+            assert getattr(va, term) == getattr(vb, term)
 
 
-# the shapes the quadrature convolves: the chain's (2m+1)^2 with itself and
-# the free-vertex grid q, (2m+nr+1) x (2m+1), with the kernel grid; plus
-# arbitrary odd, even, square and rectangular pairs (every side >= 2)
-_side = st.integers(2, 40)
-_conv_shapes = st.one_of(
-    st.integers(1, 20).map(lambda m: ((2 * m + 1,) * 2, (2 * m + 1,) * 2)),
-    st.tuples(st.integers(1, 20), st.integers(0, 12)).map(
-        lambda t: ((2 * t[0] + t[1] + 1, 2 * t[0] + 1), (2 * t[0] + 1,) * 2)
-    ),
-    st.tuples(st.tuples(_side, _side), st.tuples(_side, _side)),
-)
+def _lens(r0, r):
+    """Area of the intersection of two disks of radius r0 whose centres are r
+    apart."""
+    return 2 * r0 * r0 * math.acos(r / (2 * r0)) - (r / 2) * math.sqrt(4 * r0 * r0 - r * r)
 
 
-class TestConvolveSame:
-    @given(shapes=_conv_shapes, seed=st.integers(0, 2**32 - 1), data=st.data())
-    @settings(max_examples=150, deadline=None)
-    def test_equals_scipy_signal_fftconvolve(self, shapes, seed, data):
-        from scipy.signal import fftconvolve
+TABLE = ConnectionSpec.tabulated([(0.0, 0.9), (0.5, 0.7), (1.0, 0.35), (1.5, 0.0)])
+_RADIAL_TERMS = ("mean", "sigma11_term", "sigma12_term")
 
-        rng = np.random.default_rng(seed)
-        a, b = (rng.standard_normal(shape) for shape in shapes)
-        # zero rows of a are skipped by the row transforms
-        a[rng.random(len(a)) < 0.3] = 0.0
-        oracle = fftconvolve(a, b, mode="same")
-        out, b_spectrum = _convolve_same(a, b)
-        assert np.array_equal(out, oracle)
-        assert np.array_equal(_convolve_same(a, b, b_spectrum)[0], oracle)
-        self_oracle = fftconvolve(b, b, mode="same")
-        self_out, self_spectrum = _convolve_same(b, b)
-        assert np.array_equal(self_out, self_oracle)
-        assert np.array_equal(_convolve_same(b, b, self_spectrum)[0], self_oracle)
-        # a band of a's rows, zero outside it, is transformed as found
-        lo = data.draw(st.integers(0, len(a) - 1), label="lo")
-        hi = data.draw(st.integers(lo + 1, len(a)), label="hi")
-        a[:lo] = a[hi:] = 0.0
-        oracle = fftconvolve(a, b, mode="same")
-        assert np.array_equal(_convolve_same(a, b, b_spectrum)[0], oracle)
 
-    @given(m=st.integers(1, 30), seed=st.integers(0, 2**32 - 1), data=st.data())
-    @settings(max_examples=100, deadline=None)
-    def test_kernel_spectrum_serves_the_free_vertex_grid(self, m, seed, data):
-        # the spectrum of b from its self-convolution (the chain's first
-        # step) serves the s22 term's free-vertex grid q, 2m + nr + 1 rows
-        # for nr <= m, at the chain's padded row count: no kept row wraps
-        # around, so the rows of q's nonzero band convolve as in
-        # fftconvolve, to rounding; so does any a with as many columns and
-        # at most the padded count less m rows
-        from scipy.fft import next_fast_len
-        from scipy.signal import fftconvolve
+class TestRadialQuadrature:
+    def test_rayleigh_means_match_closed_forms(self):
+        for k in (2, 3, 4, 5, 6):
+            for beta in (0.5, 1.0):
+                for r in (0.0, 0.5, 1.0, 2.0, 3.0):
+                    for rho in (0.5, 2.0):
+                        p = ray_params(rho=rho, beta=beta, r=r, k=k)
+                        closed = mean_khop_rayleigh(p)
+                        assert abs(mean_khop_numeric(p) - closed) / closed < 1e-9, (k, beta, r, rho)
 
-        rng = np.random.default_rng(seed)
-        b = rng.standard_normal((2 * m + 1, 2 * m + 1))
-        kernel_spectrum = _convolve_same(b, b)[1]
-        n0 = next_fast_len(4 * m + 1, True)
-        assert len(kernel_spectrum) == n0
-        nr = data.draw(st.integers(0, m), label="nr")
-        rows = data.draw(st.sampled_from([2 * m + nr + 1, n0 - m]), label="rows")
-        a = rng.standard_normal((rows, 2 * m + 1))
-        lo = data.draw(st.integers(0, rows - 1), label="lo")
-        hi = data.draw(st.integers(lo + 1, rows), label="hi")
-        a[:lo] = a[hi:] = 0.0
-        oracle = fftconvolve(a, b, mode="same")[lo:hi]
-        out = _convolve_same(a[lo:hi], b, kernel_spectrum)[0]
-        assert out.shape == oracle.shape
-        np.testing.assert_allclose(out, oracle, rtol=0, atol=1e-12 * np.abs(oracle).max())
+    def test_rayleigh_terms_match_closed_forms(self):
+        for beta in (0.5, 1.0):
+            for r in (0.0, 0.5, 1.0, 2.0, 3.0):
+                for rho in (0.5, 2.0):
+                    p = ray_params(rho=rho, beta=beta, r=r)
+                    closed = variance_threehop_rayleigh(p)
+                    num = variance_terms_numeric(p)
+                    for term in ("mean", "sigma11_term", "sigma12_term", "sigma22_term", "variance"):
+                        c = getattr(closed, term)
+                        assert abs(getattr(num, term) - c) / c < 1e-9, (beta, r, rho, term)
 
-    def test_chain_transforms_the_kernel_once(self, quadrature_calls):
-        p = ModelParams(rho=1.0, connection=ConnectionSpec.hard_disk(1.0), anchor_distance=1.0, k=5)
-        mean_khop_numeric(p)
-        # one evaluation of H and one transform of h, its row stage on h's
-        # nonzero rows only; then each chain stage after the first is
-        # transformed once, and the last convolution is an inner product,
-        # not a transform
-        assert [name for name, _, of_kernel in quadrature_calls if of_kernel] == ["kernel", "rfft"]
-        assert [name for name, _, _ in quadrature_calls] == ["kernel"] + ["rfft", "fft", "ifft", "irfft"] * 3
-        side, band = quadrature_calls[0][1], quadrature_calls[1][1]
-        assert band < side
-        row_stages = [(name, lines) for name, lines, _ in quadrature_calls if name in ("rfft", "irfft")]
-        assert row_stages == [("rfft", band)] + [("irfft", side), ("rfft", side)] * 2 + [("irfft", side)]
+    @pytest.mark.parametrize(
+        "spec", [TABLE, ConnectionSpec.rayleigh(beta=0.7, eta=3.0), ConnectionSpec.rayleigh(beta=1.0, eta=3.0)]
+    )
+    def test_terms_match_a_doubled_node_run(self, spec):
+        # doubling q_max and every panel's nodes moves the k = 3 terms by
+        # less than 1e-7 (sigma12 of a kinked table converges slowest near
+        # r = 0, where its q-tail has no oscillation to cancel)
+        for r in (0.5, 1.0, 1.5):
+            p = ModelParams(rho=1.3, connection=spec, anchor_distance=r, k=3)
+            np.testing.assert_allclose(_radial_moments(p, False), _radial_moments(p, False, 2), rtol=1e-7, atol=0)
 
-    def test_variance_transforms_the_kernel_once(self, quadrature_calls):
+    @pytest.mark.parametrize(
+        "spec, quad",
+        [
+            (ConnectionSpec.rayleigh(beta=0.7, eta=3.0), None),
+            (ConnectionSpec.rayleigh(beta=1.0, eta=3.0), None),
+            # at the default step r0 / 40 the grid's lattice points on the
+            # disk's edge bias it by up to 3e-3; at step 0.01, by 4e-4
+            (ConnectionSpec.hard_disk(1.0), QuadratureSpec(grid_extent=1.0, grid_step=0.01)),
+        ],
+        ids=["eta3-beta0.7", "eta3-beta1", "hard-disk"],
+    )
+    def test_terms_match_the_grid_oracle(self, spec, quad):
+        # an independent check of the terms with no closed form
+        for r in (0.5, 1.0, 1.5):
+            p = ModelParams(rho=1.0, connection=spec, anchor_distance=r, k=3)
+            oracle = quadrature_variance_oracle(p, quad)
+            num = variance_terms_numeric(p)
+            for term in _RADIAL_TERMS:
+                assert abs(getattr(num, term) / getattr(oracle, term) - 1) < 2e-3, (r, term)
+
+    def test_means_run_no_fft(self, quadrature_calls):
+        # at every k, H is evaluated once, on the s-nodes, and the mean is
+        # one J0 matrix and one J0 row: no grid and no transform
+        for k in (2, 3, 4, 5):
+            for r in (0.013, 1.0):
+                p = ModelParams(rho=1.0, connection=ConnectionSpec.hard_disk(1.0), anchor_distance=r, k=k)
+                mean_khop_numeric(p)
+                nodes, q_nodes = quadrature_calls[0][1]
+                assert quadrature_calls == [("j0", (nodes, q_nodes)), ("j0", (q_nodes,)), ("kernel", (nodes,))]
+                quadrature_calls.clear()
+
+    def test_sigma22_runs_two_forward_transforms(self, quadrature_calls):
+        # sigma22 evaluates H once on its square and transforms it and q
+        # forward once each, with no inverse transform
         p = ModelParams(rho=1.0, connection=ConnectionSpec.hard_disk(1.0), anchor_distance=1.5, k=3)
         variance_terms_numeric(p)
-        # H is evaluated once, on the free vertex's grid; h, its first rows,
-        # has one row stage and one column stage; the chain's h * h and the
-        # s22 term's q each run one forward and one inverse transform, q
-        # only on its nonzero band of rows
-        assert [name for name, _, of_kernel in quadrature_calls if of_kernel] == ["kernel", "rfft"]
-        assert [name for name, _, _ in quadrature_calls] == ["kernel"] + ["rfft", "fft", "ifft", "irfft"] * 2
-        free_rows = quadrature_calls[0][1]
-        side, band = (lines for name, lines, _ in quadrature_calls if name == "irfft")
-        assert free_rows > side
-        assert 0 < band < side // 4
-        assert [lines for name, lines, _ in quadrature_calls if name == "rfft"][1] == band
+        grid = [(name, shape) for name, shape in quadrature_calls if len(shape) == 2]
+        assert [name for name, _ in grid] == ["j0", "kernel", "rfft2", "rfft2"]
+        # m = 40 nodes of 0.025 about each anchor; q's 21 rows are those
+        # within m of both anchors, 60 nodes apart, and the periodic grid
+        # holds q's span plus H's rows that meet it (20) on the first axis
+        side = 2 * 40 + 1
+        assert grid[1][1] == (side, side)
+        assert grid[2][1] == (21, side)
+        n0, n1 = grid[3][1]
+        assert 21 + 20 <= n0 < side and 3 * 40 + 1 <= n1
 
-    def test_two_hop_mean_runs_no_fft(self, quadrature_calls):
-        for r in (0.013, 1.0):
-            p = ModelParams(rho=1.0, connection=ConnectionSpec.hard_disk(1.0), anchor_distance=r, k=2)
+    def test_node_cap_warns_and_raises_in_strict_mode(self):
+        # eta = 0.5 reaches 625 / beta**2 and decays as q**-2.5: within the
+        # cap its q-range is far too short
+        p = ModelParams(rho=0.01, connection=ConnectionSpec.rayleigh(beta=1.0, eta=0.5), anchor_distance=1.0, k=2)
+        with pytest.warns(UserWarning, match="above its cap"):
             mean_khop_numeric(p)
-        assert [name for name, _, _ in quadrature_calls] == ["kernel", "kernel"]
+        with pytest.raises(QuadratureConfigError, match="above its cap"):
+            mean_khop_numeric(p, strict=True)
+        # eta = 1 needs 4e6 J0 nodes for a tail of 1e-9, but within the cap
+        # it still sheds less than 1e-6: no warning, and strict runs it; its
+        # 2-hop mean at r = 0 is pi / 2 (H**2 integrates to pi / 2)
+        p = ModelParams(rho=1.0, connection=ConnectionSpec.rayleigh(beta=1.0, eta=1.0), anchor_distance=0.0, k=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mean_khop_numeric(p, strict=True) == pytest.approx(math.pi / 2, rel=1e-6)
 
 
 # Pinned bits of the quadrature: sha256 over the repr of every
 # variance_terms_numeric field (k = 3) and of the k = 2, 4 and 5
 # mean_khop_numeric values, on each kernel and separation below (default
-# grids; 0.013 is below half a step, so the read-off interpolates there).
+# rules; 0.013 is below half a sigma22 grid step, so the anchors share a
+# node of that grid).
 # Computed with numpy 2.4 and scipy 1.17 on x86-64.
 QUADRATURE_KERNELS = (
     ConnectionSpec.hard_disk(1.0),
@@ -296,34 +300,26 @@ def test_quadrature_digest():
     assert digest == QUADRATURE_DIGEST
 
 
-def _fast_values(point, quad=None):
-    """The digest's values: the k = 3 terms and the k = 2, 4 and 5 means."""
-    terms = variance_terms_numeric(ModelParams(k=3, **point), quad)
-    means = [mean_khop_numeric(ModelParams(k=k, **point), quad) for k in (2, 4, 5)]
-    return np.array([getattr(terms, name) for name in _TERMS] + means)
-
-
-def _oracle_values(point, quad=None):
-    """:func:`_fast_values` from the fftconvolve oracle."""
-    terms = quadrature_variance_oracle(ModelParams(k=3, **point), quad)
-    means = [quadrature_mean_oracle(ModelParams(k=k, **point), quad) for k in (2, 4, 5)]
-    return np.array([getattr(terms, name) for name in _TERMS] + means)
+def _sigma22_pair(point, quad=None):
+    """sigma22 from the package and from the fftconvolve oracle."""
+    p = ModelParams(k=3, **point)
+    return variance_terms_numeric(p, quad).sigma22_term, quadrature_variance_oracle(p, quad).sigma22_term
 
 
 def _assert_close_to_oracle(fast, slow, scale):
-    # 1e-12 relative; an integral that is exactly zero (a hard disk's k = 2
-    # mean beyond 2 r0) is exactly zero on the fast path, while the oracle's
+    # 1e-12 relative; a term that is exactly zero (sigma22 of a hard disk
+    # beyond 2 r0) is exactly zero on the fast path, while the oracle's
     # transforms leave rounding noise there, some 1e-16 of the term's scale
     np.testing.assert_array_less(np.abs(fast - slow), 1e-12 * np.maximum(np.abs(slow), scale))
 
 
 @pytest.mark.parametrize("spec", QUADRATURE_KERNELS, ids=lambda spec: spec.kind)
 def test_quadrature_equals_the_fftconvolve_oracle(spec):
-    # on the digest's grid of separations, at the default grids
-    points = [dict(rho=1.3, connection=spec, anchor_distance=r) for r in QUADRATURE_SEPARATIONS]
-    slow = np.array([_oracle_values(point) for point in points])
-    fast = np.array([_fast_values(point) for point in points])
-    _assert_close_to_oracle(fast, slow, np.abs(slow).max(axis=0))
+    # sigma22 on the digest's grid of separations, at the default grids;
+    # the radial terms are checked against closed forms, the lens area, a
+    # doubled-node run and the grid oracle in TestRadialQuadrature
+    pairs = np.array([_sigma22_pair(dict(rho=1.3, connection=spec, anchor_distance=r)) for r in QUADRATURE_SEPARATIONS])
+    _assert_close_to_oracle(pairs[:, 0], pairs[:, 1], np.abs(pairs[:, 1]).max())
 
 
 @given(
@@ -338,9 +334,10 @@ def test_quadrature_equals_the_oracle_at_any_step(spec, r, step):
     quad = QuadratureSpec(grid_extent=math.ceil(extent / step) * step, grid_step=step)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        # each term's scale is its value at separation 0
-        scale = np.abs(_fast_values(dict(point, anchor_distance=0.0), quad))
-        _assert_close_to_oracle(_fast_values(point, quad), _oracle_values(point, quad), scale)
+        # the scale is sigma22 at separation 0
+        scale = abs(_sigma22_pair(dict(point, anchor_distance=0.0), quad)[0])
+        fast, slow = _sigma22_pair(point, quad)
+        _assert_close_to_oracle(np.array([fast]), np.array([slow]), scale)
 
 
 class TestHardDisk:
@@ -352,11 +349,9 @@ class TestHardDisk:
 
     def test_two_hop_lens_area(self):
         # independent closed form: area of the intersection of two unit disks
-        r0, r = 1.0, 1.0
-        lens = 2 * r0 * r0 * math.acos(r / (2 * r0)) - (r / 2) * math.sqrt(4 * r0 * r0 - r * r)
-        p = ModelParams(rho=1.0, connection=ConnectionSpec.hard_disk(r0), anchor_distance=r, k=2)
-        quad = QuadratureSpec(grid_extent=3.2, grid_step=0.01)
-        assert mean_khop_numeric(p, quad) == pytest.approx(lens, rel=1e-3)
+        for r in (0.5, 1.0, 1.5):
+            p = ModelParams(rho=1.0, connection=ConnectionSpec.hard_disk(1.0), anchor_distance=r, k=2)
+            assert mean_khop_numeric(p) == pytest.approx(_lens(1.0, r), rel=1e-5)
 
     def test_sigma22_dense_grid_oracle(self):
         # second quadrature at double resolution as the oracle
@@ -386,9 +381,9 @@ class TestQuadratureSpecValidation:
         p = ray_params()
         coarse = QuadratureSpec(grid_extent=8.0, grid_step=0.5)
         with pytest.warns(UserWarning):
-            mean_khop_numeric(p, coarse)
+            variance_terms_numeric(p, coarse)
         with pytest.raises(QuadratureConfigError):
-            mean_khop_numeric(p, coarse, strict=True)
+            variance_terms_numeric(p, coarse, strict=True)
 
     def test_coarse_check_reads_the_step_the_grid_runs_at(self):
         # r = 0.3725 at grid_step 0.25 puts one step of 0.3725 between the
@@ -396,26 +391,27 @@ class TestQuadratureSpecValidation:
         p = ModelParams(rho=1.0, connection=ConnectionSpec.rayleigh(beta=1.0, eta=3.0), anchor_distance=0.3725, k=3)
         quad = QuadratureSpec(grid_extent=10.0, grid_step=0.25)
         with pytest.warns(UserWarning, match="grid step 0.3725"):
-            mean_khop_numeric(p, quad)
+            variance_terms_numeric(p, quad)
         with pytest.raises(QuadratureConfigError):
             variance_terms_numeric(p, quad, strict=True)
 
-    def test_half_step_separation_interpolates(self):
+    def test_half_step_separation_shares_the_anchor_node(self):
         # r exactly half the default step of a unit hard disk (0.025) has no
-        # node of its own: the read-off interpolates, as below half a step
+        # node of its own: sigma22's anchors share one, as below half a step
         p = ModelParams(rho=1.0, connection=ConnectionSpec.hard_disk(1.0), anchor_distance=0.0125, k=3)
         assert QuadratureSpec.default_for(p).grid_step == 0.025
-        point = dict(rho=1.0, connection=p.connection, anchor_distance=0.0125)
-        slow = _oracle_values(point)
-        _assert_close_to_oracle(_fast_values(point), slow, np.abs(slow))
+        fast, slow = _sigma22_pair(dict(rho=1.0, connection=p.connection, anchor_distance=0.0125))
+        _assert_close_to_oracle(np.array([fast]), np.array([slow]), abs(slow))
+        at_zero = ModelParams(rho=1.0, connection=p.connection, anchor_distance=0.0, k=3)
+        assert fast == variance_terms_numeric(at_zero).sigma22_term
         below = ModelParams(rho=1.0, connection=p.connection, anchor_distance=0.0124, k=3)
         assert mean_khop_numeric(p) == pytest.approx(mean_khop_numeric(below), rel=1e-3)
 
-    def test_extent_must_cover_separation(self):
-        p = ray_params(r=9.0)
-        quad = QuadratureSpec(grid_extent=8.0, grid_step=0.05)
-        with pytest.raises(QuadratureConfigError):
-            mean_khop_numeric(p, quad)
+    def test_extent_must_cover_the_reach(self):
+        p = ray_params(r=1.0)
+        quad = QuadratureSpec(grid_extent=4.0, grid_step=0.05)
+        with pytest.raises(QuadratureConfigError, match="does not cover the reach"):
+            variance_terms_numeric(p, quad)
 
 
 class TestMonteCarlo:

@@ -578,11 +578,11 @@ class TestRunExperiment:
     def test_k3_references_run_one_chain(self, tmp_path, quadrature_calls):
         params = ModelParams(rho=0.7, connection=ConnectionSpec.hard_disk(1.0), anchor_distance=1.0, k=3)
         run_experiment(tiny_config(tmp_path, params_grid=(params,), replications=2, attach_numeric=True))
-        # H is evaluated once; the chain transforms h once, and reads h*h*h
-        # off as an inner product; the s22 term transforms the free-vertex
-        # grid q and reuses h's spectrum: h is transformed once
-        assert [name for name, _, of_kernel in quadrature_calls if of_kernel] == ["kernel", "rfft"]
-        assert [name for name, _, _ in quadrature_calls] == ["kernel"] + ["rfft", "fft", "ifft", "irfft"] * 2
+        # after the draws, one variance pass gives the mean too: one J0
+        # matrix and one evaluation of H on its nodes, then H on sigma22's
+        # square and that term's two forward transforms
+        names = [name for name, _ in quadrature_calls]
+        assert names[names.index("j0") :] == ["j0", "j0", "kernel", "kernel", "rfft2", "rfft2"]
 
     def test_byte_identical_across_thread_counts(self, tmp_path):
         cfg = tiny_config(tmp_path, emit_histograms=True)
@@ -1017,6 +1017,15 @@ class TestCli:
         assert (tmp_path / "tiny_margin.csv").exists()
         assert (tmp_path / "tiny_margin.json").exists()
 
+    def test_validate_margin_preset_applies_overrides(self, tmp_path):
+        # a preset takes --replications and --strict as a config file does,
+        # and the margin report's config records them
+        argv = ["validate-margin", "--preset", "fig-existence", "--replications", "5", "--strict"]
+        assert cli_main(argv + ["--out", str(tmp_path)]) == 0
+        config = json.loads((tmp_path / "fig-existence_margin.json").read_text())["config"]
+        assert config["replications"] == 5 and config["strict_numerics"] is True
+        assert config["outputs"] == str(tmp_path) and config["seed"] == 0
+
     def test_validate_margin_names_the_point_whose_doubled_box_is_refused(self, tmp_path, capsys):
         # rho = 1e5 is drawn with its own margin (4.2e7 points on average),
         # but not with the doubled one (1.64e8, above 2**27)
@@ -1128,13 +1137,16 @@ class TestCli:
 
 
 def test_import_loads_no_scipy():
-    # scipy.signal and scipy.stats take over a second to import; the package
-    # defers scipy.stats to the histogram writer, and the quadrature uses
-    # scipy.fft only
-    loaded = "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
+    # every run's set-up pays for what `import rcmpaths` imports, so it
+    # imports no scipy module at all: the histogram writer defers
+    # scipy.stats, and the quadrature scipy.special and scipy.fft
+    loaded = "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     code = "import sys, rcmpaths; " + loaded
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+    # scipy.signal and scipy.stats take over a second to import; the
+    # quadrature imports neither
+    loaded = "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
     code = (
         "import sys; "
         "from rcmpaths import ConnectionSpec, ModelParams; "
