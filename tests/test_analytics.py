@@ -283,7 +283,7 @@ QUADRATURE_KERNELS = (
     ConnectionSpec.rayleigh(beta=1.0, eta=1.5),
 )
 QUADRATURE_SEPARATIONS = (0.0, 0.013, 0.5, 1.0, 1.5, 1.7)
-QUADRATURE_DIGEST = "ed69b1aa758d8caffacd947f46f5a02707c5dbdd843f2b22b506e606600bdcda"
+QUADRATURE_DIGEST = "fdf0ef1756aaa3481920f60cd10702e83f812a14f95f59dfbde0d3538bb4bd90"
 _TERMS = ("mean", "variance", "sigma11_term", "sigma12_term", "sigma21_term", "sigma22_term")
 
 

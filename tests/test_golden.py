@@ -33,12 +33,12 @@ DIGESTS = {
     "fig-existence": "dbd0a9f52da9b582638250862ef8d75678c3d86c05262797ec15ef52fc5c1b10",
     "small-k": "2f87400a80ff2125217e1b44215e076ad6f8b0e0913bfa5a6180b2964b79084a",
     "margin": "f2ae9675621517db239200975ef3c19cdce2967cb409fa0da75f01cfdb3b0cfb",
-    "mixed": "48ea3fd1dfe2e37954b18cd0c4685b4d75080939adf1f3a502d129cf2cb1ff5a",
+    "mixed": "3881e85819ab16766f8cd72d3b26a05fc52579c473bd04cb5c5929a9a300b3a5",
     "mixed-margin": "8a3555400e721e241e79e9496965fa04a9f4bc83ca285c42840eb02c585034e9",
     "fig-distribution": "643fee04c047ad16e1fe76b2d55ab25ad42d412b4239b72a6880fb1acd50d3de",
     "sample-rayleigh": "2e3ed5ee8129690cb6e442e9247693e25853381857615100d4df9577eb5a099f",
     "sample-tabulated": "27f83b6ae5c2100ae8b9f111243ce6115a79ea84feb39a0a6c3c9289299c2d29",
-    "khop": "a7d600f0962513a8e98c3b1c9ca0aa0df7a3010805d1b2b43e5db49b0f118375",
+    "khop": "f4371e3da956f90053285371d56f0a9cf6ec2f2284eca2c1a19bc0074b04d948",
     "khop-margin": "9d29229af327cfabd89fc0df805c9a226844b27eafdec7c21b16b25dd171f1ac",
 }
 
