@@ -216,13 +216,17 @@ class TestRadialQuadrature:
         ids=["eta3-beta0.7", "eta3-beta1", "hard-disk"],
     )
     def test_terms_match_the_grid_oracle(self, spec, quad):
-        # an independent check of the terms with no closed form
+        # an independent check of the terms with no closed form, and of the
+        # 2- and 4-hop means
         for r in (0.5, 1.0, 1.5):
             p = ModelParams(rho=1.0, connection=spec, anchor_distance=r, k=3)
             oracle = quadrature_variance_oracle(p, quad)
             num = variance_terms_numeric(p)
             for term in _RADIAL_TERMS:
                 assert abs(getattr(num, term) / getattr(oracle, term) - 1) < 2e-3, (r, term)
+            for k in (2, 4):
+                p = ModelParams(rho=1.0, connection=spec, anchor_distance=r, k=k)
+                assert abs(mean_khop_numeric(p) / quadrature_mean_oracle(p, quad) - 1) < 2e-3, (r, k)
 
     def test_means_run_no_fft(self, quadrature_calls):
         # at every k, H is evaluated once, on the s-nodes, and the mean is
