@@ -229,8 +229,18 @@ class TestRadialQuadrature:
                 assert abs(mean_khop_numeric(p) / quadrature_mean_oracle(p, quad) - 1) < 2e-3, (r, k)
 
     def test_means_run_no_fft(self, quadrature_calls):
+        # no mean, at any k, runs a grid or a transform
+        for k in (2, 3, 4, 5):
+            for r in (0.013, 1.0):
+                p = ModelParams(rho=1.0, connection=ConnectionSpec.hard_disk(1.0), anchor_distance=r, k=k)
+                mean_khop_numeric(p)
+        assert quadrature_calls
+        assert {name for name, _ in quadrature_calls} == {"j0", "kernel"}
+        assert all(len(shape) == 1 for name, shape in quadrature_calls if name == "kernel")
+
+    def test_means_evaluate_the_kernel_once(self, quadrature_calls):
         # at every k, H is evaluated once, on the s-nodes, and the mean is
-        # one J0 matrix and one J0 row: no grid and no transform
+        # one J0 matrix and one J0 row
         for k in (2, 3, 4, 5):
             for r in (0.013, 1.0):
                 p = ModelParams(rho=1.0, connection=ConnectionSpec.hard_disk(1.0), anchor_distance=r, k=k)
