@@ -47,11 +47,9 @@ from .moments import (
 )
 from .paths import (
     PairStructureCounts,
-    PathCount,
     classify_pair_structures,
-    classify_path_pairs,
-    count_khop_paths,
     iter_khop_paths,
+    khop_paths,
 )
 from .sampler import (
     GraphRealization,
@@ -72,7 +70,6 @@ __all__ = [
     "ModelParams",
     "MomentReport",
     "PairStructureCounts",
-    "PathCount",
     "PathCountSamples",
     "Point",
     "QuadratureConfigError",
@@ -83,11 +80,10 @@ __all__ = [
     "ValidationError",
     "bonferroni_bound_order2",
     "classify_pair_structures",
-    "classify_path_pairs",
-    "count_khop_paths",
     "default_margin",
     "empirical_factorial_moment",
     "iter_khop_paths",
+    "khop_paths",
     "mean_khop_numeric",
     "mean_khop_rayleigh",
     "preset_config",

@@ -29,7 +29,7 @@ from .experiments import (
     write_margin_json,
 )
 from .model import ConnectionSpec, ModelParams, region_for
-from .paths import _path_rows
+from .paths import khop_paths
 from .sampler import sample_realization
 
 
@@ -53,7 +53,7 @@ def _cmd_sample(args) -> int:
         margin=args.margin,
     )
     g = sample_realization(params, args.seed, args.replication)
-    paths = _path_rows(g, args.k).tolist()
+    paths = khop_paths(g, args.k).tolist()
     # k <= 3 draws the anchors' neighbours in the whole plane, with no box
     region = None
     if args.k >= 4:

@@ -8,9 +8,9 @@ One enumerator, :func:`khop_intermediates`, lists the paths for the sweeps
 and for realized graphs alike: a path is a half-path of k // 2 hops from
 anchor 0 joined by one edge to a vertex-disjoint half-path of (k - 1) // 2
 hops from anchor 1.  It reads edges through a callback, so the sweeps draw
-only the pairs a path can use and a :class:`GraphRealization` reads its
-adjacency matrix.  :func:`iter_khop_paths` is the depth-first reference it
-is tested against.
+only the pairs a path can use and :func:`khop_paths` reads a
+:class:`GraphRealization`'s adjacency matrix.  :func:`iter_khop_paths` is
+the depth-first reference it is tested against.
 """
 from __future__ import annotations
 
@@ -29,12 +29,6 @@ from .sampler import GraphRealization
 # replications peaked at 35.7 MB under tracemalloc, its largest join run
 # 262130 pairs; each further pair of a run cost about 115 bytes).
 _JOIN_PAIRS = 1 << 18
-
-
-@dataclass(frozen=True)
-class PathCount:
-    k: int
-    count: int
 
 
 @dataclass(frozen=True)
@@ -121,11 +115,10 @@ def khop_intermediates(k: int, near, linked, seg_of: np.ndarray, segments: int) 
     return tuple(inter[: len(a)] + inter[len(a) :][::-1])
 
 
-def _path_rows(g: GraphRealization, k: int, allowed: np.ndarray | None = None) -> np.ndarray:
+def khop_paths(g: GraphRealization, k: int) -> np.ndarray:
     """Every k-hop path of ``g`` as an (m, k + 1) array of vertex rows
     (0, z1, ..., z_{k-1}, 1), in lexicographic order, which is the order of
-    :func:`iter_khop_paths`.  ``allowed`` optionally masks which vertices may
-    serve as intermediates."""
+    :func:`iter_khop_paths`."""
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     adj = g.adjacency
@@ -137,20 +130,15 @@ def _path_rows(g: GraphRealization, k: int, allowed: np.ndarray | None = None) -
     )
     order = np.lexsort(inter[::-1])
     m = len(order)
-    rows = np.column_stack([np.zeros(m, np.int64), *(z[order] + 2 for z in inter), np.ones(m, np.int64)])
-    if allowed is not None:
-        rows = rows[allowed[rows[:, 1:-1]].all(axis=1)]
-    return rows
+    return np.column_stack([np.zeros(m, np.int64), *(z[order] + 2 for z in inter), np.ones(m, np.int64)])
 
 
-def iter_khop_paths(g: GraphRealization, k: int, allowed: np.ndarray | None = None):
+def iter_khop_paths(g: GraphRealization, k: int):
     """Yield every k-hop path as a vertex tuple (0, z1, ..., z_{k-1}, 1).
 
     A depth-first walk from anchor 0: the reference enumerator, kept for the
-    tests and the benchmark's re-enumeration check.  The package counts
-    paths through :func:`khop_intermediates`.  ``allowed`` optionally masks
-    which vertices may serve as intermediates; the anchors are always
-    allowed as endpoints.
+    tests and the benchmark's re-enumeration check.  The package lists
+    paths through :func:`khop_intermediates`.
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
@@ -168,8 +156,6 @@ def iter_khop_paths(g: GraphRealization, k: int, allowed: np.ndarray | None = No
         for w in neighbors[v]:
             if w == 1 or visited[w]:
                 continue
-            if allowed is not None and not allowed[w]:
-                continue
             visited[w] = True
             path.append(int(w))
             yield from walk(int(w), depth + 1)
@@ -183,11 +169,6 @@ def iter_khop_paths(g: GraphRealization, k: int, allowed: np.ndarray | None = No
     yield from walk(0, 0)
 
 
-def count_khop_paths(g: GraphRealization, k: int, allowed: np.ndarray | None = None) -> PathCount:
-    """Count the k-hop paths of ``g`` whose intermediates ``allowed`` admits."""
-    return PathCount(k=k, count=len(_path_rows(g, k, allowed)))
-
-
 def classify_path_pair_segments(
     z1: np.ndarray, z2: np.ndarray, seg: np.ndarray, segments: int, reversed_too: np.ndarray
 ) -> np.ndarray:
@@ -196,8 +177,7 @@ def classify_path_pair_segments(
     Path ``p`` is the row (z1[p], z2[p]) of set ``seg[p]``; ``seg`` is
     non-decreasing, the rows of a set are distinct, and vertex ids are unique
     across sets.  ``reversed_too[p]`` says whether (z2[p], z1[p]) is also a
-    path of the set, which the caller reads off its anchor edges or, given
-    only the rows, finds by membership (see :func:`classify_path_pairs`).
+    path of the set, which the caller reads off its anchor edges.
     Returns a (segments, 5) int64 array with the columns
     (sigma0, sigma11, sigma12, sigma21, sigma22).  With ``c1``/``c2`` the
     number of paths whose first/second intermediate is a vertex and ``m`` the
@@ -236,21 +216,11 @@ def classify_path_pair_segments(
     return out
 
 
-def classify_path_pairs(pairs: np.ndarray) -> PairStructureCounts:
-    """Classify every ordered pair of 3-hop paths by intersection structure.
-
-    ``pairs`` holds one distinct (z1, z2) row per path.  Ordered pairs (P, Q)
-    are binned by how many intermediate vertices they share and, when sharing
-    exactly one, whether it sits at the same sequence position in both.
-    """
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    z1, z2 = pairs[:, 0], pairs[:, 1]
-    n = int(pairs.max(initial=0)) + 1
-    reversed_too = np.isin(z2 * n + z1, z1 * n + z2)
-    counts = classify_path_pair_segments(z1, z2, np.zeros(len(pairs), dtype=np.int64), 1, reversed_too)
-    return PairStructureCounts(*(int(c) for c in counts[0]))
-
-
 def classify_pair_structures(g: GraphRealization) -> PairStructureCounts:
     """Enumerate all 3-hop paths of ``g`` and classify their ordered pairs."""
-    return classify_path_pairs(_path_rows(g, 3)[:, 1:3])
+    z1, z2 = khop_paths(g, 3)[:, 1:3].T
+    # the reverse (z2, z1) shares the middle edge, so it is a path exactly
+    # when z2 is adjacent to anchor 0 and z1 to anchor 1
+    reversed_too = g.adjacency[0, z2] & g.adjacency[1, z1]
+    counts = classify_path_pair_segments(z1, z2, np.zeros(len(z1), dtype=np.int64), 1, reversed_too)
+    return PairStructureCounts(*(int(c) for c in counts[0]))

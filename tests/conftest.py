@@ -7,7 +7,7 @@ import pytest
 from rcmpaths.analytics import AnalyticMoments, QuadratureSpec
 from rcmpaths.errors import ValidationError
 from rcmpaths.model import RAYLEIGH, ConnectionSpec, ModelParams
-from rcmpaths.paths import PairStructureCounts, PathCount
+from rcmpaths.paths import PairStructureCounts
 from rcmpaths.sampler import GraphRealization, realize_graph, sample_conditioned_ppp
 
 # one connection function of each kind, and Rayleigh with eta != 2
@@ -55,7 +55,7 @@ def small_random_realization(seed: int, replication: int, max_extra: int = 8):
     return realize_graph(pts, params.connection, seed, replication)
 
 
-def count_khop_paths_oracle(g: GraphRealization, k: int) -> PathCount:
+def count_khop_paths_oracle(g: GraphRealization, k: int) -> int:
     """Count k-hop paths by exhaustive ordered-tuple enumeration.
 
     Checks every ordered (k-1)-tuple of distinct non-anchor vertices; kept
@@ -75,7 +75,7 @@ def count_khop_paths_oracle(g: GraphRealization, k: int) -> PathCount:
         seq = (0, *tup, 1)
         if all(adj[seq[i], seq[i + 1]] for i in range(k)):
             count += 1
-    return PathCount(k=k, count=count)
+    return count
 
 
 def classify_path_pairs_oracle(pairs: np.ndarray, block: int = 2048) -> PairStructureCounts:

@@ -39,7 +39,7 @@ from rcmpaths.experiments import (
     write_reports_json,
 )
 from rcmpaths.model import ConnectionSpec, ModelParams
-from rcmpaths.paths import count_khop_paths, iter_khop_paths
+from rcmpaths.paths import iter_khop_paths, khop_paths
 from rcmpaths.sampler import realize_graph, region_for, sample_conditioned_ppp, sample_realization
 
 RAY1 = ConnectionSpec.rayleigh(beta=1.0)
@@ -286,9 +286,7 @@ def _full_realization_counts(params, seed, rep, inside=None):
     classes = None if c is None else (c.sigma0, c.sigma11, c.sigma12, c.sigma21, c.sigma22)
     kept = None
     if inside is not None:
-        allowed = np.ones(g.n, dtype=bool)
-        allowed[2:] = inside.contains(pts[2:, 0], pts[2:, 1])
-        kept = sum(1 for _ in iter_khop_paths(g, k, allowed))
+        kept = sum(1 for p in found if inside.contains(*pts[list(p[1:-1])].T).all())
     return len(found), classes, kept
 
 
@@ -404,8 +402,8 @@ class TestEngineEquivalence:
         g = sample_realization(params, seed, rep)
         assume(g.n - 2 <= 12)
         (((count,), _, _),) = _count_block([(params, seed, rep, rep + 1)], False, [None])
-        assert count == count_khop_paths(g, k).count == len(list(iter_khop_paths(g, k)))
-        assert count == count_khop_paths_oracle(g, k).count
+        assert count == len(khop_paths(g, k)) == len(list(iter_khop_paths(g, k)))
+        assert count == count_khop_paths_oracle(g, k)
 
     @pytest.mark.parametrize("k", [3, 5, 6])
     def test_join_runs_do_not_change_counts(self, k, monkeypatch):

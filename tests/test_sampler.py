@@ -11,7 +11,7 @@ from conftest import CONNECTIONS
 from rcmpaths.analytics import mean_khop_numeric
 from rcmpaths.experiments import run_replications
 from rcmpaths.model import ConnectionSpec, ModelParams, Point, cloud_mass
-from rcmpaths.paths import count_khop_paths, iter_khop_paths
+from rcmpaths.paths import iter_khop_paths, khop_paths
 from rcmpaths.rng import (
     STREAM_POINTS,
     fold_keys,
@@ -218,7 +218,7 @@ class TestAnchorNeighbours:
         # the box sampler, realized in full and counted on the graph
         box = np.array(
             [
-                count_khop_paths(realize_graph(sample_conditioned_ppp(params, 44, rep), spec, 44, rep), k).count
+                len(khop_paths(realize_graph(sample_conditioned_ppp(params, 44, rep), spec, 44, rep), k))
                 for rep in range(2000)
             ]
         )
