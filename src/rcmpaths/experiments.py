@@ -122,6 +122,8 @@ class ExperimentConfig:
         problems = []
         if not self.name:
             problems.append("name: must be nonempty")
+        elif self.name in (".", "..") or any(sep and sep in self.name for sep in ("/", os.sep, os.altsep)):
+            problems.append(f"name: must be a plain file name, got {self.name!r}")
         if not self.params_grid:
             problems.append("params_grid: must contain at least one grid point")
         problems += _int_problems(1, replications=self.replications)

@@ -117,6 +117,8 @@ class ConnectionSpec:
                 raise ValidationError("table distances must be strictly increasing")
             if any(not (0.0 <= p <= 1.0) for _, p in table):
                 raise ValidationError("table probabilities must lie in [0, 1]")
+            if dists[-1] == 0.0:
+                raise ValidationError(f"table: the last knot's distance (the reach) must be positive, got {table!r}")
 
     @classmethod
     def rayleigh(cls, beta: float = 1.0, eta: float = 2.0) -> "ConnectionSpec":

@@ -141,14 +141,16 @@ class TestConfig:
             ("replications", True, "replications: expected int"),
             ("replication", 200, "unknown field 'replication'"),
             ("bracket_orders", [3, 4.5], "bracket_orders: expected integers"),
+            ("name", "../escaped", "name: must be a plain file name, got '../escaped'"),
+            ("name", "sub/x", "name: must be a plain file name, got 'sub/x'"),
         ],
     )
-    def test_rejects_coercible_values(self, tmp_path, key, value, problem):
-        d = config_to_dict(tiny_config(tmp_path))
+    def test_rejects_coercible_values(self, tmp_path, capsys, key, value, problem):
+        d = config_to_dict(tiny_config(tmp_path / "out"))
         d[key] = value
-        with pytest.raises(ValidationError) as err:
-            config_from_dict(d)
-        assert problem in str(err.value)
+        _assert_refused(tmp_path, capsys, d, problem)
+        # refused before any sweep: no report and no output directory
+        assert os.listdir(tmp_path) == ["bad.json"]
 
     @pytest.mark.parametrize(
         "point, problem",

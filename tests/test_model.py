@@ -60,6 +60,7 @@ def test_vectorized_evaluate_matches_scalar():
         dict(kind="tabulated", table=None),
         dict(kind="tabulated", table=((1.0, 0.5), (0.5, 0.2))),
         dict(kind="tabulated", table=((0.5, 1.5),)),
+        dict(kind="tabulated", table=((0.0, 0.5),)),
         dict(kind="unknown"),
     ],
 )
