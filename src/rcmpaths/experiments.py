@@ -629,7 +629,7 @@ def summarize_grid_point(
         means, ses = _pair_stats(pair_classes)
         pair_means = {name: {"mean": m, "se": se} for name, m, se in zip(PAIR_CLASSES, means, ses)}
 
-    samples = PathCountSamples(k=int(params.k), counts=counts, params=params, seed=grid_seed)
+    samples = PathCountSamples(k=int(params.k), counts=counts)
     brackets = existence_brackets(samples, config.bracket_orders)
 
     if analytic_mean is not None and analytic_variance is not None:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .model import ModelParams
 
 UPPER_BOUND = "upper_bound"
 LOWER_BOUND = "lower_bound"
@@ -27,8 +26,6 @@ class PathCountSamples:
 
     k: int
     counts: np.ndarray
-    params: ModelParams | None = None
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         counts = np.asarray(self.counts, dtype=np.int64)
