@@ -184,45 +184,51 @@ class TestPairClassification:
         assert classify_pair_structures(g) == classify_path_pairs_oracle(khop_paths(g, 3)[:, 1:3])
 
     @given(
-        sets=st.one_of(
-            st.lists(
-                st.sets(
-                    st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(lambda t: t[0] != t[1]),
-                    max_size=20,
-                ),
-                min_size=1,
-                max_size=6,
+        rows=st.sets(
+            st.tuples(st.integers(2, 9), st.integers(2, 9)).filter(lambda t: t[0] != t[1]), max_size=40
+        ),
+        reverse=st.lists(st.booleans(), max_size=40),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_identities_match_oracle(self, rows, reverse):
+        # few vertices, so shared intermediates are common; ``reverse`` adds
+        # the swapped twin of some rows, the sigma22 case
+        rows = set(rows) | {(b, a) for (a, b), flip in zip(sorted(rows), reverse) if flip}
+        _assert_segments_match_oracle([rows])
+
+    @given(
+        sets=st.lists(
+            st.sets(
+                st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(lambda t: t[0] != t[1]),
+                max_size=20,
             ),
-            # one set on few vertices, so shared intermediates are common;
-            # the booleans add the swapped twin of some rows, the sigma22 case
-            st.tuples(
-                st.sets(
-                    st.tuples(st.integers(2, 9), st.integers(2, 9)).filter(lambda t: t[0] != t[1]),
-                    max_size=40,
-                ),
-                st.lists(st.booleans(), max_size=40),
-            ).map(lambda t: [t[0] | {(b, a) for (a, b), flip in zip(sorted(t[0]), t[1]) if flip}]),
+            min_size=1,
+            max_size=6,
         )
     )
-    @settings(max_examples=500, deadline=None)
+    @settings(max_examples=100, deadline=None)
     def test_segmented_identities_match_oracle(self, sets):
-        # each set gets its own vertex ids, as the block counter's sets do;
-        # the reversed rows are the caller's, as the sweep reads them off
-        # its anchor edges
-        z1, z2, seg, reversed_too = [], [], [], []
-        for s, rows in enumerate(sets):
-            for a, b in sorted(rows):
-                z1.append(10 * s + a)
-                z2.append(10 * s + b)
-                seg.append(s)
-                reversed_too.append((b, a) in rows)
-        z1, z2, seg = (np.array(v, dtype=np.int64) for v in (z1, z2, seg))
-        counts = classify_path_pair_segments(z1, z2, seg, len(sets), np.array(reversed_too, dtype=bool))
-        for s, rows in enumerate(sets):
-            expected = classify_path_pairs_oracle(np.array(sorted(rows), dtype=np.int64).reshape(-1, 2))
-            assert tuple(counts[s]) == (
-                expected.sigma0, expected.sigma11, expected.sigma12, expected.sigma21, expected.sigma22
-            )
+        _assert_segments_match_oracle(sets)
+
+
+def _assert_segments_match_oracle(sets):
+    # each set gets its own vertex ids, as the block counter's sets do; the
+    # reversed rows are the caller's, as the sweep reads them off its anchor
+    # edges
+    z1, z2, seg, reversed_too = [], [], [], []
+    for s, rows in enumerate(sets):
+        for a, b in sorted(rows):
+            z1.append(10 * s + a)
+            z2.append(10 * s + b)
+            seg.append(s)
+            reversed_too.append((b, a) in rows)
+    z1, z2, seg = (np.array(v, dtype=np.int64) for v in (z1, z2, seg))
+    counts = classify_path_pair_segments(z1, z2, seg, len(sets), np.array(reversed_too, dtype=bool))
+    for s, rows in enumerate(sets):
+        expected = classify_path_pairs_oracle(np.array(sorted(rows), dtype=np.int64).reshape(-1, 2))
+        assert tuple(counts[s]) == (
+            expected.sigma0, expected.sigma11, expected.sigma12, expected.sigma21, expected.sigma22
+        )
 
 
 def _assert_rows_are_the_dfs_paths(g, k):
