@@ -32,10 +32,7 @@ from .experiments import (
 from .model import (
     ConnectionSpec,
     ModelParams,
-    Point,
-    Region,
     default_margin,
-    region_for,
 )
 from .moments import (
     ExistenceBracket,
@@ -54,7 +51,6 @@ from .paths import (
 from .sampler import (
     GraphRealization,
     realize_graph,
-    sample_conditioned_ppp,
     sample_realization,
 )
 
@@ -71,10 +67,8 @@ __all__ = [
     "MomentReport",
     "PairStructureCounts",
     "PathCountSamples",
-    "Point",
     "QuadratureConfigError",
     "QuadratureSpec",
-    "Region",
     "ReplicationError",
     "UnsupportedClosedFormError",
     "ValidationError",
@@ -89,10 +83,8 @@ __all__ = [
     "preset_config",
     "quadratic_existence_bound",
     "realize_graph",
-    "region_for",
     "run_experiment",
     "run_replications",
-    "sample_conditioned_ppp",
     "sample_realization",
     "truncated_zero_probability",
     "validate_margin",

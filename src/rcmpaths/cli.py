@@ -2,7 +2,7 @@
 
 Subcommands:
   sample           realize one graph and dump points, edges, and paths as JSON
-                   (for k <= 3 the points are the anchors' neighbours)
+                   (the points within k // 2 hops of an anchor)
   run              run an experiment from a JSON config file
   preset           run a named built-in experiment
   validate-margin  truncation-bias check for a preset or config file
@@ -28,7 +28,7 @@ from .experiments import (
     write_margin_csv,
     write_margin_json,
 )
-from .model import ConnectionSpec, ModelParams, region_for
+from .model import ConnectionSpec, ModelParams
 from .paths import khop_paths
 from .sampler import sample_realization
 
@@ -40,7 +40,11 @@ def _connection_from_args(args) -> ConnectionSpec:
         return ConnectionSpec.hard_disk(args.r0)
     if not args.table:
         raise ValidationError("--table is required for a tabulated connection")
-    return ConnectionSpec.tabulated(json.loads(args.table))
+    try:
+        knots = json.loads(args.table)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"--table: not JSON: {exc}") from exc
+    return ConnectionSpec.tabulated(knots)
 
 
 def _cmd_sample(args) -> int:
@@ -54,16 +58,12 @@ def _cmd_sample(args) -> int:
     )
     g = sample_realization(params, args.seed, args.replication)
     paths = khop_paths(g, args.k).tolist()
-    # k <= 3 draws the anchors' neighbours in the whole plane, with no box
-    region = None
-    if args.k >= 4:
-        box = region_for(params)
-        region = {"min": [box.min_corner.x, box.min_corner.y], "max": [box.max_corner.x, box.max_corner.y]}
     payload = {
         "params": params_to_dict(params),
         "seed": args.seed,
         "replication": args.replication,
-        "region": region,
+        # every k draws in the whole plane, with no box
+        "region": None,
         "points": g.points.tolist(),
         "edges": g.edges().tolist(),
         "k": args.k,

@@ -30,10 +30,9 @@ list the paths are those of :mod:`rcmpaths.paths`, which also count the
 paths of a realized graph.  It reduces counts per segment, and pair classes
 by counting identities, and splits them back per grid point.  A join draws
 at most about ``rcmpaths.paths._JOIN_PAIRS`` pairs at once, which with the
-block sizes bounds memory.  Margin validation uses the same counter, with a
-mask of the points inside each grid point's base rectangle (k >= 4; k <= 3
-has no box).  How replications and grid points fall into blocks or workers
-never changes a result: the reports are byte-identical to one replication
+block sizes bounds memory.  Margin validation uses the same counter.  How
+replications and grid points fall into blocks or workers never changes a
+result: the reports are byte-identical to one replication
 at a time.  A call that draws less than one batch (``_BATCH_POINTS``
 points) counts in the calling process whatever ``threads`` says: starting
 the workers on it would cost more than they save.  With ``threads`` > 1 a
@@ -62,7 +61,7 @@ import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 from typing import get_origin, get_type_hints
 
 import numpy as np
@@ -74,7 +73,7 @@ from .analytics import (
     variance_threehop_rayleigh,
 )
 from .errors import ReplicationError, ValidationError, _int_problems
-from .model import HARD_DISK, RAYLEIGH, TABULATED, ConnectionSpec, ModelParams, region_for
+from .model import HARD_DISK, RAYLEIGH, TABULATED, ConnectionSpec, ModelParams
 from .moments import (
     ExistenceBracket,
     PathCountSamples,
@@ -122,7 +121,7 @@ class ExperimentConfig:
         problems = []
         if not self.name:
             problems.append("name: must be nonempty")
-        elif self.name in (".", "..") or any(sep and sep in self.name for sep in ("/", os.sep, os.altsep)):
+        elif self.name in (".", "..") or any(sep and sep in self.name for sep in ("/", "\0", os.sep, os.altsep)):
             problems.append(f"name: must be a plain file name, got {self.name!r}")
         if not self.params_grid:
             problems.append("params_grid: must contain at least one grid point")
@@ -252,8 +251,14 @@ def config_from_dict(d: dict) -> ExperimentConfig:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    with open(path, encoding="utf-8") as fh:
-        return config_from_dict(json.load(fh))
+    """The config in the JSON file ``path``; a file that is not UTF-8 JSON
+    raises ``ValidationError`` naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            d = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"config file {path!r} is not UTF-8 JSON: {exc}") from exc
+    return config_from_dict(d)
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +266,8 @@ def load_config(path: str) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-# A block of replications holds about this many points or neighbour
-# proposals (rcmpaths.sampler.mean_draws) on average; the block's arrays,
+# A block of replications holds about this many proposals
+# (rcmpaths.sampler.mean_draws) on average; the block's arrays,
 # and so the counter's working memory, grow with it.
 _BLOCK_POINTS = 1 << 16
 
@@ -293,11 +298,11 @@ def _block_paths(slices, layout):
     ``slices`` lists ``(params, seed, first, last)``: replications ``first``
     .. ``last - 1`` of grid points that share one connection function and
     one k, and ``layout`` is their
-    :func:`rcmpaths.sampler.slice_replications`.  Returns ``(xy, near, seg,
-    inter)``: the block's non-anchor points, their edges to anchor 0 and to
+    :func:`rcmpaths.sampler.slice_replications`.  Returns ``(near, seg,
+    inter)``: the edges of the block's non-anchor points to anchor 0 and to
     anchor 1, the block position of each path's replication (non-decreasing;
     the replications of every slice in turn), and k - 1 arrays holding the
-    paths' intermediate vertices as rows of ``xy``, in order from anchor 0:
+    paths' intermediate vertices as rows of the points, in order from anchor 0:
     the joins of :func:`rcmpaths.paths.khop_intermediates` over the
     :func:`rcmpaths.sampler.block_points` of the block and its ``linked``
     pair draws.  k = 1 draws no points: its count is the anchors' own edge
@@ -305,26 +310,21 @@ def _block_paths(slices, layout):
     """
     k = int(slices[0][0].k)
     if k == 1:
-        return np.empty((0, 2)), None, np.flatnonzero(anchor_edges(slices, layout)), ()
-    xy, owner, near, linked = block_points(slices, layout)
+        return None, np.flatnonzero(anchor_edges(slices, layout)), ()
+    _, owner, near, linked = block_points(slices, layout)
     inter = khop_intermediates(k, near, linked, owner, len(layout[0]))
-    return xy, near, owner[inter[0]], inter
+    return near, owner[inter[0]], inter
 
 
-def _count_block(slices, collect_pairs, insides):
-    """Path counts of a block of replications, one ``(counts, classes,
-    kept_counts)`` per slice ``(params, seed, first, last)`` of ``slices``
-    (see :func:`_block_paths`): the counts of its replications, their pair
-    classes when ``collect_pairs`` (k = 3), and, when the slice's entry of
-    ``insides`` is a Region, the counts of the paths whose intermediates all
-    lie in it (else None)."""
+def _count_block(slices, collect_pairs):
+    """Path counts of a block of replications, one ``(counts, classes)`` per
+    slice ``(params, seed, first, last)`` of ``slices`` (see
+    :func:`_block_paths`): the counts of its replications, and their pair
+    classes when ``collect_pairs`` (k = 3, else None)."""
     layout = slice_replications(slices)
-    xy, near, seg, inter = _block_paths(slices, layout)
+    near, seg, inter = _block_paths(slices, layout)
     ends = layout[3]
     segments = int(ends[-1])
-    # slice s holds the segments edges[s] .. edges[s + 1] - 1, and its paths are a run of seg
-    edges = np.concatenate(([0], ends))
-    bounds = np.searchsorted(seg, edges).tolist()
     counts = np.split(np.bincount(seg, minlength=segments), ends[:-1])
     classes = [None] * len(slices)
     if collect_pairs:
@@ -333,20 +333,12 @@ def _count_block(slices, collect_pairs, insides):
         # exactly when z2 is adjacent to anchor 0 and z1 to anchor 1
         reversed_too = near[0][z2] & near[1][z1]
         classes = np.split(classify_path_pair_segments(z1, z2, seg, segments, reversed_too), ends[:-1])
-    kept_counts = [None] * len(slices)
-    for s, inside in enumerate(insides):
-        if inside is not None:
-            lo, hi = bounds[s], bounds[s + 1]
-            keep = np.ones(hi - lo, dtype=bool)
-            for z in inter:
-                keep &= inside.contains(xy[z[lo:hi], 0], xy[z[lo:hi], 1])
-            kept_counts[s] = np.bincount(seg[lo:hi][keep] - edges[s], minlength=edges[s + 1] - edges[s])
-    return list(zip(counts, classes, kept_counts))
+    return list(zip(counts, classes))
 
 
 def _points_per_replication(params: ModelParams) -> float:
-    """Mean number of points or proposals one replication draws, with the
-    two anchors."""
+    """Mean number of proposals one replication draws, with the two
+    anchors."""
     return mean_draws(params) + 2.0
 
 
@@ -360,7 +352,7 @@ def _blocks(jobs):
     each of at most ``_MERGE_POINTS`` points.
     """
     shared = {}
-    for j, (params, _, lo, hi, collect_pairs, _) in enumerate(jobs):
+    for j, (params, _, lo, hi, collect_pairs) in enumerate(jobs):
         per_replication = _points_per_replication(params)
         points = (hi - lo) * per_replication
         if points >= _MERGE_POINTS:
@@ -379,9 +371,9 @@ def _blocks(jobs):
 
 
 def _count_batch(jobs) -> list:
-    """Count every job ``(params, seed, lo, hi, collect_pairs, inside)``:
+    """Count every job ``(params, seed, lo, hi, collect_pairs)``:
     replications ``lo`` .. ``hi - 1`` of one grid point, in the blocks of
-    :func:`_blocks`.  Returns one ``(counts, classes, kept_counts)`` per job,
+    :func:`_blocks`.  Returns one ``(counts, classes)`` per job,
     in job order (see :func:`_count_block`).  A failure is re-raised as a
     :class:`ReplicationError` naming every grid point of the failing block,
     with its grid seed and its replications there."""
@@ -391,7 +383,7 @@ def _count_batch(jobs) -> list:
         # the jobs of a block share collect_pairs
         collect_pairs = jobs[block[0][0]][4]
         try:
-            counted = _count_block(slices, collect_pairs, [jobs[j][5] for j, _, _ in block])
+            counted = _count_block(slices, collect_pairs)
         except Exception as exc:
             where = ", ".join(
                 f"{first}..{last - 1} of {params} (grid seed {seed})" for params, seed, first, last in slices
@@ -464,8 +456,8 @@ def _pool_map(batches, threads: int) -> list:
 
 def _sweep(tasks, replications: int, threads: int):
     """Run ``replications`` replications of every task ``(params, seed,
-    collect_pairs, inside)``; returns one ``(counts, classes, kept_counts)``
-    per task, in task order.
+    collect_pairs)``; returns one ``(counts, classes)`` per task, in task
+    order.
 
     The points every task draws are estimated once.  A call that draws
     less than one batch (``_BATCH_POINTS``) in all, or runs at ``threads``
@@ -485,11 +477,7 @@ def _sweep(tasks, replications: int, threads: int):
     inline = threads == 1 or replications * sum(per_replication) < _BATCH_POINTS
     parts = 1 if inline else min(-(-threads * 4 // len(tasks)), replications)
     ranges = [(replications * i // parts, replications * (i + 1) // parts) for i in range(parts)]
-    jobs = [
-        (params, seed, lo, hi, collect, inside)
-        for params, seed, collect, inside in tasks
-        for lo, hi in ranges
-    ]
+    jobs = [(params, seed, lo, hi, collect) for params, seed, collect in tasks for lo, hi in ranges]
     if inline:
         results = _count_batch(jobs)
     else:
@@ -518,7 +506,7 @@ def run_replications(
     depends only on (params, seed, replications), never on ``threads``.
     """
     collect = collect_pairs and int(params.k) == 3
-    ((counts, classes, _),) = _sweep([(params, seed, collect, None)], replications, threads)
+    ((counts, classes),) = _sweep([(params, seed, collect)], replications, threads)
     return counts, classes
 
 
@@ -829,13 +817,13 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[MomentRep
     reports."""
     seeds = [derive_subseed(config.seed, i) for i in range(len(config.params_grid))]
     tasks = [
-        (params, seed, config.collect_pair_structures and int(params.k) == 3, None)
+        (params, seed, config.collect_pair_structures and int(params.k) == 3)
         for params, seed in zip(config.params_grid, seeds)
     ]
     results = _sweep(tasks, config.replications, threads)
     reports = [
         summarize_grid_point(grid_index, seed, params, config, counts, pair_classes)
-        for grid_index, (params, seed, (counts, pair_classes, _)) in enumerate(
+        for grid_index, (params, seed, (counts, pair_classes)) in enumerate(
             zip(config.params_grid, seeds, results)
         )
     ]
@@ -858,13 +846,11 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[MomentRep
 class MarginCheck:
     """Truncation-bias check for one grid point.
 
-    The doubled-margin realization is sampled once per replication and the
-    base-margin statistic is computed from its restriction to the base
-    rectangle (a Poisson process restricted to a subregion is again a Poisson
-    process, and edges are unchanged).  The shift is therefore a paired
-    difference: exactly zero whenever no path uses an outer point.  k <= 3
-    draws the anchors' neighbours in the whole plane, with no box, so its
-    shift is exactly zero.
+    Every k draws the points within k // 2 hops of an anchor in the whole
+    plane, with no box for a margin to truncate, so the doubled-margin count
+    is the base count, replication by replication, and the shift, a paired
+    difference, is exactly zero.  The fields are kept as the margin
+    reports' columns.
     """
 
     grid_index: int
@@ -881,48 +867,30 @@ class MarginCheck:
 def validate_margin(
     config: ExperimentConfig, replications: int | None = None, threads: int = 1
 ) -> list[MarginCheck]:
-    """Check that the default box margin introduces no visible truncation bias.
-
-    Runs a subsample of replications with the margin doubled and compares the
-    coupled base/doubled means; a grid point is flagged when the paired shift
-    exceeds two standard errors.
-    """
+    """The :class:`MarginCheck` of every grid point, from ``replications``
+    replications (by default a tenth of the config's, at least 1000),
+    counted once: no draw depends on the margin, so every shift is 0 and no
+    grid point is flagged."""
     if replications is None:
         replications = max(1000, config.replications // 10)
     seeds = [derive_subseed(config.seed, i) for i in range(len(config.params_grid))]
-    tasks = []
-    for i, (params, seed) in enumerate(zip(config.params_grid, seeds)):
-        try:
-            doubled = replace(params, margin=2.0 * params.margin)
-        except ValidationError as exc:
-            raise ValidationError(
-                f"params_grid[{i}] {params} with its doubled margin {2.0 * params.margin!r}: {exc}"
-            ) from exc
-        tasks.append((doubled, seed, False, region_for(params) if params.k >= 4 else None))
+    tasks = [(params, seed, False) for params, seed in zip(config.params_grid, seeds)]
     checks = []
-    for grid_index, (params, seed, (big, _, small)) in enumerate(
+    for grid_index, (params, seed, (counts, _)) in enumerate(
         zip(config.params_grid, seeds, _sweep(tasks, replications, threads))
     ):
-        # k <= 3 has no box for the margin to truncate
-        small = big if small is None else small
-        delta = (big - small).astype(float)
-        shift = float(delta.mean())
-        shift_se = _mean_se(delta)
-        if shift_se is None or shift_se == 0.0:
-            flagged = shift != 0.0
-        else:
-            flagged = abs(shift) > 2.0 * shift_se
+        mean = float(counts.mean())
         checks.append(
             MarginCheck(
                 grid_index=grid_index,
                 grid_seed=seed,
                 params=params,
                 replications=replications,
-                base_mean=float(small.mean()),
-                doubled_mean=float(big.mean()),
-                shift=shift,
-                shift_se=shift_se,
-                flagged=bool(flagged),
+                base_mean=mean,
+                doubled_mean=mean,
+                shift=0.0,
+                shift_se=0.0 if replications >= 2 else None,
+                flagged=False,
             )
         )
     return checks

@@ -1,4 +1,4 @@
-"""Core domain types: planar geometry, connection functions, model parameters.
+"""Core domain types: connection functions and model parameters.
 
 A random connection model is parameterized by a point-process intensity, a
 connection function mapping inter-node distance to link probability, the
@@ -21,51 +21,6 @@ _KINDS = (RAYLEIGH, HARD_DISK, TABULATED)
 
 # Tail threshold used for reach / margin defaults: exp(-25) ~ 1.4e-11 per hop.
 _TAIL_LOG = 25.0
-
-
-@dataclass(frozen=True)
-class Point:
-    """A position in the plane."""
-
-    x: float
-    y: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValidationError(f"point coordinates must be finite, got ({self.x}, {self.y})")
-
-
-@dataclass(frozen=True)
-class Region:
-    """An axis-aligned rectangle with positive area."""
-
-    min_corner: Point
-    max_corner: Point
-
-    def __post_init__(self) -> None:
-        if not (self.max_corner.x > self.min_corner.x and self.max_corner.y > self.min_corner.y):
-            raise ValidationError("max_corner must strictly dominate min_corner in both coordinates")
-
-    @property
-    def width(self) -> float:
-        return self.max_corner.x - self.min_corner.x
-
-    @property
-    def height(self) -> float:
-        return self.max_corner.y - self.min_corner.y
-
-    @property
-    def area(self) -> float:
-        return self.width * self.height
-
-    def contains(self, x, y):
-        """Vectorized membership test (closed rectangle)."""
-        return (
-            (x >= self.min_corner.x)
-            & (x <= self.max_corner.x)
-            & (y >= self.min_corner.y)
-            & (y <= self.max_corner.y)
-        )
 
 
 @dataclass(frozen=True)
@@ -186,7 +141,8 @@ class ConnectionSpec:
 
 
 def default_margin(connection: ConnectionSpec, k: int) -> float:
-    """Default box margin so truncating the plane to a rectangle is harmless.
+    """The margin a grid point records by default: the box margin that
+    would make truncating the plane to a rectangle harmless.
 
     Rayleigh: reach * sqrt(k), i.e. 5/sqrt(beta) * sqrt(k) when eta = 2
     (per-hop tail exp(-25)). Compact-support kinds: support radius * k, which
@@ -214,22 +170,14 @@ def cloud_mass(params: ModelParams) -> float:
     return math.pi * params.rho * spec.reach**2
 
 
-def region_for(params: ModelParams) -> Region:
-    """Sampling rectangle of k >= 4: anchor bounding box grown by the margin."""
-    m = params.margin
-    r = params.anchor_distance
-    return Region(Point(-m, -m), Point(r + m, m))
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """Parameters of one simulated scenario.
 
-    ``margin`` may be left as None to use :func:`default_margin`; only
-    k >= 4 draws a box, so k <= 3 records the margin but never uses it.
-    Parameters are refused when the mean number of points one replication
-    draws, :func:`cloud_mass` per anchor for k <= 3 and rho times the area
-    of :func:`region_for` for k >= 4, overflows or is above
+    ``margin`` may be left as None to use :func:`default_margin`; no draw
+    uses it (every k draws in the whole plane), but the reports record it.
+    Parameters are refused when :func:`cloud_mass`, the mean number of
+    proposals each explored vertex draws, overflows or is above
     :data:`rcmpaths.rng.POISSON_MAX`, the largest Poisson mean the keyed
     sampler draws.
     """
@@ -249,17 +197,12 @@ class ModelParams:
             problems += _real_problems(margin=self.margin)
         if problems:
             raise ValidationError("; ".join(problems))
-        if self.k <= 3:
-            names, what = "rho, connection", "of each anchor's cloud"
-            try:
-                mean = cloud_mass(self)
-            except (OverflowError, ZeroDivisionError):
-                mean = math.inf
-        else:
-            names, what = "rho, anchor_distance, margin", "of the box"
-            mean = self.rho * region_for(self).area
+        try:
+            mean = cloud_mass(self)
+        except (OverflowError, ZeroDivisionError):
+            mean = math.inf
         if not mean <= POISSON_MAX:
             raise ValidationError(
-                f"{names}: the mean number of points {what} must be at most {POISSON_MAX:.4g} "
-                f"to be drawn, got {mean!r}"
+                f"rho, connection: the mean number of points of each anchor's cloud must be at most "
+                f"{POISSON_MAX:.4g} to be drawn, got {mean!r}"
             )

@@ -8,7 +8,8 @@ from rcmpaths.analytics import AnalyticMoments, QuadratureSpec
 from rcmpaths.errors import ValidationError
 from rcmpaths.model import RAYLEIGH, ConnectionSpec, ModelParams
 from rcmpaths.paths import PairStructureCounts
-from rcmpaths.sampler import GraphRealization, realize_graph, sample_conditioned_ppp
+from rcmpaths.rng import STREAM_POINTS, fold_keys, keyed_uniforms, poisson_counts, stream_keys
+from rcmpaths.sampler import _COUNT, GraphRealization, _uniforms, _variates, realize_graph, slice_replications
 
 # one connection function of each kind, and Rayleigh with eta != 2
 CONNECTIONS = (
@@ -19,6 +20,48 @@ CONNECTIONS = (
 )
 
 _ORACLE_MAX_POINTS = 12
+
+# The point-stream draws of the box oracle's coordinates
+_BOX_X, _BOX_Y = 5, 6
+
+
+def box_bounds(params: ModelParams):
+    """The box oracle's rectangle ``((x0, y0), (x1, y1))``: the anchors'
+    bounding box grown by the margin on every side."""
+    m, r = params.margin, params.anchor_distance
+    return (-m, -m), (r + m, m)
+
+
+def box_points(slices, layout):
+    """The box oracle: a Poisson process of intensity rho on the
+    :func:`box_bounds` of each grid point, for the replications of
+    ``slices``, whose ``slice_replications`` are ``layout``.
+
+    Returns ``(xy, sizes)``: the points of every replication in turn,
+    ``sizes[b]`` of them for replication b.  Each replication draws its
+    count N ~ Poisson(rho * area) from its ``_COUNT`` uniform 0, and point i
+    from its ``_BOX_X`` and ``_BOX_Y`` uniforms i.
+    """
+    seeds, replications, _, ends = layout
+    boxes = [(p.rho, box_bounds(p)) for p, _, _, _ in slices]
+    keys = stream_keys(seeds, replications, STREAM_POINTS)
+    means = np.repeat([rho * ((x1 - x0) * (y1 - y0)) for rho, ((x0, y0), (x1, y1)) in boxes], np.diff(ends, prepend=0))
+    sizes = poisson_counts(means, keyed_uniforms(fold_keys(keys, _COUNT), 0))
+    xy = _uniforms(keys, [_BOX_X, _BOX_Y], *_variates(sizes))
+    # each slice's points are a run of rows
+    bounds = np.cumsum(sizes)[ends - 1].tolist()
+    for (_, ((x0, y0), (x1, y1))), lo, hi in zip(boxes, [0, *bounds], bounds):
+        xy[lo:hi] *= (x1 - x0, y1 - y0)
+        xy[lo:hi] += (x0, y0)
+    return xy, sizes
+
+
+def sample_conditioned_ppp(params: ModelParams, seed: int, replication: int) -> np.ndarray:
+    """The anchors at (0, 0) and (anchor_distance, 0), then the
+    :func:`box_points` of one replication: an (N + 2, 2) array."""
+    slices = [(params, seed, replication, replication + 1)]
+    xy, _ = box_points(slices, slice_replications(slices))
+    return np.vstack([[[0.0, 0.0], [params.anchor_distance, 0.0]], xy])
 
 
 class OracleSizeError(ValueError):

@@ -40,7 +40,7 @@ from rcmpaths.experiments import (
 )
 from rcmpaths.model import ConnectionSpec, ModelParams
 from rcmpaths.paths import iter_khop_paths, khop_paths
-from rcmpaths.sampler import realize_graph, region_for, sample_conditioned_ppp, sample_realization
+from rcmpaths.sampler import realize_graph, sample_realization
 
 RAY1 = ConnectionSpec.rayleigh(beta=1.0)
 
@@ -143,6 +143,7 @@ class TestConfig:
             ("bracket_orders", [3, 4.5], "bracket_orders: expected integers"),
             ("name", "../escaped", "name: must be a plain file name, got '../escaped'"),
             ("name", "sub/x", "name: must be a plain file name, got 'sub/x'"),
+            ("name", "a\0b", "name: must be a plain file name, got 'a\\x00b'"),
         ],
     )
     def test_rejects_coercible_values(self, tmp_path, capsys, key, value, problem):
@@ -196,15 +197,12 @@ class TestConfig:
                 "rho, connection: the mean number of points of each anchor's cloud must be at most "
                 "1.342e+08 to be drawn, got 157079632.67948964",
             ),
+            # k >= 4 explores in the whole plane too: each explored vertex
+            # draws a cloud of the anchors' mean
             (
                 {"rho": 1e19, "k": 4},
-                "rho, anchor_distance, margin: the mean number of points of the box must be at most "
-                "1.342e+08 to be drawn, got 3.173205080756887e+21",
-            ),
-            (
-                {"rho": 1e6, "k": 4},
-                "rho, anchor_distance, margin: the mean number of points of the box must be at most "
-                "1.342e+08 to be drawn, got 317320508.07568866",
+                "rho, connection: the mean number of points of each anchor's cloud must be at most "
+                "1.342e+08 to be drawn, got 3.141592653589793e+19",
             ),
             ({"connection": "x"}, "connection: expected a JSON object, got 'x'"),
             ("abc", "expected a JSON object, got 'abc'"),
@@ -219,8 +217,7 @@ class TestConfig:
             "reach-overflow",
             "cloud-overflow",
             "cloud-above-poisson-max",
-            "box-draw-too-large",
-            "box-above-poisson-max",
+            "k4-cloud-above-poisson-max",
             "connection-string",
             "point-string",
         ],
@@ -277,34 +274,30 @@ class TestConfig:
         assert "unknown field 'replication'" in capsys.readouterr().err
 
 
-def _full_realization_counts(params, seed, rep, inside=None):
-    """Count, pair classes and inside-count of one replication from its full
-    graph, the DFS and the O(m**2) pair classifier."""
+def _full_realization_counts(params, seed, rep):
+    """Count and pair classes of one replication from its full graph, the
+    DFS and the O(m**2) pair classifier."""
     g = sample_realization(params, seed, rep)
-    pts = g.points
     k = int(params.k)
     found = list(iter_khop_paths(g, k))
     c = classify_path_pairs_oracle(np.array([p[1:3] for p in found]).reshape(-1, 2)) if k == 3 else None
     classes = None if c is None else (c.sigma0, c.sigma11, c.sigma12, c.sigma21, c.sigma22)
-    kept = None
-    if inside is not None:
-        kept = sum(1 for p in found if inside.contains(*pts[list(p[1:-1])].T).all())
-    return len(found), classes, kept
+    return len(found), classes
 
 
 class TestEngineEquivalence:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_lazy_counts_match_full_realization(self, k):
         params = ModelParams(rho=0.8, connection=RAY1, anchor_distance=1.0, k=k, margin=2.5)
-        ((counts, _, _),) = _count_batch([(params, 99, 0, 60, False, None)])
+        ((counts, _),) = _count_batch([(params, 99, 0, 60, False)])
         for rep in range(60):
             assert counts[rep] == _full_realization_counts(params, 99, rep)[0]
 
     def test_pair_classes_match_graph_classifier(self):
         params = ModelParams(rho=0.8, connection=RAY1, anchor_distance=1.0, k=3, margin=2.5)
-        ((counts, classes, _),) = _count_batch([(params, 31, 0, 40, True, None)])
+        ((counts, classes),) = _count_batch([(params, 31, 0, 40, True)])
         for rep in range(40):
-            count, expected, _ = _full_realization_counts(params, 31, rep)
+            count, expected = _full_realization_counts(params, 31, rep)
             assert counts[rep] == count
             assert tuple(classes[rep]) == expected
 
@@ -317,29 +310,19 @@ class TestEngineEquivalence:
         seed=st.integers(0, 2**64 - 1),
         first=st.integers(0, 10_000),
         size=st.integers(1, 6),
-        masked=st.booleans(),
     )
     @settings(max_examples=150, deadline=None)
-    def test_block_counter_matches_full_realization(
-        self, spec, k, rho, anchor_distance, margin, seed, first, size, masked
-    ):
-        # low densities and narrow boxes give replications without points or
-        # without anchor neighbours; every block is ragged in its point counts
+    def test_block_counter_matches_full_realization(self, spec, k, rho, anchor_distance, margin, seed, first, size):
+        # low densities give replications without points or without anchor
+        # neighbours; every block is ragged in its point counts
         params = ModelParams(rho=rho, connection=spec, anchor_distance=anchor_distance, k=k, margin=margin)
-        inside = None
-        if masked:
-            inside = region_for(
-                ModelParams(rho=rho, connection=spec, anchor_distance=anchor_distance, k=k, margin=margin / 2)
-            )
         reps = range(first, first + size)
-        ((counts, classes, kept),) = _count_block([(params, seed, first, first + size)], k == 3, [inside])
+        ((counts, classes),) = _count_block([(params, seed, first, first + size)], k == 3)
         for b, rep in enumerate(reps):
-            count, expected_classes, expected_kept = _full_realization_counts(params, seed, rep, inside)
+            count, expected_classes = _full_realization_counts(params, seed, rep)
             assert counts[b] == count
             if k == 3:
                 assert tuple(classes[b]) == expected_classes
-            if masked:
-                assert kept[b] == expected_kept
 
     @given(
         spec=st.sampled_from(CONNECTIONS),
@@ -352,7 +335,6 @@ class TestEngineEquivalence:
                 st.integers(0, 2**64 - 1),
                 st.integers(0, 10_000),
                 st.integers(1, 4),
-                st.booleans(),
             ),
             min_size=2,
             max_size=5,
@@ -361,32 +343,29 @@ class TestEngineEquivalence:
     @settings(max_examples=80, deadline=None)
     def test_block_of_grid_points_matches_each_point(self, spec, k, points):
         # grid points of one connection and k, each with its own density,
-        # separation, box, seed, replications and mask, share one block;
-        # low densities give replications without points
-        slices, insides = [], []
-        for rho, anchor_distance, margin, seed, first, size, masked in points:
+        # separation, margin, seed and replications, share one block; low
+        # densities give replications without points
+        slices = []
+        for rho, anchor_distance, margin, seed, first, size in points:
             params = ModelParams(
                 rho=rho, connection=spec, anchor_distance=anchor_distance, k=k, margin=margin
             )
             slices.append((params, seed, first, first + size))
-            insides.append(region_for(dataclasses.replace(params, margin=margin / 2)) if masked else None)
-        merged = _count_block(slices, k == 3, insides)
-        batched = _count_batch([(*part, k == 3, inside) for part, inside in zip(slices, insides)])
+        merged = _count_block(slices, k == 3)
+        batched = _count_batch([(*part, k == 3) for part in slices])
         assert len(merged) == len(batched) == len(slices)
-        for (params, seed, first, last), inside, got, again in zip(slices, insides, merged, batched):
-            (alone,) = _count_block([(params, seed, first, last)], k == 3, [inside])
+        for (params, seed, first, last), got, again in zip(slices, merged, batched):
+            (alone,) = _count_block([(params, seed, first, last)], k == 3)
             for expected, a, b in zip(alone, got, again):
                 assert (expected is None and a is None and b is None) or (
                     np.array_equal(expected, a) and np.array_equal(expected, b)
                 )
-            counts, classes, kept = got
+            counts, classes = got
             for b, rep in enumerate(range(first, last)):
-                count, expected_classes, expected_kept = _full_realization_counts(params, seed, rep, inside)
+                count, expected_classes = _full_realization_counts(params, seed, rep)
                 assert counts[b] == count
                 if k == 3:
                     assert tuple(classes[b]) == expected_classes
-                if inside is not None:
-                    assert kept[b] == expected_kept
 
     @given(
         spec=st.sampled_from(CONNECTIONS),
@@ -403,7 +382,7 @@ class TestEngineEquivalence:
         params = ModelParams(rho=rho, connection=spec, anchor_distance=anchor_distance, k=k, margin=margin)
         g = sample_realization(params, seed, rep)
         assume(g.n - 2 <= 12)
-        (((count,), _, _),) = _count_block([(params, seed, rep, rep + 1)], False, [None])
+        (((count,), _),) = _count_block([(params, seed, rep, rep + 1)], False)
         assert count == len(khop_paths(g, k)) == len(list(iter_khop_paths(g, k)))
         assert count == count_khop_paths_oracle(g, k)
 
@@ -411,18 +390,16 @@ class TestEngineEquivalence:
     def test_join_runs_do_not_change_counts(self, k, monkeypatch):
         # joins split into runs of a few pairs, most runs cutting through
         # one half-path's pairs, must find the same paths
-        params = ModelParams(rho=1.2, connection=RAY1, anchor_distance=1.0, k=k, margin=2.0)
-        inside = region_for(dataclasses.replace(params, margin=1.0))
-        (whole,) = _count_block([(params, 8, 0, 5)], k == 3, [inside])
+        params = ModelParams(rho=1.2, connection=RAY1, anchor_distance=1.0, k=k)
+        (whole,) = _count_block([(params, 8, 0, 5)], k == 3)
         monkeypatch.setattr(paths, "_JOIN_PAIRS", 7)
-        (runs,) = _count_block([(params, 8, 0, 5)], k == 3, [inside])
+        (runs,) = _count_block([(params, 8, 0, 5)], k == 3)
         for expected, got in zip(whole, runs):
             assert (expected is None and got is None) or np.array_equal(expected, got)
         assert whole[0].sum() > 0
 
     def test_long_path_memory_is_bounded(self):
-        # about 2600 points per replication: one full realization takes
-        # about 340 MiB, the half-path joins a fraction of that
+        # about 160 explored points and 10000 paths per replication
         params = ModelParams(rho=5.0, connection=RAY1, anchor_distance=1.0, k=5)
         tracemalloc.start()
         try:
@@ -468,7 +445,7 @@ class TestEngineEquivalence:
             sample_realization(params, value, 4)
         with pytest.raises(ValidationError, match=problem("replication")):
             sample_realization(params, 4, value)
-        pts = sample_conditioned_ppp(params, 4, 0)
+        pts = sample_realization(params, 4, 0).points
         with pytest.raises(ValidationError, match=problem("seed")):
             realize_graph(pts, RAY1, value, 0)
         with pytest.raises(ValidationError, match=problem("replication")):
@@ -763,12 +740,13 @@ class TestWorkerPool:
     @pytest.mark.parametrize("batch_points", [1e9, 1.0])
     def test_deal_balances_a_periodic_grid(self, monkeypatch, batch_points):
         # cost cycles with k along the grid, so dealing by grid position would
-        # put every k = 5 point on one worker
+        # put every k = 6 point on one worker (k = 4 and 5 explore as deep,
+        # so they cost alike)
         monkeypatch.setattr(experiments, "_BATCH_POINTS", batch_points)
         grid = [
             ModelParams(rho=rho, connection=RAY1, anchor_distance=1.0, k=k)
             for rho in (0.5, 1.0, 1.5, 2.0)
-            for k in (2, 3, 4, 5)
+            for k in (2, 3, 4, 6)
         ]
         points = [12 * experiments._points_per_replication(params) for params in grid]
         batches = experiments._deal(points, 4)
@@ -776,7 +754,7 @@ class TestWorkerPool:
         assert len(batches) == (4 if batch_points > 1 else 16)
         loads = [sum(points[j] for j in batch) for batch in batches]
         assert max(loads) - min(loads) <= max(points)
-        assert all(sum(grid[j].k == 5 for j in batch) <= 1 for batch in batches)
+        assert all(sum(grid[j].k == 6 for j in batch) <= 1 for batch in batches)
 
     def test_killed_workers_are_replaced(self, counted_pools):
         params = ModelParams(rho=1.0, connection=RAY1, anchor_distance=1.0, k=3)
@@ -882,10 +860,9 @@ class TestWorkerPool:
         params = ModelParams(rho=5.0, connection=RAY1, anchor_distance=1.0, k=1)
         # the anchors' own edge of each full realization
         expected = np.array([sample_realization(params, 7, rep).adjacency[0, 1] for rep in range(50)])
-        # neither the block draw nor either of the sampler's point draws runs
+        # neither the block draw nor the sampler's point draw runs
         monkeypatch.setattr(experiments, "block_points", None)
-        for name in ("anchor_neighbours", "box_points"):
-            monkeypatch.setattr(sampler, name, None)
+        monkeypatch.setattr(sampler, "anchor_neighbours", None)
         counts, _ = run_replications(params, 7, 50)
         assert np.array_equal(counts, expected)
         assert expected.sum() > 0
@@ -893,13 +870,14 @@ class TestWorkerPool:
 
 class TestValidateMargin:
     def test_compact_support_shift_exactly_zero(self, tmp_path):
-        # k >= 4 draws a box: the default margin is the support radius times k
+        # the default margin of a compact kernel is the support radius times
+        # k; no k draws a box, so the shift is zero
         grid = (
             ModelParams(rho=1.0, connection=ConnectionSpec.hard_disk(1.0), anchor_distance=1.0, k=4),
         )
         cfg = tiny_config(tmp_path, params_grid=grid)
         check = validate_margin(cfg, replications=300)[0]
-        assert check.shift == 0.0
+        assert check.shift == 0.0 and check.base_mean == check.doubled_mean > 0
         assert not check.flagged
 
     def test_default_margin_passes(self, tmp_path):
@@ -907,19 +885,20 @@ class TestValidateMargin:
         check = validate_margin(cfg, replications=500)[0]
         assert not check.flagged
 
-    def test_broken_margin_flagged(self, tmp_path):
-        # k <= 3 draws the anchors' neighbours in the whole plane: no margin
-        # can truncate it, so its shift is exactly zero
+    def test_small_margin_shifts_nothing(self, tmp_path):
+        # every k draws in the whole plane: no margin, however small, can
+        # truncate it, so each shift is exactly zero and the base mean is
+        # the sweep's
         grid = (
             ModelParams(rho=1.0, connection=RAY1, anchor_distance=1.0, k=4, margin=0.5),
             ModelParams(rho=1.0, connection=RAY1, anchor_distance=1.0, k=3, margin=0.5),
         )
         cfg = tiny_config(tmp_path, params_grid=grid, replications=500)
-        box, plane = validate_margin(cfg, replications=500)
-        assert box.flagged
-        assert box.doubled_mean > box.base_mean
-        assert plane.shift == 0.0 and plane.base_mean == plane.doubled_mean > 0
-        assert not plane.flagged
+        checks = validate_margin(cfg, replications=500)
+        for check, report in zip(checks, run_experiment(cfg)):
+            assert check.shift == 0.0 and check.shift_se == 0.0
+            assert check.base_mean == check.doubled_mean == report.empirical_mean > 0
+            assert not check.flagged
 
     def test_default_subsample_size(self, tmp_path):
         cfg = tiny_config(tmp_path, replications=50_000)
@@ -1026,18 +1005,6 @@ class TestCli:
         assert config["replications"] == 5 and config["strict_numerics"] is True
         assert config["outputs"] == str(tmp_path) and config["seed"] == 0
 
-    def test_validate_margin_names_the_point_whose_doubled_box_is_refused(self, tmp_path, capsys):
-        # rho = 1e5 is drawn with its own margin (4.2e7 points on average),
-        # but not with the doubled one (1.64e8, above 2**27)
-        grid = tuple(ModelParams(rho=rho, connection=RAY1, anchor_distance=1.0, k=4) for rho in (1.0, 1e5))
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(config_to_dict(tiny_config(tmp_path / "out", params_grid=grid))))
-        assert cli_main(["validate-margin", "--config", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: params_grid[1] ModelParams(rho=100000.0,"), err
-        assert "doubled margin 20.0" in err and "164000000.0" in err
-        assert not (tmp_path / "out").exists()
-
     @pytest.mark.parametrize(
         "sources", [["--config", "CONFIG", "--preset", "fig-existence"], []], ids=["both", "neither"]
     )
@@ -1122,10 +1089,23 @@ class TestCli:
         assert problem in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_invalid_config_exit_code(self, tmp_path):
+    def test_invalid_config_exit_code(self, tmp_path, capsys):
+        # a config that is incomplete, not JSON or not UTF-8, and a --table
+        # that is not JSON, exit 2 with one error line and write nothing
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"name": "x"}))
-        assert cli_main(["run", str(path)]) == 2
+        out = ["--out", str(tmp_path / "out")]
+        for content, argv, problem in (
+            (json.dumps({"name": "x"}).encode(), ["run", str(path), *out], "missing required field"),
+            (b'{"name": "x",', ["run", str(path), *out], f"config file {str(path)!r} is not UTF-8 JSON"),
+            (b"\xff\xfe", ["run", str(path), *out], f"config file {str(path)!r} is not UTF-8 JSON"),
+            (b"", ["sample", "--kind", "tabulated", "--table", "[[0.5, 1", "--out", str(tmp_path / "s.json")],
+             "--table: not JSON"),
+        ):
+            path.write_bytes(content)
+            assert cli_main(argv) == 2
+            err = capsys.readouterr().err
+            assert problem in err and err.startswith("error: ") and err.count("\n") == 1, err
+            assert sorted(os.listdir(tmp_path)) == ["bad.json"]
 
     def test_unwritable_output_exit_code(self, tmp_path):
         blocker = tmp_path / "blocker"

@@ -9,8 +9,6 @@ from rcmpaths.errors import ValidationError
 from rcmpaths.model import (
     ConnectionSpec,
     ModelParams,
-    Point,
-    Region,
     default_margin,
 )
 
@@ -170,14 +168,3 @@ def test_model_params_validation(bad):
     base.update(bad)
     with pytest.raises(ValidationError):
         ModelParams(**base)
-
-
-def test_point_and_region():
-    with pytest.raises(ValidationError):
-        Point(float("nan"), 0.0)
-    region = Region(Point(-1.0, -2.0), Point(3.0, 2.0))
-    assert region.area == pytest.approx(16.0)
-    assert region.contains(0.0, 0.0)
-    assert not region.contains(3.1, 0.0)
-    with pytest.raises(ValidationError):
-        Region(Point(0.0, 0.0), Point(0.0, 1.0))

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
-from conftest import CONNECTIONS
-from rcmpaths.analytics import mean_khop_numeric
+from conftest import _BOX_X, _BOX_Y, CONNECTIONS, box_bounds, box_points, sample_conditioned_ppp
+from rcmpaths.analytics import mean_khop_numeric, mean_khop_rayleigh
 from rcmpaths.experiments import run_replications
-from rcmpaths.model import ConnectionSpec, ModelParams, Point, cloud_mass
+from rcmpaths.model import ConnectionSpec, ModelParams, cloud_mass
 from rcmpaths.paths import iter_khop_paths, khop_paths
 from rcmpaths.rng import (
     STREAM_POINTS,
@@ -22,17 +22,13 @@ from rcmpaths.rng import (
 )
 from rcmpaths.sampler import (
     _ANGLE,
-    _BOX_X,
-    _BOX_Y,
     _COUNT,
     _RADIUS,
     anchor_edges,
+    anchor_neighbours,
     block_points,
-    box_points,
     connection_probabilities,
     realize_graph,
-    region_for,
-    sample_conditioned_ppp,
     sample_realization,
     slice_replications,
 )
@@ -43,59 +39,64 @@ TABLE = ConnectionSpec.tabulated([(0.25, 0.9), (1.5, 0.2)])
 
 
 def test_region_construction():
+    # the box oracle's rectangle
     params = ModelParams(rho=2.0, connection=RAY1, anchor_distance=1.0, k=3, margin=5.0)
-    region = region_for(params)
-    assert region.min_corner == Point(-5.0, -5.0)
-    assert region.max_corner == Point(6.0, 5.0)
-    assert region.area == pytest.approx(110.0)
+    assert box_bounds(params) == ((-5.0, -5.0), (6.0, 5.0))
 
 
 def test_anchor_placement():
-    params = ModelParams(rho=1.0, connection=RAY1, anchor_distance=2.5, k=3)
-    pts = sample_conditioned_ppp(params, 3, 0)
-    assert tuple(pts[0]) == (0.0, 0.0)
-    assert tuple(pts[1]) == (2.5, 0.0)
-    assert abs(np.hypot(*(pts[0] - pts[1])) - 2.5) < 1e-12
+    for k in (3, 4):
+        params = ModelParams(rho=1.0, connection=RAY1, anchor_distance=2.5, k=k)
+        pts = sample_realization(params, 3, 0).points
+        assert tuple(pts[0]) == (0.0, 0.0)
+        assert tuple(pts[1]) == (2.5, 0.0)
+        assert abs(np.hypot(*(pts[0] - pts[1])) - 2.5) < 1e-12
+        assert len(pts) > 2
 
 
 def test_points_stay_in_region():
     params = ModelParams(rho=2.0, connection=RAY1, anchor_distance=1.0, k=3, margin=5.0)
-    region = region_for(params)
+    (x0, y0), (x1, y1) = box_bounds(params)
     pts = sample_conditioned_ppp(params, 9, 4)
-    assert np.all(region.contains(pts[:, 0], pts[:, 1]))
+    assert len(pts) > 2
+    assert np.all((pts[:, 0] >= x0) & (pts[:, 0] <= x1) & (pts[:, 1] >= y0) & (pts[:, 1] <= y1))
 
 
 def test_vanishing_density_leaves_only_anchors():
-    params = ModelParams(rho=1e-12, connection=RAY1, anchor_distance=1.0, k=3, margin=5.0)
-    for rep in range(100):
-        assert len(sample_conditioned_ppp(params, 1, rep)) == 2
+    for k in (3, 4, 6):
+        params = ModelParams(rho=1e-12, connection=RAY1, anchor_distance=1.0, k=k)
+        for rep in range(100):
+            assert sample_realization(params, 1, rep).n == 2
+
+
+def _anchor_neighbour_counts(seed):
+    # the points adjacent to either anchor, rayleigh beta = 1 at separation
+    # 1 and rho = 2: Poisson with mean rho * (2 pi - (pi / 2) exp(-1/2)),
+    # the integral of H(|z - x|) + H(|z - y|) - H(|z - x|) H(|z - y|)
+    params = ModelParams(rho=2.0, connection=RAY1, anchor_distance=1.0, k=3)
+    slices = [(params, seed, 0, 10_000)]
+    _, sizes, _, _ = anchor_neighbours(slices, slice_replications(slices))
+    return sizes, 2.0 * (2.0 * math.pi - 0.5 * math.pi * math.exp(-0.5))
 
 
 def test_poisson_count_mean():
-    # area 110 at rho=2: expect 2 + 220 points on average
-    params = ModelParams(rho=2.0, connection=RAY1, anchor_distance=1.0, k=3, margin=5.0)
-    reps = 10_000
-    counts = np.array([len(sample_conditioned_ppp(params, 17, rep)) for rep in range(reps)])
-    lam = 220.0
-    se = math.sqrt(lam / reps)
-    assert abs(counts.mean() - (2 + lam)) < 4 * se
+    counts, lam = _anchor_neighbour_counts(17)
+    se = math.sqrt(lam / len(counts))
+    assert abs(counts.mean() - lam) < 4 * se
 
 
 def test_poisson_dispersion():
-    params = ModelParams(rho=2.0, connection=RAY1, anchor_distance=1.0, k=3, margin=5.0)
-    reps = 10_000
-    counts = np.array([len(sample_conditioned_ppp(params, 23, rep)) - 2 for rep in range(reps)])
-    lam = 220.0
+    counts, lam = _anchor_neighbour_counts(23)
     assert 0.95 < counts.mean() / lam < 1.05
     assert 0.95 < counts.var(ddof=1) / lam < 1.05
 
 
 def test_determinism_and_replication_independence():
     params = ModelParams(rho=1.0, connection=RAY1, anchor_distance=1.0, k=3)
-    a = sample_conditioned_ppp(params, 5, 11)
-    b = sample_conditioned_ppp(params, 5, 11)
+    a = sample_realization(params, 5, 11).points
+    b = sample_realization(params, 5, 11).points
     assert np.array_equal(a, b)
-    c = sample_conditioned_ppp(params, 5, 12)
+    c = sample_realization(params, 5, 12).points
     assert a.shape != c.shape or not np.array_equal(a, c)
     ga = sample_realization(params, 5, 11)
     gb = sample_realization(params, 5, 11)
@@ -160,19 +161,25 @@ def test_disjoint_pair_edges_uncorrelated():
 @settings(max_examples=60, deadline=None)
 def test_linked_draws_the_pair_uniforms(spec, k, points):
     # the block's linked callback decides every pair of points of one
-    # replication, in either order, as the pair's pair_uniforms below H
+    # replication, in either order, as the pair's pair_uniforms below H,
+    # save where the exploration decided it (k >= 4): the upper point is
+    # adjacent to its parent and to no vertex numbered below the parent
     slices = [
         (ModelParams(rho=rho, connection=spec, anchor_distance=r, k=k, margin=1.0), seed, first, first + n)
         for seed, first, n, rho, r in points
     ]
     layout = slice_replications(slices)
     xy, owner, _, linked = block_points(slices, layout)
+    parent = anchor_neighbours(slices, layout)[3]
     seeds, replications, _, _ = layout
     local = np.arange(len(owner)) - np.searchsorted(owner, owner) + 2
     u, v = np.nonzero((owner[:, None] == owner) & ~np.eye(len(owner), dtype=bool))
     d = xy[u] - xy[v]
     h = connection_probabilities(spec, d[:, 0] ** 2 + d[:, 1] ** 2)
     want = pair_uniforms(seeds[owner[u]], replications[owner[u]], local[u], local[v]) < h
+    lower, upper = np.minimum(u, v), np.maximum(u, v)
+    assert k >= 4 or (parent < 2).all()
+    want = (local[lower] == parent[upper]) | ((local[lower] > parent[upper]) & want)
     assert np.array_equal(linked(u, v), want)
     assert np.array_equal(linked(v, u), want)
 
@@ -200,7 +207,7 @@ class TestAnchorNeighbours:
         [HARD_DISK, TABLE, ConnectionSpec.rayleigh(beta=0.8), ConnectionSpec.rayleigh(beta=0.7, eta=3.0)],
         ids=["hard-disk", "tabulated", "eta-2", "eta-3"],
     )
-    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
     def test_counter_equals_the_dfs_on_the_realization(self, spec, k):
         params = ModelParams(rho=1.5, connection=spec, anchor_distance=1.0, k=k)
         counts, _ = run_replications(params, 41, 20)
@@ -252,27 +259,32 @@ class TestAnchorNeighbours:
     @pytest.mark.parametrize("rho", [0.05, 1.5])
     def test_block_draws_equal_one_replication_at_a_time(self, spec, rho):
         # every variate is keyed by its replication and its number there, so
-        # each replication draws the same points however the block is cut,
-        # and beside another grid point's replications; at rho = 0.05 most
-        # clouds are empty
-        params = ModelParams(rho=rho, connection=spec, anchor_distance=1.0, k=3)
-        other = replace(params, rho=2.0 * rho, anchor_distance=0.5)
-        seed = (1 << 63) + 5
-        expected = [_replications([(params, seed, rep, rep + 1)])[0] for rep in range(40)]
-        for cut in (
-            [(params, seed, 0, 40)],
-            [(params, seed, 7, 8)],
-            [(other, 3, 0, 5), (params, seed, 13, 29), (other, 3, 5, 9)],
-        ):
-            got = _replications(cut)
-            at = 0
-            for p, _, a, b in cut:
-                if p is params:
-                    assert got[at : at + b - a] == expected[a:b]
-                at += b - a
-        sizes = [len(xy) // 16 for xy, _, _ in expected]  # 16 bytes a point
-        assert max(sizes) > 0
-        assert rho > 1 or 0 in sizes
+        # each replication draws the same points, anchor rows and parents
+        # however the block is cut, and beside another grid point's
+        # replications, at every depth of the exploration; at rho = 0.05
+        # most clouds are empty
+        for k in (3, 4, 5, 6):
+            params = ModelParams(rho=rho, connection=spec, anchor_distance=1.0, k=k)
+            other = replace(params, rho=2.0 * rho, anchor_distance=0.5)
+            seed = (1 << 63) + 5
+            expected = [_replications([(params, seed, rep, rep + 1)])[0] for rep in range(40)]
+            for cut in (
+                [(params, seed, 0, 40)],
+                [(params, seed, 7, 8)],
+                [(other, 3, 0, 5), (params, seed, 13, 29), (other, 3, 5, 9)],
+            ):
+                got = _replications(cut)
+                at = 0
+                for p, _, a, b in cut:
+                    if p is params:
+                        assert got[at : at + b - a] == expected[a:b]
+                    at += b - a
+            sizes = [len(xy) // 16 for xy, _, _, _ in expected]  # 16 bytes a point
+            assert max(sizes) > 0
+            assert rho > 1 or 0 in sizes
+            # a parent numbered 2 or more is a point found by a point
+            deep = [np.frombuffer(parent, dtype=np.int64).max(initial=0) >= 2 for _, _, _, parent in expected]
+            assert any(deep) == (k >= 4) or (k >= 4 and rho < 1)
 
     def test_eta_2_draws_its_documented_keys(self):
         # cloud 0 comes first in each replication: its n0 points lie at
@@ -313,17 +325,18 @@ class TestAnchorNeighbours:
 
 
 def _replications(slices):
-    """The block draw of ``slices`` cut back into replications: the bytes of
-    each one's points and of its two anchor rows."""
-    layout = slice_replications(slices)
-    xy, owner, near, _ = block_points(slices, layout)
-    cuts = np.cumsum(np.bincount(owner, minlength=len(layout[0])))[:-1]
-    parts = (np.split(z, cuts) for z in (xy, *near))
+    """The exploration of ``slices`` cut back into replications: the bytes
+    of each one's points, of its two anchor rows and of its points'
+    parents."""
+    xy, sizes, near, parent = anchor_neighbours(slices, slice_replications(slices))
+    cuts = np.cumsum(sizes)[:-1]
+    parts = (np.split(z, cuts) for z in (xy, *near, parent))
     return [tuple(z.tobytes() for z in rows) for rows in zip(*parts)]
 
 
 class TestBoxPoints:
-    """k >= 4 draws a block of box points, with drawn anchor edges."""
+    """The box oracle of ``conftest.py``: a Poisson process on the anchors'
+    bounding box grown by the margin, realized in full."""
 
     @pytest.mark.parametrize("rho", [0.05, 1.5])
     def test_box_draws_equal_one_replication_at_a_time(self, rho):
@@ -333,16 +346,14 @@ class TestBoxPoints:
         # rho = 0.05 most boxes are empty
         params = ModelParams(rho=rho, connection=RAY1, anchor_distance=1.0, k=4, margin=1.0)
         other = replace(params, rho=2.0 * rho, anchor_distance=2.0)
-        region = region_for(params)
+        (x0, y0), (x1, y1) = box_bounds(params)
         seed = (1 << 63) + 5
 
         def one(rep):
             key = stream_keys(seed, rep, STREAM_POINTS)
-            i = np.arange(poisson_counts(params.rho * region.area, keyed_uniforms(fold_keys(key, _COUNT), 0)))
+            i = np.arange(poisson_counts(params.rho * ((x1 - x0) * (y1 - y0)), keyed_uniforms(fold_keys(key, _COUNT), 0)))
             u = np.column_stack([keyed_uniforms(fold_keys(key, f), i) for f in (_BOX_X, _BOX_Y)])
-            return np.column_stack(
-                [region.min_corner.x + u[:, 0] * region.width, region.min_corner.y + u[:, 1] * region.height]
-            )
+            return np.column_stack([x0 + u[:, 0] * (x1 - x0), y0 + u[:, 1] * (y1 - y0)])
 
         expected = [one(rep) for rep in range(40)]
         for a, b in ((0, 40), (7, 8), (13, 29)):
@@ -357,27 +368,81 @@ class TestBoxPoints:
 
     def test_box_coordinates_are_uniform(self):
         params = ModelParams(rho=0.05, connection=RAY1, anchor_distance=2.0, k=4, margin=3.0)
-        region = region_for(params)
+        (x0, y0), (x1, y1) = box_bounds(params)
         slices = [(params, 8, 0, 2500)]
         xy, sizes = box_points(slices, slice_replications(slices))
         assert sizes.sum() > 5000
-        assert stats.kstest((xy[:, 0] - region.min_corner.x) / region.width, "uniform").pvalue > 1e-3
-        assert stats.kstest((xy[:, 1] - region.min_corner.y) / region.height, "uniform").pvalue > 1e-3
+        assert stats.kstest((xy[:, 0] - x0) / (x1 - x0), "uniform").pvalue > 1e-3
+        assert stats.kstest((xy[:, 1] - y0) / (y1 - y0), "uniform").pvalue > 1e-3
 
     @pytest.mark.parametrize("spec", CONNECTIONS, ids=["eta-2", "eta-3", "hard-disk", "tabulated"])
     @pytest.mark.parametrize("seed", [0, 19, (1 << 63) + 5], ids=["0", "19", "2**63+5"])
     def test_realization_is_the_full_draw(self, spec, seed):
-        # the realization the k >= 4 counter is checked against writes the
-        # anchor rows of block_points; they must be the full matrix draw's
-        params = ModelParams(rho=1.5, connection=spec, anchor_distance=1.0, k=4, margin=1.0)
-        anchor_edges = 0
+        # at k = 4 the realization draws every pair of points that the
+        # exploration left open, and the anchors' own pair, as the full
+        # matrix draw of its points does
+        params = ModelParams(rho=1.5, connection=spec, anchor_distance=1.0, k=4)
+        deep = 0
         for rep in (0, 1, 5, (1 << 64) - 1):
             g = sample_realization(params, seed, rep)
-            full = realize_graph(sample_conditioned_ppp(params, seed, rep), spec, seed, rep)
-            assert g.points.tobytes() == full.points.tobytes()
-            assert np.array_equal(g.adjacency, full.adjacency)
-            anchor_edges += int(full.adjacency[:2, 2:].sum())
-        assert anchor_edges > 0
+            full = realize_graph(g.points, spec, seed, rep)
+            parent = np.concatenate([[-1, -1], _parents(params, seed, rep)])
+            iu, ju = np.triu_indices(g.n, k=1)
+            drawn = (iu > parent[ju]) & ((iu >= 2) | (ju == 1))
+            assert np.array_equal(g.adjacency[iu[drawn], ju[drawn]], full.adjacency[iu[drawn], ju[drawn]])
+            deep += int((parent >= 2).sum())
+        assert deep > 0
+
+
+def _parents(params, seed, rep):
+    """The parents' numbers of the points of one replication."""
+    slices = [(params, seed, rep, rep + 1)]
+    return anchor_neighbours(slices, slice_replications(slices))[3]
+
+
+def _hops(adjacency):
+    """Each vertex's hop distance from the nearer anchor (-1 if none)."""
+    hops = np.full(len(adjacency), -1)
+    hops[:2] = 0
+    front, d = np.array([0, 1]), 0
+    while len(front):
+        d += 1
+        reached = adjacency[front].any(axis=0) & (hops < 0)
+        hops[reached] = d
+        front = np.flatnonzero(reached)
+    return hops
+
+
+class TestExplorer:
+    """k >= 4 explores the points within k // 2 hops of an anchor, one
+    generation after another."""
+
+    @pytest.mark.parametrize("spec", CONNECTIONS, ids=["eta-2", "eta-3", "hard-disk", "tabulated"])
+    @pytest.mark.parametrize("k", [4, 5, 6])
+    def test_points_lie_within_half_k_hops(self, spec, k):
+        # a point found by a point (a parent numbered 2 or more) has no
+        # anchor edge, is adjacent to its parent and to no vertex numbered
+        # below it, and lies one hop further out than its parent: every
+        # point's hop distance is its generation, at most k // 2
+        params = ModelParams(rho=1.5, connection=spec, anchor_distance=1.0, k=k)
+        deepest = 0
+        for rep in range(10):
+            g = sample_realization(params, 29, rep)
+            parent = np.concatenate([[-1, -1], _parents(params, 29, rep)])
+            points = np.arange(2, g.n)
+            assert (parent[points] < points).all()
+            generation = np.zeros(g.n, dtype=np.int64)
+            for v in points:
+                generation[v] = generation[parent[v]] + 1 if parent[v] >= 2 else 1
+            assert np.array_equal(_hops(g.adjacency)[2:], generation[2:])
+            assert generation.max() <= k // 2
+            deep = points[parent[points] >= 2]
+            assert not g.adjacency[:2, deep].any()
+            assert g.adjacency[parent[points], points].all()
+            for v in deep:
+                assert not g.adjacency[: parent[v], v].any()
+            deepest = max(deepest, generation.max())
+        assert deepest == k // 2
 
     @given(
         spec=st.sampled_from(CONNECTIONS),
@@ -395,19 +460,60 @@ class TestBoxPoints:
         ),
     )
     @settings(max_examples=60, deadline=None)
-    def test_anchor_rows_are_draw_edges(self, spec, k, points):
-        # block_points folds each anchor's pair keys once per replication;
-        # its anchor rows are the pair_uniforms of the seed and replication
-        # of every point, below H
-        slices = [
-            (ModelParams(rho=rho, connection=spec, anchor_distance=r, k=k, margin=1.0), seed, first, first + n)
-            for seed, first, n, rho, r in points
-        ]
-        layout = slice_replications(slices)
-        xy, owner, near, _ = block_points(slices, layout)
-        seeds, replications, distances, _ = layout
-        local = np.arange(len(owner)) - np.searchsorted(owner, owner) + 2
-        x, y = xy[:, 0], xy[:, 1]
-        for anchor, ax in ((0, 0.0), (1, distances[owner])):
-            u = pair_uniforms(seeds[owner], replications[owner], anchor, local)
-            assert np.array_equal(near[anchor], u < connection_probabilities(spec, (x - ax) * (x - ax) + y * y))
+    def test_first_generation_is_the_k3_draw(self, spec, k, points):
+        # the first generation, the anchors' neighbours with their marked
+        # anchor rows, is the k <= 3 draw bit for bit and comes first in its
+        # replication; the later points have no anchor edge
+        def draw(k):
+            slices = [
+                (ModelParams(rho=rho, connection=spec, anchor_distance=r, k=k), seed, first, first + n)
+                for seed, first, n, rho, r in points
+            ]
+            layout = slice_replications(slices)
+            return block_points(slices, layout), anchor_neighbours(slices, layout)[3]
+
+        (xy, owner, near, _), parent = draw(k)
+        (xy3, owner3, near3, _), _ = draw(3)
+        first = parent < 2
+        assert np.array_equal(owner[first], owner3)
+        assert xy[first].tobytes() == xy3.tobytes()
+        for row, row3 in zip(near, near3):
+            assert np.array_equal(row[first], row3)
+            assert not row[~first].any()
+        local = np.arange(len(owner)) - np.searchsorted(owner, owner)
+        assert np.array_equal(local[first], np.arange(len(owner3)) - np.searchsorted(owner3, owner3))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [ConnectionSpec.rayleigh(beta=1.0), ConnectionSpec.hard_disk(1.0), TABLE],
+        ids=["eta-2", "hard-disk", "tabulated"],
+    )
+    @pytest.mark.parametrize("k", [4, 5, 6])
+    def test_mean_matches_the_reference(self, spec, k):
+        # the closed form at eta = 2, the radial quadrature otherwise
+        params = ModelParams(rho=0.5, connection=spec, anchor_distance=1.0, k=k)
+        counts, _ = run_replications(params, 47, 20_000)
+        se = counts.std(ddof=1) / math.sqrt(len(counts))
+        reference = mean_khop_rayleigh(params) if spec.kind == "rayleigh" else mean_khop_numeric(params)
+        assert counts.sum() > 1000
+        assert abs(counts.mean() - reference) < 4 * se
+
+    @pytest.mark.parametrize(
+        "spec, k", [(HARD_DISK, 4), (HARD_DISK, 5), (TABLE, 4)], ids=["hard-disk-4", "hard-disk-5", "tabulated-4"]
+    )
+    def test_mean_matches_the_box_oracle(self, spec, k):
+        # the box oracle at twice the default margin, realized in full and
+        # counted on the graph
+        params = ModelParams(rho=0.5, connection=spec, anchor_distance=1.0, k=k)
+        counts, _ = run_replications(params, 53, 20_000)
+        se = counts.std(ddof=1) / math.sqrt(len(counts))
+        wide = replace(params, margin=2.0 * params.margin)
+        box = np.array(
+            [
+                len(khop_paths(realize_graph(sample_conditioned_ppp(wide, 59, rep), spec, 59, rep), k))
+                for rep in range(2000)
+            ]
+        )
+        box_se = box.std(ddof=1) / math.sqrt(len(box))
+        assert box.sum() > 100
+        assert abs(counts.mean() - box.mean()) < 4 * math.hypot(se, box_se)
