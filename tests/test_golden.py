@@ -31,15 +31,15 @@ RAY1 = ConnectionSpec.rayleigh(beta=1.0)
 DIGESTS = {
     "fig-mean-var": "14189c0c9bb566bf1ddf769bea9f5931df5338444e06aa5c25d60309cbf04ea7",
     "fig-existence": "dbd0a9f52da9b582638250862ef8d75678c3d86c05262797ec15ef52fc5c1b10",
-    "small-k": "2f87400a80ff2125217e1b44215e076ad6f8b0e0913bfa5a6180b2964b79084a",
-    "margin": "f2ae9675621517db239200975ef3c19cdce2967cb409fa0da75f01cfdb3b0cfb",
-    "mixed": "3881e85819ab16766f8cd72d3b26a05fc52579c473bd04cb5c5929a9a300b3a5",
-    "mixed-margin": "8a3555400e721e241e79e9496965fa04a9f4bc83ca285c42840eb02c585034e9",
+    "small-k": "87a267d86788d3e2ebca582447d1a972225be53c773477257694a35415645255",
+    "margin": "365ff54b58610bb440333dcb18b2148d7237a56e6ce92a30557d9cb6c42f07f1",
+    "mixed": "1d6a7fd59ed3ff3efb003bd90b730b91845044268c73d8a468a1af7c34cff9ff",
+    "mixed-margin": "bdd30cd53022ada2ca71efc6a305e09c5cedabfec24da86d2e159d78823fab0a",
     "fig-distribution": "643fee04c047ad16e1fe76b2d55ab25ad42d412b4239b72a6880fb1acd50d3de",
     "sample-rayleigh": "2e3ed5ee8129690cb6e442e9247693e25853381857615100d4df9577eb5a099f",
     "sample-tabulated": "27f83b6ae5c2100ae8b9f111243ce6115a79ea84feb39a0a6c3c9289299c2d29",
-    "khop": "f4371e3da956f90053285371d56f0a9cf6ec2f2284eca2c1a19bc0074b04d948",
-    "khop-margin": "9d29229af327cfabd89fc0df805c9a226844b27eafdec7c21b16b25dd171f1ac",
+    "khop": "2fbbf9767cc9bc457f9cb76dfa591e056e31a0f1b58e379ace2936d4025c0228",
+    "khop-margin": "4467cb4e410d0a2e9dc213324de39d6942273035a049ebf45afd214574af6ab0",
 }
 
 # one point per connection kind, k = 1 to 4, every report flag on
