@@ -32,15 +32,15 @@ by counting identities, and splits them back per grid point.  A join draws
 at most about ``rcmpaths.paths._JOIN_PAIRS`` pairs at once, which with the
 block sizes bounds memory.  Margin validation uses the same counter.  How
 replications and grid points fall into blocks or workers never changes a
-result: the reports are byte-identical to one replication
-at a time.  A call that draws less than one batch (``_BATCH_POINTS``
-points) counts in the calling process whatever ``threads`` says: starting
-the workers on it would cost more than they save.  With ``threads`` > 1 a
-larger call's replication ranges go through one worker pool per process: it
-starts on the first such call and serves every later call with the same
-worker count, so repeated calls pay for it once.  A call sends the pool its
-jobs in batches, one per worker when the call is cheap, so the messages to
-the workers do not outweigh the counting.
+result: the reports are byte-identical to one replication at a time.  A call
+that draws less than one batch (``_BATCH_POINTS`` points) counts in the
+calling process whatever ``threads`` says: starting the workers on it would
+cost more than they save.  With ``threads`` > 1 a larger call's replication
+ranges go through one worker pool per process: it starts on the first such
+call and serves every later call with the same worker count, so repeated
+calls pay for it once.  A call sends the pool its jobs in batches, one per
+worker when the call is cheap, so the messages to the workers do not
+outweigh the counting.
 
 Every file format follows a dataclass.  The fields of :class:`MomentReport`
 and :class:`MarginCheck`, in order, are the CSV columns and the JSON keys of
@@ -302,10 +302,10 @@ def _block_paths(slices, layout):
     inter)``: the edges of the block's non-anchor points to anchor 0 and to
     anchor 1, the block position of each path's replication (non-decreasing;
     the replications of every slice in turn), and k - 1 arrays holding the
-    paths' intermediate vertices as rows of the points, in order from anchor 0:
-    the joins of :func:`rcmpaths.paths.khop_intermediates` over the
-    :func:`rcmpaths.sampler.block_points` of the block and its ``linked``
-    pair draws.  k = 1 draws no points: its count is the anchors' own edge
+    paths' intermediate vertices as rows of the block's points, in order from
+    anchor 0: the joins of :func:`rcmpaths.paths.khop_intermediates` over
+    the :func:`rcmpaths.sampler.block_points` of the block and its
+    ``linked`` pair draws.  k = 1 draws no points: its count is the anchors' own edge
     (:func:`rcmpaths.sampler.anchor_edges`).
     """
     k = int(slices[0][0].k)

@@ -196,9 +196,9 @@ def _generation(spec, keys, mass, distances, xy, sizes, front, drawn):
     parent = np.repeat(local, counts)
     dx, dy, keep = _proposals(spec, keys, owner, number)
     zx, zy = xy[src, 0] + dx, xy[src, 1] + dy
-    # every vertex numbered below the parent of each proposal the kind
-    # accepts: an anchor of the replication (u = 0, 1, after the points in
-    # the rows below) or its point u
+    # every vertex u numbered below the parent of each proposal the kind
+    # accepts; vx and vy hold the points, then anchor 0 and anchor 1 of
+    # every replication
     candidates = np.flatnonzero(keep)
     pair, u = _variates(parent[candidates])
     pair = candidates[pair]
