@@ -399,7 +399,7 @@ class TestEngineEquivalence:
         assert whole[0].sum() > 0
 
     def test_long_path_memory_is_bounded(self):
-        # about 160 explored points and 10000 paths per replication
+        # about 110 explored points and 10000 paths per replication
         params = ModelParams(rho=5.0, connection=RAY1, anchor_distance=1.0, k=5)
         tracemalloc.start()
         try:
