@@ -11,12 +11,11 @@ grid points that share one connection function and one k: each block is a
 list of slices, replications ``first`` .. ``last - 1`` of one grid point,
 and its segments are the (grid point, replication) pairs.  One entry,
 :func:`_count_batch`, counts a list of jobs, in the calling process and in
-every pool worker alike: a job that draws fewer than ``_MERGE_POINTS``
-points shares its blocks with the other such jobs of its connection and
-k, and a larger one is cut into blocks of its own of about
-``_BLOCK_POINTS`` points.  A cheap grid point thus pays no block's fixed
-numpy cost of its own.  What a replication draws, its points and every
-edge, is decided by the sampler alone: one call,
+every pool worker alike: the jobs of one connection and k fill blocks of
+about ``_BLOCK_POINTS`` points in job order, and a job is cut where a block
+ends, so a cheap grid point pays no block's fixed numpy cost of its own.
+What a replication draws, its points and every edge, is decided by the
+sampler alone: one call,
 :func:`rcmpaths.sampler.block_points`, draws a whole block, for every k but
 1, and returns its non-anchor points with their edges to the anchors and a
 callback that draws the edge of any pair of points; k = 1 draws no points,
@@ -266,20 +265,12 @@ def load_config(path: str) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-# A block of replications holds about this many proposals
-# (rcmpaths.sampler.mean_draws) on average; the block's arrays,
-# and so the counter's working memory, grow with it.
+# The jobs of a batch that share a connection function, k and pair-class
+# choice fill blocks of about this many proposals (rcmpaths.sampler.mean_draws)
+# between them, so a cheap grid point pays no block's fixed numpy cost of its
+# own.  The block's arrays grow with it; its joins run a bounded number of
+# pairs at a time (rcmpaths.paths._JOIN_PAIRS).
 _BLOCK_POINTS = 1 << 16
-
-# A job that draws fewer points or proposals than this shares its blocks
-# with the other such jobs of its batch that have its connection function,
-# k and pair-class choice, up to this many points a block.  Each block
-# costs about 0.5 ms of numpy calls whatever its size, more than 20
-# replications of a cheap grid point take.  A larger budget saved little
-# more and raised the peak memory of the joins: at 2048 points the 21-point
-# rho = 5, k = 3 call of 20 replications peaked at 2.8 MiB against 1.0 MiB
-# (BENCH_15.json holds the measured curve).
-_MERGE_POINTS = 1 << 10
 
 # A sweep call sends the pool one batch of jobs per this many points or
 # proposals, and at least one batch per worker; a call that draws fewer
@@ -346,27 +337,25 @@ def _blocks(jobs):
     """The blocks a batch of jobs is counted in, each a list of ``(job,
     first, last)``: replications ``first`` .. ``last - 1`` of ``jobs[job]``.
 
-    A job that draws ``_MERGE_POINTS`` or more points keeps blocks of its
-    own, of about ``_BLOCK_POINTS`` points or proposals each.  The smaller
-    jobs of each (connection, k, collect_pairs) share blocks, in job order,
-    each of at most ``_MERGE_POINTS`` points.
+    The jobs of each (connection, k, collect_pairs) fill blocks of about
+    ``_BLOCK_POINTS`` points or proposals in job order, and a job is cut
+    where a block ends; a block holds at least one replication.
     """
-    shared = {}
-    for j, (params, _, lo, hi, collect_pairs) in enumerate(jobs):
+    open_blocks = {}
+    for j, (params, _, first, hi, collect_pairs) in enumerate(jobs):
         per_replication = _points_per_replication(params)
-        points = (hi - lo) * per_replication
-        if points >= _MERGE_POINTS:
-            step = max(1, int(_BLOCK_POINTS // per_replication))
-            for first in range(lo, hi, step):
-                yield [(j, first, min(first + step, hi))]
-            continue
         key = (params.connection, int(params.k), collect_pairs)
-        block, load = shared.get(key, ([], 0.0))
-        if block and load + points > _MERGE_POINTS:
-            yield block
-            block, load = [], 0.0
-        shared[key] = ([*block, (j, lo, hi)], load + points)
-    for block, _ in shared.values():
+        block, load = open_blocks.get(key, ([], 0.0))
+        while first < hi:
+            if block and load + per_replication > _BLOCK_POINTS:
+                yield block
+                block, load = [], 0.0
+            last = min(hi, first + max(1, int((_BLOCK_POINTS - load) // per_replication)))
+            block.append((j, first, last))
+            load += (last - first) * per_replication
+            first = last
+        open_blocks[key] = (block, load)
+    for block, _ in open_blocks.values():
         yield block
 
 

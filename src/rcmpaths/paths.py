@@ -25,10 +25,11 @@ from .sampler import GraphRealization
 # The most pairs one join draws at once: half-paths multiply with every hop,
 # and a k = 3 block joins every anchor-0 neighbour with every anchor-1
 # neighbour of its replication, so this, not the number of points, bounds
-# the memory: about 140 bytes a pair (a rho = 5, k = 3 block of 1961
-# replications peaked at 35.7 MB under tracemalloc, its largest join run
-# 262130 pairs; each further pair of a run cost about 115 bytes).
-_JOIN_PAIRS = 1 << 18
+# the join's memory, about 110 bytes a pair.  Runs this short stay in cache:
+# a rho = 5, k = 3 block of 1961 replications (496735 join pairs) peaked at
+# 8.0 MB under tracemalloc, mostly its point arrays, against 35.8 MB in runs
+# of 1 << 18 pairs, and counted faster (CHANGES.md lists the sizes tried).
+_JOIN_PAIRS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -60,14 +61,14 @@ class PairStructureCounts:
         return self.sigma0 + self.sigma11 + self.sigma12 + self.sigma21 + self.sigma22
 
 
-def _pairs_within(seg_a, seg_b, segments: int):
+def _pairs_within(seg_a, nb, first_b):
     """Every index pair ``(i, j)`` with ``seg_a[i] == seg_b[j]``, ordered by
-    ``i`` and then ``j``; both segment arrays are non-decreasing."""
-    nb = np.bincount(seg_b, minlength=segments)
+    ``i`` and then ``j``, where ``seg_b`` is non-decreasing and its segment
+    ``s`` holds ``nb[s]`` entries from ``first_b[s]`` on."""
     width = nb[seg_a]
     starts = np.cumsum(width) - width
     i = np.repeat(np.arange(len(seg_a)), width)
-    j = np.arange(len(i)) + np.repeat((np.cumsum(nb) - nb)[seg_a] - starts, width)
+    j = np.arange(len(i)) + np.repeat(first_b[seg_a] - starts, width)
     return i, j
 
 
@@ -79,12 +80,14 @@ def _join(a, b, seg_of, segments: int, linked):
     vertices are disjoint and whose last vertices ``linked`` reports as an
     edge.
     """
-    seg_a, seg_b = seg_of[a[0]], seg_of[b[0]]
-    ends = np.cumsum(np.bincount(seg_b, minlength=segments)[seg_a])
+    seg_a = seg_of[a[0]]
+    nb = np.bincount(seg_of[b[0]], minlength=segments)
+    first_b = np.cumsum(nb) - nb
+    ends = np.cumsum(nb[seg_a])
     cuts = np.searchsorted(ends, np.arange(_JOIN_PAIRS, ends[-1] if len(ends) else 0, _JOIN_PAIRS)).tolist()
     parts = []
     for lo, hi in zip([0, *cuts], [*cuts, len(seg_a)]):
-        i, j = _pairs_within(seg_a[lo:hi], seg_b, segments)
+        i, j = _pairs_within(seg_a[lo:hi], nb, first_b)
         pa, pb = [z[lo:hi][i] for z in a], [z[j] for z in b]
         hit = reduce(np.logical_and, (p != q for p in pa for q in pb), linked(pa[-1], pb[-1]))
         parts.append([z[hit] for z in pa + pb])

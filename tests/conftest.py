@@ -339,7 +339,9 @@ def quadrature_variance_oracle(params: ModelParams, quad=None) -> AnalyticMoment
     cell = s * s
     ux, uy = np.meshgrid(np.arange(-m, m + nr + 1) * s, np.arange(-m, m + 1) * s, indexing="ij")
     h_at_x = spec.kernel(np.hypot(ux, uy))
-    h_at_y = spec.kernel(np.hypot(ux - nr * s, uy))
+    # about y on the nodes (i - nr) * s, as the package evaluates H: ux - nr * s
+    # can differ by an ulp and flip a node that lies on a hard disk's edge
+    h_at_y = spec.kernel(np.hypot(np.arange(-m - nr, m + 1)[:, None] * s, uy))
     h2_at_x = np.pad(h2, ((0, nr), (0, 0)))
     h2_at_y = np.pad(h2, ((nr, 0), (0, 0)))
     s11 = rho**3 * cell * float((h_at_x * h2_at_y**2).sum() + (h_at_y * h2_at_x**2).sum())

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import mc_mean, mc_variance_terms, quadrature_mean_oracle, quadrature_variance_oracle
@@ -342,6 +342,8 @@ def test_quadrature_equals_the_fftconvolve_oracle(spec):
     step=st.floats(0.06, 0.15),
 )
 @settings(max_examples=20, deadline=None)
+# nodes on the hard disk's edge: the oracle must evaluate H on the package's nodes
+@example(spec=ConnectionSpec.hard_disk(0.7), r=0.5, step=0.09375)
 def test_quadrature_equals_the_oracle_at_any_step(spec, r, step):
     point = dict(rho=0.9, connection=spec, anchor_distance=r)
     extent = QuadratureSpec.default_for(ModelParams(k=3, **point)).grid_extent

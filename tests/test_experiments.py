@@ -398,6 +398,88 @@ class TestEngineEquivalence:
             assert (expected is None and got is None) or np.array_equal(expected, got)
         assert whole[0].sum() > 0
 
+    @pytest.mark.parametrize("block_points", [experiments._BLOCK_POINTS, 50.0])
+    def test_blocks_pack_jobs_in_order(self, monkeypatch, block_points):
+        # a mixed list: two connections, k = 2 to 5, pair classes on and
+        # off, ranges of 1 to 5000 replications; at 50 points a block the
+        # dense k = 5 point draws more than a block a replication
+        monkeypatch.setattr(experiments, "_BLOCK_POINTS", block_points)
+        hard = ConnectionSpec.hard_disk(1.0)
+        jobs = [
+            (ModelParams(rho=rho, connection=spec, anchor_distance=1.0, k=k), seed, lo, hi, collect)
+            for seed, (rho, spec, k, lo, hi, collect) in enumerate(
+                [
+                    (5.0, RAY1, 3, 0, 3000, True),
+                    (0.5, RAY1, 3, 10, 11, True),
+                    (2.0, RAY1, 3, 0, 500, False),
+                    (5.0, hard, 3, 100, 5100, True),
+                    (1.0, RAY1, 2, 0, 40, False),
+                    (5.0, RAY1, 5, 0, 7, False),
+                    (2.0, RAY1, 3, 7, 2000, True),
+                    (0.5, hard, 4, 0, 300, False),
+                ]
+            )
+        ]
+        blocks = list(experiments._blocks(jobs))
+        pieces = [[] for _ in jobs]
+        for block in blocks:
+            groups = {(jobs[j][0].connection, jobs[j][0].k, jobs[j][4]) for j, _, _ in block}
+            assert len(groups) == 1
+            load = sum((last - first) * experiments._points_per_replication(jobs[j][0]) for j, first, last in block)
+            assert load <= block_points * (1 + 1e-12) or (len(block) == 1 and block[0][2] - block[0][1] == 1)
+            for j, first, last in block:
+                pieces[j].append((first, last))
+        for (_, _, lo, hi, _), job_pieces in zip(jobs, pieces):
+            # every replication once, in order
+            bounds = [lo] + [last for _, last in job_pieces]
+            assert [first for first, _ in job_pieces] == bounds[:-1] and bounds[-1] == hi
+            assert all(first < last for first, last in job_pieces)
+        assert any(len(job_pieces) > 1 for job_pieces in pieces)
+
+    def test_cheap_grid_fills_whole_blocks(self):
+        # fig-mean-var's 63 points share one connection and k: its 1000
+        # replications fill as few blocks as their proposals allow
+        grid = preset_config("fig-mean-var", "unused").params_grid
+        jobs = [(params, i, 0, 1000, True) for i, params in enumerate(grid)]
+        total = sum(1000 * experiments._points_per_replication(params) for params in grid)
+        assert len(list(experiments._blocks(jobs))) == math.ceil(total / experiments._BLOCK_POINTS) > 1
+
+    @given(
+        specs=st.lists(st.sampled_from(CONNECTIONS), min_size=2, max_size=2),
+        jobs=st.lists(
+            st.tuples(
+                st.integers(0, 1),
+                st.integers(1, 5),
+                st.floats(0.05, 1.2),
+                st.floats(0.0, 2.0),
+                st.integers(0, 2**64 - 1),
+                st.integers(0, 10_000),
+                st.integers(1, 6),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        block_points=st.floats(1.0, 40.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_jobs_cut_by_blocks_match_each_replication(self, specs, jobs, block_points):
+        # blocks of a few replications cut most jobs mid-range and pack
+        # pieces of several grid points together
+        batch = [
+            (ModelParams(rho=rho, connection=specs[c], anchor_distance=r, k=k), seed, first, first + size, collect and k == 3)
+            for c, k, rho, r, seed, first, size, collect in jobs
+        ]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(experiments, "_BLOCK_POINTS", block_points)
+            counted = _count_batch(batch)
+        for (params, seed, first, last, collect), (counts, classes) in zip(batch, counted):
+            assert len(counts) == last - first and (classes is None) == (not collect)
+            for b, rep in enumerate(range(first, last)):
+                ((count, alone),) = _count_block([(params, seed, rep, rep + 1)], collect)
+                assert counts[b] == count[0]
+                assert alone is None or np.array_equal(classes[b], alone[0])
+
     def test_long_path_memory_is_bounded(self):
         # about 110 explored points and 10000 paths per replication
         params = ModelParams(rho=5.0, connection=RAY1, anchor_distance=1.0, k=5)
@@ -423,6 +505,22 @@ class TestEngineEquivalence:
             tracemalloc.stop()
         assert len(counts) == 2000
         assert peak < 64 * 2**20
+
+    def test_merged_grid_memory_is_bounded(self):
+        # the 21 rho = 5 points of fig-mean-var at 20 replications fill one
+        # block of about 14000 proposals and 100000 joining pairs: in runs
+        # of _JOIN_PAIRS pairs it peaks near 2 MiB, in runs of 1 << 18 near 13
+        row = [p for p in preset_config("fig-mean-var", "unused").params_grid if p.rho == 5.0]
+        tasks = [(params, experiments.derive_subseed(3, i), True) for i, params in enumerate(row)]
+        assert len(list(experiments._blocks([(*task[:2], 0, 20, True) for task in tasks]))) == 1
+        tracemalloc.start()
+        try:
+            results = experiments._sweep(tasks, 20, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(results) == 21
+        assert peak < 4 * 2**20
 
     @pytest.mark.parametrize("replications, threads", [(0, 1), (5, 0), (5, -3), (5, True)])
     def test_sweep_refuses_bad_counts(self, replications, threads):
