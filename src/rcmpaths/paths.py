@@ -63,8 +63,8 @@ class PairStructureCounts:
 
 def _pairs_within(seg_a, nb, first_b):
     """Every index pair ``(i, j)`` with ``seg_a[i] == seg_b[j]``, ordered by
-    ``i`` and then ``j``, where ``seg_b`` is non-decreasing and its segment
-    ``s`` holds ``nb[s]`` entries from ``first_b[s]`` on."""
+    ``i`` and then ``j``, for a non-decreasing ``seg_b`` given by its counts:
+    segment ``s`` holds ``nb[s]`` entries from index ``first_b[s]`` on."""
     width = nb[seg_a]
     starts = np.cumsum(width) - width
     i = np.repeat(np.arange(len(seg_a)), width)

@@ -467,7 +467,13 @@ class TestEngineEquivalence:
         # blocks of a few replications cut most jobs mid-range and pack
         # pieces of several grid points together
         batch = [
-            (ModelParams(rho=rho, connection=specs[c], anchor_distance=r, k=k), seed, first, first + size, collect and k == 3)
+            (
+                ModelParams(rho=rho, connection=specs[c], anchor_distance=r, k=k),
+                seed,
+                first,
+                first + size,
+                collect and k == 3,
+            )
             for c, k, rho, r, seed, first, size, collect in jobs
         ]
         with pytest.MonkeyPatch.context() as patch:
