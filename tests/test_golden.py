@@ -5,8 +5,9 @@ catch a change to what a seed draws, or to how reports are written, between
 versions of the engine.  Between them the cases cover every report file
 (sweep CSV/JSON, histogram CSV, margin CSV/JSON and the ``sample`` JSON),
 every connection kind, k = 1 to 5 (k >= 4 on every connection kind), raw
-counts with pair-class counts, quadrature columns and non-default bracket
-orders.  A change that alters the draws on purpose must update the digests
+counts with pair-class counts, quadrature columns, non-default bracket
+orders, and rows of 8200 replications, past numpy's 8192-element reduction
+buffer.  A change that alters the draws on purpose must update the digests
 and say so.  The digests were computed with numpy 2.4 and scipy 1.17 on
 x86-64.
 """
@@ -40,6 +41,7 @@ DIGESTS = {
     "sample-tabulated": "27f83b6ae5c2100ae8b9f111243ce6115a79ea84feb39a0a6c3c9289299c2d29",
     "khop": "2fbbf9767cc9bc457f9cb76dfa591e056e31a0f1b58e379ace2936d4025c0228",
     "khop-margin": "4467cb4e410d0a2e9dc213324de39d6942273035a049ebf45afd214574af6ab0",
+    "long-rows": "69a1577260bafcc21daaa945428b02c706f7c93fa113495f24239148cc1435cd",
 }
 
 # one point per connection kind, k = 1 to 4, every report flag on
@@ -120,6 +122,21 @@ def _khop_config(outputs) -> ExperimentConfig:
     )
 
 
+def _long_rows_config(outputs) -> ExperimentConfig:
+    # three fig-mean-var points at rho = 5, each summarized over rows longer
+    # than numpy's 8192-element reduction buffer; the counts reach past 80
+    grid = tuple(ModelParams(rho=5.0, connection=RAY1, anchor_distance=i / 4, k=3) for i in (0, 4, 8))
+    return ExperimentConfig(
+        name="long-rows",
+        params_grid=grid,
+        replications=8200,
+        seed=19,
+        outputs=outputs,
+        bracket_orders=(0, 1, 2, 80),
+        dump_raw_counts=True,
+    )
+
+
 def _run(name, outputs) -> None:
     if name in ("fig-mean-var", "fig-existence"):
         run_experiment(preset_config(name, outputs=outputs, seed=11, replications=30))
@@ -131,6 +148,8 @@ def _run(name, outputs) -> None:
         run_experiment(_mixed_config(outputs))
     elif name == "khop":
         run_experiment(_khop_config(outputs))
+    elif name == "long-rows":
+        run_experiment(_long_rows_config(outputs))
     elif name in SAMPLE_ARGS:
         argv = ["sample", *SAMPLE_ARGS[name], "--seed", "17", "--replication", "3"]
         assert cli_main(argv + ["--out", os.path.join(outputs, "sample.json")]) == 0
