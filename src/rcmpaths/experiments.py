@@ -73,13 +73,7 @@ from .analytics import (
 )
 from .errors import ReplicationError, ValidationError, _int_problems
 from .model import HARD_DISK, RAYLEIGH, TABULATED, ConnectionSpec, ModelParams
-from .moments import (
-    ExistenceBracket,
-    PathCountSamples,
-    bonferroni_bound_order2,
-    existence_brackets,
-    quadratic_existence_bound,
-)
+from .moments import ExistenceBracket, bonferroni_bound_order2, bracket_rows, quadratic_existence_bound
 from .paths import PairStructureCounts, classify_path_pair_segments, khop_intermediates
 from .rng import derive_subseed
 from .sampler import anchor_edges, block_points, mean_draws, slice_replications
@@ -364,8 +358,9 @@ def _count_batch(jobs) -> list:
     replications ``lo`` .. ``hi - 1`` of one grid point, in the blocks of
     :func:`_blocks`.  Returns one ``(counts, classes)`` per job,
     in job order (see :func:`_count_block`).  A failure is re-raised as a
-    :class:`ReplicationError` naming every grid point of the failing block,
-    with its grid seed and its replications there."""
+    :class:`ReplicationError` naming each slice of the failing block that
+    fails when counted alone, with its grid seed and its replications, or
+    every slice when none does."""
     parts = [[] for _ in jobs]
     for block in _blocks(jobs):
         slices = [(jobs[j][0], jobs[j][1], first, last) for j, first, last in block]
@@ -374,8 +369,14 @@ def _count_batch(jobs) -> list:
         try:
             counted = _count_block(slices, collect_pairs)
         except Exception as exc:
+            alone = []
+            for s in slices if len(slices) > 1 else ():
+                try:
+                    _count_block([s], collect_pairs)
+                except Exception:
+                    alone.append(s)
             where = ", ".join(
-                f"{first}..{last - 1} of {params} (grid seed {seed})" for params, seed, first, last in slices
+                f"{first}..{last - 1} of {p} (grid seed {seed})" for p, seed, first, last in alone or slices
             )
             raise ReplicationError(f"failed in replications {where}: {exc!r}") from exc
         for (j, _, _), part in zip(block, counted):
@@ -509,7 +510,12 @@ class MomentReport:
     """Aggregated statistics for one sweep grid point.
 
     The fields are in report column order; ``counts`` and
-    ``pair_class_counts`` are written only with ``dump_raw_counts``.
+    ``pair_class_counts`` are written only with ``dump_raw_counts``.  The
+    summaries reduce a chunk of an experiment's grid points in one pass
+    (:func:`_summaries`): their counts and pair classes as the rows of one
+    float64 matrix, each row as it would be alone, and every bracket from one
+    histogram (:func:`rcmpaths.moments.bracket_rows`).  Only the references
+    are taken a grid point at a time.
     """
 
     grid_index: int
@@ -535,35 +541,6 @@ class MomentReport:
     pair_class_counts: np.ndarray | None
 
 
-def _mean_se(x: np.ndarray) -> float | None:
-    if len(x) < 2:
-        return None
-    return float(x.std(ddof=1) / math.sqrt(len(x)))
-
-
-def _pair_stats(pair_classes: np.ndarray):
-    """Each column's mean and :func:`_mean_se` of the (R, 5) pair classes,
-    from one contiguous (5, R) float copy whose rows reduce as lone columns
-    do."""
-    vals = np.ascontiguousarray(pair_classes.T, dtype=np.float64)
-    r = vals.shape[1]
-    ses = (vals.std(axis=1, ddof=1) / math.sqrt(r)).tolist() if r >= 2 else [None] * len(vals)
-    return vals.mean(axis=1).tolist(), ses
-
-
-def _variance_se(x: np.ndarray) -> float | None:
-    """Standard error of the unbiased sample variance, from the fourth
-    central moment (valid for non-normal counts)."""
-    r = len(x)
-    if r < 2:
-        return None
-    d = x - x.mean()
-    s2 = float(d @ d) / (r - 1)
-    m4 = float(np.mean(d**4))
-    var_s2 = (m4 - (r - 3) / (r - 1) * s2 * s2) / r
-    return math.sqrt(max(var_s2, 0.0))
-
-
 def _attach_references(params: ModelParams, config: ExperimentConfig):
     analytic_mean = analytic_variance = None
     spec = params.connection
@@ -583,62 +560,82 @@ def _attach_references(params: ModelParams, config: ExperimentConfig):
     return analytic_mean, analytic_variance, numeric_mean, numeric_variance
 
 
-def summarize_grid_point(
-    grid_index: int,
-    grid_seed: int,
-    params: ModelParams,
-    config: ExperimentConfig,
-    counts: np.ndarray,
-    pair_classes: np.ndarray | None,
-) -> MomentReport:
-    r = len(counts)
-    mean = float(counts.mean())
-    variance = float(counts.var(ddof=1)) if r >= 2 else None
-    zero_freq = float(np.mean(counts == 0))
-    zero_se = math.sqrt(zero_freq * (1.0 - zero_freq) / r) if r >= 2 else None
+# Summaries take about this many cells of counts, classes and histogram at a
+# time (fig-mean-var's pair classes alone are 25 MB at 10000 replications).
+_SUMMARY_CELLS = 1 << 17
 
-    analytic_mean, analytic_variance, numeric_mean, numeric_variance = _attach_references(
-        params, config
-    )
 
-    pair_means = None
-    if pair_classes is not None:
-        means, ses = _pair_stats(pair_classes)
-        pair_means = {name: {"mean": m, "se": se} for name, m, se in zip(PAIR_CLASSES, means, ses)}
+def _row_moments(rows):
+    """Each row's mean and deviations from it, the (n, R) integer ``rows``
+    stacked in a C-ordered float64 matrix: numpy sums each row as a lone one."""
+    x = np.concatenate(rows, out=np.empty((sum(map(len, rows)), rows[0].shape[1])))
+    mean = x.mean(axis=1)
+    return mean, x - mean[:, None]
 
-    samples = PathCountSamples(k=int(params.k), counts=counts)
-    brackets = existence_brackets(samples, config.bracket_orders)
 
-    if analytic_mean is not None and analytic_variance is not None:
-        source, ref_mean, ref_var = "analytic", analytic_mean, analytic_variance
-    elif numeric_mean is not None and numeric_variance is not None:
-        source, ref_mean, ref_var = "numeric", numeric_mean, numeric_variance
-    else:
-        source, ref_mean, ref_var = "empirical", mean, (variance if variance is not None else 0.0)
-
-    return MomentReport(
-        grid_index=grid_index,
-        grid_seed=grid_seed,
-        params=params,
-        replications=r,
-        empirical_mean=mean,
-        empirical_mean_se=_mean_se(counts.astype(float)),
-        empirical_variance=variance,
-        empirical_variance_se=_variance_se(counts.astype(float)),
-        empirical_zero_frequency=zero_freq,
-        empirical_zero_frequency_se=zero_se,
-        analytic_mean=analytic_mean,
-        analytic_variance=analytic_variance,
-        numeric_mean=numeric_mean,
-        numeric_variance=numeric_variance,
-        pair_means=pair_means,
-        existence_brackets=brackets,
-        moment_source=source,
-        quadratic_bound=quadratic_existence_bound(ref_mean, ref_var),
-        bonferroni2_bound=bonferroni_bound_order2(ref_mean, ref_var),
-        counts=counts,
-        pair_class_counts=pair_classes,
-    )
+def _summaries(config: ExperimentConfig, seeds, results) -> list[MomentReport]:
+    """The :class:`MomentReport` of every grid point of ``config``, from its
+    grid seed and its ``(counts, classes)`` of :func:`_sweep`, a chunk of grid
+    points at a time (see :class:`MomentReport`)."""
+    r = config.replications
+    top = max(int(counts.max()) for counts, _ in results)
+    step = max(1, _SUMMARY_CELLS // (r * (1 + len(PAIR_CLASSES)) + top + 1))
+    reports = []
+    for lo in range(0, len(results), step):
+        chunk = results[lo : lo + step]
+        counts = np.stack([c for c, _ in chunk])
+        mean, d = _row_moments([counts] + [classes.T for _, classes in chunk if classes is not None])
+        zero = (counts == 0).sum(axis=1) / r
+        var = se = var_se = zero_se = [None] * len(d)
+        if r >= 2:
+            var = (d * d).sum(axis=1) / (r - 1)
+            se = (np.sqrt(var) / math.sqrt(r)).tolist()
+            # one BLAS dot a row, as a lone grid point takes it
+            s2 = np.array([row @ row for row in d[: len(chunk)]]) / (r - 1)
+            var_s2 = ((d[: len(chunk)] ** 4).mean(axis=1) - (r - 3) / (r - 1) * s2 * s2) / r
+            var, var_se = var.tolist(), np.sqrt(np.maximum(var_s2, 0.0)).tolist()
+            zero_se = np.sqrt(zero * (1.0 - zero) / r).tolist()
+        mean, zero = mean.tolist(), zero.tolist()
+        brackets = bracket_rows(counts, config.bracket_orders)
+        at = len(chunk)  # the row of the next grid point's first pair class
+        for i, (point_counts, classes) in enumerate(chunk):
+            params = config.params_grid[lo + i]
+            pair_means = None
+            if classes is not None:
+                pair_means = {c: {"mean": mean[at + j], "se": se[at + j]} for j, c in enumerate(PAIR_CLASSES)}
+                at += len(PAIR_CLASSES)
+            analytic_mean, analytic_variance, numeric_mean, numeric_variance = _attach_references(params, config)
+            source, ref_mean, ref_var = "empirical", mean[i], var[i] or 0.0
+            if analytic_mean is not None and analytic_variance is not None:
+                source, ref_mean, ref_var = "analytic", analytic_mean, analytic_variance
+            elif numeric_mean is not None and numeric_variance is not None:
+                source, ref_mean, ref_var = "numeric", numeric_mean, numeric_variance
+            reports.append(
+                MomentReport(
+                    grid_index=lo + i,
+                    grid_seed=seeds[lo + i],
+                    params=params,
+                    replications=r,
+                    empirical_mean=mean[i],
+                    empirical_mean_se=se[i],
+                    empirical_variance=var[i],
+                    empirical_variance_se=var_se[i],
+                    empirical_zero_frequency=zero[i],
+                    empirical_zero_frequency_se=zero_se[i],
+                    analytic_mean=analytic_mean,
+                    analytic_variance=analytic_variance,
+                    numeric_mean=numeric_mean,
+                    numeric_variance=numeric_variance,
+                    pair_means=pair_means,
+                    moment_source=source,
+                    quadratic_bound=quadratic_existence_bound(ref_mean, ref_var),
+                    bonferroni2_bound=bonferroni_bound_order2(ref_mean, ref_var),
+                    existence_brackets=brackets[i],
+                    counts=point_counts,
+                    pair_class_counts=classes,
+                )
+            )
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -809,13 +806,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[MomentRep
         (params, seed, config.collect_pair_structures and int(params.k) == 3)
         for params, seed in zip(config.params_grid, seeds)
     ]
-    results = _sweep(tasks, config.replications, threads)
-    reports = [
-        summarize_grid_point(grid_index, seed, params, config, counts, pair_classes)
-        for grid_index, (params, seed, (counts, pair_classes)) in enumerate(
-            zip(config.params_grid, seeds, results)
-        )
-    ]
+    reports = _summaries(config, seeds, _sweep(tasks, config.replications, threads))
     # made only now, so a refused or failed sweep leaves no directory behind
     os.makedirs(config.outputs, exist_ok=True)
     base = os.path.join(config.outputs, config.name)
@@ -864,25 +855,21 @@ def validate_margin(
         replications = max(1000, config.replications // 10)
     seeds = [derive_subseed(config.seed, i) for i in range(len(config.params_grid))]
     tasks = [(params, seed, False) for params, seed in zip(config.params_grid, seeds)]
-    checks = []
-    for grid_index, (params, seed, (counts, _)) in enumerate(
-        zip(config.params_grid, seeds, _sweep(tasks, replications, threads))
-    ):
-        mean = float(counts.mean())
-        checks.append(
-            MarginCheck(
-                grid_index=grid_index,
-                grid_seed=seed,
-                params=params,
-                replications=replications,
-                base_mean=mean,
-                doubled_mean=mean,
-                shift=0.0,
-                shift_se=0.0 if replications >= 2 else None,
-                flagged=False,
-            )
+    means = _row_moments([np.stack([c for c, _ in _sweep(tasks, replications, threads)])])[0].tolist()
+    return [
+        MarginCheck(
+            grid_index=grid_index,
+            grid_seed=seed,
+            params=params,
+            replications=replications,
+            base_mean=mean,
+            doubled_mean=mean,
+            shift=0.0,
+            shift_se=0.0 if replications >= 2 else None,
+            flagged=False,
         )
-    return checks
+        for grid_index, (params, seed, mean) in enumerate(zip(config.params_grid, seeds, means))
+    ]
 
 
 # every MarginCheck field, in column order

@@ -93,21 +93,34 @@ def truncated_zero_probability(samples: PathCountSamples, m: int) -> ExistenceBr
 
 
 def existence_brackets(samples: PathCountSamples, orders) -> tuple[ExistenceBracket, ...]:
-    """:func:`truncated_zero_probability` at every order of ``orders``, from
-    one count of the samples' distinct values."""
+    """:func:`truncated_zero_probability` at every order of ``orders``: the
+    one-row case of :func:`bracket_rows`."""
+    return bracket_rows(samples.counts[None, :], orders)[0]
+
+
+def bracket_rows(counts: np.ndarray, orders) -> list[tuple[ExistenceBracket, ...]]:
+    """The brackets of every order of ``orders`` for each row of the (n, R)
+    nonnegative integer ``counts``, from one histogram of the rows.  Each
+    order's coefficients (-1)**m * C(sigma - 1, m), exact, grow with the
+    count sigma: every row sums those under 2**53 / R in int64, then any
+    larger ones in Python integers, and divides the exact sum by R."""
+    if any(m < 0 for m in orders):
+        raise ValidationError(f"truncation order must be >= 0, got {min(orders)}")
+    n, r = counts.shape
+    width = int(counts.max()) + 1
+    hist = np.bincount((counts + width * np.arange(n)[:, None]).ravel(), minlength=n * width).reshape(n, width)
+    values = np.flatnonzero(hist.any(axis=0))
+    hist = hist[:, values]
+    columns = []
     for m in orders:
-        if m < 0:
-            raise ValidationError(f"truncation order must be >= 0, got {m}")
-    values, freq = np.unique(samples.counts, return_counts=True)
-    groups = list(zip(values.tolist(), freq.tolist()))
-    brackets = []
-    for m in orders:
-        partial = sum(alternating_binomial_partial_sum(sigma, m) * n for sigma, n in groups) / len(samples)
+        coefs = [alternating_binomial_partial_sum(sigma, m) for sigma in values.tolist()]
+        small = sum(abs(c) * r < 1 << 53 for c in coefs)
+        totals = (hist[:, :small] @ np.array(coefs[:small], dtype=np.int64)).tolist()
+        for i in np.flatnonzero(hist[:, small:].any(axis=1)).tolist():
+            totals[i] += sum(c * f for c, f in zip(coefs[small:], hist[i, small:].tolist()) if f)
         side = UPPER_BOUND if m % 2 == 0 else LOWER_BOUND
-        brackets.append(
-            ExistenceBracket(order=m, partial_sum=partial, side=side, existence_estimate=1.0 - partial)
-        )
-    return tuple(brackets)
+        columns.append([ExistenceBracket(m, t / r, side, 1.0 - t / r) for t in totals])
+    return list(zip(*columns)) if columns else [()] * n
 
 
 def quadratic_existence_bound(mean: float, variance: float) -> float:

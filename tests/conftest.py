@@ -6,7 +6,16 @@ import pytest
 
 from rcmpaths.analytics import AnalyticMoments, QuadratureSpec
 from rcmpaths.errors import ValidationError
+from rcmpaths.experiments import PAIR_CLASSES, ExperimentConfig, MomentReport, _attach_references
 from rcmpaths.model import RAYLEIGH, ConnectionSpec, ModelParams
+from rcmpaths.moments import (
+    LOWER_BOUND,
+    UPPER_BOUND,
+    ExistenceBracket,
+    alternating_binomial_partial_sum,
+    bonferroni_bound_order2,
+    quadratic_existence_bound,
+)
 from rcmpaths.paths import PairStructureCounts
 from rcmpaths.rng import STREAM_POINTS, fold_keys, keyed_uniforms, poisson_counts, stream_keys
 from rcmpaths.sampler import _COUNT, GraphRealization, _uniforms, _variates, realize_graph, slice_replications
@@ -167,6 +176,106 @@ def alternating_binomial_partial_sum_oracle(sigma: int, m: int) -> int:
         term = math.comb(sigma, i)
         total += term if i % 2 == 0 else -term
     return total
+
+
+def existence_brackets_oracle(counts: np.ndarray, orders) -> tuple[ExistenceBracket, ...]:
+    """Reference for one row of ``bracket_rows``: for each order, the exact
+    sum over the distinct counts of the closed-form bracket sum times the
+    count's frequency, divided by R."""
+    values, freq = np.unique(counts, return_counts=True)
+    groups = list(zip(values.tolist(), freq.tolist()))
+    brackets = []
+    for m in orders:
+        partial = sum(alternating_binomial_partial_sum(sigma, m) * n for sigma, n in groups) / len(counts)
+        side = UPPER_BOUND if m % 2 == 0 else LOWER_BOUND
+        brackets.append(
+            ExistenceBracket(order=m, partial_sum=partial, side=side, existence_estimate=1.0 - partial)
+        )
+    return tuple(brackets)
+
+
+def mean_se(x: np.ndarray) -> float | None:
+    if len(x) < 2:
+        return None
+    return float(x.std(ddof=1) / math.sqrt(len(x)))
+
+
+def pair_stats(pair_classes: np.ndarray):
+    """Each column's mean and :func:`mean_se` of the (R, 5) pair classes,
+    from one contiguous (5, R) float copy whose rows reduce as lone columns
+    do."""
+    vals = np.ascontiguousarray(pair_classes.T, dtype=np.float64)
+    r = vals.shape[1]
+    ses = (vals.std(axis=1, ddof=1) / math.sqrt(r)).tolist() if r >= 2 else [None] * len(vals)
+    return vals.mean(axis=1).tolist(), ses
+
+
+def variance_se(x: np.ndarray) -> float | None:
+    """Standard error of the unbiased sample variance, from the fourth
+    central moment (valid for non-normal counts)."""
+    r = len(x)
+    if r < 2:
+        return None
+    d = x - x.mean()
+    s2 = float(d @ d) / (r - 1)
+    m4 = float(np.mean(d**4))
+    var_s2 = (m4 - (r - 3) / (r - 1) * s2 * s2) / r
+    return math.sqrt(max(var_s2, 0.0))
+
+
+def summarize_grid_point(
+    grid_index: int,
+    grid_seed: int,
+    params: ModelParams,
+    config: ExperimentConfig,
+    counts: np.ndarray,
+    pair_classes: np.ndarray | None,
+) -> MomentReport:
+    """Reference for the sweep's summary pass: the :class:`MomentReport` of
+    one grid point, from its own counts and pair classes alone."""
+    r = len(counts)
+    mean = float(counts.mean())
+    variance = float(counts.var(ddof=1)) if r >= 2 else None
+    zero_freq = float(np.mean(counts == 0))
+    zero_se = math.sqrt(zero_freq * (1.0 - zero_freq) / r) if r >= 2 else None
+
+    analytic_mean, analytic_variance, numeric_mean, numeric_variance = _attach_references(params, config)
+
+    pair_means = None
+    if pair_classes is not None:
+        means, ses = pair_stats(pair_classes)
+        pair_means = {name: {"mean": m, "se": se} for name, m, se in zip(PAIR_CLASSES, means, ses)}
+
+    if analytic_mean is not None and analytic_variance is not None:
+        source, ref_mean, ref_var = "analytic", analytic_mean, analytic_variance
+    elif numeric_mean is not None and numeric_variance is not None:
+        source, ref_mean, ref_var = "numeric", numeric_mean, numeric_variance
+    else:
+        source, ref_mean, ref_var = "empirical", mean, (variance if variance is not None else 0.0)
+
+    return MomentReport(
+        grid_index=grid_index,
+        grid_seed=grid_seed,
+        params=params,
+        replications=r,
+        empirical_mean=mean,
+        empirical_mean_se=mean_se(counts.astype(float)),
+        empirical_variance=variance,
+        empirical_variance_se=variance_se(counts.astype(float)),
+        empirical_zero_frequency=zero_freq,
+        empirical_zero_frequency_se=zero_se,
+        analytic_mean=analytic_mean,
+        analytic_variance=analytic_variance,
+        numeric_mean=numeric_mean,
+        numeric_variance=numeric_variance,
+        pair_means=pair_means,
+        existence_brackets=existence_brackets_oracle(counts, config.bracket_orders),
+        moment_source=source,
+        quadratic_bound=quadratic_existence_bound(ref_mean, ref_var),
+        bonferroni2_bound=bonferroni_bound_order2(ref_mean, ref_var),
+        counts=counts,
+        pair_class_counts=pair_classes,
+    )
 
 
 def _is_gaussian(spec: ConnectionSpec) -> bool:

@@ -16,7 +16,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import CONNECTIONS, classify_path_pairs_oracle, count_khop_paths_oracle
+from conftest import (
+    CONNECTIONS,
+    classify_path_pairs_oracle,
+    count_khop_paths_oracle,
+    mean_se,
+    summarize_grid_point,
+)
 from rcmpaths import cli, experiments, paths, sampler
 from rcmpaths.analytics import mean_khop_numeric, variance_terms_numeric
 from rcmpaths.cli import main as cli_main
@@ -27,8 +33,9 @@ from rcmpaths.experiments import (
     _count_batch,
     _count_block,
     _fmt,
-    _mean_se,
-    _pair_stats,
+    _json_record,
+    _REPORT_FIELDS,
+    _summaries,
     config_from_dict,
     config_to_dict,
     load_config,
@@ -566,16 +573,62 @@ class TestEngineEquivalence:
 class TestRunExperiment:
     @pytest.mark.parametrize("r", [1, 2, 7, 8, 9, 128, 129, 1000])
     def test_pair_stats_equal_each_column(self, r):
-        # one pass over a (5, R) copy reduces every class as its lone column
-        # would, at the edges of numpy's pairwise-summation blocks; counts of
-        # many magnitudes make the float sums round
+        # the summary pass reduces every class of every grid point as its
+        # lone column would, at the edges of numpy's pairwise-summation
+        # blocks; counts of many magnitudes make the float sums round
         rng = np.random.default_rng(r)
-        classes = rng.integers(0, 10 ** rng.integers(1, 16, size=5), size=(r, 5))
-        means, ses = _pair_stats(classes)
-        for col in range(5):
-            vals = classes[:, col].astype(float)
-            assert means[col] == float(vals.mean())
-            assert ses[col] == _mean_se(vals)
+        results = []
+        for _ in range(2):
+            classes = rng.integers(0, 10 ** rng.integers(1, 16, size=5), size=(r, 5))
+            results.append((rng.poisson(3.0, size=r), classes))
+        grid = tuple(ModelParams(rho=1.0, connection=RAY1, anchor_distance=1.0, k=3) for _ in results)
+        cfg = ExperimentConfig(name="x", params_grid=grid, replications=r, seed=1, outputs="unused")
+        for report, (_, classes) in zip(_summaries(cfg, [0, 1], results), results):
+            for col, name in enumerate(experiments.PAIR_CLASSES):
+                vals = classes[:, col].astype(float)
+                assert report.pair_means[name] == {"mean": float(vals.mean()), "se": mean_se(vals)}
+
+    @given(
+        r=st.sampled_from([1, 2, 3, 8191, 8192, 8193, 10000]),
+        points=st.lists(
+            st.tuples(st.sampled_from([0.0, 0.05, 0.7, 4.0, 40.0, 300.0]), st.booleans()), min_size=1, max_size=8
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        cells=st.sampled_from([1, 20000, experiments._SUMMARY_CELLS]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_summary_pass_equals_each_grid_point(self, r, points, seed, cells):
+        # every field of every report, bit for bit, against the per-point
+        # oracle: rows past numpy's 8192-element reduction buffer, counts
+        # from all zeros to a few hundred (orders 3 to 5 then sum in int64,
+        # order 80 in Python integers and order 7 in both), with and without
+        # pair classes, and chunks of one grid point to all of them
+        rng = np.random.default_rng(seed)
+        grid = tuple(
+            ModelParams(rho=0.5 + g, connection=RAY1, anchor_distance=1.0, k=3) for g in range(len(points))
+        )
+        results = [
+            (rng.poisson(lam, size=r), rng.poisson(lam * (lam + 1), size=(r, 5)) if paired else None)
+            for lam, paired in points
+        ]
+        orders = (0, 1, 2, 3, 4, 5, 7, 80)
+        cfg = ExperimentConfig(
+            name="x", params_grid=grid, replications=r, seed=1, outputs="unused", bracket_orders=orders
+        )
+        seeds = [experiments.derive_subseed(1, g) for g in range(len(grid))]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(experiments, "_SUMMARY_CELLS", cells)
+            reports = _summaries(cfg, seeds, results)
+        for g, report in enumerate(reports):
+            want = summarize_grid_point(g, seeds[g], grid[g], cfg, *results[g])
+            got, want = (json.dumps(_json_record(rep, _REPORT_FIELDS)) for rep in (report, want))
+            assert got == want
+            assert report.counts is results[g][0] and report.pair_class_counts is results[g][1]
+            if r == 1:
+                assert report.empirical_variance is None
+                assert report.empirical_mean_se is report.empirical_variance_se is None
+                assert report.empirical_zero_frequency_se is None
+                assert all(stats["se"] is None for stats in (report.pair_means or {}).values())
 
     def test_outputs_and_content(self, tmp_path):
         cfg = tiny_config(tmp_path, emit_histograms=True)
@@ -917,8 +970,8 @@ class TestWorkerPool:
         assert isinstance(info.value.__cause__, FloatingPointError)
 
     def test_failure_in_a_shared_block_names_every_point(self, tmp_path, monkeypatch):
-        # three cheap grid points share one block: a failure cannot be pinned
-        # on one of them, so the error names each with its seed and range
+        # three cheap grid points share one block, and each of them fails
+        # when counted alone, so the error names each with its seed and range
         _fail_on_replication_3(monkeypatch)
         grid = tuple(
             ModelParams(rho=0.5 * (i + 1), connection=RAY1, anchor_distance=1.0, k=3) for i in range(3)
@@ -930,6 +983,29 @@ class TestWorkerPool:
         assert message.count("(grid seed ") == 3
         for i, params in enumerate(grid):
             assert f"0..9 of {params} (grid seed {experiments.derive_subseed(5, i)})" in message
+        assert isinstance(info.value.__cause__, FloatingPointError)
+        assert not (tmp_path / "out").exists()
+
+    def test_failure_in_a_shared_block_names_the_failing_point(self, tmp_path, monkeypatch):
+        # three cheap grid points share one block, but only the second fails
+        # when its slice is counted alone: the error names that point alone
+        real = experiments.block_points
+
+        def draw(slices, layout):
+            if any(params.rho == 1.0 for params, _, _, _ in slices):
+                raise FloatingPointError("bad draw")
+            return real(slices, layout)
+
+        monkeypatch.setattr(experiments, "block_points", draw)
+        grid = tuple(
+            ModelParams(rho=0.5 * (i + 1), connection=RAY1, anchor_distance=1.0, k=3) for i in range(3)
+        )
+        cfg = tiny_config(tmp_path / "out", params_grid=grid, replications=10)
+        with pytest.raises(ReplicationError) as info:
+            run_experiment(cfg)
+        message = str(info.value)
+        assert message.count("(grid seed ") == 1
+        assert f"0..9 of {grid[1]} (grid seed {experiments.derive_subseed(5, 1)})" in message
         assert isinstance(info.value.__cause__, FloatingPointError)
         assert not (tmp_path / "out").exists()
 
