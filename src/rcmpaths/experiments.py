@@ -578,12 +578,11 @@ def _summaries(config: ExperimentConfig, seeds, results) -> list[MomentReport]:
     grid seed and its ``(counts, classes)`` of :func:`_sweep`, a chunk of grid
     points at a time (see :class:`MomentReport`)."""
     r = config.replications
-    top = max(int(counts.max()) for counts, _ in results)
-    step = max(1, _SUMMARY_CELLS // (r * (1 + len(PAIR_CLASSES)) + top + 1))
+    all_counts = np.stack([counts for counts, _ in results])
+    step = max(1, _SUMMARY_CELLS // (r * (1 + len(PAIR_CLASSES)) + int(all_counts.max()) + 1))
     reports = []
     for lo in range(0, len(results), step):
-        chunk = results[lo : lo + step]
-        counts = np.stack([c for c, _ in chunk])
+        chunk, counts = results[lo : lo + step], all_counts[lo : lo + step]
         mean, d = _row_moments([counts] + [classes.T for _, classes in chunk if classes is not None])
         zero = (counts == 0).sum(axis=1) / r
         var = se = var_se = zero_se = [None] * len(d)

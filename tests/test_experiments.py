@@ -620,8 +620,8 @@ class TestRunExperiment:
             patch.setattr(experiments, "_SUMMARY_CELLS", cells)
             reports = _summaries(cfg, seeds, results)
         for g, report in enumerate(reports):
-            want = summarize_grid_point(g, seeds[g], grid[g], cfg, *results[g])
-            got, want = (json.dumps(_json_record(rep, _REPORT_FIELDS)) for rep in (report, want))
+            oracle = summarize_grid_point(g, seeds[g], grid[g], cfg, *results[g])
+            got, want = (json.dumps(_json_record(rep, _REPORT_FIELDS)) for rep in (report, oracle))
             assert got == want
             assert report.counts is results[g][0] and report.pair_class_counts is results[g][1]
             if r == 1:
