@@ -6,49 +6,36 @@ of (grid seed, replication index).  Replications are embarrassingly parallel;
 results are always assembled in replication order, so output files are
 byte-identical regardless of worker count.
 
-The counter works on blocks of replications, and a block may span several
-grid points that share one connection function and one k: each block is a
-list of slices, replications ``first`` .. ``last - 1`` of one grid point,
-and its segments are the (grid point, replication) pairs.  One entry,
-:func:`_count_batch`, counts a list of jobs, in the calling process and in
-every pool worker alike: the jobs of one connection and k fill blocks of
-about ``_BLOCK_POINTS`` points in job order, and a job is cut where a block
-ends, so a cheap grid point pays no block's fixed numpy cost of its own.
-What a replication draws, its points and every edge, is decided by the
-sampler alone: one call,
-:func:`rcmpaths.sampler.block_points`, draws a whole block, for every k but
-1, and returns its non-anchor points with their edges to the anchors and a
-callback that draws the edge of any pair of points; k = 1 draws no points,
-only the anchors' own edge (:func:`rcmpaths.sampler.anchor_edges`).  Every
-variate is a keyed hash of the grid seed, the replication and the variate
-or vertex pair, so the draw, like everything else, is one vectorised pass
-per block, hashing only the pair draws a path can use (see
-:func:`_block_paths`), and the lazy counter finds exactly the paths of
-:func:`rcmpaths.sampler.sample_realization`.  The half-path joins that
-list the paths are those of :mod:`rcmpaths.paths`, which also count the
-paths of a realized graph.  It reduces counts per segment, and pair classes
-by counting identities, and splits them back per grid point.  A join draws
-at most about ``rcmpaths.paths._JOIN_PAIRS`` pairs at once, which with the
-block sizes bounds memory.  Margin validation uses the same counter.  How
-replications and grid points fall into blocks or workers never changes a
-result: the reports are byte-identical to one replication at a time.  A call
-that draws less than one batch (``_BATCH_POINTS`` points) counts in the
-calling process whatever ``threads`` says: starting the workers on it would
-cost more than they save.  With ``threads`` > 1 a larger call's replication
-ranges go through one worker pool per process: it starts on the first such
-call and serves every later call with the same worker count, so repeated
-calls pay for it once.  A call sends the pool its jobs in batches, one per
-worker when the call is cheap, so the messages to the workers do not
-outweigh the counting.
+The counter works on blocks of replications: a block lists slices,
+replications ``first`` .. ``last - 1`` of grid points that share one
+connection function and one k (see :func:`_blocks`), and its segments are
+the (grid point, replication) pairs.  One entry, :func:`_count_batch`,
+counts a list of jobs, in the calling process and in every pool worker
+alike.  The sampler alone decides what a replication draws, one vectorised
+pass per block (:func:`rcmpaths.sampler.block_points`, and at k = 1
+:func:`rcmpaths.sampler.anchor_edges`), and the half-path joins of
+:mod:`rcmpaths.paths` list the paths from it, drawing only the pairs a path
+can use (see :func:`_block_paths`), so the counter finds exactly the paths
+of :func:`rcmpaths.sampler.sample_realization`.
+
+A block returns its per-replication columns by name, one dict per slice:
+the path ``counts`` and, when pair classes are collected, the
+``pair_class_counts``.  The sweep passes the dicts through without knowing
+which columns they hold; the summaries and the report writers walk
+:data:`COLUMNS`, the one table of the columns, their sub-column labels and
+the report field of their means and SEs.  Whether a call counts in the
+calling process or on the worker pool (see :func:`_sweep`), and how
+replications and grid points fall into blocks, batches or workers, never
+changes a result.  Margin validation uses the same counter.
 
 Every file format follows a dataclass.  The fields of :class:`MomentReport`
 and :class:`MarginCheck`, in order, are the CSV columns and the JSON keys of
-their reports; ``params``, ``pair_means`` and ``existence_brackets`` span
-several CSV columns.  The config JSON has one key per field of
-:class:`ExperimentConfig`, and a field without a default is required.  Each
-file is written to a temporary file in its directory and then moved over the
-target, so an interrupted run leaves the previous file or the complete new
-one, never a partial one.
+their reports; ``params``, the :data:`COLUMNS` stats fields and
+``existence_brackets`` span several CSV columns.  The config JSON has one
+key per field of :class:`ExperimentConfig`, and a field without a default is
+required.  Each file is written to a temporary file in its directory and
+then moved over the target, so an interrupted run leaves the previous file
+or the complete new one, never a partial one.
 """
 from __future__ import annotations
 
@@ -75,7 +62,7 @@ from .errors import ReplicationError, ValidationError, _int_problems
 from .model import HARD_DISK, RAYLEIGH, TABULATED, ConnectionSpec, ModelParams
 from .moments import ExistenceBracket, bonferroni_bound_order2, bracket_rows, quadratic_existence_bound
 from .paths import PairStructureCounts, classify_path_pair_segments, khop_intermediates
-from .rng import derive_subseed
+from .rng import STREAM_SUBSEED, stream_keys
 from .sampler import anchor_edges, block_points, mean_draws, slice_replications
 
 PAIR_CLASSES = tuple(f.name for f in fields(PairStructureCounts))
@@ -302,23 +289,22 @@ def _block_paths(slices, layout):
 
 
 def _count_block(slices, collect_pairs):
-    """Path counts of a block of replications, one ``(counts, classes)`` per
-    slice ``(params, seed, first, last)`` of ``slices`` (see
-    :func:`_block_paths`): the counts of its replications, and their pair
-    classes when ``collect_pairs`` (k = 3, else None)."""
+    """The :data:`COLUMNS` of a block of replications, one dict per slice
+    ``(params, seed, first, last)`` of ``slices`` (see :func:`_block_paths`):
+    the ``counts`` of its replications' paths, and with ``collect_pairs``
+    (k = 3) their ``pair_class_counts``."""
     layout = slice_replications(slices)
     near, seg, inter = _block_paths(slices, layout)
     ends = layout[3]
     segments = int(ends[-1])
-    counts = np.split(np.bincount(seg, minlength=segments), ends[:-1])
-    classes = [None] * len(slices)
+    columns = {"counts": np.bincount(seg, minlength=segments)}
     if collect_pairs:
         z1, z2 = inter
         # the reverse (z2, z1) shares the middle edge, so it is a path
         # exactly when z2 is adjacent to anchor 0 and z1 to anchor 1
         reversed_too = near[0][z2] & near[1][z1]
-        classes = np.split(classify_path_pair_segments(z1, z2, seg, segments, reversed_too), ends[:-1])
-    return list(zip(counts, classes))
+        columns["pair_class_counts"] = classify_path_pair_segments(z1, z2, seg, segments, reversed_too)
+    return [{name: col[a:b] for name, col in columns.items()} for a, b in zip([0, *ends[:-1]], ends)]
 
 
 def _points_per_replication(params: ModelParams) -> float:
@@ -356,8 +342,8 @@ def _blocks(jobs):
 def _count_batch(jobs) -> list:
     """Count every job ``(params, seed, lo, hi, collect_pairs)``:
     replications ``lo`` .. ``hi - 1`` of one grid point, in the blocks of
-    :func:`_blocks`.  Returns one ``(counts, classes)`` per job,
-    in job order (see :func:`_count_block`).  A failure is re-raised as a
+    :func:`_blocks`.  Returns the columns of each job's replications, in
+    job order (see :func:`_count_block`).  A failure is re-raised as a
     :class:`ReplicationError` naming each slice of the failing block that
     fails when counted alone, with its grid seed and its replications, or
     every slice when none does."""
@@ -385,7 +371,7 @@ def _count_batch(jobs) -> list:
 
 
 def _concat(parts):
-    return tuple(None if col[0] is None else np.concatenate(col) for col in zip(*parts))
+    return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
 
 
 # the worker pool of this process and its worker count, kept across calls;
@@ -446,8 +432,8 @@ def _pool_map(batches, threads: int) -> list:
 
 def _sweep(tasks, replications: int, threads: int):
     """Run ``replications`` replications of every task ``(params, seed,
-    collect_pairs)``; returns one ``(counts, classes)`` per task, in task
-    order.
+    collect_pairs)``; returns the columns of each task's replications (see
+    :func:`_count_block`), in task order.
 
     The points every task draws are estimated once.  A call that draws
     less than one batch (``_BATCH_POINTS``) in all, or runs at ``threads``
@@ -495,9 +481,8 @@ def run_replications(
     pair-class counts in :data:`PAIR_CLASSES` order (else None).  The result
     depends only on (params, seed, replications), never on ``threads``.
     """
-    collect = collect_pairs and int(params.k) == 3
-    ((counts, classes),) = _sweep([(params, seed, collect)], replications, threads)
-    return counts, classes
+    (columns,) = _sweep([(params, seed, collect_pairs and int(params.k) == 3)], replications, threads)
+    return columns["counts"], columns.get("pair_class_counts")
 
 
 # ---------------------------------------------------------------------------
@@ -509,13 +494,12 @@ def run_replications(
 class MomentReport:
     """Aggregated statistics for one sweep grid point.
 
-    The fields are in report column order; ``counts`` and
-    ``pair_class_counts`` are written only with ``dump_raw_counts``.  The
-    summaries reduce a chunk of an experiment's grid points in one pass
-    (:func:`_summaries`): their counts and pair classes as the rows of one
-    float64 matrix, each row as it would be alone, and every bracket from one
-    histogram (:func:`rcmpaths.moments.bracket_rows`).  Only the references
-    are taken a grid point at a time.
+    The fields are in report column order; the raw :data:`COLUMNS`, last,
+    are written only with ``dump_raw_counts``.  The summaries reduce a chunk
+    of grid points in one pass (:func:`_summaries`): every column of every
+    point as rows of one float64 matrix, each row as it would be alone, and
+    every bracket from one histogram (:func:`rcmpaths.moments.bracket_rows`).
+    Only the references are taken a grid point at a time.
     """
 
     grid_index: int
@@ -539,6 +523,17 @@ class MomentReport:
     existence_brackets: tuple[ExistenceBracket, ...]
     counts: np.ndarray
     pair_class_counts: np.ndarray | None
+
+
+# Every per-replication column (name, labels, stats), named as a block
+# returns it (_count_block): its raw int64 array, (R,) or (R, c) with
+# sub-column labels, is the MomentReport field name, and each sub-column's
+# {"mean": ..., "se": ...} is in the dict field stats, whose CSV columns for
+# a field <p>_means are <p>_<label>_mean and _se.  The counts are summarized
+# in the empirical_* fields and the brackets instead.
+COLUMNS = (("counts", None, None), ("pair_class_counts", PAIR_CLASSES, "pair_means"))
+_SUMMARIZED = tuple(c for c in COLUMNS if c[2])
+_STATS = ("mean", "se")
 
 
 def _attach_references(params: ModelParams, config: ExperimentConfig):
@@ -575,15 +570,18 @@ def _row_moments(rows):
 
 def _summaries(config: ExperimentConfig, seeds, results) -> list[MomentReport]:
     """The :class:`MomentReport` of every grid point of ``config``, from its
-    grid seed and its ``(counts, classes)`` of :func:`_sweep`, a chunk of grid
-    points at a time (see :class:`MomentReport`)."""
+    grid seed and its columns of :func:`_sweep`, a chunk of grid points at a
+    time (see :class:`MomentReport`)."""
     r = config.replications
-    all_counts = np.stack([counts for counts, _ in results])
-    step = max(1, _SUMMARY_CELLS // (r * (1 + len(PAIR_CLASSES)) + int(all_counts.max()) + 1))
+    all_counts = np.stack([columns["counts"] for columns in results])
+    width = sum(len(labels or "1") for _, labels, _ in COLUMNS)
+    step = max(1, _SUMMARY_CELLS // (r * width + int(all_counts.max()) + 1))
     reports = []
     for lo in range(0, len(results), step):
         chunk, counts = results[lo : lo + step], all_counts[lo : lo + step]
-        mean, d = _row_moments([counts] + [classes.T for _, classes in chunk if classes is not None])
+        # the count rows, then each sub-column of every point, in table order
+        subs = [cols[name].T for name, _, _ in _SUMMARIZED for cols in chunk if name in cols]
+        mean, d = _row_moments([counts, *subs])
         zero = (counts == 0).sum(axis=1) / r
         var = se = var_se = zero_se = [None] * len(d)
         if r >= 2:
@@ -596,13 +594,14 @@ def _summaries(config: ExperimentConfig, seeds, results) -> list[MomentReport]:
             zero_se = np.sqrt(zero * (1.0 - zero) / r).tolist()
         mean, zero = mean.tolist(), zero.tolist()
         brackets = bracket_rows(counts, config.bracket_orders)
-        at = len(chunk)  # the row of the next grid point's first pair class
-        for i, (point_counts, classes) in enumerate(chunk):
+        # the sub-columns' statistics in stacking order (zip stops at a column's last label)
+        sub_stats = iter([dict(zip(_STATS, row)) for row in zip(mean[len(chunk) :], se[len(chunk) :])])
+        stats = {
+            field: [dict(zip(labels, sub_stats)) if name in cols else None for cols in chunk]
+            for name, labels, field in _SUMMARIZED
+        }
+        for i, cols in enumerate(chunk):
             params = config.params_grid[lo + i]
-            pair_means = None
-            if classes is not None:
-                pair_means = {c: {"mean": mean[at + j], "se": se[at + j]} for j, c in enumerate(PAIR_CLASSES)}
-                at += len(PAIR_CLASSES)
             analytic_mean, analytic_variance, numeric_mean, numeric_variance = _attach_references(params, config)
             source, ref_mean, ref_var = "empirical", mean[i], var[i] or 0.0
             if analytic_mean is not None and analytic_variance is not None:
@@ -625,13 +624,12 @@ def _summaries(config: ExperimentConfig, seeds, results) -> list[MomentReport]:
                     analytic_variance=analytic_variance,
                     numeric_mean=numeric_mean,
                     numeric_variance=numeric_variance,
-                    pair_means=pair_means,
                     moment_source=source,
                     quadratic_bound=quadratic_existence_bound(ref_mean, ref_var),
                     bonferroni2_bound=bonferroni_bound_order2(ref_mean, ref_var),
                     existence_brackets=brackets[i],
-                    counts=point_counts,
-                    pair_class_counts=classes,
+                    **{field: values[i] for field, values in stats.items()},
+                    **{name: cols.get(name) for name, _, _ in COLUMNS},
                 )
             )
     return reports
@@ -678,28 +676,29 @@ _COLUMN_DOC = """\
 
 
 # every MomentReport field but the raw per-replication arrays
-_REPORT_FIELDS = tuple(f.name for f in fields(MomentReport) if f.name not in ("counts", "pair_class_counts"))
+_REPORT_FIELDS = tuple(f.name for f in fields(MomentReport) if f.name not in {c[0] for c in COLUMNS})
 _REPORT_PARAMS = ("k", "rho", "kind", "beta", "eta", "r0", "anchor_distance", "margin")
-_PAIR_STATS = ("mean", "se")
 # the ExistenceBracket fields in the CSV, with their column prefixes
 _BRACKET_COLUMNS = {"partial_sum": "zero_partial_sum", "existence_estimate": "existence_estimate"}
+_LABELS = {field: labels for _, labels, field in _SUMMARIZED}
 
 
 def _csv_columns(record, names, param_columns):
     """``(column, value)`` for every CSV column of ``record``: its fields
     ``names`` in order, ``params`` as the ``param_columns`` of
-    :func:`params_to_dict` with the connection merged in, and ``pair_means``
-    and ``existence_brackets`` as one column per class or bracket and stat."""
+    :func:`params_to_dict` with the connection merged in, and each
+    :data:`COLUMNS` stats field and ``existence_brackets`` as one column per
+    sub-column or bracket and stat."""
     for name in names:
         value = getattr(record, name)
         if name == "params":
             flat = params_to_dict(value)
             flat.update(flat.pop("connection"))
             yield from ((c, flat.get(c)) for c in param_columns)
-        elif name == "pair_means":
-            for c in PAIR_CLASSES:
-                for stat in _PAIR_STATS:
-                    yield f"pair_{c}_{stat}", None if value is None else value[c][stat]
+        elif name in _LABELS:
+            for label in _LABELS[name]:
+                for stat in _STATS:
+                    yield f"{name.removesuffix('means')}{label}_{stat}", None if value is None else value[label][stat]
         elif name == "existence_brackets":
             for b in value:
                 for attr, prefix in _BRACKET_COLUMNS.items():
@@ -762,9 +761,8 @@ def write_reports_json(path: str, config: ExperimentConfig, reports: list[Moment
     for report in reports:
         records.append(_json_record(report, _REPORT_FIELDS))
         if config.dump_raw_counts:
-            records[-1]["counts"] = report.counts.tolist()
-            if report.pair_class_counts is not None:
-                records[-1]["pair_class_counts"] = report.pair_class_counts.tolist()
+            raw = {name: getattr(report, name) for name, _, _ in COLUMNS}
+            records[-1].update((name, col.tolist()) for name, col in raw.items() if col is not None)
     _write_json(path, {"config": config_to_dict(config), "reports": records})
 
 
@@ -796,15 +794,18 @@ def write_histogram_csv(path: str, config: ExperimentConfig, reports: list[Momen
 # ---------------------------------------------------------------------------
 
 
+def _grid_tasks(config: ExperimentConfig, collect_pairs: bool):
+    """The grid seeds of ``config``'s grid points and their :func:`_sweep`
+    tasks, which collect pair classes at k = 3 when ``collect_pairs``."""
+    seeds = stream_keys(config.seed, np.arange(len(config.params_grid)), STREAM_SUBSEED).tolist()
+    return seeds, [(p, seed, collect_pairs and int(p.k) == 3) for p, seed in zip(config.params_grid, seeds)]
+
+
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[MomentReport]:
     """Run every grid point, write ``<name>.csv`` / ``<name>.json`` (and the
     histogram CSV when enabled) into the output directory, and return the
     reports."""
-    seeds = [derive_subseed(config.seed, i) for i in range(len(config.params_grid))]
-    tasks = [
-        (params, seed, config.collect_pair_structures and int(params.k) == 3)
-        for params, seed in zip(config.params_grid, seeds)
-    ]
+    seeds, tasks = _grid_tasks(config, config.collect_pair_structures)
     reports = _summaries(config, seeds, _sweep(tasks, config.replications, threads))
     # made only now, so a refused or failed sweep leaves no directory behind
     os.makedirs(config.outputs, exist_ok=True)
@@ -852,9 +853,8 @@ def validate_margin(
     grid point is flagged."""
     if replications is None:
         replications = max(1000, config.replications // 10)
-    seeds = [derive_subseed(config.seed, i) for i in range(len(config.params_grid))]
-    tasks = [(params, seed, False) for params, seed in zip(config.params_grid, seeds)]
-    means = _row_moments([np.stack([c for c, _ in _sweep(tasks, replications, threads)])])[0].tolist()
+    seeds, tasks = _grid_tasks(config, False)
+    means = _row_moments([np.stack([c["counts"] for c in _sweep(tasks, replications, threads)])])[0].tolist()
     return [
         MarginCheck(
             grid_index=grid_index,

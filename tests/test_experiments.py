@@ -47,6 +47,7 @@ from rcmpaths.experiments import (
 )
 from rcmpaths.model import ConnectionSpec, ModelParams
 from rcmpaths.paths import iter_khop_paths, khop_paths
+from rcmpaths.rng import derive_subseed
 from rcmpaths.sampler import realize_graph, sample_realization
 
 RAY1 = ConnectionSpec.rayleigh(beta=1.0)
@@ -281,6 +282,11 @@ class TestConfig:
         assert "unknown field 'replication'" in capsys.readouterr().err
 
 
+def _pair(columns):
+    """A block's column dict as its (counts, pair classes or None)."""
+    return columns["counts"], columns.get("pair_class_counts")
+
+
 def _full_realization_counts(params, seed, rep):
     """Count and pair classes of one replication from its full graph, the
     DFS and the O(m**2) pair classifier."""
@@ -296,13 +302,13 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_lazy_counts_match_full_realization(self, k):
         params = ModelParams(rho=0.8, connection=RAY1, anchor_distance=1.0, k=k, margin=2.5)
-        ((counts, _),) = _count_batch([(params, 99, 0, 60, False)])
+        ((counts, _),) = map(_pair, _count_batch([(params, 99, 0, 60, False)]))
         for rep in range(60):
             assert counts[rep] == _full_realization_counts(params, 99, rep)[0]
 
     def test_pair_classes_match_graph_classifier(self):
         params = ModelParams(rho=0.8, connection=RAY1, anchor_distance=1.0, k=3, margin=2.5)
-        ((counts, classes),) = _count_batch([(params, 31, 0, 40, True)])
+        ((counts, classes),) = map(_pair, _count_batch([(params, 31, 0, 40, True)]))
         for rep in range(40):
             count, expected = _full_realization_counts(params, 31, rep)
             assert counts[rep] == count
@@ -324,7 +330,7 @@ class TestEngineEquivalence:
         # neighbours; every block is ragged in its point counts
         params = ModelParams(rho=rho, connection=spec, anchor_distance=anchor_distance, k=k, margin=margin)
         reps = range(first, first + size)
-        ((counts, classes),) = _count_block([(params, seed, first, first + size)], k == 3)
+        ((counts, classes),) = map(_pair, _count_block([(params, seed, first, first + size)], k == 3))
         for b, rep in enumerate(reps):
             count, expected_classes = _full_realization_counts(params, seed, rep)
             assert counts[b] == count
@@ -358,11 +364,11 @@ class TestEngineEquivalence:
                 rho=rho, connection=spec, anchor_distance=anchor_distance, k=k, margin=margin
             )
             slices.append((params, seed, first, first + size))
-        merged = _count_block(slices, k == 3)
-        batched = _count_batch([(*part, k == 3) for part in slices])
+        merged = [*map(_pair, _count_block(slices, k == 3))]
+        batched = [*map(_pair, _count_batch([(*part, k == 3) for part in slices]))]
         assert len(merged) == len(batched) == len(slices)
         for (params, seed, first, last), got, again in zip(slices, merged, batched):
-            (alone,) = _count_block([(params, seed, first, last)], k == 3)
+            (alone,) = map(_pair, _count_block([(params, seed, first, last)], k == 3))
             for expected, a, b in zip(alone, got, again):
                 assert (expected is None and a is None and b is None) or (
                     np.array_equal(expected, a) and np.array_equal(expected, b)
@@ -389,7 +395,7 @@ class TestEngineEquivalence:
         params = ModelParams(rho=rho, connection=spec, anchor_distance=anchor_distance, k=k, margin=margin)
         g = sample_realization(params, seed, rep)
         assume(g.n - 2 <= 12)
-        (((count,), _),) = _count_block([(params, seed, rep, rep + 1)], False)
+        (((count,), _),) = map(_pair, _count_block([(params, seed, rep, rep + 1)], False))
         assert count == len(khop_paths(g, k)) == len(list(iter_khop_paths(g, k)))
         assert count == count_khop_paths_oracle(g, k)
 
@@ -398,9 +404,9 @@ class TestEngineEquivalence:
         # joins split into runs of a few pairs, most runs cutting through
         # one half-path's pairs, must find the same paths
         params = ModelParams(rho=1.2, connection=RAY1, anchor_distance=1.0, k=k)
-        (whole,) = _count_block([(params, 8, 0, 5)], k == 3)
+        (whole,) = map(_pair, _count_block([(params, 8, 0, 5)], k == 3))
         monkeypatch.setattr(paths, "_JOIN_PAIRS", 7)
-        (runs,) = _count_block([(params, 8, 0, 5)], k == 3)
+        (runs,) = map(_pair, _count_block([(params, 8, 0, 5)], k == 3))
         for expected, got in zip(whole, runs):
             assert (expected is None and got is None) or np.array_equal(expected, got)
         assert whole[0].sum() > 0
@@ -485,11 +491,11 @@ class TestEngineEquivalence:
         ]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(experiments, "_BLOCK_POINTS", block_points)
-            counted = _count_batch(batch)
+            counted = [*map(_pair, _count_batch(batch))]
         for (params, seed, first, last, collect), (counts, classes) in zip(batch, counted):
             assert len(counts) == last - first and (classes is None) == (not collect)
             for b, rep in enumerate(range(first, last)):
-                ((count, alone),) = _count_block([(params, seed, rep, rep + 1)], collect)
+                ((count, alone),) = map(_pair, _count_block([(params, seed, rep, rep + 1)], collect))
                 assert counts[b] == count[0]
                 assert alone is None or np.array_equal(classes[b], alone[0])
 
@@ -524,7 +530,7 @@ class TestEngineEquivalence:
         # block of about 14000 proposals and 100000 joining pairs: in runs
         # of _JOIN_PAIRS pairs it peaks near 2 MiB, in runs of 1 << 18 near 13
         row = [p for p in preset_config("fig-mean-var", "unused").params_grid if p.rho == 5.0]
-        tasks = [(params, experiments.derive_subseed(3, i), True) for i, params in enumerate(row)]
+        tasks = [(params, derive_subseed(3, i), True) for i, params in enumerate(row)]
         assert len(list(experiments._blocks([(*task[:2], 0, 20, True) for task in tasks]))) == 1
         tracemalloc.start()
         try:
@@ -570,6 +576,52 @@ class TestEngineEquivalence:
         assert np.array_equal(a_classes, b_classes)
 
 
+class TestColumnTable:
+    @pytest.mark.parametrize("collect", [False, True], ids=["pairs-off", "pairs-on"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_every_layer_returns_the_named_int64_columns(self, k, collect):
+        # the block counter, a batch and a sweep hand on the same column
+        # dicts: the counts, and the pair classes only when collected at k = 3
+        params = ModelParams(rho=0.8, connection=RAY1, anchor_distance=1.0, k=k)
+        other = ModelParams(rho=1.3, connection=RAY1, anchor_distance=0.5, k=k)
+        pairs = collect and k == 3
+        names = ["counts", "pair_class_counts"] if pairs else ["counts"]
+        assert [name for name, _, _ in experiments.COLUMNS] == ["counts", "pair_class_counts"]
+
+        def check(columns, replications):
+            assert list(columns) == names
+            assert all(columns[name].dtype == np.int64 for name in names)
+            assert columns["counts"].shape == (replications,)
+            if pairs:
+                assert columns["pair_class_counts"].shape == (replications, len(experiments.PAIR_CLASSES))
+
+        slices = [(params, 5, 0, 3), (other, 6, 10, 14)]
+        for got in (_count_block(slices, pairs), _count_batch([(*s, pairs) for s in slices])):
+            assert len(got) == 2
+            check(got[0], 3)
+            check(got[1], 4)
+        swept = experiments._sweep([(params, 5, pairs), (other, 6, pairs)], 7, 1)
+        assert len(swept) == 2
+        for columns in swept:
+            check(columns, 7)
+        parts = _count_block([(params, 5, 0, 3)], pairs) + _count_block([(params, 5, 3, 7)], pairs)
+        counts, classes = run_replications(params, 5, 7, collect_pairs=collect)
+        assert np.array_equal(counts, np.concatenate([part["counts"] for part in parts]))
+        assert np.array_equal(swept[0]["counts"], counts)
+        if pairs:
+            assert np.array_equal(classes, np.concatenate([part["pair_class_counts"] for part in parts]))
+            assert np.array_equal(swept[0]["pair_class_counts"], classes)
+        else:
+            assert classes is None
+
+    def test_run_experiment_and_margin_share_the_grid_seeds(self, tmp_path):
+        cfg = tiny_config(tmp_path, seed=2**64 - 1)
+        cfg = dataclasses.replace(cfg, params_grid=cfg.params_grid * 3)
+        seeds = [derive_subseed(2**64 - 1, g) for g in range(3)]
+        assert [report.grid_seed for report in run_experiment(cfg)] == seeds
+        assert [check.grid_seed for check in validate_margin(cfg, replications=5)] == seeds
+
+
 class TestRunExperiment:
     @pytest.mark.parametrize("r", [1, 2, 7, 8, 9, 128, 129, 1000])
     def test_pair_stats_equal_each_column(self, r):
@@ -580,10 +632,10 @@ class TestRunExperiment:
         results = []
         for _ in range(2):
             classes = rng.integers(0, 10 ** rng.integers(1, 16, size=5), size=(r, 5))
-            results.append((rng.poisson(3.0, size=r), classes))
+            results.append({"counts": rng.poisson(3.0, size=r), "pair_class_counts": classes})
         grid = tuple(ModelParams(rho=1.0, connection=RAY1, anchor_distance=1.0, k=3) for _ in results)
         cfg = ExperimentConfig(name="x", params_grid=grid, replications=r, seed=1, outputs="unused")
-        for report, (_, classes) in zip(_summaries(cfg, [0, 1], results), results):
+        for report, (_, classes) in zip(_summaries(cfg, [0, 1], results), map(_pair, results)):
             for col, name in enumerate(experiments.PAIR_CLASSES):
                 vals = classes[:, col].astype(float)
                 assert report.pair_means[name] == {"mean": float(vals.mean()), "se": mean_se(vals)}
@@ -608,22 +660,24 @@ class TestRunExperiment:
             ModelParams(rho=0.5 + g, connection=RAY1, anchor_distance=1.0, k=3) for g in range(len(points))
         )
         results = [
-            (rng.poisson(lam, size=r), rng.poisson(lam * (lam + 1), size=(r, 5)) if paired else None)
+            {"counts": rng.poisson(lam, size=r)}
+            | ({"pair_class_counts": rng.poisson(lam * (lam + 1), size=(r, 5))} if paired else {})
             for lam, paired in points
         ]
         orders = (0, 1, 2, 3, 4, 5, 7, 80)
         cfg = ExperimentConfig(
             name="x", params_grid=grid, replications=r, seed=1, outputs="unused", bracket_orders=orders
         )
-        seeds = [experiments.derive_subseed(1, g) for g in range(len(grid))]
+        seeds = [derive_subseed(1, g) for g in range(len(grid))]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(experiments, "_SUMMARY_CELLS", cells)
             reports = _summaries(cfg, seeds, results)
         for g, report in enumerate(reports):
-            oracle = summarize_grid_point(g, seeds[g], grid[g], cfg, *results[g])
+            oracle = summarize_grid_point(g, seeds[g], grid[g], cfg, *_pair(results[g]))
             got, want = (json.dumps(_json_record(rep, _REPORT_FIELDS)) for rep in (report, oracle))
             assert got == want
-            assert report.counts is results[g][0] and report.pair_class_counts is results[g][1]
+            assert report.counts is results[g]["counts"]
+            assert report.pair_class_counts is results[g].get("pair_class_counts")
             if r == 1:
                 assert report.empirical_variance is None
                 assert report.empirical_mean_se is report.empirical_variance_se is None
@@ -982,7 +1036,7 @@ class TestWorkerPool:
         message = str(info.value)
         assert message.count("(grid seed ") == 3
         for i, params in enumerate(grid):
-            assert f"0..9 of {params} (grid seed {experiments.derive_subseed(5, i)})" in message
+            assert f"0..9 of {params} (grid seed {derive_subseed(5, i)})" in message
         assert isinstance(info.value.__cause__, FloatingPointError)
         assert not (tmp_path / "out").exists()
 
@@ -1005,7 +1059,7 @@ class TestWorkerPool:
             run_experiment(cfg)
         message = str(info.value)
         assert message.count("(grid seed ") == 1
-        assert f"0..9 of {grid[1]} (grid seed {experiments.derive_subseed(5, 1)})" in message
+        assert f"0..9 of {grid[1]} (grid seed {derive_subseed(5, 1)})" in message
         assert isinstance(info.value.__cause__, FloatingPointError)
         assert not (tmp_path / "out").exists()
 
