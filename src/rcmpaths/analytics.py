@@ -97,7 +97,8 @@ class QuadratureSpec:
 
 
 def mean_khop_rayleigh(params: ModelParams) -> float:
-    """Closed-form expected k-hop path count (Rayleigh, eta = 2)."""
+    """Closed-form expected k-hop path count (Rayleigh, eta = 2); at k = 1
+    the anchors' edge probability, 0 where they coincide."""
     spec = params.connection
     if spec.kind != RAYLEIGH or spec.eta != 2.0:
         raise UnsupportedClosedFormError(
@@ -105,6 +106,8 @@ def mean_khop_rayleigh(params: ModelParams) -> float:
         )
     k = int(params.k)
     r = params.anchor_distance
+    if k == 1:
+        return spec.evaluate(r)
     return (1.0 / k) * (params.rho * math.pi / spec.beta) ** (k - 1) * math.exp(
         -spec.beta * r * r / k
     )

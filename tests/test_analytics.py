@@ -21,6 +21,7 @@ from rcmpaths.errors import (
     UnsupportedClosedFormError,
     ValidationError,
 )
+from rcmpaths.experiments import run_replications
 from rcmpaths.model import ConnectionSpec, ModelParams
 
 RAY1 = ConnectionSpec.rayleigh(beta=1.0)
@@ -44,6 +45,16 @@ class TestClosedForms:
     def test_one_hop_mean_equals_connection_probability(self):
         p = ray_params(rho=3.0, beta=1.0, r=2.0, k=1)
         assert mean_khop_rayleigh(p) == pytest.approx(math.exp(-4.0), rel=1e-14)
+
+    @pytest.mark.parametrize("r", [0.0, 0.3, 2.0])
+    def test_one_hop_mean_is_the_swept_edge_probability(self, r):
+        # at r = 0 the anchors coincide, and the graph rule gives them no
+        # edge: the sweep counts none, so the mean is 0 and not H's limit 1
+        p = ray_params(rho=1.0, beta=1.0, r=r, k=1)
+        assert mean_khop_rayleigh(p) == mean_khop_numeric(p) == RAY1.evaluate(r)
+        if r == 0.0:
+            counts, _ = run_replications(p, 3, 50)
+            assert mean_khop_rayleigh(p) == 0.0 and not counts.any()
 
     def test_two_hop_zero_separation(self):
         p = ray_params(rho=1.0, beta=1.0, r=0.0, k=2)
