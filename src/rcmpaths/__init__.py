@@ -44,13 +44,11 @@ from .moments import (
 )
 from .paths import (
     PairStructureCounts,
-    classify_pair_structures,
     iter_khop_paths,
     khop_paths,
 )
 from .sampler import (
     GraphRealization,
-    realize_graph,
     sample_realization,
 )
 
@@ -73,7 +71,6 @@ __all__ = [
     "UnsupportedClosedFormError",
     "ValidationError",
     "bonferroni_bound_order2",
-    "classify_pair_structures",
     "default_margin",
     "empirical_factorial_moment",
     "iter_khop_paths",
@@ -82,7 +79,6 @@ __all__ = [
     "mean_khop_rayleigh",
     "preset_config",
     "quadratic_existence_bound",
-    "realize_graph",
     "run_experiment",
     "run_replications",
     "sample_realization",

@@ -217,13 +217,3 @@ def classify_path_pair_segments(
     out[:, 4] = twins
     out[:, 0] = m * m - out[:, 1:].sum(axis=1)
     return out
-
-
-def classify_pair_structures(g: GraphRealization) -> PairStructureCounts:
-    """Enumerate all 3-hop paths of ``g`` and classify their ordered pairs."""
-    z1, z2 = khop_paths(g, 3)[:, 1:3].T
-    # the reverse (z2, z1) shares the middle edge, so it is a path exactly
-    # when z2 is adjacent to anchor 0 and z1 to anchor 1
-    reversed_too = g.adjacency[0, z2] & g.adjacency[1, z1]
-    counts = classify_path_pair_segments(z1, z2, np.zeros(len(z1), dtype=np.int64), 1, reversed_too)
-    return PairStructureCounts(*(int(c) for c in counts[0]))

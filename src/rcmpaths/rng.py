@@ -12,11 +12,10 @@ A 64-bit state is folded through the splitmix64 finalizer once per field::
     for field in fields:
         h = mix64((h + GAMMA) ^ field)
 
-and every uniform is the top 53 bits of ``fold(seed, replication, stream,
-a, b)``, drawn by :func:`keyed_uniforms` from :func:`stream_keys` and
-:func:`fold_keys` in numpy uint64, whose arithmetic wraps modulo 2**64 as
-the Python-int :func:`fold` does, so one variate or a million give the same
-bits.
+and every uniform is the top 53 bits of the fold of ``(seed, replication,
+stream, a, b)``, drawn by :func:`keyed_uniforms` from :func:`stream_keys`
+and :func:`fold_keys` in numpy uint64, whose arithmetic wraps modulo 2**64,
+so one variate or a million give the same bits.
 
 Streams (so point draws and edge draws never collide):
 
@@ -29,8 +28,7 @@ Streams (so point draws and edge draws never collide):
   keyed by ``(STREAM_EDGES, min(i, j), max(i, j))``.  Any subset of pairs can
   therefore be evaluated lazily, in any order, and agrees bit-for-bit with a
   full-matrix realization.  :mod:`rcmpaths.sampler` draws every edge, from
-  each lower vertex's key folded once; :func:`pair_uniforms` is the
-  reference definition of the pair's uniform.
+  each lower vertex's key folded once.
 * subseed stream: derives independent master seeds for sweep grid points.
 """
 from __future__ import annotations
@@ -45,7 +43,6 @@ _GAMMA, _C1, _C2, _INIT, _S11, _S27, _S30, _S31 = (
     np.array(c, dtype=np.uint64)
     for c in (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 0x5851F42D4C957F2D, 11, 27, 30, 31)
 )
-_MASK = (1 << 64) - 1
 
 STREAM_POINTS = 1
 STREAM_EDGES = 2
@@ -69,25 +66,6 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> _S31)
 
 
-def _mix64_int(z: int) -> int:
-    # bit-identical to _mix64, on plain Python ints (faster for scalars)
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    return z ^ (z >> 31)
-
-
-_INIT_I = int(_INIT)
-_GAMMA_I = int(_GAMMA)
-
-
-def fold(seed: int, *fields) -> int:
-    """Fold ``seed`` and each integer field into a 64-bit hash."""
-    h = _mix64_int((seed & _MASK) ^ _INIT_I)
-    for f in fields:
-        h = _mix64_int(((h + _GAMMA_I) & _MASK) ^ (int(f) & _MASK))
-    return h
-
-
 def stream_keys(seed, replication, stream: int) -> np.ndarray:
     """``fold(s, r, stream)`` for every (s, r) of the broadcast integer
     arrays (or scalars) ``seed`` and ``replication``, in [0, 2**64), as a
@@ -108,18 +86,6 @@ def keyed_uniforms(keys, index) -> np.ndarray:
     """Uniform [0, 1) variates ``(fold(s, r, stream, a, b) >> 11) * 2**-53``
     for the keys ``fold_keys(stream_keys(s, r, stream), a)`` and index ``b``."""
     return (fold_keys(keys, index) >> _S11).astype(np.float64) * 2.0**-53
-
-
-def pair_uniforms(seed, replication, i, j):
-    """Uniform(0, 1) variates keyed by the sorted vertex pair ``{i, j}``:
-    the :func:`keyed_uniforms` of the edge stream with ``a = min(i, j)`` and
-    ``b = max(i, j)``.  ``seed``, ``replication``, ``i`` and ``j`` may be
-    scalars or broadcastable integer arrays; the result is symmetric in
-    (i, j)."""
-    ii = np.asarray(i, dtype=np.uint64)
-    jj = np.asarray(j, dtype=np.uint64)
-    keys = fold_keys(stream_keys(seed, replication, STREAM_EDGES), np.minimum(ii, jj))
-    return keyed_uniforms(keys, np.maximum(ii, jj))
 
 
 def _poisson_cdf(mean: float):
@@ -191,5 +157,6 @@ def keyed_gamma(keys, index, shape: float, field: int, boost) -> np.ndarray:
 
 
 def derive_subseed(seed: int, index: int) -> int:
-    """Independent master seed for sweep grid point ``index``."""
-    return fold(seed, index, STREAM_SUBSEED)
+    """Independent master seed for sweep grid point ``index``: the fold of
+    ``(seed, index, STREAM_SUBSEED)``, as :func:`stream_keys` gives it."""
+    return int(stream_keys(seed, index, STREAM_SUBSEED))

@@ -30,8 +30,8 @@ Every other edge is decided by :func:`draw_edges`, which nothing outside
 this module calls, from the lower vertex's edge key (folded once per
 vertex) and the upper vertex's index, save where the exploration decided it
 (:func:`_parent_rule`): :func:`block_points`, :func:`anchor_edges` (k = 1)
-and :func:`realize_graph` all draw the :func:`rcmpaths.rng.pair_uniforms`
-of the grid seed, replication and pair.
+and :func:`sample_realization` all draw the edge-stream uniform of the grid
+seed, replication and pair.
 """
 from __future__ import annotations
 
@@ -276,10 +276,11 @@ def connection_probabilities(spec: ConnectionSpec, sq_dists: np.ndarray) -> np.n
 
 def draw_edges(spec: ConnectionSpec, keys, j, sq_dists) -> np.ndarray:
     """Whether each vertex pair ``{i, j}``, i < j, is an edge: its
-    ``pair_uniforms(seed, replication, i, j)`` lies below H at its squared
-    distance.  ``keys`` are the lower vertices' edge keys, ``fold(seed,
-    replication, STREAM_EDGES, i)``, folded once per vertex by the callers,
-    and ``j`` the upper vertices' indices; all three broadcast together.
+    edge-stream uniform, the fold of ``(seed, replication, STREAM_EDGES, i,
+    j)``, lies below H at its squared distance.  ``keys`` are the lower
+    vertices' edge keys, the fold of ``(seed, replication, STREAM_EDGES,
+    i)``, folded once per vertex by the callers, and ``j`` the upper
+    vertices' indices; all three broadcast together.
     The anchor edges of the anchors' neighbours are marks of
     :func:`anchor_neighbours` instead, and :func:`_parent_rule` overrides
     the draw where the exploration decided the edge.
@@ -334,23 +335,6 @@ def _adjacency(points: np.ndarray, spec: ConnectionSpec, seed: int, replication:
     return adjacency
 
 
-def realize_graph(
-    points: np.ndarray,
-    spec: ConnectionSpec,
-    seed: int,
-    replication: int,
-) -> GraphRealization:
-    """Draw every pairwise edge of the realization with :func:`draw_edges`.
-    Seeds and replication indices outside [0, 2**64) raise
-    ``ValidationError``."""
-    _refuse_bad_keys(seed, replication)
-    points = np.asarray(points, dtype=float)
-    if len(points) < 2:
-        raise ValidationError("need the two anchors at indices 0 and 1")
-    adjacency = _adjacency(points, spec, seed, replication)
-    return GraphRealization(points=points, adjacency=adjacency, seed=seed, replication=replication)
-
-
 def block_points(slices, layout):
     """What a block of replications draws: the non-anchor points and their
     edges.
@@ -396,9 +380,8 @@ def sample_realization(params: ModelParams, seed: int, replication: int) -> Grap
 
     The points are the anchors and the :func:`anchor_neighbours` of the
     replication; their edges to the anchors are its ``near`` rows, and every
-    other edge, the anchors' own included, is drawn by :func:`draw_edges`
-    as in :func:`realize_graph`, save those that :func:`_parent_rule`
-    decides.  Seeds and replication indices outside [0, 2**64) raise
+    other edge, the anchors' own included, is drawn by :func:`draw_edges`,
+    save those that :func:`_parent_rule` decides.  Seeds and replication indices outside [0, 2**64) raise
     ``ValidationError``.
     """
     _refuse_bad_keys(seed, replication)

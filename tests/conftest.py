@@ -16,9 +16,17 @@ from rcmpaths.moments import (
     bonferroni_bound_order2,
     quadratic_existence_bound,
 )
-from rcmpaths.paths import PairStructureCounts
-from rcmpaths.rng import STREAM_POINTS, fold_keys, keyed_uniforms, poisson_counts, stream_keys
-from rcmpaths.sampler import _COUNT, GraphRealization, _uniforms, _variates, realize_graph, slice_replications
+from rcmpaths.paths import PairStructureCounts, classify_path_pair_segments, khop_paths
+from rcmpaths.rng import STREAM_EDGES, STREAM_POINTS, fold_keys, keyed_uniforms, poisson_counts, stream_keys
+from rcmpaths.sampler import (
+    _COUNT,
+    GraphRealization,
+    _adjacency,
+    _refuse_bad_keys,
+    _uniforms,
+    _variates,
+    slice_replications,
+)
 
 # one connection function of each kind, and Rayleigh with eta != 2
 CONNECTIONS = (
@@ -29,6 +37,61 @@ CONNECTIONS = (
 )
 
 _ORACLE_MAX_POINTS = 12
+
+_MASK = (1 << 64) - 1
+
+
+def _mix64_int(z: int) -> int:
+    # the splitmix64 finalizer on plain Python ints
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
+def fold(seed: int, *fields) -> int:
+    """The package's keyed hash in Python integers, the oracle of its uint64
+    passes (rcmpaths.rng): fold ``seed`` and each integer field into a
+    64-bit hash."""
+    h = _mix64_int((seed & _MASK) ^ 0x5851F42D4C957F2D)
+    for f in fields:
+        h = _mix64_int(((h + 0x9E3779B97F4A7C15) & _MASK) ^ (int(f) & _MASK))
+    return h
+
+
+def pair_uniforms(seed, replication, i, j):
+    """Uniform(0, 1) variates keyed by the sorted vertex pair ``{i, j}``:
+    the ``keyed_uniforms`` of the edge stream with ``a = min(i, j)`` and
+    ``b = max(i, j)``, the reference definition of a pair's edge draw.
+    ``seed``, ``replication``, ``i`` and ``j`` may be scalars or
+    broadcastable integer arrays; the result is symmetric in (i, j)."""
+    ii = np.asarray(i, dtype=np.uint64)
+    jj = np.asarray(j, dtype=np.uint64)
+    keys = fold_keys(stream_keys(seed, replication, STREAM_EDGES), np.minimum(ii, jj))
+    return keyed_uniforms(keys, np.maximum(ii, jj))
+
+
+def realize_graph(points, spec: ConnectionSpec, seed: int, replication: int) -> GraphRealization:
+    """The full-matrix draw: every pairwise edge of ``points`` (the anchors
+    first) by ``rcmpaths.sampler.draw_edges``, the oracle of the lazy draws.
+    Seeds and replication indices outside [0, 2**64) raise
+    ``ValidationError``."""
+    _refuse_bad_keys(seed, replication)
+    points = np.asarray(points, dtype=float)
+    if len(points) < 2:
+        raise ValidationError("need the two anchors at indices 0 and 1")
+    adjacency = _adjacency(points, spec, seed, replication)
+    return GraphRealization(points=points, adjacency=adjacency, seed=seed, replication=replication)
+
+
+def classify_pair_structures(g: GraphRealization) -> PairStructureCounts:
+    """List all 3-hop paths of ``g`` and classify their ordered pairs with
+    the package's counting identities, as the sweep does."""
+    z1, z2 = khop_paths(g, 3)[:, 1:3].T
+    # the reverse (z2, z1) shares the middle edge, so it is a path exactly
+    # when z2 is adjacent to anchor 0 and z1 to anchor 1
+    reversed_too = g.adjacency[0, z2] & g.adjacency[1, z1]
+    counts = classify_path_pair_segments(z1, z2, np.zeros(len(z1), dtype=np.int64), 1, reversed_too)
+    return PairStructureCounts(*(int(c) for c in counts[0]))
 
 # The point-stream draws of the box oracle's coordinates
 _BOX_X, _BOX_Y = 5, 6

@@ -6,7 +6,12 @@ import time
 import numpy as np
 import pytest
 
-from conftest import alternating_binomial_partial_sum_oracle, count_khop_paths_oracle, sample_conditioned_ppp
+from conftest import (
+    alternating_binomial_partial_sum_oracle,
+    count_khop_paths_oracle,
+    realize_graph,
+    sample_conditioned_ppp,
+)
 from rcmpaths.analytics import (
     mean_khop_numeric,
     mean_khop_rayleigh,
@@ -27,7 +32,6 @@ from rcmpaths.moments import (
     truncated_zero_probability,
 )
 from rcmpaths.paths import khop_paths
-from rcmpaths.sampler import realize_graph
 
 SEED = 20260801
 REPS = 10_000

@@ -21,6 +21,7 @@ from conftest import (
     classify_path_pairs_oracle,
     count_khop_paths_oracle,
     mean_se,
+    realize_graph,
     summarize_grid_point,
 )
 from rcmpaths import cli, experiments, paths, sampler
@@ -48,7 +49,7 @@ from rcmpaths.experiments import (
 from rcmpaths.model import ConnectionSpec, ModelParams
 from rcmpaths.paths import iter_khop_paths, khop_paths
 from rcmpaths.rng import derive_subseed
-from rcmpaths.sampler import realize_graph, sample_realization
+from rcmpaths.sampler import sample_realization
 
 RAY1 = ConnectionSpec.rayleigh(beta=1.0)
 

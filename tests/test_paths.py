@@ -7,6 +7,7 @@ from conftest import (
     CONNECTIONS,
     OracleSizeError,
     build_graph,
+    classify_pair_structures,
     classify_path_pairs_oracle,
     count_khop_paths_oracle,
     small_random_realization,
@@ -14,7 +15,6 @@ from conftest import (
 from rcmpaths import cli, paths
 from rcmpaths.model import ModelParams
 from rcmpaths.paths import (
-    classify_pair_structures,
     classify_path_pair_segments,
     iter_khop_paths,
     khop_paths,

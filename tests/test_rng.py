@@ -6,15 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from conftest import fold, pair_uniforms
+from rcmpaths.experiments import ExperimentConfig, _grid_tasks
+from rcmpaths.model import ConnectionSpec, ModelParams
 from rcmpaths.rng import (
     POISSON_MAX,
     STREAM_EDGES,
     STREAM_POINTS,
+    STREAM_SUBSEED,
     derive_subseed,
-    fold,
     fold_keys,
     keyed_uniforms,
-    pair_uniforms,
     poisson_counts,
     stream_keys,
 )
@@ -93,6 +95,23 @@ def test_uniformity_gross():
     # occupancy of ten equal bins
     hist = np.histogram(u, bins=10, range=(0, 1))[0] / len(u)
     assert np.all(np.abs(hist - 0.1) < 0.01)
+
+
+@pytest.mark.parametrize("seed, index", [(0, 0), (11, 5), (123456789, 62), (2**64 - 1, 2**64 - 1)])
+def test_derive_subseed_equals_fold(seed, index):
+    # the one uint64 hash gives the Python-int fold's grid seeds
+    got = derive_subseed(seed, index)
+    assert type(got) is int and got == fold(seed, index, STREAM_SUBSEED)
+
+
+@given(seed=u64s, size=st.integers(1, 70))
+@settings(max_examples=50, deadline=None)
+def test_grid_seeds_equal_fold(seed, size):
+    grid = (ModelParams(rho=1.0, connection=ConnectionSpec.rayleigh(beta=1.0), anchor_distance=1.0, k=3),) * size
+    config = ExperimentConfig(name="x", params_grid=grid, replications=1, seed=seed, outputs="unused")
+    seeds, tasks = _grid_tasks(config, False)
+    assert seeds == [fold(seed, g, STREAM_SUBSEED) for g in range(size)]
+    assert [task[1] for task in tasks] == seeds
 
 
 def test_negative_and_large_seeds_accepted():

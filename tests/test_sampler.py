@@ -7,7 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
-from conftest import _BOX_X, _BOX_Y, CONNECTIONS, box_bounds, box_points, sample_conditioned_ppp
+from conftest import (
+    _BOX_X,
+    _BOX_Y,
+    CONNECTIONS,
+    box_bounds,
+    box_points,
+    pair_uniforms,
+    realize_graph,
+    sample_conditioned_ppp,
+)
 from rcmpaths.analytics import mean_khop_numeric, mean_khop_rayleigh
 from rcmpaths.experiments import run_replications
 from rcmpaths.model import ConnectionSpec, ModelParams, cloud_mass
@@ -16,7 +25,6 @@ from rcmpaths.rng import (
     STREAM_POINTS,
     fold_keys,
     keyed_uniforms,
-    pair_uniforms,
     poisson_counts,
     stream_keys,
 )
@@ -28,7 +36,6 @@ from rcmpaths.sampler import (
     anchor_neighbours,
     block_points,
     connection_probabilities,
-    realize_graph,
     sample_realization,
     slice_replications,
 )
