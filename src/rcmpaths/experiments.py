@@ -532,7 +532,7 @@ class MomentReport:
 # a field <p>_means are <p>_<label>_mean and _se.  The counts are summarized
 # in the empirical_* fields and the brackets instead.
 COLUMNS = (("counts", None, None), ("pair_class_counts", PAIR_CLASSES, "pair_means"))
-_SUMMARIZED = tuple(c for c in COLUMNS if c[2])
+_SUMMARIZED = tuple((name, labels, field) for name, labels, field in COLUMNS if field)
 _STATS = ("mean", "se")
 
 
@@ -676,7 +676,7 @@ _COLUMN_DOC = """\
 
 
 # every MomentReport field but the raw per-replication arrays
-_REPORT_FIELDS = tuple(f.name for f in fields(MomentReport) if f.name not in {c[0] for c in COLUMNS})
+_REPORT_FIELDS = tuple(f.name for f in fields(MomentReport) if f.name not in {name for name, _, _ in COLUMNS})
 _REPORT_PARAMS = ("k", "rho", "kind", "beta", "eta", "r0", "anchor_distance", "margin")
 # the ExistenceBracket fields in the CSV, with their column prefixes
 _BRACKET_COLUMNS = {"partial_sum": "zero_partial_sum", "existence_estimate": "existence_estimate"}
