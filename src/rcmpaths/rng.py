@@ -6,7 +6,8 @@ not depend on iteration order, evaluation laziness, or parallel schedule.
 
 Scheme
 ------
-A 64-bit state is folded through the splitmix64 finalizer once per field::
+A 64-bit state, ``fold(seed, *fields)`` below, is folded through the
+splitmix64 finalizer once per field::
 
     h = mix64(seed ^ INIT)
     for field in fields:
