@@ -9,11 +9,12 @@ byte-identical regardless of worker count.
 The counter works on blocks of replications: a block lists slices,
 replications ``first`` .. ``last - 1`` of grid points that share one
 connection function and one k (see :func:`_blocks`), and its segments are
-the (grid point, replication) pairs.  One entry, :func:`_count_batch`,
-counts a list of jobs, in the calling process and in every pool worker
-alike.  The sampler alone decides what a replication draws, one vectorised
-pass per block (:func:`rcmpaths.sampler.block_points`, and at k = 1
-:func:`rcmpaths.sampler.anchor_edges`), and the half-path joins of
+the (grid point, replication) pairs.  The block is the one unit of work:
+a sweep cuts its replications into blocks once, and one entry,
+:func:`_count_block`, counts a block, in the calling process and in every
+pool worker alike.  The sampler alone decides what a replication draws,
+one vectorised pass per block (:func:`rcmpaths.sampler.block_points`, and
+at k = 1 :func:`rcmpaths.sampler.anchor_edges`), and the half-path joins of
 :mod:`rcmpaths.paths` list the paths from it, drawing only the pairs a path
 can use (see :func:`_block_paths`), so the counter finds exactly the paths
 of :func:`rcmpaths.sampler.sample_realization`.
@@ -25,8 +26,8 @@ which columns they hold; the summaries and the report writers walk
 :data:`COLUMNS`, the one table of the columns, their sub-column labels and
 the report field of their means and SEs.  Whether a call counts in the
 calling process or on the worker pool (see :func:`_sweep`), and how
-replications and grid points fall into blocks, batches or workers, never
-changes a result.  Margin validation uses the same counter.
+replications and grid points fall into blocks, never changes a result.
+Margin validation uses the same counter.
 
 Every file format follows a dataclass.  The fields of :class:`MomentReport`
 and :class:`MarginCheck`, in order, are the CSV columns and the JSON keys of
@@ -39,7 +40,6 @@ or the complete new one, never a partial one.
 """
 from __future__ import annotations
 
-import heapq
 import json
 import math
 import os
@@ -246,21 +246,20 @@ def load_config(path: str) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-# The jobs of a batch that share a connection function, k and pair-class
-# choice fill blocks of about this many proposals (rcmpaths.sampler.mean_draws)
-# between them, so a cheap grid point pays no block's fixed numpy cost of its
-# own.  The block's arrays grow with it; its joins run a bounded number of
-# pairs at a time (rcmpaths.paths._JOIN_PAIRS).
+# The replications of a call that share a connection function, k and
+# pair-class choice fill blocks of about this many proposals
+# (rcmpaths.sampler.mean_draws) between them, so a cheap grid point pays no
+# block's fixed numpy cost of its own.  The block's arrays grow with it; its
+# joins run a bounded number of pairs at a time (rcmpaths.paths._JOIN_PAIRS).
 _BLOCK_POINTS = 1 << 16
 
-# A sweep call sends the pool one batch of jobs per this many points or
-# proposals, and at least one batch per worker; a call that draws fewer
-# counts in the calling process.  A point costs more the denser the grid
+# A sweep call that draws fewer points or proposals than this counts its
+# blocks in the calling process.  A point costs more the denser the grid
 # point: on a shared 2-vCPU x86 machine (Rayleigh beta = 1, separation 1,
-# medians of 9 calls) one batch took 3.3 ms to count at k = 3, rho = 1,
+# medians of 9 calls) 8192 points took 3.3 ms to count at k = 3, rho = 1,
 # 4.0 ms at k = 5, rho = 0.5 and 11.0 ms at k = 3, rho = 5.  On two workers
-# of a started pool the first two broke even near 3 to 4 batches, and the
-# third was faster from one batch (8.1 ms).
+# of a started pool the first two broke even near 3 to 4 times as many
+# points, and the third was faster from 8192 points (8.1 ms).
 _BATCH_POINTS = 1 << 13
 
 
@@ -292,18 +291,31 @@ def _count_block(slices, collect_pairs):
     """The :data:`COLUMNS` of a block of replications, one dict per slice
     ``(params, seed, first, last)`` of ``slices`` (see :func:`_block_paths`):
     the ``counts`` of its replications' paths, and with ``collect_pairs``
-    (k = 3) their ``pair_class_counts``."""
-    layout = slice_replications(slices)
-    near, seg, inter = _block_paths(slices, layout)
-    ends = layout[3]
-    segments = int(ends[-1])
-    columns = {"counts": np.bincount(seg, minlength=segments)}
-    if collect_pairs:
-        z1, z2 = inter
-        # the reverse (z2, z1) shares the middle edge, so it is a path
-        # exactly when z2 is adjacent to anchor 0 and z1 to anchor 1
-        reversed_too = near[0][z2] & near[1][z1]
-        columns["pair_class_counts"] = classify_path_pair_segments(z1, z2, seg, segments, reversed_too)
+    (k = 3) their ``pair_class_counts``.  A failure is re-raised as a
+    :class:`ReplicationError` naming each slice that fails when counted
+    alone, with its grid seed and its replications, or every slice when
+    none does."""
+    try:
+        layout = slice_replications(slices)
+        near, seg, inter = _block_paths(slices, layout)
+        ends = layout[3]
+        segments = int(ends[-1])
+        columns = {"counts": np.bincount(seg, minlength=segments)}
+        if collect_pairs:
+            z1, z2 = inter
+            # the reverse (z2, z1) shares the middle edge, so it is a path
+            # exactly when z2 is adjacent to anchor 0 and z1 to anchor 1
+            reversed_too = near[0][z2] & near[1][z1]
+            columns["pair_class_counts"] = classify_path_pair_segments(z1, z2, seg, segments, reversed_too)
+    except Exception as exc:
+        alone = []
+        for s in slices if len(slices) > 1 else ():
+            try:
+                _count_block([s], collect_pairs)
+            except ReplicationError:
+                alone.append(s)
+        where = ", ".join(f"{first}..{last - 1} of {p} (grid seed {seed})" for p, seed, first, last in alone or slices)
+        raise ReplicationError(f"failed in replications {where}: {exc!r}") from exc
     return [{name: col[a:b] for name, col in columns.items()} for a, b in zip([0, *ends[:-1]], ends)]
 
 
@@ -313,61 +325,40 @@ def _points_per_replication(params: ModelParams) -> float:
     return mean_draws(params) + 2.0
 
 
-def _blocks(jobs):
-    """The blocks a batch of jobs is counted in, each a list of ``(job,
-    first, last)``: replications ``first`` .. ``last - 1`` of ``jobs[job]``.
+def _blocks(tasks, replications: int, budget: float):
+    """The blocks that ``replications`` replications of every task
+    ``(params, seed, collect_pairs)`` are counted in, each a list of
+    ``(task, first, last)``: replications ``first`` .. ``last - 1`` of
+    ``tasks[task]``.
 
-    The jobs of each (connection, k, collect_pairs) fill blocks of about
-    ``_BLOCK_POINTS`` points or proposals in job order, and a job is cut
-    where a block ends; a block holds at least one replication.
+    The tasks of each (connection, k, collect_pairs) fill blocks in task
+    order, and a block ends at the first replication that takes that
+    group's points or proposals so far to a multiple of ``budget`` or past
+    it; a task's replications are cut there, and a block holds at least one
+    replication.  So each of a group's blocks holds ``budget``, give or take
+    a replication, and R >= n replications of one task at a budget of their
+    total over n fall into n blocks of R // n or R // n + 1 replications.
     """
     open_blocks = {}
-    for j, (params, _, first, hi, collect_pairs) in enumerate(jobs):
+    for t, (params, _, collect_pairs) in enumerate(tasks):
         per_replication = _points_per_replication(params)
         key = (params.connection, int(params.k), collect_pairs)
-        block, load = open_blocks.get(key, ([], 0.0))
-        while first < hi:
-            if block and load + per_replication > _BLOCK_POINTS:
-                yield block
-                block, load = [], 0.0
-            last = min(hi, first + max(1, int((_BLOCK_POINTS - load) // per_replication)))
-            block.append((j, first, last))
+        block, load, end = open_blocks.get(key, ([], 0.0, budget))
+        first = 0
+        while first < replications:
+            # the replications that take the group's load to the block's end,
+            # less a hair, so that rounding in the budget adds none
+            need = max(1, math.ceil((end - load) / per_replication - 1e-9))
+            last = min(replications, first + need)
+            block.append((t, first, last))
             load += (last - first) * per_replication
+            if last - first == need:
+                yield block
+                # the next multiple, past any that one replication spans
+                block, end = [], max(end + budget, (load // budget + 1) * budget)
             first = last
-        open_blocks[key] = (block, load)
-    for block, _ in open_blocks.values():
-        yield block
-
-
-def _count_batch(jobs) -> list:
-    """Count every job ``(params, seed, lo, hi, collect_pairs)``:
-    replications ``lo`` .. ``hi - 1`` of one grid point, in the blocks of
-    :func:`_blocks`.  Returns the columns of each job's replications, in
-    job order (see :func:`_count_block`).  A failure is re-raised as a
-    :class:`ReplicationError` naming each slice of the failing block that
-    fails when counted alone, with its grid seed and its replications, or
-    every slice when none does."""
-    parts = [[] for _ in jobs]
-    for block in _blocks(jobs):
-        slices = [(jobs[j][0], jobs[j][1], first, last) for j, first, last in block]
-        # the jobs of a block share collect_pairs
-        collect_pairs = jobs[block[0][0]][4]
-        try:
-            counted = _count_block(slices, collect_pairs)
-        except Exception as exc:
-            alone = []
-            for s in slices if len(slices) > 1 else ():
-                try:
-                    _count_block([s], collect_pairs)
-                except Exception:
-                    alone.append(s)
-            where = ", ".join(
-                f"{first}..{last - 1} of {p} (grid seed {seed})" for p, seed, first, last in alone or slices
-            )
-            raise ReplicationError(f"failed in replications {where}: {exc!r}") from exc
-        for (j, _, _), part in zip(block, counted):
-            parts[j].append(part)
-    return [_concat(job_parts) for job_parts in parts]
+        open_blocks[key] = (block, load, end)
+    yield from (block for block, _, _ in open_blocks.values() if block)
 
 
 def _concat(parts):
@@ -387,33 +378,13 @@ def _drop_pool() -> None:
         _pool = None
 
 
-def _deal(points, threads: int) -> list[list[int]]:
-    """The indices of jobs that draw ``points[j]`` points each, dealt into
-    batches for a pool of ``threads`` workers.
+def _pool_map(blocks, threads: int) -> list:
+    """:func:`_count_block` of every block ``(slices, collect_pairs)`` on
+    the process's pool of ``threads`` workers, started here when there is
+    none of that size: one message to a worker per block, handed out as
+    workers free up.
 
-    There is one batch per ``_BATCH_POINTS`` points the jobs draw, at least
-    one per worker and at most one per job: a call of a few batches sends
-    each worker one message, and a costly one hands its jobs out one at a
-    time as workers free up.  Jobs go heaviest first to the batch with the
-    fewest points so far, so the batches stay even whatever order the grid
-    has.
-    """
-    count = min(len(points), max(threads, math.ceil(sum(points) / _BATCH_POINTS)))
-    batches = [[] for _ in range(count)]
-    loads = [(0.0, b) for b in range(count)]
-    for j in sorted(range(len(points)), key=lambda j: -points[j]):
-        load, b = heapq.heappop(loads)
-        batches[b].append(j)
-        heapq.heappush(loads, (load + points[j], b))
-    return batches
-
-
-def _pool_map(batches, threads: int) -> list:
-    """``_count_batch`` of every batch of jobs on the process's pool of
-    ``threads`` workers, started here when there is none of that size: one
-    message to a worker per batch.
-
-    A pool can break while idle (a worker killed, say); the batches then run
+    A pool can break while idle (a worker killed, say); the blocks then run
     once more on a fresh pool, which cannot change a result."""
     global _pool
     with _pool_lock:
@@ -422,11 +393,11 @@ def _pool_map(batches, threads: int) -> list:
                 _drop_pool()
                 _pool = (threads, ProcessPoolExecutor(max_workers=threads))
             try:
-                return list(_pool[1].map(_count_batch, batches))
+                return list(_pool[1].map(_count_block, *zip(*blocks)))
             except BrokenProcessPool as exc:
                 _drop_pool()
                 if attempt:
-                    seeds = sorted({job[1] for batch in batches for job in batch})
+                    seeds = sorted({s[1] for slices, _ in blocks for s in slices})
                     raise ReplicationError(f"the worker pool broke twice running grid seeds {seeds}") from exc
 
 
@@ -435,36 +406,34 @@ def _sweep(tasks, replications: int, threads: int):
     collect_pairs)``; returns the columns of each task's replications (see
     :func:`_count_block`), in task order.
 
-    The points every task draws are estimated once.  A call that draws
-    less than one batch (``_BATCH_POINTS``) in all, or runs at ``threads``
-    = 1, counts each task's replications in one range here, in the calling
-    process.  Otherwise every task's replication ranges go through the
-    process's worker pool, which outlives the call, in the batches of
-    :func:`_deal`.  Each replication is a pure function of (params, seed,
-    replication index), so neither choice nor the split ever changes a
-    result.
+    The call's blocks (:func:`_blocks`) are its only unit of work.  A call
+    that draws fewer than ``_BATCH_POINTS`` points or proposals in all, or
+    runs at ``threads`` = 1, counts blocks of ``_BLOCK_POINTS`` here, in
+    the calling process.  Otherwise it sends the process's worker pool,
+    which outlives the call, one message per block, at a budget of its
+    total over ``threads`` * n, the least n that keeps it within
+    ``_BLOCK_POINTS``: so every worker gets a share, and one grid point
+    falls into a multiple of ``threads`` near-equal blocks.  Each
+    replication is a pure function of (params, seed, replication index), so
+    neither choice nor the cut ever changes a result.
     """
     problems = _int_problems(1, replications=replications, threads=threads)
     for task in tasks:
         problems += _int_problems(0, 64, seed=task[1])
     if problems:
         raise ValidationError("; ".join(problems))
-    per_replication = [_points_per_replication(task[0]) for task in tasks]
-    inline = threads == 1 or replications * sum(per_replication) < _BATCH_POINTS
-    parts = 1 if inline else min(-(-threads * 4 // len(tasks)), replications)
-    ranges = [(replications * i // parts, replications * (i + 1) // parts) for i in range(parts)]
-    jobs = [(params, seed, lo, hi, collect) for params, seed, collect in tasks for lo, hi in ranges]
-    if inline:
-        results = _count_batch(jobs)
-    else:
-        batches = _deal([(hi - lo) * p for p in per_replication for lo, hi in ranges], threads)
-        results = [None] * len(jobs)
-        counted = _pool_map([[jobs[j] for j in batch] for batch in batches], threads)
-        for batch, batch_results in zip(batches, counted):
-            for j, result in zip(batch, batch_results):
-                results[j] = result
-    n = len(ranges)
-    return [_concat(results[t * n : (t + 1) * n]) for t in range(len(tasks))]
+    total = replications * sum(_points_per_replication(task[0]) for task in tasks)
+    inline = threads == 1 or total < _BATCH_POINTS
+    budget = _BLOCK_POINTS if inline else total / (threads * math.ceil(total / (threads * _BLOCK_POINTS)))
+    blocks = list(_blocks(tasks, replications, budget))
+    # each block as the slices and pair-class choice of its tasks
+    work = [([(*tasks[t][:2], first, last) for t, first, last in block], tasks[block[0][0]][2]) for block in blocks]
+    counted = [_count_block(*w) for w in work] if inline else _pool_map(work, threads)
+    parts = [[] for _ in tasks]
+    for block, columns in zip(blocks, counted):
+        for (t, _, _), part in zip(block, columns):
+            parts[t].append(part)
+    return [_concat(task_parts) for task_parts in parts]
 
 
 def run_replications(

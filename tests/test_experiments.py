@@ -31,7 +31,6 @@ from rcmpaths.errors import ReplicationError, ValidationError
 from rcmpaths.experiments import (
     ExperimentConfig,
     _attach_references,
-    _count_batch,
     _count_block,
     _fmt,
     _json_record,
@@ -303,13 +302,13 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_lazy_counts_match_full_realization(self, k):
         params = ModelParams(rho=0.8, connection=RAY1, anchor_distance=1.0, k=k, margin=2.5)
-        ((counts, _),) = map(_pair, _count_batch([(params, 99, 0, 60, False)]))
+        ((counts, _),) = map(_pair, _count_block([(params, 99, 0, 60)], False))
         for rep in range(60):
             assert counts[rep] == _full_realization_counts(params, 99, rep)[0]
 
     def test_pair_classes_match_graph_classifier(self):
         params = ModelParams(rho=0.8, connection=RAY1, anchor_distance=1.0, k=3, margin=2.5)
-        ((counts, classes),) = map(_pair, _count_batch([(params, 31, 0, 40, True)]))
+        ((counts, classes),) = map(_pair, _count_block([(params, 31, 0, 40)], True))
         for rep in range(40):
             count, expected = _full_realization_counts(params, 31, rep)
             assert counts[rep] == count
@@ -366,14 +365,11 @@ class TestEngineEquivalence:
             )
             slices.append((params, seed, first, first + size))
         merged = [*map(_pair, _count_block(slices, k == 3))]
-        batched = [*map(_pair, _count_batch([(*part, k == 3) for part in slices]))]
-        assert len(merged) == len(batched) == len(slices)
-        for (params, seed, first, last), got, again in zip(slices, merged, batched):
+        assert len(merged) == len(slices)
+        for (params, seed, first, last), got in zip(slices, merged):
             (alone,) = map(_pair, _count_block([(params, seed, first, last)], k == 3))
-            for expected, a, b in zip(alone, got, again):
-                assert (expected is None and a is None and b is None) or (
-                    np.array_equal(expected, a) and np.array_equal(expected, b)
-                )
+            for expected, a in zip(alone, got):
+                assert (expected is None and a is None) or np.array_equal(expected, a)
             counts, classes = got
             for b, rep in enumerate(range(first, last)):
                 count, expected_classes = _full_realization_counts(params, seed, rep)
@@ -412,41 +408,55 @@ class TestEngineEquivalence:
             assert (expected is None and got is None) or np.array_equal(expected, got)
         assert whole[0].sum() > 0
 
-    @pytest.mark.parametrize("block_points", [experiments._BLOCK_POINTS, 50.0])
-    def test_blocks_pack_jobs_in_order(self, monkeypatch, block_points):
+    @pytest.mark.parametrize("budget", [experiments._BLOCK_POINTS, 50.0])
+    def test_blocks_pack_jobs_in_order(self, budget):
         # a mixed list: two connections, k = 2 to 5, pair classes on and
-        # off, ranges of 1 to 5000 replications; at 50 points a block the
-        # dense k = 5 point draws more than a block a replication
-        monkeypatch.setattr(experiments, "_BLOCK_POINTS", block_points)
+        # off; at 50 points a block the dense k = 5 point draws more than a
+        # block a replication
         hard = ConnectionSpec.hard_disk(1.0)
-        jobs = [
-            (ModelParams(rho=rho, connection=spec, anchor_distance=1.0, k=k), seed, lo, hi, collect)
-            for seed, (rho, spec, k, lo, hi, collect) in enumerate(
+        tasks = [
+            (ModelParams(rho=rho, connection=spec, anchor_distance=1.0, k=k), seed, collect)
+            for seed, (rho, spec, k, collect) in enumerate(
                 [
-                    (5.0, RAY1, 3, 0, 3000, True),
-                    (0.5, RAY1, 3, 10, 11, True),
-                    (2.0, RAY1, 3, 0, 500, False),
-                    (5.0, hard, 3, 100, 5100, True),
-                    (1.0, RAY1, 2, 0, 40, False),
-                    (5.0, RAY1, 5, 0, 7, False),
-                    (2.0, RAY1, 3, 7, 2000, True),
-                    (0.5, hard, 4, 0, 300, False),
+                    (5.0, RAY1, 3, True),
+                    (0.5, RAY1, 3, True),
+                    (2.0, RAY1, 3, False),
+                    (5.0, hard, 3, True),
+                    (1.0, RAY1, 2, False),
+                    (5.0, RAY1, 5, False),
+                    (2.0, RAY1, 3, True),
+                    (0.5, hard, 4, False),
                 ]
             )
         ]
-        blocks = list(experiments._blocks(jobs))
-        pieces = [[] for _ in jobs]
+        replications = 3000
+        per_replication = [experiments._points_per_replication(params) for params, _, _ in tasks]
+        blocks = list(experiments._blocks(tasks, replications, budget))
+        pieces = [[] for _ in tasks]
+        groups = []
         for block in blocks:
-            groups = {(jobs[j][0].connection, jobs[j][0].k, jobs[j][4]) for j, _, _ in block}
-            assert len(groups) == 1
-            load = sum((last - first) * experiments._points_per_replication(jobs[j][0]) for j, first, last in block)
-            assert load <= block_points * (1 + 1e-12) or (len(block) == 1 and block[0][2] - block[0][1] == 1)
-            for j, first, last in block:
-                pieces[j].append((first, last))
-        for (_, _, lo, hi, _), job_pieces in zip(jobs, pieces):
+            (group,) = {(tasks[t][0].connection, tasks[t][0].k, tasks[t][2]) for t, _, _ in block}
+            groups.append(group)
+            for t, first, last in block:
+                pieces[t].append((first, last))
+        for group in set(groups):
+            members = [t for t, task in enumerate(tasks) if (task[0].connection, task[0].k, task[2]) == group]
+            widest = max(per_replication[t] for t in members)
+            loads = [
+                sum((last - first) * per_replication[t] for t, first, last in block)
+                for block, g in zip(blocks, groups)
+                if g == group
+            ]
+            # a block holds the budget within a replication either way, or
+            # one replication that outweighs it; a group's last block holds
+            # what is left
+            assert all(abs(load - budget) < widest for load in loads[:-1])
+            assert loads[-1] < budget + widest
+            assert len(loads) == (math.ceil(sum(loads) / budget) if widest < budget else replications)
+        for job_pieces in pieces:
             # every replication once, in order
-            bounds = [lo] + [last for _, last in job_pieces]
-            assert [first for first, _ in job_pieces] == bounds[:-1] and bounds[-1] == hi
+            bounds = [0] + [last for _, last in job_pieces]
+            assert [first for first, _ in job_pieces] == bounds[:-1] and bounds[-1] == replications
             assert all(first < last for first, last in job_pieces)
         assert any(len(job_pieces) > 1 for job_pieces in pieces)
 
@@ -454,9 +464,10 @@ class TestEngineEquivalence:
         # fig-mean-var's 63 points share one connection and k: its 1000
         # replications fill as few blocks as their proposals allow
         grid = preset_config("fig-mean-var", "unused").params_grid
-        jobs = [(params, i, 0, 1000, True) for i, params in enumerate(grid)]
+        tasks = [(params, i, True) for i, params in enumerate(grid)]
         total = sum(1000 * experiments._points_per_replication(params) for params in grid)
-        assert len(list(experiments._blocks(jobs))) == math.ceil(total / experiments._BLOCK_POINTS) > 1
+        blocks = list(experiments._blocks(tasks, 1000, experiments._BLOCK_POINTS))
+        assert len(blocks) == math.ceil(total / experiments._BLOCK_POINTS) > 1
 
     @given(
         specs=st.lists(st.sampled_from(CONNECTIONS), min_size=2, max_size=2),
@@ -467,38 +478,31 @@ class TestEngineEquivalence:
                 st.floats(0.05, 1.2),
                 st.floats(0.0, 2.0),
                 st.integers(0, 2**64 - 1),
-                st.integers(0, 10_000),
-                st.integers(1, 6),
                 st.booleans(),
             ),
             min_size=1,
             max_size=5,
         ),
+        replications=st.integers(1, 6),
         block_points=st.floats(1.0, 40.0),
     )
     @settings(max_examples=60, deadline=None)
-    def test_jobs_cut_by_blocks_match_each_replication(self, specs, jobs, block_points):
-        # blocks of a few replications cut most jobs mid-range and pack
-        # pieces of several grid points together
-        batch = [
-            (
-                ModelParams(rho=rho, connection=specs[c], anchor_distance=r, k=k),
-                seed,
-                first,
-                first + size,
-                collect and k == 3,
-            )
-            for c, k, rho, r, seed, first, size, collect in jobs
+    def test_jobs_cut_by_blocks_match_each_replication(self, specs, jobs, replications, block_points):
+        # blocks of a few replications cut most grid points mid-range and
+        # pack pieces of several grid points together
+        tasks = [
+            (ModelParams(rho=rho, connection=specs[c], anchor_distance=r, k=k), seed, collect and k == 3)
+            for c, k, rho, r, seed, collect in jobs
         ]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(experiments, "_BLOCK_POINTS", block_points)
-            counted = [*map(_pair, _count_batch(batch))]
-        for (params, seed, first, last, collect), (counts, classes) in zip(batch, counted):
-            assert len(counts) == last - first and (classes is None) == (not collect)
-            for b, rep in enumerate(range(first, last)):
+            counted = [*map(_pair, experiments._sweep(tasks, replications, 1))]
+        for (params, seed, collect), (counts, classes) in zip(tasks, counted):
+            assert len(counts) == replications and (classes is None) == (not collect)
+            for rep in range(replications):
                 ((count, alone),) = map(_pair, _count_block([(params, seed, rep, rep + 1)], collect))
-                assert counts[b] == count[0]
-                assert alone is None or np.array_equal(classes[b], alone[0])
+                assert counts[rep] == count[0]
+                assert alone is None or np.array_equal(classes[rep], alone[0])
 
     def test_long_path_memory_is_bounded(self):
         # about 110 explored points and 10000 paths per replication
@@ -532,7 +536,7 @@ class TestEngineEquivalence:
         # of _JOIN_PAIRS pairs it peaks near 2 MiB, in runs of 1 << 18 near 13
         row = [p for p in preset_config("fig-mean-var", "unused").params_grid if p.rho == 5.0]
         tasks = [(params, derive_subseed(3, i), True) for i, params in enumerate(row)]
-        assert len(list(experiments._blocks([(*task[:2], 0, 20, True) for task in tasks]))) == 1
+        assert len(list(experiments._blocks(tasks, 20, experiments._BLOCK_POINTS))) == 1
         tracemalloc.start()
         try:
             results = experiments._sweep(tasks, 20, 1)
@@ -581,7 +585,7 @@ class TestColumnTable:
     @pytest.mark.parametrize("collect", [False, True], ids=["pairs-off", "pairs-on"])
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_every_layer_returns_the_named_int64_columns(self, k, collect):
-        # the block counter, a batch and a sweep hand on the same column
+        # the block counter and a sweep hand on the same column
         # dicts: the counts, and the pair classes only when collected at k = 3
         params = ModelParams(rho=0.8, connection=RAY1, anchor_distance=1.0, k=k)
         other = ModelParams(rho=1.3, connection=RAY1, anchor_distance=0.5, k=k)
@@ -597,10 +601,10 @@ class TestColumnTable:
                 assert columns["pair_class_counts"].shape == (replications, len(experiments.PAIR_CLASSES))
 
         slices = [(params, 5, 0, 3), (other, 6, 10, 14)]
-        for got in (_count_block(slices, pairs), _count_batch([(*s, pairs) for s in slices])):
-            assert len(got) == 2
-            check(got[0], 3)
-            check(got[1], 4)
+        got = _count_block(slices, pairs)
+        assert len(got) == 2
+        check(got[0], 3)
+        check(got[1], 4)
         swept = experiments._sweep([(params, 5, pairs), (other, 6, pairs)], 7, 1)
         assert len(swept) == 2
         for columns in swept:
@@ -846,18 +850,19 @@ def counted_pools(monkeypatch):
 
 
 @pytest.fixture
-def map_sizes(monkeypatch, counted_pools):
-    """The number of items each ``map`` call sends the worker pool."""
-    sizes = []
+def mapped(monkeypatch, counted_pools):
+    """The items of each ``map`` call to the worker pool, each the tuple of
+    its arguments."""
+    calls = []
 
-    class MapCountingPool(experiments.ProcessPoolExecutor):
+    class MapRecordingPool(experiments.ProcessPoolExecutor):
         def map(self, fn, *items, **kwargs):
             items = [list(it) for it in items]
-            sizes.append(len(items[0]))
+            calls.append(list(zip(*items)))
             return super().map(fn, *items, **kwargs)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", MapCountingPool)
-    return sizes
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", MapRecordingPool)
+    return calls
 
 
 def _fail_on_replication_3(monkeypatch):
@@ -873,8 +878,9 @@ def _fail_on_replication_3(monkeypatch):
 
 
 def _pooled_replications(*grid):
-    """Replications of a sweep over ``grid`` that draw about two batches of
-    points: a call that costly counts on the worker pool at threads > 1."""
+    """Replications of a sweep over ``grid`` that draw about twice
+    ``_BATCH_POINTS`` points: a call that costly counts on the worker pool
+    at threads > 1."""
     per_replication = sum(experiments._points_per_replication(params) for params in grid)
     return math.ceil(2 * experiments._BATCH_POINTS / per_replication)
 
@@ -908,7 +914,8 @@ class TestWorkerPool:
                 ModelParams(rho=1.0, connection=RAY1, anchor_distance=1.0, k=3),
                 ModelParams(rho=1.5, connection=ConnectionSpec.hard_disk(1.0), anchor_distance=1.5, k=2),
             ),
-            # 60 replications, about 71000 points: 14 jobs in 9 batches
+            # 112 replications, about 16400 points: four blocks at 2 workers
+            # and five at 3
             tuple(
                 ModelParams(rho=0.3 * (i + 1), connection=RAY1, anchor_distance=1.0, k=2 + i % 3)
                 for i in range(7)
@@ -927,14 +934,20 @@ class TestWorkerPool:
         assert counted_pools == [3, 2, 3]
 
     @pytest.mark.parametrize(
-        "batch_points, sizes",
-        [(1000.0, [2, 3, 3]), (1.0, [10, 20, 12])],
+        "block_points, sizes",
+        [(experiments._BLOCK_POINTS, [3, 4, 3]), (100.0, [19, 19, 15])],
         ids=["cheap-one-batch-per-worker", "costly-one-job-per-item"],
     )
-    def test_items_per_map_call(self, tmp_path, monkeypatch, map_sizes, batch_points, sizes):
-        # the sweep draws about 1782 points and the run_replications call
-        # about 1457: each is one to two batches of 1000 points
-        monkeypatch.setattr(experiments, "_BATCH_POINTS", batch_points)
+    def test_items_per_map_call(self, tmp_path, monkeypatch, mapped, block_points, sizes):
+        # the sweep draws about 1782 points in two (connection, k) groups
+        # and the run_replications call about 1457 in one: over 1000 points,
+        # each counts on the pool, one map item per block.  By default the
+        # sweep's blocks hold 1782 / threads points, 3 blocks at 2 workers
+        # and 4 at 3, and the lone point falls into 3; at 100 points a block
+        # they hold 1782 / 18 = 99 points, 19 blocks at 2 and 3 workers, and
+        # the lone point falls into 15
+        monkeypatch.setattr(experiments, "_BATCH_POINTS", 1000.0)
+        monkeypatch.setattr(experiments, "_BLOCK_POINTS", block_points)
         grid = tuple(
             ModelParams(rho=0.2 * (i + 1), connection=RAY1, anchor_distance=1.0, k=2 + i % 2) for i in range(10)
         )
@@ -947,26 +960,46 @@ class TestWorkerPool:
         params = grid[-1]
         counts, _ = run_replications(params, 7, 100, threads=3)
         assert np.array_equal(counts, run_replications(params, 7, 100)[0])
-        assert map_sizes == sizes
+        assert [len(items) for items in mapped] == sizes
 
-    @pytest.mark.parametrize("batch_points", [1e9, 1.0])
-    def test_deal_balances_a_periodic_grid(self, monkeypatch, batch_points):
-        # cost cycles with k along the grid, so dealing by grid position would
-        # put every k = 6 point on one worker (k = 4 and 5 explore as deep,
-        # so they cost alike)
-        monkeypatch.setattr(experiments, "_BATCH_POINTS", batch_points)
+    @pytest.mark.parametrize("threads", [2, 3, 4])
+    def test_pool_blocks_cover_a_periodic_grid(self, mapped, threads):
+        # cost cycles with k along the grid, so the sweep's blocks span grid
+        # points of one k; every replication of every point goes to the
+        # pool once, in order, and the columns are the one-process sweep's
         grid = [
             ModelParams(rho=rho, connection=RAY1, anchor_distance=1.0, k=k)
             for rho in (0.5, 1.0, 1.5, 2.0)
             for k in (2, 3, 4, 6)
         ]
-        points = [12 * experiments._points_per_replication(params) for params in grid]
-        batches = experiments._deal(points, 4)
-        assert sorted(j for batch in batches for j in batch) == list(range(16))
-        assert len(batches) == (4 if batch_points > 1 else 16)
-        loads = [sum(points[j] for j in batch) for batch in batches]
-        assert max(loads) - min(loads) <= max(points)
-        assert all(sum(grid[j].k == 6 for j in batch) <= 1 for batch in batches)
+        tasks = [(params, seed, False) for seed, params in enumerate(grid)]
+        replications = _pooled_replications(*grid)
+        swept = experiments._sweep(tasks, replications, threads)
+        (blocks,) = mapped
+        pieces = {seed: [] for _, seed, _ in tasks}
+        for slices, collect_pairs in blocks:
+            assert not collect_pairs and len({(p.connection, p.k) for p, _, _, _ in slices}) == 1
+            for _, seed, first, last in slices:
+                pieces[seed].append((first, last))
+        for task_pieces in pieces.values():
+            bounds = [0] + [last for _, last in task_pieces]
+            assert [first for first, _ in task_pieces] == bounds[:-1] and bounds[-1] == replications
+            assert all(first < last for first, last in task_pieces)
+        for got, expected in zip(swept, experiments._sweep(tasks, replications, 1)):
+            assert np.array_equal(got["counts"], expected["counts"])
+        # one grid point falls into a multiple of `threads` near-equal
+        # blocks: `threads` of them under threads * _BLOCK_POINTS points in
+        # all, and twice as many at 1.5 times that
+        params = grid[5]
+        per_replication = experiments._points_per_replication(params)
+        one_block_each = _pooled_replications(params)
+        two_blocks_each = math.ceil(1.5 * threads * experiments._BLOCK_POINTS / per_replication)
+        for n, replications in enumerate((one_block_each, two_blocks_each), 1):
+            counts, _ = run_replications(params, 7, replications, threads=threads)
+            sizes = [last - first for ((_, _, first, last),), _ in mapped[n]]
+            assert sum(sizes) == replications and len(sizes) == n * threads
+            assert max(sizes) - min(sizes) <= threads
+            assert np.array_equal(counts, run_replications(params, 7, replications)[0])
 
     def test_killed_workers_are_replaced(self, counted_pools):
         params = ModelParams(rho=1.0, connection=RAY1, anchor_distance=1.0, k=3)
