@@ -103,6 +103,8 @@ class ExperimentConfig:
             problems.append("name: must be nonempty")
         elif self.name in (".", "..") or any(sep and sep in self.name for sep in ("/", "\0", os.sep, os.altsep)):
             problems.append(f"name: must be a plain file name, got {self.name!r}")
+        if not self.outputs or "\0" in self.outputs:
+            problems.append(f"outputs: must be a nonempty path without NUL bytes, got {self.outputs!r}")
         if not self.params_grid:
             problems.append("params_grid: must contain at least one grid point")
         problems += _int_problems(1, replications=self.replications)
@@ -138,7 +140,7 @@ def connection_from_dict(d: dict) -> ConnectionSpec:
     if not isinstance(d, dict):
         raise ValidationError(f"connection: expected a JSON object, got {d!r}")
     kind = d.get("kind")
-    if kind not in _CONNECTION_KEYS:
+    if not isinstance(kind, str) or kind not in _CONNECTION_KEYS:
         raise ValidationError(f"unknown connection kind {kind!r}")
     _reject_unknown_keys(d, ("kind", *_CONNECTION_KEYS[kind]), f"{kind} connection")
     if kind == RAYLEIGH:

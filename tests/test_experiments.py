@@ -77,6 +77,70 @@ def _assert_refused(tmp_path, capsys, d, problem):
     assert problem in capsys.readouterr().err
 
 
+# any value a JSON file can hold (Python's json reads NaN and Infinity too)
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.floats()
+    | st.text(max_size=4)
+    | st.sampled_from(["", "a\0b", "rayleigh", "hard_disk", "tabulated"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _json_objects(draw, fields):
+    """A JSON object over ``fields``, a strategy for each key: a key takes
+    a value from its strategy 14 times in 16, any JSON value once and is
+    left out once, and one object in 16 holds an unknown key besides."""
+    d = {}
+    for key, values in fields.items():
+        form = draw(st.sampled_from(["drawn"] * 14 + ["any", "left out"]))
+        if form != "left out":
+            d[key] = draw(values if form == "drawn" else _JSON_VALUES)
+    if draw(st.sampled_from([False] * 15 + [True])):
+        d["unknown"] = draw(_JSON_VALUES)
+    return d
+
+
+# (distance, probability) knots of distinct distances
+_KNOTS = st.lists(
+    st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 1.0)), min_size=1, max_size=3, unique_by=lambda knot: knot[0]
+)
+_CONNECTION_OBJECTS = st.one_of(
+    _json_objects({"kind": st.just("rayleigh"), "beta": st.floats(0.2, 4.0), "eta": st.floats(0.5, 4.0)}),
+    _json_objects({"kind": st.just("hard_disk"), "r0": st.floats(0.05, 4.0)}),
+    # sorted knots, or as drawn
+    _json_objects({"kind": st.just("tabulated"), "table": _KNOTS.map(lambda k: sorted(map(list, k))) | _KNOTS}),
+)
+_GRID_POINT_OBJECTS = _json_objects(
+    {
+        "rho": st.floats(0.05, 5.0),
+        "connection": _CONNECTION_OBJECTS,
+        "anchor_distance": st.floats(0.0, 4.0),
+        "k": st.integers(1, 6),
+        "margin": st.none() | st.floats(0.05, 4.0),
+    }
+)
+_CONFIG_OBJECTS = _json_objects(
+    {
+        "name": st.sampled_from(["fuzz"] * 4 + ["", "..", "a/b", "a\0b"]),
+        "params_grid": st.lists(_GRID_POINT_OBJECTS, min_size=1, max_size=3),
+        "replications": st.integers(1, 5),
+        "seed": st.integers(0, 2**64 - 1),
+        "outputs": st.sampled_from(["out"] * 4 + ["", "a\0b"]),
+        "strict_numerics": st.booleans(),
+        "collect_pair_structures": st.booleans(),
+        "bracket_orders": st.lists(st.integers(0, 90), max_size=4),
+        "emit_histograms": st.booleans(),
+        "dump_raw_counts": st.booleans(),
+        "attach_numeric": st.booleans(),
+    }
+)
+
+
 class TestConfig:
     def test_validation_lists_fields(self):
         with pytest.raises(ValidationError, match="replications"):
@@ -152,6 +216,8 @@ class TestConfig:
             ("name", "../escaped", "name: must be a plain file name, got '../escaped'"),
             ("name", "sub/x", "name: must be a plain file name, got 'sub/x'"),
             ("name", "a\0b", "name: must be a plain file name, got 'a\\x00b'"),
+            ("outputs", "", "outputs: must be a nonempty path without NUL bytes, got ''"),
+            ("outputs", "a\0b", "outputs: must be a nonempty path without NUL bytes, got 'a\\x00b'"),
         ],
     )
     def test_rejects_coercible_values(self, tmp_path, capsys, key, value, problem):
@@ -213,6 +279,7 @@ class TestConfig:
                 "1.342e+08 to be drawn, got 3.141592653589793e+19",
             ),
             ({"connection": "x"}, "connection: expected a JSON object, got 'x'"),
+            ({"connection": {"kind": ["rayleigh"]}}, "unknown connection kind ['rayleigh']"),
             ("abc", "expected a JSON object, got 'abc'"),
         ],
         ids=[
@@ -227,6 +294,7 @@ class TestConfig:
             "cloud-above-poisson-max",
             "k4-cloud-above-poisson-max",
             "connection-string",
+            "kind-list",
             "point-string",
         ],
     )
@@ -280,6 +348,19 @@ class TestConfig:
         path.write_text(json.dumps(d))
         assert cli_main(["run", str(path)]) == 2
         assert "unknown field 'replication'" in capsys.readouterr().err
+
+    @given(d=_CONFIG_OBJECTS)
+    @settings(max_examples=300, deadline=None)
+    def test_any_json_object_builds_or_is_refused(self, d):
+        # the config's keys, its grid points' and their connections', each
+        # holding a value of its JSON type or any JSON value: the object
+        # builds a config that round-trips, or raises ValidationError
+        try:
+            cfg = config_from_dict(json.loads(json.dumps(d)))
+        except ValidationError:
+            return
+        assert cfg.outputs and "\0" not in cfg.outputs
+        assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
 
 
 def _pair(columns):
@@ -1315,6 +1396,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert problem in err and err.startswith("error: ") and err.count("\n") == 1, err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("out", ["", "a\0b"], ids=["empty", "nul"])
+    def test_bad_outputs_exit_2_before_the_sweep(self, capsys, monkeypatch, out):
+        def sweep(*args):
+            raise AssertionError("a refused run started its sweep")
+
+        monkeypatch.setattr(experiments, "_sweep", sweep)
+        assert cli_main(["preset", "fig-existence", "--replications", "2000", "--out", out]) == 2
+        assert f"outputs: must be a nonempty path without NUL bytes, got {out!r}" in capsys.readouterr().err
 
     def test_strict_coarse_grid_exits_2(self, tmp_path, capsys):
         # Rayleigh eta = 0.5 reaches 625, so its default grid step, 6.25, is
