@@ -1001,8 +1001,15 @@ class TestWorkerPool:
                 ModelParams(rho=0.3 * (i + 1), connection=RAY1, anchor_distance=1.0, k=2 + i % 3)
                 for i in range(7)
             ),
+            # 60 replications, about 19800 points: each of the twelve
+            # (connection, k) groups, k = 1, 5 and 6 too, is a block on the pool
+            tuple(
+                ModelParams(rho=1.0, connection=spec, anchor_distance=1.0, k=k)
+                for spec in (RAY1, ConnectionSpec.hard_disk(1.0))
+                for k in range(1, 7)
+            ),
         ],
-        ids=["two-points", "seven-mixed-k"],
+        ids=["two-points", "seven-mixed-k", "k1-to-6-two-kinds"],
     )
     def test_reports_identical_across_pool_switches(self, tmp_path, counted_pools, grid):
         replications = max(60, _pooled_replications(*grid))
