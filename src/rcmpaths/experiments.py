@@ -250,9 +250,10 @@ def load_config(path: str) -> ExperimentConfig:
 
 # The replications of a call that share a connection function, k and
 # pair-class choice fill blocks of about this many proposals
-# (rcmpaths.sampler.mean_draws) between them, so a cheap grid point pays no
-# block's fixed numpy cost of its own.  The block's arrays grow with it; its
-# joins run a bounded number of pairs at a time (rcmpaths.paths._JOIN_PAIRS).
+# (rcmpaths.sampler.mean_draws) between them, or fewer on the pool (see
+# _sweep), so a cheap grid point pays no block's fixed numpy cost of its own.
+# The block's arrays grow with it; its joins run a bounded number of pairs at
+# a time (rcmpaths.paths._JOIN_PAIRS).
 _BLOCK_POINTS = 1 << 16
 
 # A sweep call that draws fewer points or proposals than this counts its

@@ -1195,7 +1195,7 @@ class TestWorkerPool:
         assert counted_pools == [2]
 
     def test_calls_under_one_batch_count_inline(self, tmp_path, counted_pools):
-        # 200 replications of about 8.3 points each: under one batch
+        # 200 replications of about 8.3 points each: under _BATCH_POINTS
         cfg = tiny_config(tmp_path)
         run_experiment(cfg, threads=1)
         expected = _report_files(tmp_path)
