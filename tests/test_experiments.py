@@ -1075,9 +1075,9 @@ class TestWorkerPool:
             assert all(first < last for first, last in task_pieces)
         for got, expected in zip(swept, experiments._sweep(tasks, replications, 1)):
             assert np.array_equal(got["counts"], expected["counts"])
-        # one grid point falls into a multiple of `threads` near-equal
-        # blocks: `threads` of them under threads * _BLOCK_POINTS points in
-        # all, and twice as many at 1.5 times that
+        # one grid point falls into a multiple of `threads` blocks whose
+        # sizes differ by at most one: `threads` of them under threads *
+        # _BLOCK_POINTS points in all, and twice as many at 1.5 times that
         params = grid[5]
         per_replication = experiments._points_per_replication(params)
         one_block_each = _pooled_replications(params)
@@ -1086,7 +1086,7 @@ class TestWorkerPool:
             counts, _ = run_replications(params, 7, replications, threads=threads)
             sizes = [last - first for ((_, _, first, last),), _ in mapped[n]]
             assert sum(sizes) == replications and len(sizes) == n * threads
-            assert max(sizes) - min(sizes) <= threads
+            assert max(sizes) - min(sizes) <= 1
             assert np.array_equal(counts, run_replications(params, 7, replications)[0])
 
     def test_killed_workers_are_replaced(self, counted_pools):
@@ -1403,15 +1403,6 @@ class TestCli:
         err = capsys.readouterr().err
         assert problem in err and err.startswith("error: ") and err.count("\n") == 1, err
         assert not list(tmp_path.iterdir())
-
-    @pytest.mark.parametrize("out", ["", "a\0b"], ids=["empty", "nul"])
-    def test_bad_outputs_exit_2_before_the_sweep(self, capsys, monkeypatch, out):
-        def sweep(*args):
-            raise AssertionError("a refused run started its sweep")
-
-        monkeypatch.setattr(experiments, "_sweep", sweep)
-        assert cli_main(["preset", "fig-existence", "--replications", "2000", "--out", out]) == 2
-        assert f"outputs: must be a nonempty path without NUL bytes, got {out!r}" in capsys.readouterr().err
 
     def test_strict_coarse_grid_exits_2(self, tmp_path, capsys):
         # Rayleigh eta = 0.5 reaches 625, so its default grid step, 6.25, is
