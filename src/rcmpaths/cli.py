@@ -17,6 +17,7 @@ import sys
 from .errors import ReplicationError, ValidationError
 from .experiments import (
     PRESET_NAMES,
+    _json_text,
     _write_json,
     config_from_dict,
     config_to_dict,
@@ -48,6 +49,8 @@ def _connection_from_args(args) -> ConnectionSpec:
 
 
 def _cmd_sample(args) -> int:
+    if args.out is not None and (not args.out or "\0" in args.out):
+        raise ValidationError(f"--out: must be a nonempty path without NUL bytes, got {args.out!r}")
     spec = _connection_from_args(args)
     params = ModelParams(
         rho=args.rho,
@@ -70,11 +73,11 @@ def _cmd_sample(args) -> int:
         "path_count": len(paths),
         "paths": paths,
     }
-    if args.out:
+    if args.out is None:
+        sys.stdout.write(_json_text(payload) + "\n")
+    else:
         _write_json(args.out, payload)
         print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0
 
 

@@ -36,7 +36,9 @@ their reports; ``params``, the :data:`COLUMNS` stats fields and
 key per field of :class:`ExperimentConfig`, and a field without a default is
 required.  Each file is written to a temporary file in its directory and
 then moved over the target, so an interrupted run leaves the previous file
-or the complete new one, never a partial one.
+or the complete new one, never a partial one.  Every JSON file is the text
+of :func:`_json_text`, the bytes ``json.dumps(indent=2, sort_keys=True)``
+writes.
 """
 from __future__ import annotations
 
@@ -48,6 +50,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
+from json.encoder import encode_basestring_ascii
 from typing import get_origin, get_type_hints
 
 import numpy as np
@@ -612,7 +615,7 @@ def _summaries(config: ExperimentConfig, seeds, results) -> list[MomentReport]:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value) -> str:
+def _fmt_any(value) -> str:
     if value is None:
         return ""
     if isinstance(value, (bool, np.bool_)):
@@ -622,6 +625,22 @@ def _fmt(value) -> str:
     if isinstance(value, str):
         return value
     return repr(float(value))
+
+
+# the CSV text of a cell by its exact type, as _fmt_any writes it
+_CELL_TEXT = {
+    type(None): lambda _: "",
+    bool: str,
+    int: int.__repr__,
+    float: float.__repr__,
+    np.float64: float.__repr__,
+    str: str,
+}
+
+
+def _fmt(value) -> str:
+    text = _CELL_TEXT.get(type(value))
+    return text(value) if text is not None else _fmt_any(value)
 
 
 _COLUMN_DOC = """\
@@ -710,16 +729,89 @@ def _write_lines(path: str, lines: list[str]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+# float.__repr__ writes NaN and the infinities as these keys
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(x) -> str:
+    text = float.__repr__(x)
+    return _FLOAT_WORDS.get(text, text)
+
+
+# the JSON text of a scalar by its exact type
+_JSON_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _json_float,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _json_key(key) -> str:
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if isinstance(key, (int, float)) or key is None:
+        return f'"{_json(key, "")}"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _json(o, nl: str) -> str:
+    """``o`` as :func:`_json_text` writes it, nested where ``nl`` (a newline
+    and its indent) begins a line."""
+    text = _JSON_SCALARS.get(type(o))
+    if text is not None:
+        return text(o)
+    inner = nl + "  "
+    sep = "," + inner
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        items = []
+        for key in sorted(o):
+            value = o[key]
+            text = _JSON_SCALARS.get(type(value))
+            key = encode_basestring_ascii(key) if type(key) is str else _json_key(key)
+            items.append(f"{key}: {text(value) if text else _json(value, inner)}")
+        return f"{{{inner}{sep.join(items)}{nl}}}"
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        kinds = set(map(type, o))
+        text = _JSON_SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+        body = sep.join(map(text, o) if text else [_json(v, inner) for v in o])
+        return f"[{inner}{body}{nl}]"
+    # subclasses of the scalars, in json.dumps' order (no class is both one
+    # of these and a dict, list or tuple)
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _json_float(o)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _json_text(payload) -> str:
+    """``json.dumps(payload, indent=2, sort_keys=True)``, byte for byte, and
+    a ``TypeError`` wherever that raises one.  ``payload`` is a tree: a
+    cycle raises ``RecursionError``, not json's ``ValueError``.  A list
+    whose items share one exact scalar type is written with one
+    ``str.join``, so a long raw column costs a C loop, not a Python call
+    per item."""
+    return _json(payload, "\n")
+
+
 def _write_json(path: str, payload: dict) -> None:
     with _replacing(path) as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        fh.write(_json_text(payload) + "\n")
 
 
 def _write_csv(path: str, comments: list[str], records, names, param_columns) -> None:
     """``comments``, the first record's column names, and one row per record."""
     rows = [list(_csv_columns(record, names, param_columns)) for record in records]
     lines = [*comments, ",".join(column for column, _ in rows[0])]
-    lines += [",".join(_fmt(value) for _, value in row) for row in rows]
+    lines += [",".join([_fmt(value) for _, value in row]) for row in rows]
     _write_lines(path, lines)
 
 
@@ -741,8 +833,8 @@ def write_reports_json(path: str, config: ExperimentConfig, reports: list[Moment
 def write_histogram_csv(path: str, config: ExperimentConfig, reports: list[MomentReport]) -> None:
     """Integer-valued histogram per grid point: (value, frequency) pairs plus
     the reference probability of a Poisson law with the analytic mean."""
-    # scipy.stats takes over a second to import; only this writer needs it
-    from scipy.stats import poisson as poisson_dist
+    # deferred, as in the quadrature, so that importing rcmpaths loads no scipy
+    from scipy.special import gammaln, xlogy
 
     lines = [
         f"# experiment: {config.name} (path-count histogram)",
@@ -754,8 +846,10 @@ def write_histogram_csv(path: str, config: ExperimentConfig, reports: list[Momen
         mu = report.analytic_mean if report.analytic_mean is not None else report.empirical_mean
         freq = np.bincount(counts)
         r = len(counts)
-        for value, n in enumerate(freq):
-            pois = float(poisson_dist.pmf(value, mu))
+        # the expression scipy.stats.poisson.pmf evaluates
+        v = np.arange(len(freq))
+        pmf = np.exp(xlogy(v, mu) - gammaln(v + 1) - mu)
+        for value, (n, pois) in enumerate(zip(freq, pmf)):
             cells = (report.grid_index, value, int(n), n / r, pois)
             lines.append(",".join(_fmt(c) for c in cells))
     _write_lines(path, lines)

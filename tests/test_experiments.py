@@ -34,6 +34,7 @@ from rcmpaths.experiments import (
     _count_block,
     _fmt,
     _json_record,
+    _json_text,
     _REPORT_FIELDS,
     _summaries,
     config_from_dict,
@@ -882,12 +883,11 @@ class TestRunExperiment:
         rows = [l.split(",") for l in lines if not l.startswith("#")][1:]
         freq_total = sum(int(row[2]) for row in rows)
         assert freq_total == cfg.replications
-        # poisson reference column matches the analytic-mean pmf
+        # every row's poisson reference is scipy's analytic-mean pmf, exactly
         from scipy.stats import poisson
 
         mu = reports[0].analytic_mean
-        for row in rows[:5]:
-            assert float(row[4]) == pytest.approx(float(poisson.pmf(int(row[1]), mu)), rel=1e-12)
+        assert [row[4] for row in rows] == [repr(float(poisson.pmf(int(row[1]), mu))) for row in rows]
 
     def test_brackets_match_direct_computation(self, tmp_path):
         from rcmpaths.moments import PathCountSamples, truncated_zero_probability
@@ -896,6 +896,107 @@ class TestRunExperiment:
         report = run_experiment(cfg)[0]
         s = PathCountSamples(k=3, counts=report.counts)
         assert report.existence_brackets == tuple(truncated_zero_probability(s, m) for m in (2, 3, 0, 80))
+
+
+def _old_fmt(value) -> str:
+    # the CSV cell chain every type went through before the type table
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return str(bool(value))
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, str):
+        return value
+    return repr(float(value))
+
+
+def _dumps_or_error(encode, value):
+    """``encode(value)``, or the type and message of the ``TypeError`` it raises."""
+    try:
+        return encode(value)
+    except TypeError as exc:
+        return TypeError, str(exc)
+
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+_ENCODER_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64 - 2, max_value=2**70) | st.integers(min_value=-(2**70), max_value=-(2**64)),
+    _FLOATS,
+    _FLOATS.map(np.float64),
+    st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 1, True, 0, False]),
+    # subclasses: an IntEnum writes as its int, a str subclass as its text
+    st.sampled_from([signal.Signals.SIGINT, type("Label", (str,), {})("a\u00e9")]),
+    # non-ASCII and control characters, escaped by the C function
+    st.text(),
+    st.text(alphabet=st.characters(max_codepoint=0x20) | st.sampled_from('"\\\u00e9\u2028\U0001f600')),
+)
+# one leaf in a few cannot be serialized, and json.dumps raises TypeError on it
+_ENCODER_LEAVES = _ENCODER_SCALARS | st.sampled_from([np.int64(3), {1, 2}, np.bool_(True)])
+_ENCODER_VALUES = st.recursive(
+    _ENCODER_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=6),
+        st.lists(children, max_size=6).map(tuple),
+        st.dictionaries(st.text(max_size=4) | st.text(alphabet="\x00\x1f\u00e9\u4e2d\"a", max_size=3), children, max_size=6),
+        # lists of one exact scalar type, and lists that mix 1 with True
+        st.lists(st.integers()),
+        st.lists(_FLOATS),
+        st.lists(st.text(max_size=3)),
+        st.lists(st.booleans()),
+        st.lists(st.sampled_from([1, True, 0, False, 1.0])),
+    ),
+    max_leaves=40,
+)
+# keys json.dumps turns into strings, and keys it refuses
+_ENCODER_KEYS = st.one_of(
+    st.integers(), st.floats(), st.booleans(), st.none(), st.text(max_size=2), st.tuples(st.integers())
+)
+
+
+class TestWriters:
+    @given(value=_ENCODER_VALUES)
+    @settings(max_examples=500, deadline=None)
+    def test_json_text_is_json_dumps(self, value):
+        want = _dumps_or_error(lambda v: json.dumps(v, indent=2, sort_keys=True), value)
+        assert _dumps_or_error(_json_text, value) == want
+
+    @given(d=st.dictionaries(_ENCODER_KEYS, _ENCODER_SCALARS, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_json_text_keys_are_json_dumps(self, d):
+        # json.dumps writes int, float, bool and None keys as strings, sorted
+        # before they are written, and refuses keys it cannot sort or write
+        want = _dumps_or_error(lambda v: json.dumps(v, indent=2, sort_keys=True), d)
+        assert _dumps_or_error(_json_text, d) == want
+
+    @pytest.mark.parametrize("value", [np.int64(7), {1}, [1.5, np.int64(7)], {"a": [{"b": {2}}]}])
+    def test_json_text_refuses_what_json_dumps_refuses(self, value):
+        with pytest.raises(TypeError, match="is not JSON serializable") as exc:
+            _json_text(value)
+        with pytest.raises(TypeError) as want:
+            json.dumps(value, indent=2, sort_keys=True)
+        assert str(exc.value) == str(want.value)
+
+    @given(
+        value=st.one_of(
+            st.none(),
+            st.booleans(),
+            st.integers(),
+            _FLOATS,
+            st.text(),
+            _FLOATS.map(np.float64),
+            st.floats(width=32).map(np.float32),
+            st.integers(min_value=-(2**31), max_value=2**31 - 1).map(np.int32),
+            st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64),
+            st.booleans().map(np.bool_),
+        )
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_fmt_is_the_old_chain(self, value):
+        assert _fmt(value) == _old_fmt(value)
 
 
 class TestAtomicWrites:
@@ -1445,6 +1546,16 @@ class TestCli:
         assert problem in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("out", ["", "a\0b"], ids=["empty", "nul"])
+    def test_sample_refuses_a_bad_out(self, tmp_path, capsys, monkeypatch, out):
+        # as run and preset do, rather than writing the sample to stdout
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(["sample", "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --out: must be a nonempty path without NUL bytes, got {out!r}\n"
+        assert not list(tmp_path.iterdir())
+
     def test_invalid_config_exit_code(self, tmp_path, capsys):
         # a config that is incomplete, not JSON or not UTF-8, and a --table
         # that is not JSON, exit 2 with one error line and write nothing
@@ -1475,7 +1586,7 @@ class TestCli:
 def test_import_loads_no_scipy():
     # every run's set-up pays for what `import rcmpaths` imports, so it
     # imports no scipy module at all: the histogram writer defers
-    # scipy.stats, and the quadrature scipy.special and scipy.fft
+    # scipy.special, and the quadrature scipy.special and scipy.fft
     loaded = "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     code = "import sys, rcmpaths; " + loaded
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
