@@ -30,6 +30,7 @@ Parseval sum of two forward FFTs.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -148,13 +149,17 @@ _RADIAL_CAP = 2**20
 _CAPPED_TAIL = 1e-6
 
 
+@functools.lru_cache(maxsize=None)
 def _gauss_legendre(n: int):
     """The n-point Gauss-Legendre rule on [-1, 1] (Golub-Welsch), at a
-    fifth of the cost of numpy's ``leggauss``."""
+    fifth of the cost of numpy's ``leggauss``; a per-process table keyed by
+    n, whose read-only arrays every caller shares."""
     i = np.arange(1.0, n)
     off = i / np.sqrt(4.0 * i * i - 1.0)
     nodes, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    return nodes, 2.0 * vectors[0] ** 2
+    weights = 2.0 * vectors[0] ** 2
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _panels(edges, frequency: float, refine: int):
@@ -280,19 +285,26 @@ def _sigma22(spec: ConnectionSpec, s: float, m: int, nr: int) -> float:
     m nodes about an anchor.  It is one Parseval sum, cell**2 sum_xi Hhat(xi)
     |Qhat(xi)|**2 / N, on a periodic grid that holds q's span plus H's on
     each axis, so no difference U - V wraps onto H's square; H is centred on
-    the periodic origin, so Hhat is real."""
+    the periodic origin, so Hhat is real.  H is evaluated on the quadrant
+    i, j >= 0 and mirrored: (-i) * s is -(i * s) exactly, and hypot ignores
+    signs."""
     from scipy import fft
 
     if nr > 2 * m:
         return 0.0
-    axis = np.arange(-m, m + 1) * s
-    h = spec.kernel(np.hypot(axis[:, None], axis))
+    axis = np.arange(m + 1) * s
+    quadrant = spec.kernel(np.hypot(axis[:, None], axis))
+    half = np.concatenate([quadrant[:, :0:-1], quadrant], axis=1)
+    h = np.concatenate([half[:0:-1], half])
     q = h[nr:] * h[: len(h) - nr]
     # differences U - V span len(q) - 1 rows, so H's rows beyond never meet
     mx = min(m, len(q) - 1)
-    h = h[m - mx : m + mx + 1]
     shape = (fft.next_fast_len(len(q) + mx, True), fft.next_fast_len(3 * m + 1, True))
-    periodic = np.roll(np.pad(h, [(0, n - k) for n, k in zip(shape, h.shape)]), (-mx, -m), axis=(0, 1))
+    # H's rows -mx..mx and columns -m..m, each at its offset modulo the periodic shape
+    periodic = np.zeros(shape)
+    periodic[: mx + 1, : m + 1] = quadrant[: mx + 1]
+    periodic[: mx + 1, shape[1] - m :] = quadrant[: mx + 1, :0:-1]
+    periodic[shape[0] - mx :] = periodic[mx:0:-1]
     q_hat = fft.rfft2(q, shape)
     power = fft.rfft2(periodic).real * (q_hat.real**2 + q_hat.imag**2)
     # rfft2 keeps half the spectrum: count each column twice but the first and an even N1's last

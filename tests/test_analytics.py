@@ -261,8 +261,8 @@ class TestRadialQuadrature:
                 quadrature_calls.clear()
 
     def test_sigma22_runs_two_forward_transforms(self, quadrature_calls):
-        # sigma22 evaluates H once on its square and transforms it and q
-        # forward once each, with no inverse transform
+        # sigma22 evaluates H once, on the quadrant of its square, and
+        # transforms it and q forward once each, with no inverse transform
         p = ModelParams(rho=1.0, connection=ConnectionSpec.hard_disk(1.0), anchor_distance=1.5, k=3)
         variance_terms_numeric(p)
         grid = [(name, shape) for name, shape in quadrature_calls if len(shape) == 2]
@@ -271,7 +271,7 @@ class TestRadialQuadrature:
         # within m of both anchors, 60 nodes apart, and the periodic grid
         # holds q's span plus H's rows that meet it (20) on the first axis
         side = 2 * 40 + 1
-        assert grid[1][1] == (side, side)
+        assert grid[1][1] == (40 + 1, 40 + 1)
         assert grid[2][1] == (21, side)
         n0, n1 = grid[3][1]
         assert 21 + 20 <= n0 < side and 3 * 40 + 1 <= n1
