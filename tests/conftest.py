@@ -523,6 +523,37 @@ def quadrature_variance_oracle(params: ModelParams, quad=None) -> AnalyticMoment
     return AnalyticMoments.from_terms(rho**2 * h3_at_r, s11, s12, s22)
 
 
+def sigma22_full_square_oracle(spec: ConnectionSpec, s: float, m: int, nr: int) -> float:
+    """Reference for ``analytics._sigma22``, which evaluates H on one
+    quadrant and mirrors it: the same Parseval sum with H evaluated on the
+    whole (2m + 1)**2 square and padded and rolled onto the periodic grid.
+    The two agree bit for bit."""
+    from scipy import fft
+
+    if nr > 2 * m:
+        return 0.0
+    axis = np.arange(-m, m + 1) * s
+    h = spec.kernel(np.hypot(axis[:, None], axis))
+    q = h[nr:] * h[: len(h) - nr]
+    mx = min(m, len(q) - 1)
+    h = h[m - mx : m + mx + 1]
+    shape = (fft.next_fast_len(len(q) + mx, True), fft.next_fast_len(3 * m + 1, True))
+    periodic = np.roll(np.pad(h, [(0, n - k) for n, k in zip(shape, h.shape)]), (-mx, -m), axis=(0, 1))
+    q_hat = fft.rfft2(q, shape)
+    power = fft.rfft2(periodic).real * (q_hat.real**2 + q_hat.imag**2)
+    total = 2.0 * power.sum() - power[:, 0].sum() - (power[:, -1].sum() if shape[1] % 2 == 0 else 0.0)
+    return s**4 * float(total) / (shape[0] * shape[1])
+
+
+def gauss_legendre_oracle(n: int):
+    """A fresh Golub-Welsch solve of the n-point Gauss-Legendre rule on
+    [-1, 1], the reference for the package's table of rules."""
+    i = np.arange(1.0, n)
+    off = i / np.sqrt(4.0 * i * i - 1.0)
+    nodes, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    return nodes, 2.0 * vectors[0] ** 2
+
+
 @pytest.fixture
 def quadrature_calls(monkeypatch):
     """Log of the quadrature's evaluations of H (``ConnectionSpec.kernel``

@@ -7,10 +7,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import mc_mean, mc_variance_terms, quadrature_mean_oracle, quadrature_variance_oracle
+from conftest import (
+    gauss_legendre_oracle,
+    mc_mean,
+    mc_variance_terms,
+    quadrature_mean_oracle,
+    quadrature_variance_oracle,
+    sigma22_full_square_oracle,
+)
 from rcmpaths.analytics import (
     QuadratureSpec,
+    _gauss_legendre,
     _radial_moments,
+    _sigma22,
     mean_khop_numeric,
     mean_khop_rayleigh,
     variance_terms_numeric,
@@ -312,7 +321,7 @@ QUADRATURE_DIGEST = "fdf0ef1756aaa3481920f60cd10702e83f812a14f95f59dfbde0d3538bb
 _TERMS = ("mean", "variance", "sigma11_term", "sigma12_term", "sigma21_term", "sigma22_term")
 
 
-def test_quadrature_digest():
+def _quadrature_digest_lines():
     lines = []
     for spec in QUADRATURE_KERNELS:
         for r in QUADRATURE_SEPARATIONS:
@@ -321,8 +330,71 @@ def test_quadrature_digest():
             values = [getattr(terms, name) for name in _TERMS]
             values += [mean_khop_numeric(ModelParams(k=k, **point)) for k in (2, 4, 5)]
             lines.append(" ".join(map(repr, values)))
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    return lines
+
+
+def test_quadrature_digest():
+    digest = hashlib.sha256("\n".join(_quadrature_digest_lines()).encode()).hexdigest()
     assert digest == QUADRATURE_DIGEST
+
+
+def test_quadrature_digest_lines_from_a_cold_and_a_warm_table():
+    # the Gauss-Legendre rules are a per-process table: the digest's lines
+    # read the same with it emptied and then with it warm, when no rule is
+    # solved again
+    _gauss_legendre.cache_clear()
+    cold = _quadrature_digest_lines()
+    misses = _gauss_legendre.cache_info().misses
+    assert cold == _quadrature_digest_lines()
+    assert _gauss_legendre.cache_info().misses == misses
+
+
+def test_gauss_legendre_table_is_a_fresh_solve():
+    # a panel takes _PANEL_PHASE / 3 + 12 nodes, one more where rounding
+    # lifts its phase: at most 53, and 106 at refine = 2.  Every rule
+    # equals a fresh Golub-Welsch solve bit for bit, and its arrays are
+    # read-only
+    for n in range(1, 111):
+        table, fresh = _gauss_legendre(n), gauss_legendre_oracle(n)
+        assert [a.tobytes() for a in table] == [a.tobytes() for a in fresh], n
+        for array in table:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                array *= 2.0
+        assert [a.tobytes() for a in _gauss_legendre(n)] == [a.tobytes() for a in fresh], n
+
+
+SIGMA22_KERNELS = (
+    ConnectionSpec.hard_disk(1.0),
+    TABLE,
+    ConnectionSpec.rayleigh(beta=1.0, eta=1.5),
+    RAY1,
+    ConnectionSpec.rayleigh(beta=0.7, eta=3.0),
+)
+
+
+@given(
+    spec=st.sampled_from(SIGMA22_KERNELS),
+    m_nr=st.integers(1, 120).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, 2 * m + 1))),
+    reach_steps=st.floats(0.5, 1.5),
+)
+@settings(max_examples=100, deadline=None)
+# the hard disk at step r0 / 40, with nodes on its edge (the khop45-numeric
+# point); the smallest grid, with the anchors on one node and 2m apart, the
+# farthest that still have a node within m of both; the same at m = 120,
+# and 2m + 1 apart, where the term is 0
+@example(spec=ConnectionSpec.hard_disk(1.0), m_nr=(40, 60), reach_steps=1.0)
+@example(spec=RAY1, m_nr=(1, 0), reach_steps=1.0)
+@example(spec=TABLE, m_nr=(1, 2), reach_steps=1.0)
+@example(spec=ConnectionSpec.rayleigh(beta=0.7, eta=3.0), m_nr=(120, 240), reach_steps=1.0)
+@example(spec=ConnectionSpec.hard_disk(1.0), m_nr=(120, 241), reach_steps=1.0)
+def test_sigma22_equals_the_full_square(spec, m_nr, reach_steps):
+    # the quadrant-built kernel is the full-square one exactly, at any
+    # step s of m nodes about each anchor and nr nodes between them
+    m, nr = m_nr
+    s = spec.reach * reach_steps / m
+    assert _sigma22(spec, s, m, nr) == sigma22_full_square_oracle(spec, s, m, nr)
 
 
 def _sigma22_pair(point, quad=None):
